@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ComputationError, EmptyInputError
 
@@ -93,8 +94,7 @@ class CitationEdge:
     date: date | None = None
 
 
-@dataclass(frozen=True, order=True)
-class CellKey:
+class CellKey(NamedTuple):
     """The (field, year, doc_type) slice baselines and thresholds run over."""
 
     field: str
@@ -377,6 +377,10 @@ def validate(corpus: Corpus, max_examples: int = 5) -> ValidationReport:
                 early = p.pub_date < p.online_date
             if early:
                 hit(warned, "issue_precedes_online", p.id)
+
+    for pid, c in (corpus.explicit_counts or {}).items():
+        if c < 0:
+            hit(found, "negative_citation_count", pid)
 
     if corpus.edges is not None:
         seen: set[tuple[str, str]] = set()

@@ -67,12 +67,16 @@ class LoadReport:
 
 def _read_records(path: Path):
     """Yield (line_no, record) from a JSONL or CSV file, sniffed by suffix."""
-    if path.suffix.lower() == ".csv":
-        with path.open(newline="", encoding="utf-8") as fh:
+    is_csv = path.suffix.lower() == ".csv"
+    try:
+        fh = path.open(newline="" if is_csv else None, encoding="utf-8")
+    except OSError as exc:
+        raise LoadError(f"cannot open {path}: {exc.strerror or exc}") from exc
+    with fh:
+        if is_csv:
             for i, row in enumerate(csv.DictReader(fh), start=2):
                 yield i, {k: v for k, v in row.items() if v not in (None, "")}
-    else:
-        with path.open(encoding="utf-8") as fh:
+        else:
             for i, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -98,6 +102,23 @@ def _metric(value) -> Fraction:
     # JSON numbers round-trip through repr exactly; "num/den" strings are
     # accepted for values with no finite decimal form.
     return Fraction(str(value))
+
+
+def _integer(record: dict, key: str, where: str) -> int | None:
+    """An optional whole number: a JSON integer (or integral float) or CSV text."""
+    if key not in record:
+        return None
+    value = record[key]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise LoadError(f"{where}: field {key!r} is not an integer: {value!r}")
 
 
 def _parse_date(value: str, where: str) -> date:
@@ -189,7 +210,7 @@ def load_corpus(
             jid = record["journal"]
             year = int(record["year"])
             doc_type = str(record["doc_type"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             reject("malformed_paper", f"{where}: {exc}")
             continue
         if pid in papers:
@@ -211,9 +232,16 @@ def load_corpus(
             else:
                 pub, precision = None, DAY
             raw_authors = _nested(record, "authors", where) or []
+            pages = _integer(record, "pages", where)
+            cited = _integer(record, "citations", where)
         except LoadError as exc:
             reject("malformed_paper", str(exc))
             continue
+        if cited is not None and cited < 0:
+            reject("negative_citations", f"{where}: paper {pid!r} has {cited} citations")
+            continue
+        if cited is not None:
+            counts[pid] = cited
         authors = tuple(
             AuthorCredit(
                 author_key=a["key"],
@@ -221,9 +249,6 @@ def load_corpus(
             )
             for a in raw_authors
         )
-        pages = int(record["pages"]) if "pages" in record else None
-        if "citations" in record:
-            counts[pid] = int(record["citations"])
         papers[pid] = Paper(
             id=pid,
             journal_id=jid,

@@ -15,10 +15,15 @@ citation mass over total expected mass, field by field). On a closed corpus
 every ratio-of-averages variant and fractional average-of-ratios equal exactly
 1; whole counting with average-of-ratios does not, which is the anomaly these
 dual routes exist to expose. All arithmetic is exact rational.
+
+Baselines and set aggregates come from integer sums (papers, citations) per
+cell and category count k, with no Fraction per paper. Exact sums do not depend
+on order, so they equal the per-paper definitions, which the test oracle keeps.
 """
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -85,8 +90,7 @@ class BaselineTable:
 
     def to_csv_text(self) -> str:
         lines = ["schema,field,year,doc_type,counting,expected,weight"]
-        for key in sorted(self.cells):
-            cell = self.cells[key]
+        for key, cell in sorted(self.cells.items()):
             lines.append(
                 f"{self.schema},{key.field},{key.year},{key.doc_type},"
                 f"{self.counting_label},{rational_str(cell.expected)},"
@@ -96,48 +100,77 @@ class BaselineTable:
 
 
 def compute_baselines(
-    corpus: Corpus,
-    schema: str,
-    counting: str = WHOLE,
-    *,
-    split_citations: bool = False,
-    papers: Iterable[Paper] | None = None,
+    corpus: Corpus, schema: str, counting: str = WHOLE, *,
+    split_citations: bool = False, papers: Iterable[Paper] | None = None,
 ) -> BaselineTable:
     """Expected citation rates per cell over the corpus (or a paper subset).
 
     ``papers`` restricts the pool the baselines are computed from; relative
     indicators use it to normalize against a reference set instead of the
-    whole corpus. Cells with zero paper weight are absent, not zero.
+    whole corpus. Cells with no paper in the pool are absent, not zero.
     """
-    if counting not in (WHOLE, FRACTIONAL):
-        raise ComputationError(f"unknown counting scheme {counting!r}")
-    if split_citations and counting != WHOLE:
-        raise ComputationError("split_citations presumes whole paper counting")
+    CnciConfig(counting, ROA if split_citations else AOR, split_citations)  # validates
     pool = corpus.papers.values() if papers is None else papers
-    sums: dict[CellKey, list[Fraction]] = {}
-    sizes: dict[CellKey, int] = {}
-    for p in pool:
-        fields = corpus.paper_fields(p, schema)
-        if not fields:
-            continue
-        k = len(fields)
-        c = corpus.citations(p.id)
-        cite_mass = Fraction(c, k) if (counting == FRACTIONAL or split_citations) else Fraction(c)
-        paper_mass = Fraction(1, k) if counting == FRACTIONAL else Fraction(1)
+    fractional = counting == FRACTIONAL
+    cells = {}
+    for key, per_k in sorted(_cell_sums(corpus, pool, schema)[0].items()):
+        cite, weight = _masses(per_k, fractional or split_citations, fractional)
+        cells[key] = BaselineCell(cite / weight, weight, sum(n for n, _ in per_k.values()))
+    return BaselineTable(schema, counting, split_citations, cells)
+
+
+def _cell_sums(corpus: Corpus, papers: Iterable[Paper], schema: str):
+    """({cell: {k: [papers, citations]}}, whether any paper had no category).
+
+    Papers are grouped by (journal, year, doc_type) first, which fixes their
+    cells and k, so each paper costs one integer update."""
+    counts = corpus.citation_counts
+    groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
+    for p in papers:
+        group = groups[p.journal_id, p.year, p.doc_type]
+        group[0] += 1
+        group[1] += counts[p.id]
+    sums: dict[CellKey, dict[int, list[int]]] = {}
+    for (journal_id, year, doc_type), (n, c) in groups.items():
+        fields = corpus.categories_of(journal_id, schema)
         for f in fields:
-            key = CellKey(f, p.year, p.doc_type)
-            cell = sums.setdefault(key, [Fraction(0), Fraction(0)])
-            cell[0] += cite_mass
-            cell[1] += paper_mass
-            sizes[key] = sizes.get(key, 0) + 1
-    cells = {
-        key: BaselineCell(expected=cite / weight, weight=weight, papers=sizes[key])
-        for key, (cite, weight) in sorted(sums.items())
-        if weight > 0
-    }
-    return BaselineTable(
-        schema=schema, counting=counting, split_citations=split_citations, cells=cells
-    )
+            per_k = sums.setdefault(CellKey(f, year, doc_type), {})
+            total = per_k.setdefault(len(fields), [0, 0])
+            total[0] += n
+            total[1] += c
+    return sums, not all(corpus.categories_of(j, schema) for j, _, _ in groups)
+
+
+def _masses(per_k: dict[int, list[int]], split_citations: bool, fractional: bool):
+    """(citation mass, paper weight) of a cell; split means 1/k per k-field paper."""
+    cite = weight = Fraction(0)
+    for k, (n, c) in per_k.items():
+        cite += Fraction(c, k) if split_citations else c
+        weight += Fraction(n, k) if fractional else n
+    return cite, weight
+
+
+def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable, aor: bool):
+    """Cell sums and size of a paper set. If a cell may fail its checks, the papers
+    are walked one by one so an error names the first failing paper, as per paper."""
+    papers = list(papers)
+    sums, uncategorized = _cell_sums(corpus, papers, baselines.schema)
+    cells = baselines.cells
+    if uncategorized or any(k not in cells or (aor and cells[k].expected == 0) for k in sums):
+        for p in papers:
+            if aor:
+                cnci_paper(corpus, p, baselines)
+            else:
+                for f in _fields(corpus, p, baselines.schema):
+                    baselines.expected(CellKey(f, p.year, p.doc_type))
+    return sums, len(papers)
+
+
+def _fields(corpus: Corpus, paper: Paper, schema: str) -> tuple[str, ...]:
+    fields = corpus.paper_fields(paper, schema)
+    if not fields:
+        raise ComputationError(f"paper {paper.id!r} has no categories under {schema!r}")
+    return fields
 
 
 def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fraction:
@@ -146,31 +179,31 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
     An uncited paper in an uncited cell contributes 0 for that cell (it sits at
     the degenerate cell average); a cited paper over a zero baseline is an error.
     """
-    fields = corpus.paper_fields(paper, baselines.schema)
-    if not fields:
-        raise ComputationError(
-            f"paper {paper.id!r} has no categories under {baselines.schema!r}"
-        )
+    fields = _fields(corpus, paper, baselines.schema)
     c = corpus.citations(paper.id)
     total = Fraction(0)
     for f in fields:
         e = baselines.expected(CellKey(f, paper.year, paper.doc_type))
-        if e == 0:
-            if c > 0:
-                raise ZeroBaselineError(
-                    f"paper {paper.id!r} has {c} citations in a zero-baseline cell"
-                )
-            continue
-        total += Fraction(c) / e
+        if e == 0 and c > 0:
+            raise ZeroBaselineError(
+                f"paper {paper.id!r} has {c} citations in a zero-baseline cell"
+            )
+        if e:
+            total += Fraction(c) / e
     return total / len(fields)
 
 
 def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) -> Fraction:
-    """Average-of-ratios aggregate: unweighted mean of per-paper CNCI."""
-    values = [cnci_paper(corpus, p, baselines) for p in papers]
-    if not values:
+    """Average-of-ratios aggregate: unweighted mean of per-paper CNCI. A k-field
+    paper adds c/(k e) in each of its cells: per cell, split citation mass / e."""
+    sums, n = _set_sums(corpus, papers, baselines, aor=True)
+    if not n:
         raise EmptyInputError("cannot average CNCI over an empty paper set")
-    return sum(values, Fraction(0)) / len(values)
+    total = Fraction(0)
+    for key, per_k in sums.items():
+        if e := baselines.cells[key].expected:
+            total += _masses(per_k, True, False)[0] / e
+    return total / n
 
 
 def nci_ratio_of_averages(
@@ -178,43 +211,25 @@ def nci_ratio_of_averages(
 ) -> Fraction:
     """Ratio-of-averages aggregate: total observed over total expected mass.
 
-    Per field, the set contributes its citation mass under the table's scheme
-    (full c per field for whole counting, c/k when citations are split or
-    counting is fractional) against the matching paper weight times the cell
-    baseline. The brute-force definition; no cancellation shortcuts.
+    Per cell, the set's citation mass under the table's scheme (c per field,
+    or c/k when split or fractional) against its paper weight times e.
     """
-    split = baselines.split_citations
-    fractional = baselines.counting == FRACTIONAL
-    observed = Fraction(0)
-    expected = Fraction(0)
-    empty = True
-    for p in papers:
-        empty = False
-        fields = corpus.paper_fields(p, baselines.schema)
-        if not fields:
-            raise ComputationError(
-                f"paper {p.id!r} has no categories under {baselines.schema!r}"
-            )
-        k = len(fields)
-        c = corpus.citations(p.id)
-        cite_mass = Fraction(c, k) if (split or fractional) else Fraction(c)
-        paper_mass = Fraction(1, k) if fractional else Fraction(1)
-        for f in fields:
-            observed += cite_mass
-            expected += paper_mass * baselines.expected(CellKey(f, p.year, p.doc_type))
-    if empty:
+    sums, n = _set_sums(corpus, papers, baselines, aor=False)
+    if not n:
         raise EmptyInputError("cannot aggregate an empty paper set")
+    fractional = baselines.counting == FRACTIONAL
+    observed = expected = Fraction(0)
+    for key, per_k in sums.items():
+        cite, weight = _masses(per_k, baselines.split_citations or fractional, fractional)
+        observed += cite
+        expected += weight * baselines.cells[key].expected
     if expected == 0:
         raise ZeroBaselineError("total expected citation mass is zero")
     return observed / expected
 
 
 def global_cnci(
-    corpus: Corpus,
-    schema: str,
-    config: CnciConfig,
-    years=None,
-    doc_types=None,
+    corpus: Corpus, schema: str, config: CnciConfig, years=None, doc_types=None
 ) -> Fraction:
     """One number for a corpus slice under the given counting/aggregation regime.
 
@@ -222,32 +237,21 @@ def global_cnci(
     (field, year, doc_type), a year/doc-type slice selects whole cells and the
     slice is closed with respect to its own baselines.
     """
-    papers = _slice(corpus, schema, years, doc_types)
     baselines = compute_baselines(
         corpus, schema, config.counting, split_citations=config.split_citations
     )
-    if config.aggregation == AOR:
-        return cnci_set(corpus, papers, baselines)
-    return nci_ratio_of_averages(corpus, papers, baselines)
+    aggregate = cnci_set if config.aggregation == AOR else nci_ratio_of_averages
+    return aggregate(corpus, _slice(corpus, schema, years, doc_types), baselines)
 
 
 def _slice(corpus: Corpus, schema: str, years, doc_types) -> list[Paper]:
-    ys = set(years) if years is not None else None
-    ts = set(doc_types) if doc_types is not None else None
-    return [
-        p
-        for p in corpus.papers.values()
-        if corpus.paper_fields(p, schema)
-        and (ys is None or p.year in ys)
-        and (ts is None or p.doc_type in ts)
-    ]
+    ys, ts = (None if v is None else set(v) for v in (years, doc_types))
+    return [p for p in corpus.papers.values() if corpus.paper_fields(p, schema)
+            and (ys is None or p.year in ys) and (ts is None or p.doc_type in ts)]
 
 
 def relative_cnci(
-    corpus: Corpus,
-    subunit: Iterable[Paper],
-    reference: Iterable[Paper],
-    schema: str,
+    corpus: Corpus, subunit: Iterable[Paper], reference: Iterable[Paper], schema: str,
     counting: str = WHOLE,
 ) -> Fraction:
     """Subunit impact normalized against a reference set's own baselines.
@@ -259,17 +263,13 @@ def relative_cnci(
     paper outside the reference set is legal but logged, since the comparison
     then mixes populations.
     """
-    subunit = list(subunit)
-    reference = list(reference)
+    subunit, reference = list(subunit), list(reference)
     if not subunit or not reference:
         raise EmptyInputError("subunit and reference sets must be non-empty")
     ref_ids = {p.id for p in reference}
     outside = [p.id for p in subunit if p.id not in ref_ids]
     if outside:
-        logger.warning(
-            "relative CNCI: %d subunit paper(s) outside the reference set (e.g. %s)",
-            len(outside),
-            outside[0],
-        )
+        logger.warning("relative CNCI: %d subunit paper(s) outside the reference set (e.g. %s)",
+                       len(outside), outside[0])
     baselines = compute_baselines(corpus, schema, counting, papers=reference)
     return cnci_set(corpus, subunit, baselines)

@@ -3,13 +3,25 @@
 These deliberately avoid the library's code paths: ranks come from pairwise
 comparison counts, rounding goes through the decimal module, percentiles use
 the midpoint-of-worse-items counting argument, and quartile surpluses come
-from exact enumeration of the size distribution. Tests freeze their outputs
-or compare them against the package directly.
+from exact enumeration of the size distribution. Baselines and set-level
+CNCI are the per-paper definitions: one exact ``Fraction`` update per paper
+and field, against which the package's per-cell integer sums are checked.
+Tests freeze their outputs or compare them against the package directly.
 """
 from __future__ import annotations
 
 import decimal
 from fractions import Fraction
+
+from biblio.corpus import CellKey
+from biblio.errors import ComputationError, EmptyInputError, ZeroBaselineError
+from biblio.normalization import (
+    FRACTIONAL,
+    WHOLE,
+    BaselineCell,
+    BaselineTable,
+    cnci_paper,
+)
 
 
 def competition_ranks(values) -> list[int]:
@@ -106,3 +118,100 @@ def surplus_by_enumeration(num_categories: int, total_journals: int, weights=Non
     for i in sorted(range(4), key=lambda i: (exact[i], i))[:spare]:
         totals[i] += 1
     return extras, tuple(totals)
+
+
+# -- field-normalized impact, paper by paper ------------------------------------
+
+
+def compute_baselines(corpus, schema, counting=WHOLE, *, split_citations=False, papers=None):
+    """Expected citation rate per cell, accumulated one paper at a time."""
+    if counting not in (WHOLE, FRACTIONAL):
+        raise ComputationError(f"unknown counting scheme {counting!r}")
+    if split_citations and counting != WHOLE:
+        raise ComputationError("split_citations presumes whole paper counting")
+    pool = corpus.papers.values() if papers is None else papers
+    sums: dict[CellKey, list[Fraction]] = {}
+    sizes: dict[CellKey, int] = {}
+    for p in pool:
+        fields = corpus.paper_fields(p, schema)
+        if not fields:
+            continue
+        k = len(fields)
+        c = corpus.citations(p.id)
+        cite_mass = Fraction(c, k) if (counting == FRACTIONAL or split_citations) else Fraction(c)
+        paper_mass = Fraction(1, k) if counting == FRACTIONAL else Fraction(1)
+        for f in fields:
+            key = CellKey(f, p.year, p.doc_type)
+            cell = sums.setdefault(key, [Fraction(0), Fraction(0)])
+            cell[0] += cite_mass
+            cell[1] += paper_mass
+            sizes[key] = sizes.get(key, 0) + 1
+    cells = {
+        key: BaselineCell(expected=cite / weight, weight=weight, papers=sizes[key])
+        for key, (cite, weight) in sorted(sums.items())
+        if weight > 0
+    }
+    return BaselineTable(
+        schema=schema, counting=counting, split_citations=split_citations, cells=cells
+    )
+
+
+def cnci_set(corpus, papers, baselines) -> Fraction:
+    """Average-of-ratios: the unweighted mean of every paper's CNCI."""
+    values = [cnci_paper(corpus, p, baselines) for p in papers]
+    if not values:
+        raise EmptyInputError("cannot average CNCI over an empty paper set")
+    return sum(values, Fraction(0)) / len(values)
+
+
+def nci_ratio_of_averages(corpus, papers, baselines) -> Fraction:
+    """Ratio-of-averages: observed over expected mass, summed paper by paper."""
+    split = baselines.split_citations
+    fractional = baselines.counting == FRACTIONAL
+    observed = Fraction(0)
+    expected = Fraction(0)
+    empty = True
+    for p in papers:
+        empty = False
+        fields = corpus.paper_fields(p, baselines.schema)
+        if not fields:
+            raise ComputationError(
+                f"paper {p.id!r} has no categories under {baselines.schema!r}"
+            )
+        k = len(fields)
+        c = corpus.citations(p.id)
+        cite_mass = Fraction(c, k) if (split or fractional) else Fraction(c)
+        paper_mass = Fraction(1, k) if fractional else Fraction(1)
+        for f in fields:
+            observed += cite_mass
+            expected += paper_mass * baselines.expected(CellKey(f, p.year, p.doc_type))
+    if empty:
+        raise EmptyInputError("cannot aggregate an empty paper set")
+    if expected == 0:
+        raise ZeroBaselineError("total expected citation mass is zero")
+    return observed / expected
+
+
+def global_cnci(corpus, schema, config, years=None, doc_types=None) -> Fraction:
+    """One regime over a year/doc-type slice, against full-corpus baselines."""
+    papers = [
+        p
+        for p in corpus.papers.values()
+        if corpus.paper_fields(p, schema)
+        and (years is None or p.year in years)
+        and (doc_types is None or p.doc_type in doc_types)
+    ]
+    baselines = compute_baselines(
+        corpus, schema, config.counting, split_citations=config.split_citations
+    )
+    aggregate = cnci_set if config.aggregation == "aor" else nci_ratio_of_averages
+    return aggregate(corpus, papers, baselines)
+
+
+def relative_cnci(corpus, subunit, reference, schema, counting=WHOLE) -> Fraction:
+    """Average-of-ratios over the subunit against the reference's own baselines."""
+    subunit, reference = list(subunit), list(reference)
+    if not subunit or not reference:
+        raise EmptyInputError("subunit and reference sets must be non-empty")
+    baselines = compute_baselines(corpus, schema, counting, papers=reference)
+    return cnci_set(corpus, subunit, baselines)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import cli_cases
 import corpora
 from biblio import (
     CnciConfig,
@@ -255,57 +256,14 @@ def test_criterion_8_relative_cnci_reversal():
 
 
 def test_criterion_9_cli_determinism(capsys, tmp_path):
-    from biblio import dump_corpus
-
-    def files(name, corpus):
-        base = tmp_path / name
-        base.mkdir()
-        paths = (base / "j.jsonl", base / "p.jsonl", base / "e.jsonl")
-        dump_corpus(corpus, *paths[:2], paths[2] if corpus.edges is not None else None)
-        return paths
-
-    two_j, two_p, _ = files("two_papers", corpora.make_two_papers())
-    mini_j, mini_p, mini_e = files("mini", corpora.make_quota_mini())
-    simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
-
-    config = tmp_path / "gen.yaml"
-    config.write_text(
-        "seed: 3\nnum_categories: 8\njournals_per_category: 20\npapers_per_journal: 1\n",
-        encoding="utf-8",
-    )
-
-    invocations = [
-        ("validate", "--journals", two_j, "--papers", two_p),
-        ("rank", "--journals", two_j, "--papers", two_p,
-         "--schema", SCHEMA, "--category", "A", "--year", "2020"),
-        ("percentile", "--journals", two_j, "--papers", two_p,
-         "--schema", SCHEMA, "--journal", "JAB", "--year", "2020"),
-        ("quartiles", "--journals", two_j, "--papers", two_p,
-         "--schema", SCHEMA, "--year", "2020"),
-        ("baselines", "--journals", two_j, "--papers", two_p, "--schema", SCHEMA),
-        ("cnci", "--journals", two_j, "--papers", two_p,
-         "--schema", SCHEMA, "--per-paper"),
-        ("relative-cnci", "--journals", simpson_j, "--papers", simpson_p,
-         "--schema", SCHEMA,
-         "--subunit-entity", "team-s", "--reference-entity", "unit-r"),
-        ("hcp", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
-         "--schema", "f", "--top-percent", "30",
-         "--method", "quota", "--tiebreak", "chronology"),
-        ("hcp-report", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
-         "--schema", "f", "--top-percent", "30", "--format", "csv",
-         "--method", "quota", "--tiebreak", "chronology"),
-        ("entity-share", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
-         "--schema", "f", "--entity", "org-a", "--top-percent", "30",
-         "--method", "quota", "--tiebreak", "chronology"),
-        ("simulate", "--config", config, "--experiment", "surplus", "--trials", "4"),
-    ]
+    invocations = cli_cases.invocations(tmp_path)
     subcommands = {argv[0] for argv in invocations}
     assert len(subcommands) == 11  # every subcommand is exercised
 
     for argv in invocations:
         runs = []
         for _ in range(2):
-            code = main([str(a) for a in argv])
+            code = main(list(argv))
             captured = capsys.readouterr()
             runs.append((code, captured.out.encode(), captured.err.encode()))
             assert code == 0, (argv[0], captured.err)

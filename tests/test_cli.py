@@ -119,6 +119,18 @@ def test_strict_load_failure_exits_two(run, corpus_files, hundred):
     assert code == 0
 
 
+def test_missing_input_file_exits_two(run, corpus_files, hundred, tmp_path):
+    journals, _, _ = corpus_files(hundred)
+    missing = tmp_path / "nonexistent.jsonl"
+    code, out, err = run(
+        "cnci", "--journals", journals, "--papers", missing, "--schema", "f"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("biblio: load error: cannot open")
+    assert str(missing) in err
+    assert "Traceback" not in err
+
+
 # -- rank / percentile / quartiles ---------------------------------------------------
 
 

@@ -1,0 +1,128 @@
+"""The per-cell kernels against the per-paper definitions in ``oracles``.
+
+Baselines and set-level CNCI are computed from integer sums per cell; these
+tests build random small corpora (multi-attribution, uncited cells, papers
+without categories, arbitrary subsets with repeats, reference pools that
+leave subunit papers out) and require the package to give exactly the
+oracle's value, or the oracle's exception type and message.
+"""
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from biblio import (
+    CnciConfig,
+    Corpus,
+    Journal,
+    Paper,
+    SchemaInfo,
+    cnci_set,
+    compute_baselines,
+    global_cnci,
+    nci_ratio_of_averages,
+    relative_cnci,
+)
+
+S = "subjects"
+COUNTINGS = (("whole", False), ("fractional", False), ("whole", True))
+REGIMES = (
+    CnciConfig("whole", "aor"),
+    CnciConfig("fractional", "aor"),
+    CnciConfig("whole", "roa"),
+    CnciConfig("whole", "roa", split_citations=True),
+    CnciConfig("fractional", "roa"),
+)
+
+
+@st.composite
+def worlds(draw):
+    """A corpus plus a subunit and a reference pool drawn from its papers."""
+    categories = st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)
+    journals = [
+        # about one journal in six has no category under the schema
+        Journal(f"j{i}", {S: tuple(cats)} if draw(st.integers(0, 5)) else {}, {})
+        for i, cats in enumerate(draw(st.lists(categories, min_size=1, max_size=5)))
+    ]
+    papers, counts = [], {}
+    for i in range(draw(st.integers(min_value=1, max_value=14))):
+        pid = f"p{i}"
+        papers.append(Paper(
+            pid,
+            draw(st.sampled_from(journals)).id,
+            draw(st.sampled_from((2020, 2021))),
+            draw(st.sampled_from(("article", "review"))),
+        ))
+        counts[pid] = draw(st.sampled_from((0, 0, 0, 1, 2, 7)))
+    corpus = Corpus([SchemaInfo(S)], journals, papers, citation_counts=counts)
+    subset = st.lists(st.sampled_from(papers), min_size=1, max_size=10)
+    return corpus, draw(subset), draw(subset)
+
+
+def outcome(call):
+    try:
+        value = call()
+    except Exception as exc:  # the comparison covers the exception itself
+        return type(exc), str(exc)
+    return value
+
+
+def assert_same(kernel, oracle):
+    expected = outcome(oracle)
+    got = outcome(kernel)
+    if isinstance(expected, Fraction):
+        assert type(got) is Fraction
+    assert got == expected
+
+
+def table_rows(table):
+    return [(repr(k), c.expected, c.weight, c.papers) for k, c in table.cells.items()]
+
+
+@settings(max_examples=300)
+@given(worlds())
+def test_baselines_match_the_per_paper_definition(world):
+    corpus, subunit, reference = world
+    for counting, split in COUNTINGS:
+        for pool in (None, reference):
+            got = compute_baselines(corpus, S, counting, split_citations=split, papers=pool)
+            want = oracles.compute_baselines(
+                corpus, S, counting, split_citations=split, papers=pool
+            )
+            assert table_rows(got) == table_rows(want)
+            assert all(type(c.weight) is Fraction for c in got.cells.values())
+            assert (got.schema, got.counting, got.split_citations) == (
+                want.schema, want.counting, want.split_citations)
+
+
+@settings(max_examples=300)
+@given(worlds())
+def test_set_aggregates_match_the_per_paper_definitions(world):
+    corpus, subunit, reference = world
+    for counting, split in COUNTINGS:
+        for pool in (None, reference):
+            table = oracles.compute_baselines(
+                corpus, S, counting, split_citations=split, papers=pool
+            )
+            for papers in (subunit, reference, []):
+                assert_same(lambda: cnci_set(corpus, iter(papers), table),
+                            lambda: oracles.cnci_set(corpus, papers, table))
+                assert_same(lambda: nci_ratio_of_averages(corpus, iter(papers), table),
+                            lambda: oracles.nci_ratio_of_averages(corpus, papers, table))
+
+
+@settings(max_examples=200)
+@given(
+    worlds(),
+    st.sampled_from((None, [2020], [2021], [2020, 2021], [1999])),
+    st.sampled_from((None, ["article"], ["review"])),
+)
+def test_global_and_relative_cnci_match_the_oracle(world, years, doc_types):
+    corpus, subunit, reference = world
+    for config in REGIMES:
+        assert_same(lambda: global_cnci(corpus, S, config, years, doc_types),
+                    lambda: oracles.global_cnci(corpus, S, config, years, doc_types))
+    for counting in ("whole", "fractional"):
+        assert_same(lambda: relative_cnci(corpus, subunit, reference, S, counting),
+                    lambda: oracles.relative_cnci(corpus, subunit, reference, S, counting))

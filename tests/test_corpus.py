@@ -241,6 +241,19 @@ def test_validate_count_mismatch():
     assert violations(c)["citation_count_mismatch"].examples == ("p2",)
 
 
+def test_validate_negative_citation_count():
+    papers = [Paper("p1", "j", 2020, "article"), Paper("p2", "j", 2020, "article")]
+    c = Corpus(
+        [SchemaInfo(S)],
+        [Journal("j", {S: ("A",)}, {})],
+        papers,
+        citation_counts={"p1": 5, "p2": -3},
+    )
+    report = validate(c)
+    assert not report.ok
+    assert violations(c)["negative_citation_count"].examples == ("p2",)
+
+
 def test_validate_issue_before_online_is_a_warning_not_violation():
     p = Paper(
         "p", "j", 2020, "article",

@@ -182,12 +182,71 @@ def test_malformed_rows_are_located(tmp_path):
         paper_line("P2", "J1", pub_month="13"),
         json.dumps({"id": "P3", "journal": "J1"}),
         paper_line("P4", "GHOST"),
+        paper_line("P5", "J1", year=None),
     )
     corpus = load_corpus(journals, papers)
-    assert corpus.load_report.dropped == {"malformed_paper": 3, "unresolved_journal": 1}
+    assert corpus.load_report.dropped == {"malformed_paper": 4, "unresolved_journal": 1}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
         load_corpus(journals, papers, strict=True)
+
+
+@pytest.mark.parametrize("field", ["pages", "citations"])
+def test_non_integer_count_is_dropped_when_lenient(tmp_path, field):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = write(
+        tmp_path / "p.jsonl",
+        paper_line("P1", "J1", **{field: "x"}),
+        paper_line("P2", "J1", **{field: None}),
+        paper_line("P3", "J1", **{field: 4}),
+        paper_line("P4", "J1", **{field: 3.5}),
+        paper_line("P5", "J1", **{field: True}),
+        paper_line("P6", "J1", **{field: 6.0}),
+    )
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_paper": 4}
+    assert set(corpus.papers) == {"P3", "P6"}
+    assert any("p.jsonl:1" in note and field in note for note in corpus.load_report.notes)
+
+
+@pytest.mark.parametrize("field", ["pages", "citations"])
+def test_non_integer_count_is_located_when_strict(tmp_path, field):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = write(
+        tmp_path / "p.jsonl",
+        paper_line("P1", "J1", **{field: 4}),
+        paper_line("P2", "J1", **{field: "x"}),
+    )
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value).startswith("p.jsonl:2:")
+    assert repr(field) in str(err.value)
+
+
+def test_negative_citations_are_rejected(tmp_path):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = write(
+        tmp_path / "p.jsonl",
+        paper_line("P1", "J1", citations=5),
+        paper_line("P2", "J1", citations=-3),
+        paper_line("P3", "J1", citations=0),
+    )
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"negative_citations": 1}
+    assert set(corpus.papers) == {"P1", "P3"}
+    assert corpus.explicit_counts == {"P1": 5, "P3": 0}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value).startswith("p.jsonl:2:")
+    assert "-3" in str(err.value)
+
+
+def test_missing_file_is_a_load_error(tmp_path, minimal_paths):
+    journals, _, _ = minimal_paths
+    for strict in (False, True):
+        with pytest.raises(LoadError) as err:
+            load_corpus(journals, tmp_path / "absent.jsonl", strict=strict)
+        assert "absent.jsonl" in str(err.value)
 
 
 def test_invalid_json_line_always_raises(tmp_path):
