@@ -11,7 +11,7 @@ any corpus is read.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import logging
 import sys
 from fractions import Fraction
@@ -22,12 +22,12 @@ import yaml
 from . import excellence, normalization, ranking, synthesis
 from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
-from .io import dump_corpus, load_corpus
-from .rounding import rational_json, rational_str
+from .io import dump_corpus, json_line, load_corpus
+from .rounding import decimal_str, rational_json, rational_str
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return json_line(obj) + "\n"
 
 
 def _emit(text: str, args) -> None:
@@ -66,7 +66,10 @@ def _slice_options(p: argparse.ArgumentParser) -> None:
 
 
 def _hcp_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--top-percent", default="1", help="selectivity, percent (exact rational)")
+    p.add_argument(
+        "--top-percent", type=_top_percent, default="1",
+        help="selectivity, percent (exact rational in (0, 100])",
+    )
     p.add_argument(
         "--method",
         choices=["inclusive", "exclusive", "fractional-ws", "quota"],
@@ -91,6 +94,16 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+def _top_percent(text: str) -> Fraction:
+    try:
+        share = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        share = 0  # not a number: out of range like any other
+    if not 0 < share <= 100:
+        raise argparse.ArgumentTypeError(f"must be an exact rational in (0, 100], got {text!r}")
+    return share
+
+
 def _load(args) -> Corpus:
     return load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
 
@@ -101,6 +114,12 @@ def _ids_from_file(path: str) -> list[str]:
     except OSError as exc:
         raise LoadError(f"cannot read id list {path!r}: {exc}") from exc
     return [line.strip() for line in lines if line.strip()]
+
+
+def _slice_papers(corpus: Corpus, args) -> list:
+    """Papers with a category under --schema in the --years/--doc-types slice."""
+    cells = corpus.cells(args.schema, args.years, args.doc_types).values()
+    return list({p.id: p for papers in cells for p in papers}.values())
 
 
 def _papers_by_ids(corpus: Corpus, ids, what: str):
@@ -144,7 +163,7 @@ def _cmd_rank(args) -> int:
             pct = ranking.percentile(e.rank, result.n)
             lines.append(
                 f"{e.journal_id},{rational_str(e.metric)},{e.rank},"
-                f"{labels[e.journal_id]},{ranking.decimal_str(pct, 1)}"
+                f"{labels[e.journal_id]},{decimal_str(pct, 1)}"
             )
         _emit("\n".join(lines) + "\n", args)
         return 0
@@ -224,20 +243,9 @@ def _cmd_baselines(args) -> int:
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
     )
-    if args.years is not None or args.doc_types is not None:
-        ys = set(args.years) if args.years is not None else None
-        ts = set(args.doc_types) if args.doc_types is not None else None
-        cells = {
-            k: v
-            for k, v in table.cells.items()
-            if (ys is None or k.year in ys) and (ts is None or k.doc_type in ts)
-        }
-        table = normalization.BaselineTable(
-            schema=table.schema,
-            counting=table.counting,
-            split_citations=table.split_citations,
-            cells=cells,
-        )
+    table = dataclasses.replace(table, cells={
+        k: v for k, v in table.cells.items() if k.within(args.years, args.doc_types)
+    })
     if args.format == "csv":
         _emit(table.to_csv_text(), args)
         return 0
@@ -269,7 +277,7 @@ def _cmd_cnci(args) -> int:
         aggregation=args.aggregation,
         split_citations=args.split_citations,
     )
-    papers = normalization._slice(corpus, args.schema, args.years, args.doc_types)
+    papers = _slice_papers(corpus, args)
     value = normalization.global_cnci(
         corpus, args.schema, config, args.years, args.doc_types
     )
@@ -308,7 +316,7 @@ def _cmd_relative_cnci(args) -> int:
             corpus, _ids_from_file(args.reference_ids), "--reference-ids"
         )
     else:
-        reference = normalization._slice(corpus, args.schema, args.years, args.doc_types)
+        reference = _slice_papers(corpus, args)
 
     corpus_baselines = normalization.compute_baselines(corpus, args.schema, args.counting)
     subunit_cnci = normalization.cnci_set(corpus, subunit, corpus_baselines)
@@ -328,42 +336,41 @@ def _cmd_relative_cnci(args) -> int:
     return 0
 
 
-def _hcp_decisions(corpus: Corpus, args):
-    method = args.method.replace("-", "_")
-    chain = excellence.parse_tiebreak_chain(args.tiebreak)
-    if method == "quota" and not chain:
-        raise _UsageError("--method quota requires a --tiebreak chain")
-    if method != "quota" and chain:
-        raise _UsageError("--tiebreak applies to --method quota only")
-    return excellence.hcp_run(
+def _hcp_flag_error(args) -> str | None:
+    if args.method == "quota" and not args.tiebreak:
+        return "--method quota requires a --tiebreak chain"
+    if args.method != "quota" and args.tiebreak:
+        return "--tiebreak applies to --method quota only"
+    return None
+
+
+def _hcp_selection(args):
+    """The loaded corpus and its HCP decisions under the hcp options."""
+    corpus = _load(args)
+    return corpus, excellence.hcp_run(
         corpus,
         args.schema,
-        top_percent=Fraction(args.top_percent),
-        method=method,
+        top_percent=args.top_percent,
+        method=args.method.replace("-", "_"),
         esi_low_threshold=not args.no_esi_low_threshold,
-        tiebreak_chain=chain,
+        tiebreak_chain=excellence.parse_tiebreak_chain(args.tiebreak),
         years=args.years,
         doc_types=args.doc_types,
     )
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _cmd_hcp(args) -> int:
-    corpus = _load(args)
-    decisions = _hcp_decisions(corpus, args)
+    if error := _hcp_flag_error(args):
+        return _fail(error)
+    corpus, decisions = _hcp_selection(args)
     cells = [
-        excellence.compute_threshold(
-            corpus, cell, papers, Fraction(args.top_percent)
-        ).to_json_dict()
+        excellence.compute_threshold(corpus, cell, papers, args.top_percent).to_json_dict()
         for cell, papers in corpus.cells(args.schema, args.years, args.doc_types).items()
     ]
     total = sum((d.weight for d in decisions), Fraction(0))
     payload = {
         "schema": args.schema,
-        "top_percent": rational_str(Fraction(args.top_percent)),
+        "top_percent": rational_str(args.top_percent),
         "method": args.method,
         "esi_low_threshold": not args.no_esi_low_threshold,
         "tiebreak": list(args.tiebreak),
@@ -376,13 +383,14 @@ def _cmd_hcp(args) -> int:
 
 
 def _cmd_hcp_report(args) -> int:
-    corpus = _load(args)
-    decisions = _hcp_decisions(corpus, args)
+    if error := _hcp_flag_error(args):
+        return _fail(error)
+    corpus, decisions = _hcp_selection(args)
     report = excellence.hcp_report(
         corpus,
         args.schema,
         decisions,
-        top_percent=Fraction(args.top_percent),
+        top_percent=args.top_percent,
         years=args.years,
         doc_types=args.doc_types,
     )
@@ -394,11 +402,12 @@ def _cmd_hcp_report(args) -> int:
 
 
 def _cmd_entity_share(args) -> int:
-    corpus = _load(args)
-    decisions = _hcp_decisions(corpus, args)
+    if error := _hcp_flag_error(args):
+        return _fail(error)
+    corpus, decisions = _hcp_selection(args)
     share = excellence.entity_hcp_share(corpus, args.entity, decisions, args.counting)
     payload = share.to_json_dict()
-    payload["top_percent"] = rational_str(Fraction(args.top_percent))
+    payload["top_percent"] = rational_str(args.top_percent)
     payload["method"] = args.method
     _emit(_json_text(payload), args)
     return 0
@@ -411,9 +420,11 @@ def _cmd_simulate(args) -> int:
         return _fail(f"cannot read --config {args.config!r}: {exc}")
     except yaml.YAMLError as exc:
         return _fail(f"--config {args.config!r} is not valid YAML/JSON: {exc}")
+    if not isinstance(raw or {}, dict):
+        return _fail(f"--config {args.config!r}: top level is not a mapping")
     try:
         config = synthesis.GenConfig.from_dict(raw or {})
-    except (KeyError, TypeError, ValueError, ComputationError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ComputationError) as exc:
         return _fail(f"--config {args.config!r}: {exc}")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
@@ -615,8 +626,6 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        return _fail(str(exc))
     except LoadError as exc:
         print(f"biblio: load error: {exc}", file=sys.stderr)
         return 2

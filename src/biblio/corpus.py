@@ -104,6 +104,12 @@ class CellKey(NamedTuple):
     def as_dict(self) -> dict:
         return {"field": self.field, "year": self.year, "doc_type": self.doc_type}
 
+    def within(self, years=None, doc_types=None) -> bool:
+        """Whether the cell lies in a year/doc-type slice; None admits every value."""
+        return (years is None or self.year in years) and (
+            doc_types is None or self.doc_type in doc_types
+        )
+
 
 class Corpus:
     """Immutable corpus with derived citation and cell indexes.
@@ -234,13 +240,7 @@ class Corpus:
         full = self._cell_cache[schema]
         if years is None and doc_types is None:
             return full
-        ys = set(years) if years is not None else None
-        ts = set(doc_types) if doc_types is not None else None
-        return {
-            k: v
-            for k, v in full.items()
-            if (ys is None or k.year in ys) and (ts is None or k.doc_type in ts)
-        }
+        return {k: v for k, v in full.items() if k.within(years, doc_types)}
 
     # -- entity attribution ----------------------------------------------------
 

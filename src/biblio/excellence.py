@@ -345,10 +345,7 @@ def select_quota(
         raise ComputationError(f"cell {result.cell} has quota 0; nothing to select")
     by_id = {p.id: p for p in papers}
     threshold = result.threshold
-    above = sorted(
-        (p for p in papers if corpus.citations(p.id) > threshold),
-        key=lambda p: (-corpus.citations(p.id), p.id),
-    )
+    above = [p for p in papers if corpus.citations(p.id) > threshold]  # sorted with the rest
     borderline = sorted(
         (p for p in papers if corpus.citations(p.id) == threshold),
         key=lambda p: p.id,
@@ -359,11 +356,14 @@ def select_quota(
     need = result.quota - len(above)
 
     def resolve(group: list[Paper], need: int, methods, steps) -> list[tuple[str, list[dict]]]:
+        def trace(p: Paper, last_step: dict | None = None) -> tuple[str, list[dict]]:
+            inherited = [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps]
+            return p.id, inherited + ([last_step] if last_step else [])
+
         if need <= 0:
             return []
         if len(group) <= need:
-            return [(p.id, [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps])
-                    for p in sorted(group, key=lambda p: p.id)]
+            return [trace(p) for p in sorted(group, key=lambda p: p.id)]
         if not methods:
             ordered = sorted(group, key=lambda p: p.id)
             logger.warning(
@@ -372,15 +372,8 @@ def select_quota(
                 result.cell,
                 ", ".join(p.id for p in ordered),
             )
-            chosen = []
-            for p in ordered[:need]:
-                trace = [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps]
-                trace.append(
-                    {"method": "id_order", "evidence": p.id, "tied": False,
-                     "chain_exhausted": True}
-                )
-                chosen.append((p.id, trace))
-            return chosen
+            return [trace(p, {"method": "id_order", "evidence": p.id, "tied": False,
+                              "chain_exhausted": True}) for p in ordered[:need]]
         method = methods[0]
         ordering = _run_method(corpus, method, group, provisional_hcp)
         for flag in ordering.flags:
@@ -391,13 +384,11 @@ def select_quota(
                 break
             members = [by_id[i] for i in ids]
             if len(ids) <= need:
-                for p in sorted(members, key=lambda p: p.id):
-                    trace = [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps]
-                    trace.append(
-                        {"method": ordering.method,
-                         "evidence": ordering.evidence[p.id], "tied": False}
-                    )
-                    chosen.append((p.id, trace))
+                chosen.extend(
+                    trace(p, {"method": ordering.method,
+                              "evidence": ordering.evidence[p.id], "tied": False})
+                    for p in sorted(members, key=lambda p: p.id)
+                )
                 need -= len(ids)
             else:
                 step = {"method": ordering.method, "evidence": ordering.evidence,

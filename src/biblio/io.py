@@ -73,18 +73,27 @@ def _read_records(path: Path):
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc.strerror or exc}") from exc
     with fh:
-        if is_csv:
-            for i, row in enumerate(csv.DictReader(fh), start=2):
-                yield i, {k: v for k, v in row.items() if v not in (None, "")}
-        else:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield i, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise LoadError(f"{path.name}:{i}: not valid JSON: {exc}") from exc
+        try:
+            if is_csv:
+                for i, row in enumerate(csv.DictReader(fh), start=2):
+                    yield i, {k: v for k, v in row.items() if v not in (None, "")}
+            else:
+                for i, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        yield i, json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise LoadError(f"{path.name}:{i}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError:
+            data = path.read_bytes()  # text reads decode whole chunks: find the line again
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise LoadError(f"{path.name}:{line}: not valid UTF-8: {exc.reason}") from exc
+            raise
 
 
 def _nested(record: dict, key: str, where: str):
@@ -232,6 +241,13 @@ def load_corpus(
             else:
                 pub, precision = None, DAY
             raw_authors = _nested(record, "authors", where) or []
+            try:
+                authors = tuple(
+                    AuthorCredit(a["key"], tuple(dict.fromkeys(a.get("entities", ()))))
+                    for a in raw_authors
+                )
+            except (KeyError, TypeError) as exc:
+                raise LoadError(f"{where}: malformed author entry: {exc!r}") from exc
             pages = _integer(record, "pages", where)
             cited = _integer(record, "citations", where)
         except LoadError as exc:
@@ -242,13 +258,6 @@ def load_corpus(
             continue
         if cited is not None:
             counts[pid] = cited
-        authors = tuple(
-            AuthorCredit(
-                author_key=a["key"],
-                entities=tuple(dict.fromkeys(a.get("entities", ()))),
-            )
-            for a in raw_authors
-        )
         papers[pid] = Paper(
             id=pid,
             journal_id=jid,
@@ -307,7 +316,8 @@ def load_corpus(
 # -- serialization -------------------------------------------------------------
 
 
-def _json_line(obj: dict) -> str:
+def json_line(obj) -> str:
+    """Canonical JSON text: sorted keys, compact separators, unescaped UTF-8."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
@@ -361,7 +371,7 @@ def _edge_record(e: CitationEdge) -> dict:
 def _write_jsonl(path: Path, records) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for record in records:
-            fh.write(_json_line(record) + "\n")
+            fh.write(json_line(record) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], records) -> None:
@@ -375,7 +385,7 @@ def _write_csv(path: Path, header: list[str], records) -> None:
                 if value is None:
                     row[key] = ""
                 elif isinstance(value, (dict, list)):
-                    row[key] = _json_line(value)
+                    row[key] = json_line(value)
                 else:
                     row[key] = value
             writer.writerow(row)

@@ -111,9 +111,13 @@ def compute_baselines(
     """
     CnciConfig(counting, ROA if split_citations else AOR, split_citations)  # validates
     pool = corpus.papers.values() if papers is None else papers
+    return _table(_cell_sums(corpus, pool, schema)[0], schema, counting, split_citations)
+
+
+def _table(sums, schema: str, counting: str, split_citations: bool) -> BaselineTable:
     fractional = counting == FRACTIONAL
     cells = {}
-    for key, per_k in sorted(_cell_sums(corpus, pool, schema)[0].items()):
+    for key, per_k in sorted(sums.items()):
         cite, weight = _masses(per_k, fractional or split_citations, fractional)
         cells[key] = BaselineCell(cite / weight, weight, sum(n for n, _ in per_k.values()))
     return BaselineTable(schema, counting, split_citations, cells)
@@ -196,7 +200,10 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
 def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) -> Fraction:
     """Average-of-ratios aggregate: unweighted mean of per-paper CNCI. A k-field
     paper adds c/(k e) in each of its cells: per cell, split citation mass / e."""
-    sums, n = _set_sums(corpus, papers, baselines, aor=True)
+    return _aor(*_set_sums(corpus, papers, baselines, aor=True), baselines)
+
+
+def _aor(sums, n, baselines: BaselineTable) -> Fraction:
     if not n:
         raise EmptyInputError("cannot average CNCI over an empty paper set")
     total = Fraction(0)
@@ -214,7 +221,10 @@ def nci_ratio_of_averages(
     Per cell, the set's citation mass under the table's scheme (c per field,
     or c/k when split or fractional) against its paper weight times e.
     """
-    sums, n = _set_sums(corpus, papers, baselines, aor=False)
+    return _roa(*_set_sums(corpus, papers, baselines, aor=False), baselines)
+
+
+def _roa(sums, n, baselines: BaselineTable) -> Fraction:
     if not n:
         raise EmptyInputError("cannot aggregate an empty paper set")
     fractional = baselines.counting == FRACTIONAL
@@ -235,19 +245,14 @@ def global_cnci(
 
     Baselines always come from the full corpus; because cells are keyed by
     (field, year, doc_type), a year/doc-type slice selects whole cells and the
-    slice is closed with respect to its own baselines.
+    slice is closed with respect to its own baselines. It keeps or drops all k
+    cells of a paper together, so its paper count is the sum of n_k / k.
     """
-    baselines = compute_baselines(
-        corpus, schema, config.counting, split_citations=config.split_citations
-    )
-    aggregate = cnci_set if config.aggregation == AOR else nci_ratio_of_averages
-    return aggregate(corpus, _slice(corpus, schema, years, doc_types), baselines)
-
-
-def _slice(corpus: Corpus, schema: str, years, doc_types) -> list[Paper]:
-    ys, ts = (None if v is None else set(v) for v in (years, doc_types))
-    return [p for p in corpus.papers.values() if corpus.paper_fields(p, schema)
-            and (ys is None or p.year in ys) and (ts is None or p.doc_type in ts)]
+    sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
+    baselines = _table(sums, schema, config.counting, config.split_citations)
+    sliced = {key: per_k for key, per_k in sums.items() if key.within(years, doc_types)}
+    n = sum(Fraction(m, k) for per_k in sliced.values() for k, (m, _) in per_k.items())
+    return (_aor if config.aggregation == AOR else _roa)(sliced, n, baselines)
 
 
 def relative_cnci(

@@ -360,19 +360,25 @@ def surplus_analytic(
     )
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("BIBLIO_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunks(trials: int, workers: int):
+def _run_trials(rows_of, config: GenConfig, trials: int, workers: int | None) -> list:
+    """``rows_of(config, start, stop)`` over every trial, in trial order; split into
+    one contiguous chunk per worker process when there are enough trials."""
+    if trials < 1:
+        raise ComputationError("need at least one trial")
+    if workers is None:
+        try:
+            workers = int(os.environ.get("BIBLIO_THREADS", ""))
+        except ValueError:
+            workers = 1
+    workers = max(1, workers)
+    if workers < 2 or trials < 2 * workers:
+        return rows_of(config, 0, trials)
     size = -(-trials // workers)
-    return [(a, min(a + size, trials)) for a in range(0, trials, size)]
+    starts = range(0, trials, size)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(rows_of, [config] * len(starts), starts,
+                         [min(a + size, trials) for a in starts])
+        return [row for part in parts for row in part]
 
 
 def _surplus_rows(config: GenConfig, start: int, stop: int):
@@ -424,18 +430,7 @@ def monte_carlo_surplus(
     outside the Monte Carlo mean plus or minus three standard errors (for a
     zero-variance run, when it differs at all).
     """
-    if trials < 1:
-        raise ComputationError("need at least one trial")
-    workers = _env_workers() if workers is None else max(1, workers)
-    if workers > 1 and trials >= 2 * workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _surplus_rows,
-                *zip(*[(config, a, b) for a, b in _chunks(trials, workers)]),
-            )
-            rows = [row for part in parts for row in part]
-    else:
-        rows = _surplus_rows(config, 0, trials)
+    rows = _run_trials(_surplus_rows, config, trials, workers)
 
     analytic = _expected_extras(
         config.num_categories, config.journals_per_category.remainder_weights()
@@ -519,18 +514,7 @@ def monte_carlo_global_cnci(
     config: GenConfig, trials: int, workers: int | None = None
 ) -> CnciMonteCarlo:
     """Global CNCI of freshly generated corpora under every counting regime."""
-    if trials < 1:
-        raise ComputationError("need at least one trial")
-    workers = _env_workers() if workers is None else max(1, workers)
-    if workers > 1 and trials >= 2 * workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _cnci_rows,
-                *zip(*[(config, a, b) for a, b in _chunks(trials, workers)]),
-            )
-            rows = [row for part in parts for row in part]
-    else:
-        rows = _cnci_rows(config, 0, trials)
+    rows = _run_trials(_cnci_rows, config, trials, workers)
 
     regimes = {}
     for name, *_ in REGIMES:

@@ -414,6 +414,30 @@ def test_tiebreak_rejected_outside_quota(run, corpus_files, hundred):
     assert err == "biblio: error: --tiebreak applies to --method quota only\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_top_percent_checked_before_load(run, value):
+    code, _, err = run(
+        "hcp", "--journals", "missing.jsonl", "--papers", "missing.jsonl",
+        "--schema", "f", "--top-percent", value,
+    )
+    assert code == 2
+    assert err.endswith(
+        f"biblio hcp: error: argument --top-percent: must be an exact rational "
+        f"in (0, 100], got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["hcp"], ["hcp-report"], ["entity-share", "--entity", "o"]])
+def test_hcp_flag_combinations_checked_before_load(run, command):
+    base = [*command, "--journals", "missing.jsonl", "--papers", "missing.jsonl", "--schema", "f"]
+    code, _, err = run(*base, "--method", "quota")
+    assert code == 2
+    assert err == "biblio: error: --method quota requires a --tiebreak chain\n"
+    code, _, err = run(*base, "--tiebreak", "chronology")
+    assert code == 2
+    assert err == "biblio: error: --tiebreak applies to --method quota only\n"
+
+
 def test_hcp_report_csv_both_esi_modes(run, corpus_files, hundred):
     journals, papers, _ = corpus_files(hundred)
     base = ["hcp-report", "--journals", journals, "--papers", papers,
@@ -580,6 +604,16 @@ def test_simulate_config_errors(run, tmp_path):
     incomplete = write_config(tmp_path, "num_categories: 3\n")
     code, _, err = run("simulate", "--config", incomplete, "--experiment", "surplus")
     assert code == 2 and "'seed'" in err
+
+    for text in ("- seed: 1\n- num_categories: 3\n", "7\n"):
+        not_a_mapping = write_config(tmp_path, text)
+        code, _, err = run("simulate", "--config", not_a_mapping, "--experiment", "surplus")
+        assert code == 2
+        assert err == f"biblio: error: --config {str(not_a_mapping)!r}: top level is not a mapping\n"
+
+    nested = write_config(tmp_path, SURPLUS_CONFIG + "citation_model: [yule]\n")
+    code, _, err = run("simulate", "--config", nested, "--experiment", "surplus")
+    assert code == 2 and err.startswith(f"biblio: error: --config {str(nested)!r}:")
 
 
 def test_simulate_is_deterministic(run, tmp_path):

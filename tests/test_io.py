@@ -183,9 +183,11 @@ def test_malformed_rows_are_located(tmp_path):
         json.dumps({"id": "P3", "journal": "J1"}),
         paper_line("P4", "GHOST"),
         paper_line("P5", "J1", year=None),
+        paper_line("P6", "J1", authors=[{"entities": ["org"]}]),
+        paper_line("P7", "J1", authors=["au-1"]),
     )
     corpus = load_corpus(journals, papers)
-    assert corpus.load_report.dropped == {"malformed_paper": 4, "unresolved_journal": 1}
+    assert corpus.load_report.dropped == {"malformed_paper": 6, "unresolved_journal": 1}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
         load_corpus(journals, papers, strict=True)
@@ -247,6 +249,22 @@ def test_missing_file_is_a_load_error(tmp_path, minimal_paths):
         with pytest.raises(LoadError) as err:
             load_corpus(journals, tmp_path / "absent.jsonl", strict=strict)
         assert "absent.jsonl" in str(err.value)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_undecodable_input_is_located(tmp_path, suffix):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = tmp_path / f"p{suffix}"
+    if suffix == ".csv":
+        good = "id,journal,year,doc_type\n" + "".join(f"P{i},J1,2020,article\n" for i in range(999))
+    else:
+        good = "".join(paper_line(f"P{i}", "J1") + "\n" for i in range(1000))
+    # Past the first read chunk, so the line is found by position, not by read order.
+    papers.write_bytes(good.encode() + b"\xff\xfe" + paper_line("X", "J1").encode() + b"\n")
+    for strict in (False, True):
+        with pytest.raises(LoadError) as err:
+            load_corpus(journals, papers, strict=strict)
+        assert str(err.value).startswith(f"p{suffix}:1001: not valid UTF-8")
 
 
 def test_invalid_json_line_always_raises(tmp_path):
