@@ -77,7 +77,7 @@ def _hcp_options(p: argparse.ArgumentParser) -> None:
         help="borderline handling",
     )
     p.add_argument(
-        "--tiebreak", type=_str_list, default=[],
+        "--tiebreak", type=_tiebreak_names, default=[],
         help="comma-separated chain: chronology, trajectory, citing-excellence",
     )
     p.add_argument(
@@ -102,6 +102,19 @@ def _top_percent(text: str) -> Fraction:
     if not 0 < share <= 100:
         raise argparse.ArgumentTypeError(f"must be an exact rational in (0, 100], got {text!r}")
     return share
+
+
+def _tiebreak_names(text: str) -> list[str]:
+    names = _str_list(text)
+    for name in names:
+        try:
+            excellence.parse_tiebreak_chain([name])
+        except ComputationError:
+            raise argparse.ArgumentTypeError(
+                f"unknown tie-break method {name!r} "
+                "(choose from chronology, trajectory, citing-excellence)"
+            ) from None
+    return names
 
 
 def _load(args) -> Corpus:
@@ -278,8 +291,8 @@ def _cmd_cnci(args) -> int:
         split_citations=args.split_citations,
     )
     papers = _slice_papers(corpus, args)
-    value = normalization.global_cnci(
-        corpus, args.schema, config, args.years, args.doc_types
+    [(value, baselines)] = normalization.global_cnci_regimes(
+        corpus, args.schema, [config], args.years, args.doc_types
     )
     payload = {
         "schema": args.schema,
@@ -290,9 +303,6 @@ def _cmd_cnci(args) -> int:
         "value": rational_json(value, 4),
     }
     if args.per_paper:
-        baselines = normalization.compute_baselines(
-            corpus, args.schema, config.counting, split_citations=config.split_citations
-        )
         payload["per_paper"] = {
             p.id: rational_json(normalization.cnci_paper(corpus, p, baselines), 4)
             for p in papers

@@ -107,6 +107,13 @@ def _nested(record: dict, key: str, where: str):
     return value
 
 
+def _entities(author: dict) -> tuple[str, ...]:
+    entities = author.get("entities", [])
+    if not isinstance(entities, list):  # a string would become one entity per letter
+        raise TypeError(f"entities are not a list: {entities!r}")
+    return tuple(dict.fromkeys(entities))
+
+
 def _metric(value) -> Fraction:
     # JSON numbers round-trip through repr exactly; "num/den" strings are
     # accepted for values with no finite decimal form.
@@ -193,6 +200,12 @@ def load_corpus(
         except (KeyError, LoadError) as exc:
             reject("malformed_journal", f"{where}: {exc}")
             continue
+        if not isinstance(raw_cats, dict) or not all(
+            isinstance(members, list) for members in raw_cats.values()
+        ):
+            reject("malformed_journal",
+                   f"{where}: journal {jid!r} categories are not lists: {raw_cats!r}")
+            continue
         if jid in journals:
             reject("duplicate_journal_id", f"{where}: duplicate journal id {jid!r}")
             continue
@@ -242,10 +255,7 @@ def load_corpus(
                 pub, precision = None, DAY
             raw_authors = _nested(record, "authors", where) or []
             try:
-                authors = tuple(
-                    AuthorCredit(a["key"], tuple(dict.fromkeys(a.get("entities", ()))))
-                    for a in raw_authors
-                )
+                authors = tuple(AuthorCredit(a["key"], _entities(a)) for a in raw_authors)
             except (KeyError, TypeError) as exc:
                 raise LoadError(f"{where}: malformed author entry: {exc!r}") from exc
             pages = _integer(record, "pages", where)

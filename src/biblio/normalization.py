@@ -23,6 +23,7 @@ on order, so they equal the per-paper definitions, which the test oracle keeps.
 from __future__ import annotations
 
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,12 +147,14 @@ def _cell_sums(corpus: Corpus, papers: Iterable[Paper], schema: str):
 
 
 def _masses(per_k: dict[int, list[int]], split_citations: bool, fractional: bool):
-    """(citation mass, paper weight) of a cell; split means 1/k per k-field paper."""
-    cite = weight = Fraction(0)
+    """(citation mass, paper weight) of a cell; split means 1/k per k-field paper.
+    Both are integer sums in units of 1/lcm(k), so each costs one Fraction."""
+    unit = math.lcm(*per_k)
+    cite = weight = 0
     for k, (n, c) in per_k.items():
-        cite += Fraction(c, k) if split_citations else c
-        weight += Fraction(n, k) if fractional else n
-    return cite, weight
+        cite += c * unit // k if split_citations else c * unit
+        weight += n * unit // k if fractional else n * unit
+    return Fraction(cite, unit), Fraction(weight, unit)
 
 
 def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable, aor: bool):
@@ -248,11 +251,30 @@ def global_cnci(
     slice is closed with respect to its own baselines. It keeps or drops all k
     cells of a paper together, so its paper count is the sum of n_k / k.
     """
+    return global_cnci_regimes(corpus, schema, [config], years, doc_types)[0][0]
+
+
+def global_cnci_regimes(
+    corpus: Corpus, schema: str, configs: Iterable[CnciConfig], years=None, doc_types=None
+) -> list[tuple[Fraction, BaselineTable]]:
+    """``global_cnci`` under each regime in turn, with the baseline table it used.
+
+    One pass sums the corpus per cell, and regimes that share a counting scheme
+    and citation split share one table, so extra regimes cost a few Fraction
+    operations per cell each.
+    """
     sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
-    baselines = _table(sums, schema, config.counting, config.split_citations)
     sliced = {key: per_k for key, per_k in sums.items() if key.within(years, doc_types)}
     n = sum(Fraction(m, k) for per_k in sliced.values() for k, (m, _) in per_k.items())
-    return (_aor if config.aggregation == AOR else _roa)(sliced, n, baselines)
+    tables: dict[tuple[str, bool], BaselineTable] = {}
+    results = []
+    for config in configs:
+        scheme = config.counting, config.split_citations
+        if scheme not in tables:
+            tables[scheme] = _table(sums, schema, *scheme)
+        aggregate = _aor if config.aggregation == AOR else _roa
+        results.append((aggregate(sliced, n, tables[scheme]), tables[scheme]))
+    return results
 
 
 def relative_cnci(

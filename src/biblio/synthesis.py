@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
 from .errors import ComputationError
-from .normalization import CnciConfig, global_cnci
+from .normalization import CnciConfig, global_cnci_regimes
 from .ranking import quartile_partition
 from .rounding import round_half_up
 
@@ -382,24 +383,30 @@ def _run_trials(rows_of, config: GenConfig, trials: int, workers: int | None) ->
 
 
 def _surplus_rows(config: GenConfig, start: int, stop: int):
+    """Per-quartile journal totals of each trial. Every category size is drawn in
+    turn from the trial's stream; each distinct size is partitioned once."""
+    spec = config.journals_per_category
     rows = []
     for t in range(start, stop):
         rng = _stream(config, f"surplus/{t}")
+        sizes = Counter(spec.sample(rng) for _ in range(config.num_categories))
         totals = [0, 0, 0, 0]
-        for _ in range(config.num_categories):
-            counts = quartile_partition(config.journals_per_category.sample(rng)).counts
+        for size, times in sizes.items():
+            counts = quartile_partition(size).counts
             for q in range(4):
-                totals[q] += counts[q]
+                totals[q] += times * counts[q]
         rows.append(tuple(totals))
     return rows
 
 
 def _mean_se(values: list[int]) -> tuple[Fraction, float | None]:
+    """Exact mean, and the standard error from the integer sums of v and v^2."""
     n = len(values)
-    mean = Fraction(sum(values), n)
+    total = sum(values)
+    mean = Fraction(total, n)
     if n < 2:
         return mean, None
-    var = sum((Fraction(v) - mean) ** 2 for v in values) / (n - 1)
+    var = Fraction(n * sum(v * v for v in values) - total * total, n * (n - 1))
     return mean, math.sqrt(float(var) / n)
 
 
@@ -469,6 +476,10 @@ REGIMES: tuple[tuple[str, str, str, bool], ...] = (
     ("fractional_roa", "fractional", "roa", False),
 )
 
+_REGIME_CONFIGS = tuple(
+    CnciConfig(counting, aggregation, split) for _, counting, aggregation, split in REGIMES
+)
+
 # Regimes the closed-corpus theorem pins to exactly 1 (when every cell holds a
 # cited paper); violations are counted, never silently absorbed.
 PINNED_REGIMES = ("fractional_aor", "whole_roa_split")
@@ -498,15 +509,8 @@ def _cnci_rows(config: GenConfig, start: int, stop: int):
     rows = []
     for t in range(start, stop):
         corpus = generate_corpus(config, trial=t)
-        row = {}
-        for name, counting, aggregation, split in REGIMES:
-            value = global_cnci(
-                corpus,
-                config.schema_name,
-                CnciConfig(counting=counting, aggregation=aggregation, split_citations=split),
-            )
-            row[name] = value
-        rows.append(row)
+        values = global_cnci_regimes(corpus, config.schema_name, _REGIME_CONFIGS)
+        rows.append({regime[0]: value for regime, (value, _) in zip(REGIMES, values)})
     return rows
 
 

@@ -1,9 +1,11 @@
-"""The CLI invocations whose stdout is pinned byte for byte.
+"""The CLI invocations whose output is pinned byte for byte.
 
-One invocation per subcommand, over small fixture corpora written to a
-scratch directory. Acceptance criterion 9 reruns them in-process to check
-determinism; ``test_golden`` compares their stdout against the files in
-``tests/golden/``, so byte identity also holds across changes to the code.
+At least one invocation per subcommand, over small fixture corpora written to
+a scratch directory. Acceptance criterion 9 reruns them in-process to check
+determinism; ``test_golden`` compares their stdout, and every file an
+``--out-dir`` case writes, against the files in ``tests/golden/``, so byte
+identity also holds across changes to the code. A case is named after its
+subcommand, or after the subcommand and a suffix when there are several.
 
 Regenerate the golden files (only for an intended output change) with::
 
@@ -25,9 +27,9 @@ SCHEMA = corpora.SCHEMA
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def invocations(tmp_path: Path) -> list[tuple[str, ...]]:
-    """Write the fixture corpora under ``tmp_path`` and return one argv per
-    subcommand, the subcommand first."""
+def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """Write the fixture corpora under ``tmp_path`` and return (case name,
+    argv) pairs, the subcommand first in each argv."""
 
     def files(name, corpus):
         base = tmp_path / name
@@ -40,10 +42,27 @@ def invocations(tmp_path: Path) -> list[tuple[str, ...]]:
     mini_j, mini_p, mini_e = files("mini", corpora.make_quota_mini())
     simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
 
-    config = tmp_path / "gen.yaml"
-    config.write_text(
+    def config(name, text):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    fixed = config(
+        "gen.yaml",
         "seed: 3\nnum_categories: 8\njournals_per_category: 20\npapers_per_journal: 1\n",
-        encoding="utf-8",
+    )
+    # Categories of fewer than 4 journals have an empty Q1.
+    uniform = config(
+        "uniform.yaml",
+        "seed: 5\nnum_categories: 12\njournals_per_category: {uniform: [1, 9]}\n"
+        "papers_per_journal: 1\n",
+    )
+    yule = config(
+        "yule.yaml",
+        "seed: 7\nnum_categories: 3\njournals_per_category: {uniform: [2, 4]}\n"
+        "papers_per_journal: {uniform: [1, 4]}\nmulti_attribution_prob: 0.6\n"
+        "citation_model: {kind: yule, rho: 2.0}\nyears: [2020, 2021]\n"
+        "doc_type_mix: {article: 0.7, review: 0.3}\n",
     )
 
     argvs = [
@@ -69,26 +88,44 @@ def invocations(tmp_path: Path) -> list[tuple[str, ...]]:
         ("entity-share", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
          "--schema", "f", "--entity", "org-a", "--top-percent", "30",
          "--method", "quota", "--tiebreak", "chronology"),
-        ("simulate", "--config", config, "--experiment", "surplus", "--trials", "4"),
+        ("simulate", "--config", fixed, "--experiment", "surplus", "--trials", "4"),
     ]
-    return [tuple(str(a) for a in argv) for argv in argvs]
+    named = [(argv[0], argv) for argv in argvs] + [
+        ("simulate-surplus-uniform",
+         ("simulate", "--config", uniform, "--experiment", "surplus", "--trials", "6",
+          "--out-dir", tmp_path / "surplus-uniform")),
+        ("simulate-cnci-yule",
+         ("simulate", "--config", yule, "--experiment", "cnci", "--trials", "5")),
+    ]
+    return [(name, tuple(str(a) for a in argv)) for name, argv in named]
 
 
-def golden_path(subcommand: str) -> Path:
-    return GOLDEN_DIR / f"{subcommand}.out"
+def golden_path(case: str, output: str = "out") -> Path:
+    """The golden file of a case's stdout, or of one file its --out-dir holds."""
+    return GOLDEN_DIR / f"{case}.{output}"
+
+
+def outputs(argv) -> dict[str, bytes]:
+    """Stdout aside, what the invocation wrote: its --out-dir files by name."""
+    if "--out-dir" not in argv:
+        return {}
+    out_dir = Path(argv[argv.index("--out-dir") + 1])
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for argv in invocations(Path(tmp)):
+        for name, argv in invocations(Path(tmp)):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(list(argv))
             if code != 0:
-                sys.exit(f"{argv[0]} exited {code}")
-            golden_path(argv[0]).write_bytes(out.getvalue().encode("utf-8"))
-            print(f"wrote {golden_path(argv[0])}")
+                sys.exit(f"{name} exited {code}")
+            files = {"out": out.getvalue().encode("utf-8"), **outputs(argv)}
+            for output, data in files.items():
+                golden_path(name, output).write_bytes(data)
+                print(f"wrote {golden_path(name, output)}")
 
 
 if __name__ == "__main__":

@@ -6,11 +6,16 @@ the midpoint-of-worse-items counting argument, and quartile surpluses come
 from exact enumeration of the size distribution. Baselines and set-level
 CNCI are the per-paper definitions: one exact ``Fraction`` update per paper
 and field, against which the package's per-cell integer sums are checked.
+The Monte Carlo trial kernels keep their one-call-per-draw forms: a quartile
+partition per drawn category size, a ``Fraction`` per sampled value, and one
+full ``global_cnci`` per counting regime.
 Tests freeze their outputs or compare them against the package directly.
 """
 from __future__ import annotations
 
 import decimal
+import math
+import random
 from fractions import Fraction
 
 from biblio.corpus import CellKey
@@ -20,8 +25,20 @@ from biblio.normalization import (
     WHOLE,
     BaselineCell,
     BaselineTable,
+    CnciConfig,
     cnci_paper,
 )
+from biblio.ranking import quartile_partition
+from biblio.synthesis import REGIMES, generate_corpus
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        value = call()
+    except Exception as exc:  # the comparison covers the exception itself
+        return type(exc), str(exc)
+    return value
 
 
 def competition_ranks(values) -> list[int]:
@@ -215,3 +232,43 @@ def relative_cnci(corpus, subunit, reference, schema, counting=WHOLE) -> Fractio
         raise EmptyInputError("subunit and reference sets must be non-empty")
     baselines = compute_baselines(corpus, schema, counting, papers=reference)
     return cnci_set(corpus, subunit, baselines)
+
+
+# -- Monte Carlo trials, one call per draw ---------------------------------------
+
+
+def surplus_rows(config, start, stop):
+    """Per-quartile journal totals of trials start..stop-1: one partition per
+    drawn category size, from the trial's own stream."""
+    rows = []
+    for t in range(start, stop):
+        rng = random.Random(f"{config.seed}/surplus/{t}")
+        totals = [0, 0, 0, 0]
+        for _ in range(config.num_categories):
+            counts = quartile_partition(config.journals_per_category.sample(rng)).counts
+            for q in range(4):
+                totals[q] += counts[q]
+        rows.append(tuple(totals))
+    return rows
+
+
+def mean_se(values):
+    """Mean and standard error, the sample variance summed value by value."""
+    n = len(values)
+    mean = Fraction(sum(values), n)
+    if n < 2:
+        return mean, None
+    var = sum((Fraction(v) - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(float(var) / n)
+
+
+def cnci_rows(config, start, stop):
+    """Global CNCI of each trial's corpus, one full oracle run per regime."""
+    rows = []
+    for t in range(start, stop):
+        corpus = generate_corpus(config, trial=t)
+        rows.append({
+            name: global_cnci(corpus, config.schema_name, CnciConfig(counting, aggregation, split))
+            for name, counting, aggregation, split in REGIMES
+        })
+    return rows

@@ -257,10 +257,10 @@ def test_criterion_8_relative_cnci_reversal():
 
 def test_criterion_9_cli_determinism(capsys, tmp_path):
     invocations = cli_cases.invocations(tmp_path)
-    subcommands = {argv[0] for argv in invocations}
+    subcommands = {argv[0] for _, argv in invocations}
     assert len(subcommands) == 11  # every subcommand is exercised
 
-    for argv in invocations:
+    for _, argv in invocations:
         runs = []
         for _ in range(2):
             code = main(list(argv))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from biblio import Corpus, Journal, Paper, SchemaInfo
+from biblio import Corpus, Journal, Paper, SchemaInfo, normalization
 from biblio.cli import build_parser, main
 
 
@@ -252,6 +252,20 @@ def test_cnci_whole_aor(run, corpus_files, two_papers):
     assert body["per_paper"]["pab"]["rational"] == "7/6"
 
 
+def test_cnci_per_paper_sums_the_corpus_once(run, corpus_files, hundred, monkeypatch):
+    journals, papers, _ = corpus_files(hundred)
+    passes = []
+    cell_sums = normalization._cell_sums
+    monkeypatch.setattr(normalization, "_cell_sums",
+                        lambda *args: passes.append(1) or cell_sums(*args))
+    code, out, _ = run(
+        "cnci", "--journals", journals, "--papers", papers, "--schema", "f", "--per-paper",
+    )
+    assert code == 0
+    assert len(payload(out)["per_paper"]) == 100
+    assert len(passes) == 1
+
+
 def test_cnci_fractional_pins_to_one(run, corpus_files, two_papers):
     journals, papers, _ = corpus_files(two_papers)
     code, out, _ = run(
@@ -436,6 +450,19 @@ def test_hcp_flag_combinations_checked_before_load(run, command):
     code, _, err = run(*base, "--tiebreak", "chronology")
     assert code == 2
     assert err == "biblio: error: --tiebreak applies to --method quota only\n"
+
+
+@pytest.mark.parametrize("command", [["hcp"], ["hcp-report"], ["entity-share", "--entity", "o"]])
+def test_unknown_tiebreak_is_a_usage_error_before_load(run, command):
+    code, out, err = run(
+        *command, "--journals", "missing.jsonl", "--papers", "missing.jsonl", "--schema", "f",
+        "--method", "quota", "--tiebreak", "chronology,citing-foo",
+    )
+    assert code == 2 and out == ""
+    assert err.endswith(
+        f"biblio {command[0]}: error: argument --tiebreak: unknown tie-break method "
+        "'citing-foo' (choose from chronology, trajectory, citing-excellence)\n"
+    )
 
 
 def test_hcp_report_csv_both_esi_modes(run, corpus_files, hundred):

@@ -175,7 +175,10 @@ def test_unknown_schema_in_journal_row(tmp_path):
 
 
 def test_malformed_rows_are_located(tmp_path):
-    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    journals = write(
+        tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}),
+        journal_line("J2", {corpora.SCHEMA: "ecology"}),
+    )
     papers = write(
         tmp_path / "p.jsonl",
         paper_line("P1", "J1", online_date="not-a-date"),
@@ -185,12 +188,46 @@ def test_malformed_rows_are_located(tmp_path):
         paper_line("P5", "J1", year=None),
         paper_line("P6", "J1", authors=[{"entities": ["org"]}]),
         paper_line("P7", "J1", authors=["au-1"]),
+        paper_line("P8", "J1", authors=[{"key": "au-8", "entities": "org"}]),
     )
     corpus = load_corpus(journals, papers)
-    assert corpus.load_report.dropped == {"malformed_paper": 6, "unresolved_journal": 1}
+    assert corpus.load_report.dropped == {
+        "malformed_journal": 1, "malformed_paper": 7, "unresolved_journal": 1}
+    assert set(corpus.journals) == {"J1"}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
         load_corpus(journals, papers, strict=True)
+
+
+def test_a_string_where_a_list_belongs_is_rejected_in_csv_cells(tmp_path):
+    journals = tmp_path / "j.csv"
+    journals.write_text(
+        'id,categories,metric\n'
+        '_schemas,"{""f"": {""single_attribution"": false}}",\n'
+        'J1,"{""f"": [""ecology""]}",\n'
+        'J2,"{""f"": ""ecology""}",\n',
+        encoding="utf-8",
+    )
+    papers = tmp_path / "p.csv"
+    papers.write_text(
+        "id,journal,year,doc_type,authors\n"
+        'P1,J1,2020,article,"[{""key"": ""a"", ""entities"": [""org""]}]"\n'
+        'P2,J1,2020,article,"[{""key"": ""a"", ""entities"": ""org""}]"\n',
+        encoding="utf-8",
+    )
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_journal": 1, "malformed_paper": 1}
+    assert corpus.journals["J1"].categories == {"f": ("ecology",)}
+    assert corpus.papers["P1"].authors[0].entities == ("org",)
+    assert set(corpus.papers) == {"P1"}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value).startswith("j.csv:4:")
+    journals.write_text("\n".join(journals.read_text(encoding="utf-8").splitlines()[:3]) + "\n",
+                        encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value).startswith("p.csv:3:")
 
 
 @pytest.mark.parametrize("field", ["pages", "citations"])

@@ -1,0 +1,88 @@
+"""The Monte Carlo trial kernels against their one-call-per-draw forms.
+
+``oracles`` keeps the surplus rows with one quartile partition per drawn
+category size, the mean and standard error with one ``Fraction`` per value, and
+the CNCI rows with one full ``global_cnci`` per regime. The package must give
+equal rows and moments, or raise the same exception type with the same message,
+for every chunk of trials that the worker fan-out can hand one process.
+"""
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from biblio import CitationModel, GenConfig, SizeDist
+from biblio.synthesis import _cnci_rows, _mean_se, _surplus_rows
+
+size_dists = st.one_of(
+    st.builds(SizeDist.fixed, st.integers(0, 12)),
+    st.builds(lambda low, span: SizeDist.uniform(low, low + span),
+              st.integers(0, 5), st.integers(0, 10)),
+)
+
+
+def chunks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """The (start, stop) ranges ``_run_trials`` gives its workers."""
+    size = -(-trials // workers)
+    return [(a, min(a + size, trials)) for a in range(0, trials, size)]
+
+
+def assert_chunks_match(kernel, oracle, config, trials, workers):
+    for start, stop in chunks(trials, workers):
+        assert oracles.outcome(lambda: kernel(config, start, stop)) == oracles.outcome(
+            lambda: oracle(config, start, stop))
+
+
+@settings(max_examples=300)
+@given(size_dists, st.integers(1, 40), st.integers(0, 10**6),
+       st.integers(1, 12), st.integers(1, 4))
+@example(SizeDist.fixed(0), 3, 1, 2, 1)  # every draw is an empty category
+@example(SizeDist.uniform(0, 3), 40, 1, 5, 2)
+def test_surplus_rows_and_moments_match_the_oracle(spec, categories, seed, trials, workers):
+    config = GenConfig(seed=seed, num_categories=categories, journals_per_category=spec,
+                       papers_per_journal=SizeDist.fixed(1))
+    assert_chunks_match(_surplus_rows, oracles.surplus_rows, config, trials, workers)
+    rows = oracles.outcome(lambda: oracles.surplus_rows(config, 0, trials))
+    if isinstance(rows, list):
+        columns = [[r[q] for r in rows] for q in range(4)]
+        columns += [[r[q] - r[0] for r in rows] for q in (1, 2, 3)]
+        for values in columns:
+            assert _mean_se(values) == oracles.mean_se(values)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40))
+def test_mean_se_matches_the_per_value_oracle(values):
+    mean, se = _mean_se(values)
+    assert type(mean) is Fraction
+    assert (mean, se) == oracles.mean_se(values)
+
+
+citation_models = st.sampled_from((
+    CitationModel(kind="lognormal", mu=-0.5, sigma=1.0, shift=0),  # mostly uncited
+    CitationModel(kind="lognormal", mu=0.5, sigma=1.0, shift=0),
+    CitationModel(kind="yule", rho=2.0),
+))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    categories=st.integers(1, 3),
+    journals=st.builds(lambda low, span: SizeDist.uniform(low, low + span),
+                       st.integers(0, 2), st.integers(0, 2)),
+    papers=st.builds(lambda low, span: SizeDist.uniform(low, low + span),
+                     st.integers(0, 2), st.integers(0, 3)),
+    prob=st.sampled_from((0.0, 0.5, 1.0)),
+    model=citation_models,
+    years=st.sampled_from(((2020,), (2020, 2021))),
+    mix=st.sampled_from(((("article", 1.0),), (("article", 0.5), ("review", 0.5)))),
+    trials=st.integers(1, 4),
+    workers=st.integers(1, 3),
+)
+def test_cnci_rows_match_five_oracle_runs(seed, categories, journals, papers, prob, model,
+                                          years, mix, trials, workers):
+    config = GenConfig(seed=seed, num_categories=categories, journals_per_category=journals,
+                       papers_per_journal=papers, multi_attribution_prob=prob,
+                       citation_model=model, years=years, doc_type_mix=mix)
+    assert_chunks_match(_cnci_rows, oracles.cnci_rows, config, trials, workers)
