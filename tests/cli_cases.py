@@ -41,6 +41,7 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     two_j, two_p, _ = files("two_papers", corpora.make_two_papers())
     mini_j, mini_p, mini_e = files("mini", corpora.make_quota_mini())
     simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
+    slices_j, slices_p, _ = files("slices", corpora.make_slices())
 
     def config(name, text):
         path = tmp_path / name
@@ -91,6 +92,17 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("simulate", "--config", fixed, "--experiment", "surplus", "--trials", "4"),
     ]
     named = [(argv[0], argv) for argv in argvs] + [
+        ("hcp-fractional-ws",
+         ("hcp", "--journals", slices_j, "--papers", slices_p,
+          "--schema", "f", "--top-percent", "40", "--method", "fractional-ws")),
+        ("hcp-quota-chain",
+         ("hcp", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
+          "--schema", "f", "--top-percent", "40", "--method", "quota",
+          "--tiebreak", "citing-excellence,trajectory,chronology")),
+        ("hcp-inclusive-slice",
+         ("hcp", "--journals", slices_j, "--papers", slices_p,
+          "--schema", "f", "--top-percent", "25", "--years", "2019",
+          "--doc-types", "article,review", "--no-esi-low-threshold")),
         ("simulate-surplus-uniform",
          ("simulate", "--config", uniform, "--experiment", "surplus", "--trials", "6",
           "--out-dir", tmp_path / "surplus-uniform")),

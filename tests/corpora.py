@@ -257,3 +257,28 @@ def make_quota_mini() -> Corpus:
     for i in range(5):
         papers.append(Paper(f"u{i}", "jf", 2011, "article", authors=author(f"u{i}", "org-a")))
     return Corpus([SchemaInfo("f", single_attribution=True)], journals, papers, edges)
+
+
+def make_slices() -> Corpus:
+    """Six (field, year, doc_type) cells over two fields, two years and two
+    document types, with small tie-heavy counts.
+
+    Journal jab holds both fields, so its papers sit in two cells each.
+    Counts cycle through 0-3, so most thresholds fall at 2 or below and the
+    low-threshold rule decides whether those cells select anything.
+    """
+    journals = [
+        Journal("ja", {"f": ("alpha",)}, {}),
+        Journal("jab", {"f": ("alpha", "beta")}, {}),
+        Journal("jb", {"f": ("beta",)}, {}),
+    ]
+    papers = []
+    counts = {}
+    for i in range(36):
+        pid = f"s{i:02d}"
+        papers.append(
+            Paper(pid, ("ja", "jab", "jb")[i % 3], 2019 + i % 2,
+                  "review" if i % 5 == 0 else "article")
+        )
+        counts[pid] = (i * 7) % 4 + (5 if i % 11 == 0 else 0)
+    return Corpus([SchemaInfo("f")], journals, papers, citation_counts=counts)
