@@ -355,9 +355,10 @@ def _hcp_flag_error(args) -> str | None:
 
 
 def _hcp_selection(args):
-    """The loaded corpus and its HCP decisions under the hcp options."""
+    """The loaded corpus, its sliced cell thresholds and its HCP decisions
+    under the hcp options."""
     corpus = _load(args)
-    return corpus, excellence.hcp_run(
+    return corpus, *excellence.hcp_selection(
         corpus,
         args.schema,
         top_percent=args.top_percent,
@@ -372,11 +373,7 @@ def _hcp_selection(args):
 def _cmd_hcp(args) -> int:
     if error := _hcp_flag_error(args):
         return _fail(error)
-    corpus, decisions = _hcp_selection(args)
-    cells = [
-        excellence.compute_threshold(corpus, cell, papers, args.top_percent).to_json_dict()
-        for cell, papers in corpus.cells(args.schema, args.years, args.doc_types).items()
-    ]
+    _, thresholds, decisions = _hcp_selection(args)
     total = sum((d.weight for d in decisions), Fraction(0))
     payload = {
         "schema": args.schema,
@@ -384,7 +381,7 @@ def _cmd_hcp(args) -> int:
         "method": args.method,
         "esi_low_threshold": not args.no_esi_low_threshold,
         "tiebreak": list(args.tiebreak),
-        "cells": cells,
+        "cells": [t.to_json_dict() for t in thresholds],
         "decisions": [d.to_json_dict() for d in decisions],
         "total_weight": rational_json(total, 2),
     }
@@ -395,7 +392,7 @@ def _cmd_hcp(args) -> int:
 def _cmd_hcp_report(args) -> int:
     if error := _hcp_flag_error(args):
         return _fail(error)
-    corpus, decisions = _hcp_selection(args)
+    corpus, _, decisions = _hcp_selection(args)
     report = excellence.hcp_report(
         corpus,
         args.schema,
@@ -414,7 +411,7 @@ def _cmd_hcp_report(args) -> int:
 def _cmd_entity_share(args) -> int:
     if error := _hcp_flag_error(args):
         return _fail(error)
-    corpus, decisions = _hcp_selection(args)
+    corpus, _, decisions = _hcp_selection(args)
     share = excellence.entity_hcp_share(corpus, args.entity, decisions, args.counting)
     payload = share.to_json_dict()
     payload["top_percent"] = rational_str(args.top_percent)

@@ -9,13 +9,17 @@ fail loudly rather than degrade).
 
 Papers are sliced into (field, year, doc_type) cells per schema; a paper whose
 journal holds k categories under a schema appears in k cells.
+
+The derived indexes (citation counts, cells, ranked cells, citing edges and
+entity output) are built on first use and cached, so a corpus must not be
+mutated once it has been queried.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import ComputationError, EmptyInputError
 
@@ -111,6 +115,20 @@ class CellKey(NamedTuple):
         )
 
 
+class RankedCell(NamedTuple):
+    """A cell's papers by descending citation count, ties in id order, and
+    their counts position for position."""
+
+    papers: tuple[Paper, ...]
+    counts: tuple[int, ...]
+
+
+def rank_cell(papers, counts: Mapping[str, int]) -> RankedCell:
+    """Sort ``papers`` once by (-citations, id)."""
+    ranked = tuple(sorted(papers, key=lambda p: (-counts[p.id], p.id)))
+    return RankedCell(ranked, tuple(counts[p.id] for p in ranked))
+
+
 class Corpus:
     """Immutable corpus with derived citation and cell indexes.
 
@@ -142,8 +160,10 @@ class Corpus:
         )
         self.load_report = load_report
         self._cell_cache: dict[str, dict[CellKey, tuple[Paper, ...]]] = {}
+        self._ranked_cache: dict[str, dict[CellKey, RankedCell]] = {}
         self._counts: dict[str, int] | None = None
         self._in_edges: dict[str, tuple[CitationEdge, ...]] | None = None
+        self._entity_papers: dict[str, tuple[Paper, ...]] | None = None
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -237,10 +257,18 @@ class Corpus:
             self._cell_cache[schema] = {
                 k: tuple(v) for k, v in sorted(grouped.items())
             }
-        full = self._cell_cache[schema]
-        if years is None and doc_types is None:
-            return full
-        return {k: v for k, v in full.items() if k.within(years, doc_types)}
+        return _within(self._cell_cache[schema], years, doc_types)
+
+    def ranked_cells(
+        self, schema: str, years=None, doc_types=None
+    ) -> dict[CellKey, RankedCell]:
+        """The cells of :meth:`cells`, each ranked once per schema."""
+        if schema not in self._ranked_cache:
+            counts = self.citation_counts
+            self._ranked_cache[schema] = {
+                k: rank_cell(v, counts) for k, v in self.cells(schema).items()
+            }
+        return _within(self._ranked_cache[schema], years, doc_types)
 
     # -- entity attribution ----------------------------------------------------
 
@@ -264,11 +292,15 @@ class Corpus:
         return share
 
     def papers_of_entity(self, entity: str) -> tuple[Paper, ...]:
-        return tuple(
-            p
-            for p in self.papers.values()
-            if any(entity in c.entities for c in p.authors)
-        )
+        """Papers with at least one author slot affiliated to ``entity``, in
+        corpus order."""
+        if self._entity_papers is None:
+            index: dict[str, list[Paper]] = {}
+            for p in self.papers.values():
+                for e in dict.fromkeys(e for c in p.authors for e in c.entities):
+                    index.setdefault(e, []).append(p)
+            self._entity_papers = {e: tuple(ps) for e, ps in index.items()}
+        return self._entity_papers.get(entity, ())
 
     # -- journal-level helper ----------------------------------------------------
 
@@ -297,6 +329,12 @@ class Corpus:
                 if citing is not None and citing.year == year:
                     cites += 1
         return Fraction(cites, len(items))
+
+
+def _within(cells: dict, years, doc_types) -> dict:
+    if years is None and doc_types is None:
+        return cells
+    return {k: v for k, v in cells.items() if k.within(years, doc_types)}
 
 
 # -- validation ---------------------------------------------------------------

@@ -15,15 +15,26 @@ loudly flagged in the trace.
 
 The ESI-style low-threshold rule (threshold <= 2 means the cell selects
 nothing) is a flag, on by default in the run orchestrator.
+
+Every step works on a ranked cell (``Corpus.ranked_cells``): the cell's papers
+sorted once per corpus by (-citations, id), with their counts. The threshold
+is one index into the counts plus two bisections; papers above it are the
+first ``above_count`` of the ranking and the borderline block the next
+``tie_count``, already in id order. Classification and quota selection read
+only that prefix, which is also their output order, so a run does work in
+proportion to the papers it selects. The public per-cell functions take any
+paper sequence, rank it once and call the same kernels.
 """
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
-from .corpus import MONTH, CellKey, Corpus, Paper
+from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell, rank_cell
 from .errors import ComputationError, EmptyInputError, MissingDateError
 from .rounding import decimal_str, rational_json, rational_str, round_half_up
 
@@ -36,6 +47,9 @@ CITING_EXCELLENCE = "citing_excellence"
 FULL = "full"
 PARTIAL = "fractional"
 NONE = "none"
+
+_CLASSIFY_METHODS = ("inclusive", "exclusive", "fractional_ws")
+_ONE = Fraction(1)  # the weight of every full decision
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,31 @@ def parse_tiebreak_chain(names: Iterable[str]) -> tuple[TiebreakMethod, ...]:
     return tuple(TiebreakMethod(kind=n.replace("-", "_")) for n in names)
 
 
+def _share(top_percent: Fraction | int | str) -> Fraction:
+    share = Fraction(top_percent)
+    if not 0 < share <= 100:
+        raise ComputationError(f"top_percent must be in (0, 100], got {share}")
+    return share
+
+
+def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdResult:
+    """The threshold kernel: one index into the ranked counts, two bisections."""
+    counts = ranked.counts
+    quota = round_half_up(share * len(counts) / 100)
+    if quota == 0:
+        return ThresholdResult(
+            cell=cell, top_percent=share, quota=0,
+            threshold=None, above_count=0, tie_count=0,
+        )
+    threshold = counts[quota - 1]
+    above = bisect_left(counts, -threshold, key=neg)
+    ties = bisect_right(counts, -threshold, key=neg) - above
+    return ThresholdResult(
+        cell=cell, top_percent=share, quota=quota,
+        threshold=threshold, above_count=above, tie_count=ties,
+    )
+
+
 def compute_threshold(
     corpus: Corpus,
     cell: CellKey,
@@ -116,24 +155,8 @@ def compute_threshold(
     """Quota, threshold, and borderline structure for one cell."""
     if not papers:
         raise EmptyInputError(f"cell {cell} is empty")
-    share = Fraction(top_percent)
-    if not 0 < share <= 100:
-        raise ComputationError(f"top_percent must be in (0, 100], got {share}")
-    n = len(papers)
-    quota = round_half_up(share * n / 100)
-    if quota == 0:
-        return ThresholdResult(
-            cell=cell, top_percent=share, quota=0,
-            threshold=None, above_count=0, tie_count=0,
-        )
-    counts = sorted((corpus.citations(p.id) for p in papers), reverse=True)
-    threshold = counts[quota - 1]
-    above = sum(1 for c in counts if c > threshold)
-    ties = sum(1 for c in counts if c == threshold)
-    return ThresholdResult(
-        cell=cell, top_percent=share, quota=quota,
-        threshold=threshold, above_count=above, tie_count=ties,
-    )
+    share = _share(top_percent)
+    return _threshold(cell, rank_cell(papers, corpus.citation_counts), share)
 
 
 def _low_threshold(result: ThresholdResult, esi_low_threshold: bool) -> bool:
@@ -142,6 +165,26 @@ def _low_threshold(result: ThresholdResult, esi_low_threshold: bool) -> bool:
         and result.threshold is not None
         and result.threshold <= 2
     )
+
+
+def _classify(
+    result: ThresholdResult, ranked: RankedCell, method: str, esi_low_threshold: bool
+) -> list[HcpDecision]:
+    """The classification kernel: decisions for the ranked cell's prefix of
+    ``above_count + tie_count`` papers, already in output order."""
+    if method not in _CLASSIFY_METHODS:
+        raise ComputationError(f"unknown classification method {method!r}")
+    if result.quota == 0 or _low_threshold(result, esi_low_threshold):
+        return []
+    cell, above, ties = result.cell, result.above_count, result.tie_count
+    decisions = [HcpDecision(p.id, cell, FULL, _ONE, method) for p in ranked.papers[:above]]
+    borderline = ranked.papers[above:above + ties]
+    if method == "inclusive":
+        decisions += [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
+    elif method == "fractional_ws":
+        weight = Fraction(result.quota - above, ties)
+        decisions += [HcpDecision(p.id, cell, PARTIAL, weight, method) for p in borderline]
+    return decisions
 
 
 def classify(
@@ -156,29 +199,8 @@ def classify(
     Returns only the positive decisions; papers below the threshold (or an
     entire cell killed by the low-threshold rule) simply yield none.
     """
-    if method not in ("inclusive", "exclusive", "fractional_ws"):
-        raise ComputationError(f"unknown classification method {method!r}")
-    if result.quota == 0 or _low_threshold(result, esi_low_threshold):
-        return []
-    threshold = result.threshold
-    tie_weight = Fraction(result.quota - result.above_count, result.tie_count)
-    decisions = []
-    for p in sorted(papers, key=lambda p: (-corpus.citations(p.id), p.id)):
-        c = corpus.citations(p.id)
-        if c > threshold:
-            decisions.append(
-                HcpDecision(p.id, result.cell, FULL, Fraction(1), method)
-            )
-        elif c == threshold:
-            if method == "inclusive":
-                decisions.append(
-                    HcpDecision(p.id, result.cell, FULL, Fraction(1), method)
-                )
-            elif method == "fractional_ws":
-                decisions.append(
-                    HcpDecision(p.id, result.cell, PARTIAL, tie_weight, method)
-                )
-    return decisions
+    ranked = rank_cell(papers, corpus.citation_counts)
+    return _classify(result, ranked, method, esi_low_threshold)
 
 
 # -- tie-break orderings --------------------------------------------------------
@@ -303,12 +325,10 @@ def provisional_hcp_ids(
     it is computed once, before any tie-breaking, so selection order cannot
     feed back into the evidence.
     """
-    selected: set[str] = set()
-    for cell, papers in corpus.cells(schema).items():
-        result = compute_threshold(corpus, cell, papers, top_percent)
-        for d in classify(corpus, result, papers, "inclusive", esi_low_threshold):
-            selected.add(d.paper_id)
-    return frozenset(selected)
+    decisions = hcp_run(
+        corpus, schema, top_percent=top_percent, esi_low_threshold=esi_low_threshold
+    )
+    return frozenset(d.paper_id for d in decisions)
 
 
 def _run_method(
@@ -326,36 +346,24 @@ def _run_method(
     return tiebreak_citing_excellence(corpus, papers, provisional_hcp)
 
 
-def select_quota(
+def _select_quota(
     corpus: Corpus,
     result: ThresholdResult,
-    papers: Sequence[Paper],
+    ranked: RankedCell,
     chain: Sequence[TiebreakMethod],
-    provisional_hcp: frozenset[str] | None = None,
+    provisional_hcp: frozenset[str] | None,
 ) -> list[HcpDecision]:
-    """Exactly ``quota`` full decisions: everything above the threshold plus
-    tie-broken borderline papers.
-
-    Methods are applied in chain order; each resolves whole groups until one
-    straddles the remaining cut, and only that unresolved sub-tie moves on to
-    the next method. Exhausting the chain falls back to paper-id order with a
-    loud flag in the trace.
-    """
+    """The quota kernel: the ranked prefix of ``above_count`` papers, then the
+    next ``tie_count`` (the borderline block, in id order) resolved down the
+    chain."""
     if result.quota < 1:
         raise ComputationError(f"cell {result.cell} has quota 0; nothing to select")
-    by_id = {p.id: p for p in papers}
-    threshold = result.threshold
-    above = [p for p in papers if corpus.citations(p.id) > threshold]  # sorted with the rest
-    borderline = sorted(
-        (p for p in papers if corpus.citations(p.id) == threshold),
-        key=lambda p: p.id,
-    )
-    decisions = [
-        HcpDecision(p.id, result.cell, FULL, Fraction(1), "quota") for p in above
-    ]
-    need = result.quota - len(above)
+    cell, above = result.cell, result.above_count
+    decisions = [HcpDecision(p.id, cell, FULL, _ONE, "quota") for p in ranked.papers[:above]]
+    borderline = ranked.papers[above:above + result.tie_count]
+    by_id = {p.id: p for p in borderline}
 
-    def resolve(group: list[Paper], need: int, methods, steps) -> list[tuple[str, list[dict]]]:
+    def resolve(group, need: int, methods, steps) -> list[tuple[str, list[dict]]]:
         def trace(p: Paper, last_step: dict | None = None) -> tuple[str, list[dict]]:
             inherited = [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps]
             return p.id, inherited + ([last_step] if last_step else [])
@@ -369,7 +377,7 @@ def select_quota(
             logger.warning(
                 "tie-break chain exhausted in cell %s; falling back to paper-id "
                 "order for %s",
-                result.cell,
+                cell,
                 ", ".join(p.id for p in ordered),
             )
             return [trace(p, {"method": "id_order", "evidence": p.id, "tied": False,
@@ -397,21 +405,37 @@ def select_quota(
                 need = 0
         return chosen
 
-    for pid, trace in resolve(borderline, need, list(chain), []):
+    chosen = resolve(borderline, result.quota - above, list(chain), [])
+    for pid, trace in sorted(chosen, key=lambda c: c[0]):  # chain order -> id order
         decisions.append(
-            HcpDecision(
-                pid, result.cell, FULL, Fraction(1), "quota",
-                trace=tuple(trace) if trace else None,
-            )
+            HcpDecision(pid, cell, FULL, _ONE, "quota", trace=tuple(trace) if trace else None)
         )
-    decisions.sort(key=lambda d: (-corpus.citations(d.paper_id), d.paper_id))
     return decisions
+
+
+def select_quota(
+    corpus: Corpus,
+    result: ThresholdResult,
+    papers: Sequence[Paper],
+    chain: Sequence[TiebreakMethod],
+    provisional_hcp: frozenset[str] | None = None,
+) -> list[HcpDecision]:
+    """Exactly ``quota`` full decisions: everything above the threshold plus
+    tie-broken borderline papers.
+
+    Methods are applied in chain order; each resolves whole groups until one
+    straddles the remaining cut, and only that unresolved sub-tie moves on to
+    the next method. Exhausting the chain falls back to paper-id order with a
+    loud flag in the trace.
+    """
+    ranked = rank_cell(papers, corpus.citation_counts)
+    return _select_quota(corpus, result, ranked, chain, provisional_hcp)
 
 
 # -- orchestration ----------------------------------------------------------------
 
 
-def hcp_run(
+def hcp_selection(
     corpus: Corpus,
     schema: str,
     *,
@@ -421,25 +445,33 @@ def hcp_run(
     tiebreak_chain: Sequence[TiebreakMethod] = (),
     years=None,
     doc_types=None,
-) -> list[HcpDecision]:
-    """Run threshold + classification (or quota selection) over every cell."""
+) -> tuple[list[ThresholdResult], list[HcpDecision]]:
+    """Every sliced cell's threshold, in cell order, and the decisions of
+    :func:`hcp_run`."""
+    share = _share(top_percent)
     provisional: frozenset[str] | None = None
     if method == "quota" and any(m.kind == CITING_EXCELLENCE for m in tiebreak_chain):
-        provisional = provisional_hcp_ids(corpus, schema, top_percent, esi_low_threshold)
+        provisional = provisional_hcp_ids(corpus, schema, share, esi_low_threshold)
+    thresholds: list[ThresholdResult] = []
     decisions: list[HcpDecision] = []
-    for cell, papers in corpus.cells(schema, years, doc_types).items():
-        result = compute_threshold(corpus, cell, papers, top_percent)
+    for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
+        result = _threshold(cell, ranked, share)
+        thresholds.append(result)
         if result.quota == 0 or _low_threshold(result, esi_low_threshold):
             continue
         if method == "quota":
             if not tiebreak_chain:
                 raise ComputationError("quota selection needs a tie-break chain")
-            decisions.extend(
-                select_quota(corpus, result, papers, tiebreak_chain, provisional)
-            )
+            decisions += _select_quota(corpus, result, ranked, tiebreak_chain, provisional)
         else:
-            decisions.extend(classify(corpus, result, papers, method, esi_low_threshold))
-    return decisions
+            decisions += _classify(result, ranked, method, esi_low_threshold)
+    return thresholds, decisions
+
+
+def hcp_run(corpus: Corpus, schema: str, **options) -> list[HcpDecision]:
+    """Run threshold + classification (or quota selection) over every cell;
+    takes the keyword options of :func:`hcp_selection`."""
+    return hcp_selection(corpus, schema, **options)[1]
 
 
 @dataclass(frozen=True)
@@ -570,7 +602,7 @@ def hcp_report(
     same year/doc-type slice the decisions were computed on); actual sums the
     decision weights landing in the field.
     """
-    share = Fraction(top_percent)
+    share = _share(top_percent)
     totals: dict[str, int] = {}
     for cell, papers in corpus.cells(schema, years, doc_types).items():
         totals[cell.field] = totals.get(cell.field, 0) + len(papers)

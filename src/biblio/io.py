@@ -183,12 +183,19 @@ def load_corpus(
     for line_no, record in _read_records(journals_path):
         where = f"{journals_path.name}:{line_no}"
         if "_schemas" in record or record.get("id") == "_schemas":
-            registry = (
-                _nested(record, "_schemas", where)
-                if "_schemas" in record
-                else _nested(record, "categories", where)
-            )
-            for name, info in (registry or {}).items():
+            key = "_schemas" if "_schemas" in record else "categories"
+            try:
+                registry = _nested(record, key, where) or {}
+            except LoadError as exc:
+                reject("malformed_journal", str(exc))
+                continue
+            if not isinstance(registry, dict) or not all(
+                isinstance(info, dict) for info in registry.values()
+            ):
+                reject("malformed_journal",
+                       f"{where}: schema registry is not an object of objects: {registry!r}")
+                continue
+            for name, info in registry.items():
                 schemas[name] = SchemaInfo(
                     name=name, single_attribution=bool(info.get("single_attribution"))
                 )
@@ -197,8 +204,11 @@ def load_corpus(
             jid = record["id"]
             raw_cats = _nested(record, "categories", where) or {}
             raw_metric = _nested(record, "metric", where) or {}
-        except (KeyError, LoadError) as exc:
+        except KeyError as exc:
             reject("malformed_journal", f"{where}: {exc}")
+            continue
+        except LoadError as exc:
+            reject("malformed_journal", str(exc))
             continue
         if not isinstance(raw_cats, dict) or not all(
             isinstance(members, list) for members in raw_cats.values()

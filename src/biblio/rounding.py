@@ -12,12 +12,16 @@ from fractions import Fraction
 RationalLike = Fraction | int | str
 
 
+def _half_up(n: int, d: int) -> int:
+    """n/d rounded half-up, for n >= 0 and d > 0."""
+    return (2 * n + d) // (2 * d)
+
+
 def round_half_up(value: RationalLike) -> int:
     """Round to the nearest integer, halves away from zero."""
-    f = Fraction(value)
-    if f < 0:
-        return -round_half_up(-f)
-    return int(f + Fraction(1, 2))
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    whole = _half_up(abs(f.numerator), f.denominator)
+    return whole if f.numerator >= 0 else -whole
 
 
 def decimal_str(value: RationalLike, places: int) -> str:
@@ -27,11 +31,11 @@ def decimal_str(value: RationalLike, places: int) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    f = Fraction(value)
-    scaled = round_half_up(f * 10**places)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, part = divmod(scaled, 10**places)
+    f = value if isinstance(value, Fraction) else Fraction(value)
+    scale = 10**places
+    scaled = _half_up(abs(f.numerator) * scale, f.denominator)
+    sign = "-" if f.numerator < 0 and scaled else ""
+    whole, part = divmod(scaled, scale)
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{part:0{places}d}"
@@ -39,7 +43,7 @@ def decimal_str(value: RationalLike, places: int) -> str:
 
 def rational_str(value: RationalLike) -> str:
     """Canonical rendering: reduced "num/den", whole values without the /1."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

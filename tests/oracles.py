@@ -8,7 +8,10 @@ CNCI are the per-paper definitions: one exact ``Fraction`` update per paper
 and field, against which the package's per-cell integer sums are checked.
 The Monte Carlo trial kernels keep their one-call-per-draw forms: a quartile
 partition per drawn category size, a ``Fraction`` per sampled value, and one
-full ``global_cnci`` per counting regime.
+full ``global_cnci`` per counting regime. Highly-cited selection is done paper
+by paper: each cell is sorted for its threshold and again for its decisions,
+every paper's count is looked up by id, and quota mode filters the whole
+cell for its above and borderline blocks.
 Tests freeze their outputs or compare them against the package directly.
 """
 from __future__ import annotations
@@ -20,6 +23,18 @@ from fractions import Fraction
 
 from biblio.corpus import CellKey
 from biblio.errors import ComputationError, EmptyInputError, ZeroBaselineError
+from biblio.excellence import (
+    CHRONOLOGY,
+    CITING_EXCELLENCE,
+    FULL,
+    PARTIAL,
+    TRAJECTORY,
+    HcpDecision,
+    ThresholdResult,
+    tiebreak_chronology,
+    tiebreak_citing_excellence,
+    tiebreak_trajectory,
+)
 from biblio.normalization import (
     FRACTIONAL,
     WHOLE,
@@ -81,6 +96,20 @@ def decimal_half_up(value: Fraction) -> int:
     """Round to the nearest integer, halves away from zero, via decimal."""
     d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
     return int(d.quantize(decimal.Decimal(1), rounding=decimal.ROUND_HALF_UP))
+
+
+def decimal_quantized(value: Fraction, places: int) -> str:
+    """Fixed-point text of ``value`` rounded half-up by ``Decimal.quantize``.
+
+    The quotient carries 200 significant digits, far more than a half-up cut
+    at a few places can need for the rationals the tests draw. A result that
+    rounds to zero prints unsigned ("0.00", not "-0.00").
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 200
+        exact = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        q = exact.quantize(decimal.Decimal(1).scaleb(-places), rounding=decimal.ROUND_HALF_UP)
+    return format(q.copy_abs() if q.is_zero() else q, "f")
 
 
 def quota_threshold(counts, percent: Fraction):
@@ -272,3 +301,139 @@ def cnci_rows(config, start, stop):
             for name, counting, aggregation, split in REGIMES
         })
     return rows
+
+
+# -- highly-cited selection, paper by paper ----------------------------------------
+
+
+def compute_threshold(corpus, cell, papers, top_percent=1) -> ThresholdResult:
+    """Quota, threshold and borderline structure, counting over the whole cell."""
+    if not papers:
+        raise EmptyInputError(f"cell {cell} is empty")
+    share = Fraction(top_percent)
+    if not 0 < share <= 100:
+        raise ComputationError(f"top_percent must be in (0, 100], got {share}")
+    quota = decimal_half_up(share * len(papers) / 100)
+    if quota == 0:
+        return ThresholdResult(cell, share, 0, None, 0, 0)
+    counts = sorted((corpus.citations(p.id) for p in papers), reverse=True)
+    threshold = counts[quota - 1]
+    above = sum(1 for c in counts if c > threshold)
+    ties = sum(1 for c in counts if c == threshold)
+    return ThresholdResult(cell, share, quota, threshold, above, ties)
+
+
+def _low_threshold(result, esi_low_threshold) -> bool:
+    return esi_low_threshold and result.threshold is not None and result.threshold <= 2
+
+
+def classify(corpus, result, papers, method, esi_low_threshold):
+    """One decision per paper at or above the threshold, tested one by one."""
+    if method not in ("inclusive", "exclusive", "fractional_ws"):
+        raise ComputationError(f"unknown classification method {method!r}")
+    if result.quota == 0 or _low_threshold(result, esi_low_threshold):
+        return []
+    threshold = result.threshold
+    tie_weight = Fraction(result.quota - result.above_count, result.tie_count)
+    decisions = []
+    for p in sorted(papers, key=lambda p: (-corpus.citations(p.id), p.id)):
+        c = corpus.citations(p.id)
+        if c > threshold or (c == threshold and method == "inclusive"):
+            decisions.append(HcpDecision(p.id, result.cell, FULL, Fraction(1), method))
+        elif c == threshold and method == "fractional_ws":
+            decisions.append(HcpDecision(p.id, result.cell, PARTIAL, tie_weight, method))
+    return decisions
+
+
+def _run_method(corpus, method, papers, provisional_hcp):
+    if method.kind == CHRONOLOGY:
+        return tiebreak_chronology(papers)
+    if method.kind == TRAJECTORY:
+        return tiebreak_trajectory(corpus, papers, method.early_window, method.late_window)
+    assert method.kind == CITING_EXCELLENCE
+    if provisional_hcp is None:
+        raise ComputationError("the citing-excellence tie-break needs a provisional HCP set")
+    return tiebreak_citing_excellence(corpus, papers, provisional_hcp)
+
+
+def select_quota(corpus, result, papers, chain, provisional_hcp=None):
+    """Above and borderline blocks filtered from the whole cell, the borderline
+    block resolved down the chain, every decision re-sorted at the end."""
+    if result.quota < 1:
+        raise ComputationError(f"cell {result.cell} has quota 0; nothing to select")
+    by_id = {p.id: p for p in papers}
+    threshold = result.threshold
+    above = [p for p in papers if corpus.citations(p.id) > threshold]
+    borderline = sorted(
+        (p for p in papers if corpus.citations(p.id) == threshold), key=lambda p: p.id
+    )
+    decisions = [HcpDecision(p.id, result.cell, FULL, Fraction(1), "quota") for p in above]
+
+    def resolve(group, need, methods, steps):
+        def trace(p, last_step=None):
+            inherited = [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps]
+            return p.id, inherited + ([last_step] if last_step else [])
+
+        if need <= 0:
+            return []
+        if len(group) <= need:
+            return [trace(p) for p in sorted(group, key=lambda p: p.id)]
+        if not methods:
+            ordered = sorted(group, key=lambda p: p.id)
+            return [trace(p, {"method": "id_order", "evidence": p.id, "tied": False,
+                              "chain_exhausted": True}) for p in ordered[:need]]
+        ordering = _run_method(corpus, methods[0], group, provisional_hcp)
+        chosen = []
+        for ids in ordering.groups:
+            if need == 0:
+                break
+            members = [by_id[i] for i in ids]
+            if len(ids) <= need:
+                chosen.extend(
+                    trace(p, {"method": ordering.method,
+                              "evidence": ordering.evidence[p.id], "tied": False})
+                    for p in sorted(members, key=lambda p: p.id)
+                )
+                need -= len(ids)
+            else:
+                step = {"method": ordering.method, "evidence": ordering.evidence,
+                        "tied": True}
+                chosen.extend(resolve(members, need, methods[1:], steps + [step]))
+                need = 0
+        return chosen
+
+    for pid, steps in resolve(borderline, result.quota - len(above), list(chain), []):
+        decisions.append(HcpDecision(pid, result.cell, FULL, Fraction(1), "quota",
+                                     trace=tuple(steps) if steps else None))
+    decisions.sort(key=lambda d: (-corpus.citations(d.paper_id), d.paper_id))
+    return decisions
+
+
+def provisional_hcp_ids(corpus, schema, top_percent=1, esi_low_threshold=True):
+    """Every paper an inclusive pass over all cells selects."""
+    selected = set()
+    for cell, papers in corpus.cells(schema).items():
+        result = compute_threshold(corpus, cell, papers, top_percent)
+        for d in classify(corpus, result, papers, "inclusive", esi_low_threshold):
+            selected.add(d.paper_id)
+    return frozenset(selected)
+
+
+def hcp_run(corpus, schema, *, top_percent=1, method="inclusive", esi_low_threshold=True,
+            tiebreak_chain=(), years=None, doc_types=None):
+    """Threshold, then classification or quota selection, cell by cell."""
+    provisional = None
+    if method == "quota" and any(m.kind == CITING_EXCELLENCE for m in tiebreak_chain):
+        provisional = provisional_hcp_ids(corpus, schema, top_percent, esi_low_threshold)
+    decisions = []
+    for cell, papers in corpus.cells(schema, years, doc_types).items():
+        result = compute_threshold(corpus, cell, papers, top_percent)
+        if result.quota == 0 or _low_threshold(result, esi_low_threshold):
+            continue
+        if method == "quota":
+            if not tiebreak_chain:
+                raise ComputationError("quota selection needs a tie-break chain")
+            decisions.extend(select_quota(corpus, result, papers, tiebreak_chain, provisional))
+        else:
+            decisions.extend(classify(corpus, result, papers, method, esi_low_threshold))
+    return decisions

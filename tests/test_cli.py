@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from biblio import Corpus, Journal, Paper, SchemaInfo, normalization
+import corpora
+from biblio import Corpus, Journal, Paper, SchemaInfo, excellence, normalization
+from biblio.corpus import rank_cell
 from biblio.cli import build_parser, main
 
 
@@ -102,6 +104,29 @@ def test_validate_flags_an_unclean_lenient_load(run, corpus_files, hundred):
     assert body["ok"] is False
     assert body["validation"]["ok"] is True  # the duplicate was dropped, not kept
     assert body["load"]["dropped"] == {"duplicate_paper_id": 1}
+
+
+def test_strict_journal_row_errors_name_the_row_once(run, tmp_path):
+    journals = tmp_path / "j.jsonl"
+    journals.write_text(
+        '{"_schemas": {"f": {}}}\n{"id": "J1", "categories": "{not json"}\n',
+        encoding="utf-8",
+    )
+    papers = tmp_path / "p.jsonl"
+    papers.write_text("", encoding="utf-8")
+    code, out, err = run("validate", "--journals", journals, "--papers", papers, "--strict")
+    assert (code, out) == (2, "")
+    assert err == (
+        "biblio: load error: j.jsonl:2: field 'categories' is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
+    journals.write_text('{"_schemas": {"f": true}}\n', encoding="utf-8")
+    code, _, err = run("validate", "--journals", journals, "--papers", papers, "--strict")
+    assert code == 2
+    assert err == (
+        "biblio: load error: j.jsonl:1: schema registry is not an object of objects: "
+        "{'f': True}\n"
+    )
 
 
 def test_strict_load_failure_exits_two(run, corpus_files, hundred):
@@ -406,6 +431,28 @@ def test_hcp_quota_with_chronology(run, corpus_files, quota_mini):
     assert step["method"] == "chronology"
     assert step["evidence"] == "online:2011-09-01"
     assert body["total_weight"]["rational"] == "3"
+
+
+def test_hcp_ranks_and_thresholds_each_cell_once(run, corpus_files, monkeypatch):
+    slices = corpora.make_slices()
+    journals, papers, _ = corpus_files(slices)
+    sorted_cells, thresholds = [], []
+    threshold = excellence._threshold
+    monkeypatch.setattr("biblio.corpus.rank_cell", lambda cell, counts: (
+        sorted_cells.append(sorted(p.id for p in cell)) or rank_cell(cell, counts)))
+    monkeypatch.setattr(excellence, "_threshold", lambda cell, ranked, share: (
+        thresholds.append(cell) or threshold(cell, ranked, share)))
+    code, out, _ = run(
+        "hcp", "--journals", journals, "--papers", papers, "--schema", "f",
+        "--top-percent", "40", "--method", "fractional-ws",
+    )
+    assert code == 0
+    cells = slices.cells("f")
+    assert len(payload(out)["cells"]) == len(cells) == 8
+    # One ranked index: every cell's counts sorted exactly once ...
+    assert sorted_cells == [sorted(p.id for p in ps) for ps in cells.values()]
+    # ... and one threshold per cell, shared by the decisions and the output.
+    assert thresholds == list(cells)
 
 
 def test_hcp_quota_requires_a_chain(run, corpus_files, hundred):

@@ -484,6 +484,114 @@ def test_date_tied_group_consumed_whole():
     )
 
 
+# -- ranked kernels against the per-paper oracle ------------------------------------
+
+METHODS = ("inclusive", "exclusive", "fractional_ws", "quota", "bogus")
+GRID_DATES = (date(2010, 3, 1), date(2010, 3, 15), date(2011, 3, 1))
+GRID_MONTHS = (date(2010, 3, 1), date(2011, 3, 1))  # issue months are stored as day 01
+shares = st.fractions(min_value=0, max_value=100, max_denominator=8).filter(lambda f: f > 0)
+chains = st.lists(
+    st.sampled_from(["chronology", "trajectory", "citing-excellence"]), unique=True, max_size=3
+).map(parse_tiebreak_chain)
+slices = st.tuples(
+    st.none() | st.lists(st.sampled_from([2010, 2011]), min_size=1, unique=True),
+    st.none() | st.lists(st.sampled_from(["article", "review"]), min_size=1, unique=True),
+)
+
+
+@st.composite
+def hcp_worlds(draw):
+    """A builder of small dated corpora with edges: 1-3 fields, a journal in
+    two of them, one or two years and document types, in-degrees of 0-3 (so
+    ties everywhere), dates on a coarse grid and a few undated papers and
+    edges. Each call builds a fresh corpus with empty caches."""
+    fields = ("c0", "c1", "c2")[: draw(st.integers(1, 3))]
+    years = draw(st.sampled_from([(2010,), (2010, 2011)]))
+    doc_types = draw(st.sampled_from([("article",), ("article", "review")]))
+    journals = [Journal(f"j{i}", {"f": (f,)}, {}) for i, f in enumerate(fields)]
+    if len(fields) > 1:
+        journals.append(Journal("jm", {"f": fields[:2]}, {}))
+    categorized = [j.id for j in journals]
+    journals.append(Journal("jx", {}, {}))
+    papers = []
+    for i in range(draw(st.integers(1, 24))):
+        month = draw(st.none() | st.sampled_from(GRID_MONTHS))
+        papers.append(Paper(
+            f"p{i:02d}", draw(st.sampled_from(categorized)), draw(st.sampled_from(years)),
+            draw(st.sampled_from(doc_types)),
+            online_date=draw(st.none() | st.sampled_from(GRID_DATES)),
+            pub_date=month, pub_date_precision="month",
+        ))
+    papers += [Paper(f"x{i}", "jx", 2012, "article") for i in range(4)]
+    edges = []
+    for p in papers:
+        if p.journal_id == "jx":
+            continue
+        citers = draw(st.permutations([q.id for q in papers if q.id != p.id]))
+        for citer in citers[: draw(st.integers(0, 3))]:
+            offset = draw(st.sampled_from([None, *range(10)]))
+            when = None if offset is None else date(p.year + offset, 6, 1)
+            edges.append(CitationEdge(citer, p.id, when))
+    return lambda: Corpus([SchemaInfo("f")], journals, papers, edges)
+
+
+@given(hcp_worlds(), st.lists(shares, min_size=1, max_size=3), chains, slices)
+def test_hcp_run_matches_the_per_paper_oracle(world, tops, chain, cut):
+    years, doc_types = cut
+    corpus = world()  # queried again and again: no call may leak into the next
+    for top in tops:
+        for method in METHODS:
+            for esi in (True, False):
+                options = dict(top_percent=top, method=method, esi_low_threshold=esi,
+                               tiebreak_chain=chain, years=years, doc_types=doc_types)
+                got = oracles.outcome(lambda: hcp_run(corpus, "f", **options))
+                want = oracles.outcome(lambda: oracles.hcp_run(world(), "f", **options))
+                assert got == want, options
+
+
+@given(hcp_worlds(), shares, chains, st.booleans(), st.randoms(use_true_random=False))
+def test_public_kernels_match_the_oracle_on_shuffled_papers(world, top, chain, esi, rnd):
+    corpus, fresh = world(), world()
+    provisional = provisional_hcp_ids(corpus, "f", top, esi)
+    assert provisional == oracles.provisional_hcp_ids(fresh, "f", top, esi)
+    for cell, papers in corpus.cells("f").items():
+        shuffled = list(papers)
+        rnd.shuffle(shuffled)
+        result = compute_threshold(corpus, cell, shuffled, top)
+        assert result == oracles.compute_threshold(fresh, cell, papers, top)
+        for method in ("inclusive", "exclusive", "fractional_ws"):
+            assert classify(corpus, result, shuffled, method, esi) == oracles.classify(
+                fresh, result, papers, method, esi)
+        got = oracles.outcome(lambda: select_quota(corpus, result, shuffled, chain, provisional))
+        want = oracles.outcome(
+            lambda: oracles.select_quota(fresh, result, papers, chain, provisional))
+        assert got == want
+
+
+def test_methods_go_unchecked_when_every_cell_has_quota_zero():
+    corpus = one_cell([5] * 10)  # top 1 % of 10 papers rounds to nothing
+    assert hcp_run(corpus, "f", method="bogus") == []
+    assert hcp_run(corpus, "f", method="quota") == []
+    with pytest.raises(ComputationError, match="unknown classification method"):
+        hcp_run(corpus, "f", top_percent=10, method="bogus")
+    with pytest.raises(ComputationError, match="needs a tie-break chain"):
+        hcp_run(corpus, "f", top_percent=10, method="quota")
+
+
+def test_quota_decisions_list_the_chosen_borderline_in_id_order():
+    # Chronology takes t3 (latest) before t2; the decisions still list t2 first.
+    corpus = dated_cell(
+        ("q1", 9, date(2011, 1, 1), None),
+        ("t1", 5, date(2011, 1, 1), None),
+        ("t2", 5, date(2011, 2, 1), None),
+        ("t3", 5, date(2011, 3, 1), None),
+        *[(f"u{i}", 0, None, None) for i in range(26)],
+    )
+    decisions = hcp_run(corpus, "f", top_percent=10, method="quota",
+                        tiebreak_chain=parse_tiebreak_chain(["chronology"]))
+    assert [d.paper_id for d in decisions] == ["q1", "t2", "t3"]
+
+
 # -- entity shares ------------------------------------------------------------------
 
 
@@ -617,6 +725,9 @@ def test_math_report_with_quota_selection(math2011):
 def test_report_requires_a_populated_slice(hundred):
     with pytest.raises(EmptyInputError):
         hcp_report(hundred, "f", [], years=[1900])
+    for bad in (0, 150):
+        with pytest.raises(ComputationError, match="top_percent must be in"):
+            hcp_report(hundred, "f", [], top_percent=bad)
 
 
 def test_hcp_run_slices_by_year(math2011):

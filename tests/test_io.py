@@ -199,6 +199,39 @@ def test_malformed_rows_are_located(tmp_path):
         load_corpus(journals, papers, strict=True)
 
 
+@pytest.mark.parametrize("registry", [{corpora.SCHEMA: True}, [corpora.SCHEMA]])
+def test_a_registry_that_is_not_an_object_of_objects_is_rejected(tmp_path, registry):
+    journals = write(
+        tmp_path / "j.jsonl",
+        json.dumps({"_schemas": registry}),
+        journal_line("J1", {corpora.SCHEMA: ["A"]}),
+    )
+    papers = write(tmp_path / "p.jsonl", paper_line("P1", "J1"))
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_journal": 1, "unknown_schema": 1}
+    assert corpus.schemas == {}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == (
+        f"j.jsonl:1: schema registry is not an object of objects: {registry!r}"
+    )
+
+
+def test_invalid_json_in_a_journal_cell_is_located_once(tmp_path):
+    journals = write(
+        tmp_path / "j.jsonl", REGISTRY,
+        json.dumps({"id": "J1", "categories": "{not json", "metric": {}}),
+    )
+    papers = write(tmp_path / "p.jsonl")
+    assert load_corpus(journals, papers).load_report.dropped == {"malformed_journal": 1}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == (
+        "j.jsonl:2: field 'categories' is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+
+
 def test_a_string_where_a_list_belongs_is_rejected_in_csv_cells(tmp_path):
     journals = tmp_path / "j.csv"
     journals.write_text(

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biblio import decimal_str, parse_rational, rational_json, rational_str, round_half_up
-from oracles import decimal_half_up
+from oracles import decimal_half_up, decimal_quantized
 
 rationals = st.fractions(max_denominator=10_000, min_value=-10_000, max_value=10_000)
 
@@ -49,6 +49,18 @@ def test_decimal_str_examples():
 
 def test_decimal_str_zero_places():
     assert decimal_str(Fraction(5, 2), 0) == "3"
+
+
+# Exact halves at up to seven places, so every rounding position meets them.
+halves = st.builds(
+    lambda k, e: Fraction(2 * k + 1, 2 * 10**e),
+    st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=0, max_value=7),
+)
+
+
+@given(rationals | halves, st.integers(min_value=0, max_value=6))
+def test_decimal_str_is_decimal_quantize_half_up(x, places):
+    assert decimal_str(x, places) == decimal_quantized(x, places)
 
 
 @given(rationals, st.integers(min_value=0, max_value=6))
