@@ -42,6 +42,7 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     mini_j, mini_p, mini_e = files("mini", corpora.make_quota_mini())
     simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
     slices_j, slices_p, _ = files("slices", corpora.make_slices())
+    avg_j, avg_p, _ = files("avgpct", corpora.make_avgpct())
 
     def config(name, text):
         path = tmp_path / name
@@ -92,6 +93,25 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("simulate", "--config", fixed, "--experiment", "surplus", "--trials", "4"),
     ]
     named = [(argv[0], argv) for argv in argvs] + [
+        ("rank-csv",
+         ("rank", "--journals", two_j, "--papers", two_p,
+          "--schema", SCHEMA, "--category", "A", "--year", "2020", "--format", "csv")),
+        # 68 journals tie at rank 19 of 86, across the Q1 cut at 21.
+        ("rank-ties",
+         ("rank", "--journals", avg_j, "--papers", avg_p,
+          "--schema", "s", "--category", "C", "--year", "2021")),
+        ("quartiles-csv",
+         ("quartiles", "--journals", avg_j, "--papers", avg_p,
+          "--schema", "s", "--year", "2021", "--format", "csv")),
+        ("baselines-fractional-csv",
+         ("baselines", "--journals", two_j, "--papers", two_p, "--schema", SCHEMA,
+          "--counting", "fractional", "--format", "csv")),
+        ("baselines-split",
+         ("baselines", "--journals", two_j, "--papers", two_p, "--schema", SCHEMA,
+          "--split-citations")),
+        ("hcp-report-json",
+         ("hcp-report", "--journals", slices_j, "--papers", slices_p,
+          "--schema", "f", "--top-percent", "40", "--method", "fractional-ws")),
         ("hcp-fractional-ws",
          ("hcp", "--journals", slices_j, "--papers", slices_p,
           "--schema", "f", "--top-percent", "40", "--method", "fractional-ws")),
