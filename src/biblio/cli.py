@@ -6,7 +6,7 @@ load failures), 3 computation errors such as a cited paper over a zero
 baseline. Output is byte-stable: JSON is emitted with sorted keys and compact
 separators, and every number that started life as a rational is rendered as
 both ``num/den`` and a rounded decimal. Flag combinations are validated before
-any corpus is read.
+any corpus is read, and ``--schema`` against the corpus's registry right after.
 """
 from __future__ import annotations
 
@@ -23,7 +23,11 @@ from . import excellence, normalization, ranking, synthesis
 from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
 from .io import dump_corpus, json_line, load_corpus
-from .rounding import decimal_str, rational_json, rational_str
+from .rounding import rational_json, rational_str
+
+
+class _UsageError(Exception):
+    """Flags the subcommand cannot run with; exit 2 before any result."""
 
 
 def _json_text(obj) -> str:
@@ -35,6 +39,14 @@ def _emit(text: str, args) -> None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(result, args) -> None:
+    """A result that renders itself, as CSV or JSON per ``--format``."""
+    if args.format == "csv":
+        _emit(result.to_csv_text(), args)
+    else:
+        _emit(_json_text(result.to_json_dict()), args)
 
 
 def _fail(message: str) -> int:
@@ -96,12 +108,10 @@ def _str_list(text: str) -> list[str]:
 
 def _top_percent(text: str) -> Fraction:
     try:
-        share = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        share = 0  # not a number: out of range like any other
-    if not 0 < share <= 100:
-        raise argparse.ArgumentTypeError(f"must be an exact rational in (0, 100], got {text!r}")
-    return share
+        return excellence._share(text)
+    except (ValueError, ZeroDivisionError, ComputationError):
+        raise argparse.ArgumentTypeError(
+            f"must be an exact rational in (0, 100], got {text!r}") from None
 
 
 def _tiebreak_names(text: str) -> list[str]:
@@ -118,7 +128,21 @@ def _tiebreak_names(text: str) -> list[str]:
 
 
 def _load(args) -> Corpus:
-    return load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
+    corpus = load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
+    schema = getattr(args, "schema", None)
+    if schema is not None and schema not in corpus.schemas:
+        declared = ", ".join(map(repr, sorted(corpus.schemas))) or "none"
+        raise _UsageError(f"--schema {schema!r} is not declared in the corpus "
+                          f"(declared: {declared})")
+    return corpus
+
+
+def _cnci_config(args, aggregation: str) -> normalization.CnciConfig:
+    """The regime the flags ask for; one that CnciConfig rejects is a usage error."""
+    try:
+        return normalization.CnciConfig(args.counting, aggregation, args.split_citations)
+    except ComputationError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _ids_from_file(path: str) -> list[str]:
@@ -167,52 +191,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rank(args) -> int:
     corpus = _load(args)
-    result = ranking.rank_category(corpus, args.schema, args.category, args.year)
-    labels = ranking.assign_quartiles(result)
-    ties = ranking.boundary_ties(result)
-    if args.format == "csv":
-        lines = ["journal,metric,rank,quartile,percentile"]
-        for e in result.entries:
-            pct = ranking.percentile(e.rank, result.n)
-            lines.append(
-                f"{e.journal_id},{rational_str(e.metric)},{e.rank},"
-                f"{labels[e.journal_id]},{decimal_str(pct, 1)}"
-            )
-        _emit("\n".join(lines) + "\n", args)
-        return 0
-    payload = {
-        "schema": result.schema,
-        "category": result.category,
-        "year": result.year,
-        "n": result.n,
-        "entries": [
-            {
-                "journal": e.journal_id,
-                "metric": rational_json(e.metric, 3),
-                "rank": e.rank,
-                "quartile": str(labels[e.journal_id]),
-                "percentile": rational_json(ranking.percentile(e.rank, result.n), 1),
-            }
-            for e in result.entries
-        ],
-        "excluded": list(result.excluded),
-        "ties_at_cuts": [
-            {"rank": t.rank, "size": t.size, "label": str(t.label)} for t in ties
-        ],
-    }
-    _emit(_json_text(payload), args)
+    _emit_report(ranking.rank_category(corpus, args.schema, args.category, args.year), args)
     return 0
 
 
 def _cmd_percentile(args) -> int:
     corpus = _load(args)
-    cats = corpus.categories_of(args.journal, args.schema)
-    if not cats:
-        raise ComputationError(
-            f"journal {args.journal!r} has no categories under {args.schema!r}"
-        )
     per_category = {}
-    for cat in cats:
+    for cat in corpus.categories_of(args.journal, args.schema):
         result = ranking.rank_category(corpus, args.schema, cat, args.year)
         rank = result.rank_of(args.journal)
         per_category[cat] = {
@@ -242,16 +228,12 @@ def _cmd_quartiles(args) -> int:
         mode=args.mode.replace("-", "_"),
         min_category_size=args.min_category_size,
     )
-    if args.format == "csv":
-        _emit(report.to_csv_text(), args)
-    else:
-        _emit(_json_text(report.to_json_dict()), args)
+    _emit_report(report, args)
     return 0
 
 
 def _cmd_baselines(args) -> int:
-    if args.split_citations and args.counting != "whole":
-        return _fail("--split-citations requires whole counting")
+    _cnci_config(args, normalization.ROA if args.split_citations else normalization.AOR)
     corpus = _load(args)
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
@@ -259,37 +241,13 @@ def _cmd_baselines(args) -> int:
     table = dataclasses.replace(table, cells={
         k: v for k, v in table.cells.items() if k.within(args.years, args.doc_types)
     })
-    if args.format == "csv":
-        _emit(table.to_csv_text(), args)
-        return 0
-    payload = {
-        "schema": table.schema,
-        "counting": table.counting_label,
-        "cells": [
-            {
-                "cell": key.as_dict(),
-                "expected": rational_json(cell.expected, 4),
-                "weight": rational_str(cell.weight),
-                "papers": cell.papers,
-            }
-            for key, cell in sorted(table.cells.items())
-        ],
-    }
-    _emit(_json_text(payload), args)
+    _emit_report(table, args)
     return 0
 
 
 def _cmd_cnci(args) -> int:
-    if args.split_citations and args.aggregation != "roa":
-        return _fail("split-citations requires --aggregation roa")
-    if args.split_citations and args.counting != "whole":
-        return _fail("--split-citations requires whole counting")
+    config = _cnci_config(args, args.aggregation)
     corpus = _load(args)
-    config = normalization.CnciConfig(
-        counting=args.counting,
-        aggregation=args.aggregation,
-        split_citations=args.split_citations,
-    )
     papers = _slice_papers(corpus, args)
     [(value, baselines)] = normalization.global_cnci_regimes(
         corpus, args.schema, [config], args.years, args.doc_types
@@ -313,7 +271,7 @@ def _cmd_cnci(args) -> int:
 
 def _cmd_relative_cnci(args) -> int:
     if not args.subunit_entity and not args.subunit_ids:
-        return _fail("relative-cnci needs --subunit-entity or --subunit-ids")
+        raise _UsageError("relative-cnci needs --subunit-entity or --subunit-ids")
     corpus = _load(args)
     if args.subunit_entity:
         subunit = list(corpus.papers_of_entity(args.subunit_entity))
@@ -346,17 +304,13 @@ def _cmd_relative_cnci(args) -> int:
     return 0
 
 
-def _hcp_flag_error(args) -> str | None:
-    if args.method == "quota" and not args.tiebreak:
-        return "--method quota requires a --tiebreak chain"
-    if args.method != "quota" and args.tiebreak:
-        return "--tiebreak applies to --method quota only"
-    return None
-
-
 def _hcp_selection(args):
     """The loaded corpus, its sliced cell thresholds and its HCP decisions
-    under the hcp options."""
+    under the hcp options, whose combination is checked before loading."""
+    if args.method == "quota" and not args.tiebreak:
+        raise _UsageError("--method quota requires a --tiebreak chain")
+    if args.method != "quota" and args.tiebreak:
+        raise _UsageError("--tiebreak applies to --method quota only")
     corpus = _load(args)
     return corpus, *excellence.hcp_selection(
         corpus,
@@ -371,8 +325,6 @@ def _hcp_selection(args):
 
 
 def _cmd_hcp(args) -> int:
-    if error := _hcp_flag_error(args):
-        return _fail(error)
     _, thresholds, decisions = _hcp_selection(args)
     total = sum((d.weight for d in decisions), Fraction(0))
     payload = {
@@ -390,8 +342,6 @@ def _cmd_hcp(args) -> int:
 
 
 def _cmd_hcp_report(args) -> int:
-    if error := _hcp_flag_error(args):
-        return _fail(error)
     corpus, _, decisions = _hcp_selection(args)
     report = excellence.hcp_report(
         corpus,
@@ -401,16 +351,11 @@ def _cmd_hcp_report(args) -> int:
         years=args.years,
         doc_types=args.doc_types,
     )
-    if args.format == "csv":
-        _emit(report.to_csv_text(), args)
-    else:
-        _emit(_json_text(report.to_json_dict()), args)
+    _emit_report(report, args)
     return 0
 
 
 def _cmd_entity_share(args) -> int:
-    if error := _hcp_flag_error(args):
-        return _fail(error)
     corpus, _, decisions = _hcp_selection(args)
     share = excellence.entity_hcp_share(corpus, args.entity, decisions, args.counting)
     payload = share.to_json_dict()
@@ -633,6 +578,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.handler(args)
+    except _UsageError as exc:
+        return _fail(str(exc))
     except LoadError as exc:
         print(f"biblio: load error: {exc}", file=sys.stderr)
         return 2

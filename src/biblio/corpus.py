@@ -21,7 +21,7 @@ from datetime import date
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .errors import ComputationError, EmptyInputError
+from .errors import ComputationError
 
 DAY = "day"
 MONTH = "month"
@@ -146,10 +146,7 @@ class Corpus:
         citation_counts: dict[str, int] | None = None,
         load_report=None,
     ):
-        if isinstance(schemas, dict):
-            self.schemas: dict[str, SchemaInfo] = dict(schemas)
-        else:
-            self.schemas = {s.name: s for s in schemas}
+        self.schemas: dict[str, SchemaInfo] = {s.name: s for s in schemas}
         self.journals: dict[str, Journal] = {j.id: j for j in journals}
         self.papers: dict[str, Paper] = {p.id: p for p in papers}
         self.edges: tuple[CitationEdge, ...] | None = (
@@ -175,10 +172,6 @@ class Corpus:
             and self.edges == other.edges
             and self.explicit_counts == other.explicit_counts
         )
-
-    @property
-    def has_edge_data(self) -> bool:
-        return self.edges is not None
 
     def require_edges(self, what: str) -> tuple[CitationEdge, ...]:
         if self.edges is None:
@@ -301,34 +294,6 @@ class Corpus:
                     index.setdefault(e, []).append(p)
             self._entity_papers = {e: tuple(ps) for e, ps in index.items()}
         return self._entity_papers.get(entity, ())
-
-    # -- journal-level helper ----------------------------------------------------
-
-    def two_year_metric(self, journal_id: str, year: int) -> Fraction:
-        """Classic two-year citedness ratio, exact.
-
-        Citations made by papers published in ``year`` to the journal's items
-        of the two preceding years, divided by the item count. Provided for
-        synthetic corpora and sanity checks; rankings accept any supplied
-        journal metric.
-        """
-        edges = self.require_edges("the two-year citedness ratio")
-        items = {
-            p.id
-            for p in self.papers.values()
-            if p.journal_id == journal_id and p.year in (year - 1, year - 2)
-        }
-        if not items:
-            raise EmptyInputError(
-                f"journal {journal_id!r} published nothing in {year - 2}-{year - 1}"
-            )
-        cites = 0
-        for e in edges:
-            if e.cited in items:
-                citing = self.papers.get(e.citing)
-                if citing is not None and citing.year == year:
-                    cites += 1
-        return Fraction(cites, len(items))
 
 
 def _within(cells: dict, years, doc_types) -> dict:

@@ -1,7 +1,7 @@
 """Exception types shared across the engine.
 
-The CLI maps these onto exit codes: :class:`LoadError` (and argparse usage
-errors) exit 2, :class:`ComputationError` subclasses exit 3.
+The CLI maps these onto exit codes: :class:`LoadError` (and usage errors)
+exit 2, :class:`ComputationError` subclasses exit 3.
 """
 
 

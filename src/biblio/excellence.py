@@ -22,8 +22,7 @@ is one index into the counts plus two bisections; papers above it are the
 first ``above_count`` of the ranking and the borderline block the next
 ``tie_count``, already in id order. Classification and quota selection read
 only that prefix, which is also their output order, so a run does work in
-proportion to the papers it selects. The public per-cell functions take any
-paper sequence, rank it once and call the same kernels.
+proportion to the papers it selects.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Iterable, Sequence
 
-from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell, rank_cell
+from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell
 from .errors import ComputationError, EmptyInputError, MissingDateError
 from .rounding import decimal_str, rational_json, rational_str, round_half_up
 
@@ -46,7 +45,6 @@ CITING_EXCELLENCE = "citing_excellence"
 
 FULL = "full"
 PARTIAL = "fractional"
-NONE = "none"
 
 _CLASSIFY_METHODS = ("inclusive", "exclusive", "fractional_ws")
 _ONE = Fraction(1)  # the weight of every full decision
@@ -76,7 +74,7 @@ class ThresholdResult:
 class HcpDecision:
     paper_id: str
     cell: CellKey
-    status: str  # FULL | PARTIAL | NONE
+    status: str  # FULL | PARTIAL
     weight: Fraction
     method: str
     trace: tuple[dict, ...] | None = None  # present iff a tie-breaker fired
@@ -146,36 +144,11 @@ def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdR
     )
 
 
-def compute_threshold(
-    corpus: Corpus,
-    cell: CellKey,
-    papers: Sequence[Paper],
-    top_percent: Fraction | int | str = 1,
-) -> ThresholdResult:
-    """Quota, threshold, and borderline structure for one cell."""
-    if not papers:
-        raise EmptyInputError(f"cell {cell} is empty")
-    share = _share(top_percent)
-    return _threshold(cell, rank_cell(papers, corpus.citation_counts), share)
-
-
-def _low_threshold(result: ThresholdResult, esi_low_threshold: bool) -> bool:
-    return (
-        esi_low_threshold
-        and result.threshold is not None
-        and result.threshold <= 2
-    )
-
-
-def _classify(
-    result: ThresholdResult, ranked: RankedCell, method: str, esi_low_threshold: bool
-) -> list[HcpDecision]:
+def _classify(result: ThresholdResult, ranked: RankedCell, method: str) -> list[HcpDecision]:
     """The classification kernel: decisions for the ranked cell's prefix of
     ``above_count + tie_count`` papers, already in output order."""
     if method not in _CLASSIFY_METHODS:
         raise ComputationError(f"unknown classification method {method!r}")
-    if result.quota == 0 or _low_threshold(result, esi_low_threshold):
-        return []
     cell, above, ties = result.cell, result.above_count, result.tie_count
     decisions = [HcpDecision(p.id, cell, FULL, _ONE, method) for p in ranked.papers[:above]]
     borderline = ranked.papers[above:above + ties]
@@ -185,22 +158,6 @@ def _classify(
         weight = Fraction(result.quota - above, ties)
         decisions += [HcpDecision(p.id, cell, PARTIAL, weight, method) for p in borderline]
     return decisions
-
-
-def classify(
-    corpus: Corpus,
-    result: ThresholdResult,
-    papers: Sequence[Paper],
-    method: str,
-    esi_low_threshold: bool,
-) -> list[HcpDecision]:
-    """Inclusive, exclusive, or fractional (whole-set) borderline handling.
-
-    Returns only the positive decisions; papers below the threshold (or an
-    entire cell killed by the low-threshold rule) simply yield none.
-    """
-    ranked = rank_cell(papers, corpus.citation_counts)
-    return _classify(result, ranked, method, esi_low_threshold)
 
 
 # -- tie-break orderings --------------------------------------------------------
@@ -339,10 +296,6 @@ def _run_method(
         return tiebreak_chronology(papers)
     if method.kind == TRAJECTORY:
         return tiebreak_trajectory(corpus, papers, method.early_window, method.late_window)
-    if provisional_hcp is None:
-        raise ComputationError(
-            "the citing-excellence tie-break needs a provisional HCP set"
-        )
     return tiebreak_citing_excellence(corpus, papers, provisional_hcp)
 
 
@@ -356,8 +309,6 @@ def _select_quota(
     """The quota kernel: the ranked prefix of ``above_count`` papers, then the
     next ``tie_count`` (the borderline block, in id order) resolved down the
     chain."""
-    if result.quota < 1:
-        raise ComputationError(f"cell {result.cell} has quota 0; nothing to select")
     cell, above = result.cell, result.above_count
     decisions = [HcpDecision(p.id, cell, FULL, _ONE, "quota") for p in ranked.papers[:above]]
     borderline = ranked.papers[above:above + result.tie_count]
@@ -413,25 +364,6 @@ def _select_quota(
     return decisions
 
 
-def select_quota(
-    corpus: Corpus,
-    result: ThresholdResult,
-    papers: Sequence[Paper],
-    chain: Sequence[TiebreakMethod],
-    provisional_hcp: frozenset[str] | None = None,
-) -> list[HcpDecision]:
-    """Exactly ``quota`` full decisions: everything above the threshold plus
-    tie-broken borderline papers.
-
-    Methods are applied in chain order; each resolves whole groups until one
-    straddles the remaining cut, and only that unresolved sub-tie moves on to
-    the next method. Exhausting the chain falls back to paper-id order with a
-    loud flag in the trace.
-    """
-    ranked = rank_cell(papers, corpus.citation_counts)
-    return _select_quota(corpus, result, ranked, chain, provisional_hcp)
-
-
 # -- orchestration ----------------------------------------------------------------
 
 
@@ -457,14 +389,14 @@ def hcp_selection(
     for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
         result = _threshold(cell, ranked, share)
         thresholds.append(result)
-        if result.quota == 0 or _low_threshold(result, esi_low_threshold):
+        if result.quota == 0 or (esi_low_threshold and result.threshold <= 2):
             continue
         if method == "quota":
             if not tiebreak_chain:
                 raise ComputationError("quota selection needs a tie-break chain")
             decisions += _select_quota(corpus, result, ranked, tiebreak_chain, provisional)
         else:
-            decisions += _classify(result, ranked, method, esi_low_threshold)
+            decisions += _classify(result, ranked, method)
     return thresholds, decisions
 
 

@@ -240,10 +240,15 @@ def load_corpus(
         try:
             pid = record["id"]
             jid = record["journal"]
-            year = int(record["year"])
+            year = _integer(record, "year", where)
+            if year is None:
+                raise KeyError("year")
             doc_type = str(record["doc_type"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             reject("malformed_paper", f"{where}: {exc}")
+            continue
+        except LoadError as exc:
+            reject("malformed_paper", str(exc))
             continue
         if pid in papers:
             reject("duplicate_paper_id", f"{where}: duplicate paper id {pid!r}")
@@ -324,7 +329,7 @@ def load_corpus(
             edges.append(CitationEdge(citing=citing, cited=cited, date=when))
 
     return Corpus(
-        schemas=schemas,
+        schemas=schemas.values(),
         journals=journals.values(),
         papers=papers.values(),
         edges=edges,

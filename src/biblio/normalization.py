@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .corpus import CellKey, Corpus, Paper
 from .errors import ComputationError, EmptyInputError, ZeroBaselineError
-from .rounding import rational_str
+from .rounding import rational_json, rational_str
 
 logger = logging.getLogger(__name__)
 
@@ -99,6 +99,21 @@ class BaselineTable:
             )
         return "\n".join(lines) + "\n"
 
+    def to_json_dict(self) -> dict:
+        return {
+            "schema": self.schema,
+            "counting": self.counting_label,
+            "cells": [
+                {
+                    "cell": key.as_dict(),
+                    "expected": rational_json(cell.expected, 4),
+                    "weight": rational_str(cell.weight),
+                    "papers": cell.papers,
+                }
+                for key, cell in sorted(self.cells.items())
+            ],
+        }
+
 
 def compute_baselines(
     corpus: Corpus, schema: str, counting: str = WHOLE, *,
@@ -157,27 +172,16 @@ def _masses(per_k: dict[int, list[int]], split_citations: bool, fractional: bool
     return Fraction(cite, unit), Fraction(weight, unit)
 
 
-def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable, aor: bool):
+def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable):
     """Cell sums and size of a paper set. If a cell may fail its checks, the papers
     are walked one by one so an error names the first failing paper, as per paper."""
     papers = list(papers)
     sums, uncategorized = _cell_sums(corpus, papers, baselines.schema)
     cells = baselines.cells
-    if uncategorized or any(k not in cells or (aor and cells[k].expected == 0) for k in sums):
+    if uncategorized or any(k not in cells or cells[k].expected == 0 for k in sums):
         for p in papers:
-            if aor:
-                cnci_paper(corpus, p, baselines)
-            else:
-                for f in _fields(corpus, p, baselines.schema):
-                    baselines.expected(CellKey(f, p.year, p.doc_type))
+            cnci_paper(corpus, p, baselines)
     return sums, len(papers)
-
-
-def _fields(corpus: Corpus, paper: Paper, schema: str) -> tuple[str, ...]:
-    fields = corpus.paper_fields(paper, schema)
-    if not fields:
-        raise ComputationError(f"paper {paper.id!r} has no categories under {schema!r}")
-    return fields
 
 
 def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fraction:
@@ -186,7 +190,11 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
     An uncited paper in an uncited cell contributes 0 for that cell (it sits at
     the degenerate cell average); a cited paper over a zero baseline is an error.
     """
-    fields = _fields(corpus, paper, baselines.schema)
+    fields = corpus.paper_fields(paper, baselines.schema)
+    if not fields:
+        raise ComputationError(
+            f"paper {paper.id!r} has no categories under {baselines.schema!r}"
+        )
     c = corpus.citations(paper.id)
     total = Fraction(0)
     for f in fields:
@@ -203,7 +211,7 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
 def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) -> Fraction:
     """Average-of-ratios aggregate: unweighted mean of per-paper CNCI. A k-field
     paper adds c/(k e) in each of its cells: per cell, split citation mass / e."""
-    return _aor(*_set_sums(corpus, papers, baselines, aor=True), baselines)
+    return _aor(*_set_sums(corpus, papers, baselines), baselines)
 
 
 def _aor(sums, n, baselines: BaselineTable) -> Fraction:
@@ -214,17 +222,6 @@ def _aor(sums, n, baselines: BaselineTable) -> Fraction:
         if e := baselines.cells[key].expected:
             total += _masses(per_k, True, False)[0] / e
     return total / n
-
-
-def nci_ratio_of_averages(
-    corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable
-) -> Fraction:
-    """Ratio-of-averages aggregate: total observed over total expected mass.
-
-    Per cell, the set's citation mass under the table's scheme (c per field,
-    or c/k when split or fractional) against its paper weight times e.
-    """
-    return _roa(*_set_sums(corpus, papers, baselines, aor=False), baselines)
 
 
 def _roa(sums, n, baselines: BaselineTable) -> Fraction:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .corpus import Corpus
 from .errors import ComputationError, EmptyInputError
-from .rounding import decimal_str, rational_json
+from .rounding import decimal_str, rational_json, rational_str
 
 
 class Quartile(IntEnum):
@@ -95,6 +95,40 @@ class RankedCategory:
             f"journal {journal_id!r} is not ranked in "
             f"{self.category!r} ({self.schema}, {self.year})"
         )
+
+    def to_json_dict(self) -> dict:
+        labels = assign_quartiles(self)
+        return {
+            "schema": self.schema,
+            "category": self.category,
+            "year": self.year,
+            "n": self.n,
+            "entries": [
+                {
+                    "journal": e.journal_id,
+                    "metric": rational_json(e.metric, 3),
+                    "rank": e.rank,
+                    "quartile": str(labels[e.journal_id]),
+                    "percentile": rational_json(percentile(e.rank, self.n), 1),
+                }
+                for e in self.entries
+            ],
+            "excluded": list(self.excluded),
+            "ties_at_cuts": [
+                {"rank": t.rank, "size": t.size, "label": str(t.label)}
+                for t in boundary_ties(self)
+            ],
+        }
+
+    def to_csv_text(self) -> str:
+        labels = assign_quartiles(self)
+        lines = ["journal,metric,rank,quartile,percentile"]
+        for e in self.entries:
+            lines.append(
+                f"{e.journal_id},{rational_str(e.metric)},{e.rank},"
+                f"{labels[e.journal_id]},{decimal_str(percentile(e.rank, self.n), 1)}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 def rank_category(corpus: Corpus, schema: str, category: str, year: int) -> RankedCategory:
@@ -186,20 +220,6 @@ def boundary_ties(ranking: RankedCategory) -> tuple[BoundaryTie, ...]:
                 )
             )
     return tuple(flagged)
-
-
-def best_quartile(corpus: Corpus, schema: str, journal_id: str, year: int) -> Quartile:
-    """The best (lowest) quartile across every category the journal is in."""
-    cats = corpus.categories_of(journal_id, schema)
-    if not cats:
-        raise ComputationError(f"journal {journal_id!r} has no categories under {schema!r}")
-    best: Quartile | None = None
-    for cat in cats:
-        ranking = rank_category(corpus, schema, cat, year)
-        label = assign_quartiles(ranking)[journal_id]
-        if best is None or label < best:
-            best = label
-    return best
 
 
 @dataclass(frozen=True)
@@ -303,22 +323,16 @@ def quartile_distribution(
 
     counts = {q: 0 for q in Quartile}
     ties: list[BoundaryTie] = []
-    if mode == "per_category":
-        for cat, ranking in sorted(rankings.items()):
-            labels = assign_quartiles(ranking)
-            for jid, label in labels.items():
+    best: dict[str, Quartile] = {}
+    for cat, ranking in sorted(rankings.items()):
+        for jid, label in assign_quartiles(ranking).items():
+            if mode == "per_category":
                 counts[label] += weight(jid)
-            ties.extend(boundary_ties(ranking))
-    else:
-        best: dict[str, Quartile] = {}
-        for cat, ranking in sorted(rankings.items()):
-            labels = assign_quartiles(ranking)
-            for jid, label in labels.items():
-                if jid not in best or label < best[jid]:
-                    best[jid] = label
-            ties.extend(boundary_ties(ranking))
-        for jid, label in best.items():
-            counts[label] += weight(jid)
+            elif jid not in best or label < best[jid]:
+                best[jid] = label
+        ties.extend(boundary_ties(ranking))
+    for jid, label in best.items():
+        counts[label] += weight(jid)
 
     return DistributionReport(
         schema=schema,

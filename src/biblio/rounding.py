@@ -49,11 +49,6 @@ def rational_str(value: RationalLike) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse either a "num/den" string or a plain decimal string."""
-    return Fraction(str(text).strip())
-
-
 def rational_json(value: RationalLike, places: int) -> dict[str, str]:
     """The serialization pair used in JSON outputs: exact plus rounded."""
     f = Fraction(value)

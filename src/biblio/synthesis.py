@@ -27,9 +27,6 @@ from .normalization import CnciConfig, global_cnci_regimes
 from .ranking import quartile_partition
 from .rounding import round_half_up
 
-# Remainder r = n mod 4 decides which quartiles get one journal more than Q1.
-_EXTRA_PATTERN = {0: (0, 0, 0), 1: (0, 0, 1), 2: (1, 0, 1), 3: (1, 1, 1)}
-
 
 @dataclass(frozen=True)
 class SizeDist:

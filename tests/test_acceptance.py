@@ -19,11 +19,11 @@ from biblio import (
     CitationModel,
     cnci_paper,
     compute_baselines,
-    compute_threshold,
     decimal_str,
     global_cnci,
     hcp_report,
     hcp_run,
+    hcp_selection,
     monte_carlo_global_cnci,
     monte_carlo_surplus,
     percentile,
@@ -158,10 +158,8 @@ def test_criterion_6_math_2011_borderline_tiebreaks():
     started = time.perf_counter()
     corpus = corpora.make_math2011()
 
-    (cell, papers), = (
-        (c, ps) for c, ps in corpus.cells("esi", years=[2011]).items()
-    )
-    result = compute_threshold(corpus, cell, papers, Fraction(1))
+    (papers,) = corpus.cells("esi", years=[2011]).values()
+    (result,), _ = hcp_selection(corpus, "esi", top_percent=Fraction(1), years=[2011])
     assert len(papers) == 38_048
     assert (result.quota, result.threshold) == (380, 88)
     assert (result.above_count, result.tie_count) == (376, 9)

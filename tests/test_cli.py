@@ -144,6 +144,26 @@ def test_strict_load_failure_exits_two(run, corpus_files, hundred):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["rank", "--category", "A", "--year", "2020"],
+    ["percentile", "--journal", "JA", "--year", "2020"],
+    ["quartiles", "--year", "2020"],
+    ["baselines"],
+    ["cnci"],
+    ["relative-cnci", "--subunit-entity", "team-s"],
+    ["hcp"],
+    ["hcp-report"],
+    ["entity-share", "--entity", "team-s"],
+])
+def test_an_undeclared_schema_is_a_usage_error(run, corpus_files, two_papers, command):
+    journals, papers, _ = corpus_files(two_papers)
+    code, out, err = run(*command, "--journals", journals, "--papers", papers, "--schema", "zz")
+    assert (code, out) == (2, "")
+    assert err == (
+        "biblio: error: --schema 'zz' is not declared in the corpus (declared: 'subjects')\n"
+    )
+
+
 def test_missing_input_file_exits_two(run, corpus_files, hundred, tmp_path):
     journals, _, _ = corpus_files(hundred)
     missing = tmp_path / "nonexistent.jsonl"
@@ -214,6 +234,17 @@ def test_percentile_average(run, corpus_files, avgpct):
     assert body["per_category"]["C"]["rank"] == 18
 
 
+def test_percentile_of_an_uncategorized_journal_exits_three(run, corpus_files,
+                                                            two_papers_edges):
+    journals, papers, _ = corpus_files(two_papers_edges)
+    code, out, err = run(
+        "percentile", "--journals", journals, "--papers", papers,
+        "--schema", "subjects", "--journal", "JX", "--year", "2020",
+    )
+    assert (code, out) == (3, "")
+    assert err == "biblio: computation error: journal 'JX' has no categories under 'subjects'\n"
+
+
 def test_quartiles_csv(run, corpus_files, avgpct):
     journals, papers, _ = corpus_files(avgpct)
     code, out, _ = run(
@@ -260,7 +291,10 @@ def test_baselines_split_needs_whole_counting_before_load(run):
         "--schema", "subjects", "--counting", "fractional", "--split-citations",
     )
     assert code == 2
-    assert err == "biblio: error: --split-citations requires whole counting\n"
+    assert err == (
+        "biblio: error: split_citations presumes whole paper counting; "
+        "fractional counting already splits\n"
+    )
 
 
 def test_cnci_whole_aor(run, corpus_files, two_papers):
@@ -307,14 +341,19 @@ def test_cnci_flag_combinations_checked_before_load(run):
         "--schema", "subjects", "--split-citations",
     )
     assert code == 2
-    assert err == "biblio: error: split-citations requires --aggregation roa\n"
+    assert err == (
+        "biblio: error: split_citations applies to ratio-of-averages aggregation only\n"
+    )
     code, _, err = run(
         "cnci", "--journals", "missing.jsonl", "--papers", "missing.jsonl",
         "--schema", "subjects", "--split-citations", "--aggregation", "roa",
         "--counting", "fractional",
     )
     assert code == 2
-    assert err == "biblio: error: --split-citations requires whole counting\n"
+    assert err == (
+        "biblio: error: split_citations presumes whole paper counting; "
+        "fractional counting already splits\n"
+    )
 
 
 def test_cnci_empty_slice_exits_three(run, corpus_files, two_papers):

@@ -22,7 +22,6 @@ from biblio import (
     compute_baselines,
     global_cnci,
     global_cnci_regimes,
-    nci_ratio_of_averages,
     relative_cnci,
 )
 
@@ -101,8 +100,6 @@ def test_set_aggregates_match_the_per_paper_definitions(world):
             for papers in (subunit, reference, []):
                 assert_same(lambda: cnci_set(corpus, iter(papers), table),
                             lambda: oracles.cnci_set(corpus, papers, table))
-                assert_same(lambda: nci_ratio_of_averages(corpus, iter(papers), table),
-                            lambda: oracles.nci_ratio_of_averages(corpus, papers, table))
 
 
 @settings(max_examples=200)

@@ -12,7 +12,6 @@ from biblio import (
     CitationEdge,
     ComputationError,
     Corpus,
-    EmptyInputError,
     Journal,
     Paper,
     SchemaInfo,
@@ -37,7 +36,6 @@ def test_counts_from_explicit_column(two_papers):
 
 
 def test_count_only_corpus_refuses_edge_operations(two_papers):
-    assert not two_papers.has_edge_data
     with pytest.raises(ComputationError):
         two_papers.in_edges
 
@@ -127,28 +125,6 @@ def test_entity_attribution_rejects_authorless(two_papers):
 def test_papers_of_entity(simpson):
     assert {p.id for p in simpson.papers_of_entity("unit-r")} == {"RC1", "RC2", "RM"}
     assert {p.id for p in simpson.papers_of_entity("team-s")} == {"RC1"}
-
-
-def test_two_year_metric():
-    journals = [Journal("J", {S: ("A",)}, {}), Journal("K", {}, {})]
-    papers = [
-        Paper("i1", "J", 2018, "article"),
-        Paper("i2", "J", 2019, "article"),
-        Paper("c1", "K", 2020, "article"),
-        Paper("c2", "K", 2020, "article"),
-        Paper("c3", "K", 2019, "article"),
-    ]
-    edges = [
-        CitationEdge("c1", "i1"),
-        CitationEdge("c1", "i2"),
-        CitationEdge("c2", "i2"),
-        CitationEdge("c3", "i1"),  # citing year 2019, outside the window
-    ]
-    c = Corpus([SchemaInfo(S)], journals, papers, edges)
-    assert c.two_year_metric("J", 2020) == Fraction(3, 2)
-    assert c.two_year_metric("K", 2020) == 0  # c3 is an item, nobody cites it
-    with pytest.raises(EmptyInputError):
-        c.two_year_metric("J", 2025)
 
 
 # -- validation ---------------------------------------------------------------

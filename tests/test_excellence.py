@@ -20,14 +20,12 @@ from biblio import (
     Paper,
     SchemaInfo,
     TiebreakMethod,
-    classify,
-    compute_threshold,
     entity_hcp_share,
     hcp_report,
     hcp_run,
+    hcp_selection,
     parse_tiebreak_chain,
     provisional_hcp_ids,
-    select_quota,
     tiebreak_chronology,
     tiebreak_citing_excellence,
     tiebreak_trajectory,
@@ -46,48 +44,50 @@ def one_cell(counts, year=2019):
     return Corpus([SchemaInfo("f", True)], journals, papers, citation_counts=explicit)
 
 
-def cell_threshold(corpus, percent=1, cell=FICT):
-    papers = corpus.cells("f")[cell]
-    return compute_threshold(corpus, cell, papers, percent), papers
+def cell_selection(corpus, percent=1, cell=FICT, schema="f", **options):
+    """The threshold and decisions of ``hcp_selection`` sliced to the one cell."""
+    (result,), decisions = hcp_selection(
+        corpus, schema, top_percent=percent, years=[cell.year], doc_types=[cell.doc_type],
+        **options,
+    )
+    assert result.cell == cell
+    return result, decisions
 
 
 # -- thresholds ------------------------------------------------------------------
 
 
 def test_hundred_cell_threshold(hundred):
-    result, _ = cell_threshold(hundred)
+    result, _ = cell_selection(hundred)
     assert (result.quota, result.threshold) == (1, 1)
     assert (result.above_count, result.tie_count) == (0, 90)
 
 
 def test_ws105_threshold(ws105):
-    result, _ = cell_threshold(ws105, percent=10)
+    result, _ = cell_selection(ws105, percent=10)
     assert (result.quota, result.threshold) == (11, 10)
     assert (result.above_count, result.tie_count) == (5, 10)
 
 
 def test_threshold_accepts_rational_percent(hundred):
-    result, _ = cell_threshold(hundred, percent="1/2")
+    result, _ = cell_selection(hundred, percent="1/2")
     assert result.top_percent == Fraction(1, 2)
     assert result.quota == 1  # half-up of 0.5
 
 
 def test_quota_zero_short_circuits():
     corpus = one_cell([5] * 10)
-    result, papers = cell_threshold(corpus)
+    result, decisions = cell_selection(corpus)
     assert result.quota == 0 and result.threshold is None
-    assert classify(corpus, result, papers, "inclusive", True) == []
-    with pytest.raises(ComputationError):
-        select_quota(corpus, result, papers, parse_tiebreak_chain(["chronology"]))
+    assert decisions == []
+    chain = parse_tiebreak_chain(["chronology"])
+    assert cell_selection(corpus, method="quota", tiebreak_chain=chain)[1] == []
 
 
 def test_threshold_validation(hundred):
-    papers = hundred.cells("f")[FICT]
-    with pytest.raises(EmptyInputError):
-        compute_threshold(hundred, FICT, [])
     for bad in (0, 101, -3):
         with pytest.raises(ComputationError):
-            compute_threshold(hundred, FICT, papers, bad)
+            cell_selection(hundred, bad)
 
 
 @given(
@@ -96,7 +96,7 @@ def test_threshold_validation(hundred):
 )
 def test_threshold_structure_matches_oracle(counts, percent):
     corpus = one_cell(counts)
-    result, papers = cell_threshold(corpus, percent)
+    result, _ = cell_selection(corpus, percent)
     if result.quota == 0:
         assert oracles.decimal_half_up(Fraction(percent) * len(counts) / 100) == 0
         return
@@ -110,30 +110,27 @@ def test_threshold_structure_matches_oracle(counts, percent):
 
 
 def test_inclusive_takes_every_tied_paper(hundred):
-    result, papers = cell_threshold(hundred)
-    decisions = classify(hundred, result, papers, "inclusive", False)
+    _, decisions = cell_selection(hundred, esi_low_threshold=False)
     assert len(decisions) == 90
     assert all(d.status == "full" and d.weight == 1 for d in decisions)
 
 
 def test_exclusive_takes_none_at_the_threshold(hundred, ws105):
-    result, papers = cell_threshold(hundred)
-    assert classify(hundred, result, papers, "exclusive", False) == []
-    result, papers = cell_threshold(ws105, percent=10)
-    decisions = classify(ws105, result, papers, "exclusive", True)
+    _, decisions = cell_selection(hundred, method="exclusive", esi_low_threshold=False)
+    assert decisions == []
+    _, decisions = cell_selection(ws105, percent=10, method="exclusive")
     assert len(decisions) == 5
     assert {d.paper_id for d in decisions} == {f"p{i:03d}" for i in range(5)}
 
 
 def test_fractional_ws_weights(hundred, ws105):
-    result, papers = cell_threshold(hundred)
-    decisions = classify(hundred, result, papers, "fractional_ws", False)
+    result, decisions = cell_selection(
+        hundred, method="fractional_ws", esi_low_threshold=False)
     assert len(decisions) == 90
     assert {d.weight for d in decisions} == {Fraction(1, 90)}
     assert sum(d.weight for d in decisions) == result.quota
 
-    result, papers = cell_threshold(ws105, percent=10)
-    decisions = classify(ws105, result, papers, "fractional_ws", True)
+    _, decisions = cell_selection(ws105, percent=10, method="fractional_ws")
     full = [d for d in decisions if d.status == "full"]
     partial = [d for d in decisions if d.status == "fractional"]
     assert len(full) == 5 and len(partial) == 10
@@ -142,32 +139,29 @@ def test_fractional_ws_weights(hundred, ws105):
 
 
 def test_low_threshold_rule_empties_the_cell(hundred):
-    result, papers = cell_threshold(hundred)
     for method in ("inclusive", "exclusive", "fractional_ws"):
-        assert classify(hundred, result, papers, method, True) == []
+        assert cell_selection(hundred, method=method)[1] == []
 
 
 def test_low_threshold_rule_boundary():
     at_two = one_cell([5, 2, 2, 2] + [0] * 6)
-    result, papers = cell_threshold(at_two, percent=20)
+    result, decisions = cell_selection(at_two, percent=20)
     assert result.threshold == 2
-    assert classify(at_two, result, papers, "inclusive", True) == []
+    assert decisions == []
 
     at_three = one_cell([5, 3, 3, 3] + [0] * 6)
-    result, papers = cell_threshold(at_three, percent=20)
+    result, decisions = cell_selection(at_three, percent=20)
     assert result.threshold == 3
-    assert len(classify(at_three, result, papers, "inclusive", True)) == 4
+    assert len(decisions) == 4
 
 
 def test_classify_rejects_unknown_method(hundred):
-    result, papers = cell_threshold(hundred)
-    with pytest.raises(ComputationError):
-        classify(hundred, result, papers, "lottery", True)
+    with pytest.raises(ComputationError, match="unknown classification method"):
+        cell_selection(hundred, method="lottery", esi_low_threshold=False)
 
 
 def test_decisions_sorted_by_count_then_id(ws105):
-    result, papers = cell_threshold(ws105, percent=10)
-    decisions = classify(ws105, result, papers, "inclusive", True)
+    _, decisions = cell_selection(ws105, percent=10)
     keys = [(-ws105.citations(d.paper_id), d.paper_id) for d in decisions]
     assert keys == sorted(keys)
 
@@ -189,10 +183,10 @@ def test_bumping_a_deep_below_paper_changes_nothing(ws105):
 )
 def test_ws_weights_match_oracle(counts, percent):
     corpus = one_cell(counts)
-    result, papers = cell_threshold(corpus, percent)
+    result, decisions = cell_selection(
+        corpus, percent, method="fractional_ws", esi_low_threshold=False)
     if result.quota == 0:
         return
-    decisions = classify(corpus, result, papers, "fractional_ws", False)
     expected = oracles.ws_weights(counts, Fraction(percent))
     by_id = {d.paper_id: d.weight for d in decisions}
     for i, w in enumerate(expected):
@@ -330,9 +324,8 @@ def border_ids(decisions):
 
 
 def test_math_cell_structure(math2011):
-    papers = math2011.cells("esi")[MATH11]
-    assert len(papers) == 38048
-    result = compute_threshold(math2011, MATH11, papers)
+    assert len(math2011.cells("esi")[MATH11]) == 38048
+    result, _ = cell_selection(math2011, cell=MATH11, schema="esi")
     assert (result.quota, result.threshold) == (380, 88)
     assert (result.above_count, result.tie_count) == (376, 9)
 
@@ -420,23 +413,24 @@ def test_exhausted_chain_falls_back_to_id_order(math2011, caplog):
 def test_quota_needs_a_chain_and_citing_needs_provisional(math2011, hundred):
     with pytest.raises(ComputationError):
         hcp_run(math2011, "esi", method="quota", years=[2011])
-    papers = math2011.cells("esi")[MATH11]
-    result = compute_threshold(math2011, MATH11, papers)
-    with pytest.raises(ComputationError):
-        select_quota(
-            math2011, result, papers, parse_tiebreak_chain(["citing-excellence"]),
-            provisional_hcp=None,
-        )
+    # The run builds the provisional set a citing-excellence link counts against.
+    chain = parse_tiebreak_chain(["citing-excellence"])
+    result, decisions = cell_selection(
+        math2011, cell=MATH11, schema="esi", method="quota", tiebreak_chain=chain)
+    assert len(decisions) == result.quota
 
 
 def test_select_quota_is_order_insensitive(math2011):
-    papers = list(math2011.cells("esi")[MATH11])
-    result = compute_threshold(math2011, MATH11, papers)
-    chain = parse_tiebreak_chain(["chronology"])
-    forward = select_quota(math2011, result, papers, chain)
-    reverse = select_quota(math2011, result, list(reversed(papers)), chain)
-    assert [d.paper_id for d in forward] == [d.paper_id for d in reverse]
-    assert len(forward) == result.quota
+    reverse = Corpus(
+        math2011.schemas.values(), math2011.journals.values(),
+        reversed(list(math2011.papers.values())), reversed(math2011.edges),
+    )
+    options = dict(method="quota", tiebreak_chain=parse_tiebreak_chain(["chronology"]),
+                   years=[2011])
+    forward = hcp_run(math2011, "esi", **options)
+    assert hcp_run(reverse, "esi", **options) == forward
+    assert oracles.hcp_run(math2011, "esi", **options) == forward
+    assert len(forward) == 380
 
 
 def test_borderline_that_fits_needs_no_tiebreak():
@@ -448,11 +442,11 @@ def test_borderline_that_fits_needs_no_tiebreak():
         ("t2", 5, date(2011, 2, 1), None),
         *[(f"u{i}", 0, None, None) for i in range(27)],
     )
-    cell = CellKey("fict", 2011, "article")
-    papers = corpus.cells("f")[cell]
-    result = compute_threshold(corpus, cell, papers, 10)
+    result, decisions = cell_selection(
+        corpus, 10, CellKey("fict", 2011, "article"),
+        method="quota", tiebreak_chain=parse_tiebreak_chain(["chronology"]),
+    )
     assert (result.quota, result.above_count, result.tie_count) == (3, 1, 2)
-    decisions = select_quota(corpus, result, papers, parse_tiebreak_chain(["chronology"]))
     assert [d.paper_id for d in decisions] == ["q1", "t1", "t2"]
     assert all(d.trace is None for d in decisions)
 
@@ -468,11 +462,11 @@ def test_date_tied_group_consumed_whole():
         ("t3", 5, date(2011, 2, 1), None),
         *[(f"u{i}", 0, None, None) for i in range(26)],
     )
-    cell = CellKey("fict", 2011, "article")
-    papers = corpus.cells("f")[cell]
-    result = compute_threshold(corpus, cell, papers, 10)
+    result, decisions = cell_selection(
+        corpus, 10, CellKey("fict", 2011, "article"),
+        method="quota", tiebreak_chain=parse_tiebreak_chain(["chronology"]),
+    )
     assert (result.quota, result.above_count, result.tie_count) == (3, 1, 3)
-    decisions = select_quota(corpus, result, papers, parse_tiebreak_chain(["chronology"]))
     assert [d.paper_id for d in decisions] == ["q1", "t1", "t2"]
     traced = {d.paper_id: d.trace for d in decisions}
     assert traced["q1"] is None
@@ -551,21 +545,21 @@ def test_hcp_run_matches_the_per_paper_oracle(world, tops, chain, cut):
 
 @given(hcp_worlds(), shares, chains, st.booleans(), st.randoms(use_true_random=False))
 def test_public_kernels_match_the_oracle_on_shuffled_papers(world, top, chain, esi, rnd):
-    corpus, fresh = world(), world()
-    provisional = provisional_hcp_ids(corpus, "f", top, esi)
+    fresh = world()
+    papers, edges = list(fresh.papers.values()), list(fresh.edges)
+    rnd.shuffle(papers)
+    rnd.shuffle(edges)
+    shuffled = Corpus(fresh.schemas.values(), fresh.journals.values(), papers, edges)
+    provisional = provisional_hcp_ids(shuffled, "f", top, esi)
     assert provisional == oracles.provisional_hcp_ids(fresh, "f", top, esi)
-    for cell, papers in corpus.cells("f").items():
-        shuffled = list(papers)
-        rnd.shuffle(shuffled)
-        result = compute_threshold(corpus, cell, shuffled, top)
-        assert result == oracles.compute_threshold(fresh, cell, papers, top)
-        for method in ("inclusive", "exclusive", "fractional_ws"):
-            assert classify(corpus, result, shuffled, method, esi) == oracles.classify(
-                fresh, result, papers, method, esi)
-        got = oracles.outcome(lambda: select_quota(corpus, result, shuffled, chain, provisional))
-        want = oracles.outcome(
-            lambda: oracles.select_quota(fresh, result, papers, chain, provisional))
-        assert got == want
+    thresholds = [oracles.compute_threshold(fresh, cell, cell_papers, top)
+                  for cell, cell_papers in fresh.cells("f").items()]
+    for method in METHODS:
+        options = dict(top_percent=top, method=method, esi_low_threshold=esi,
+                       tiebreak_chain=chain)
+        got = oracles.outcome(lambda: hcp_selection(shuffled, "f", **options))
+        want = oracles.outcome(lambda: (thresholds, oracles.hcp_run(fresh, "f", **options)))
+        assert got == want, options
 
 
 def test_methods_go_unchecked_when_every_cell_has_quota_zero():

@@ -68,7 +68,7 @@ def test_load_without_edges_uses_counts_column(tmp_path):
         paper_line("P2", "J1"),
     )
     corpus = load_corpus(journals, papers)
-    assert not corpus.has_edge_data
+    assert corpus.edges is None
     assert corpus.citations("P1") == 7
     assert corpus.citations("P2") == 0
 
@@ -189,14 +189,22 @@ def test_malformed_rows_are_located(tmp_path):
         paper_line("P6", "J1", authors=[{"entities": ["org"]}]),
         paper_line("P7", "J1", authors=["au-1"]),
         paper_line("P8", "J1", authors=[{"key": "au-8", "entities": "org"}]),
+        paper_line("P9", "J1", year=2020.5),
+        paper_line("P10", "J1", year=True),
     )
     corpus = load_corpus(journals, papers)
     assert corpus.load_report.dropped == {
-        "malformed_journal": 1, "malformed_paper": 7, "unresolved_journal": 1}
+        "malformed_journal": 1, "malformed_paper": 9, "unresolved_journal": 1}
     assert set(corpus.journals) == {"J1"}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
         load_corpus(journals, papers, strict=True)
+    year_rows = write(tmp_path / "years.jsonl", paper_line("P1", "J1"),
+                      paper_line("P9", "J1", year=2020.5))
+    with pytest.raises(LoadError) as err:
+        load_corpus(write(tmp_path / "j1.jsonl", REGISTRY, journal_line("J1", {})),
+                    year_rows, strict=True)
+    assert str(err.value) == "years.jsonl:2: field 'year' is not an integer: 2020.5"
 
 
 @pytest.mark.parametrize("registry", [{corpora.SCHEMA: True}, [corpora.SCHEMA]])

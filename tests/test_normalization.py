@@ -20,7 +20,6 @@ from biblio import (
     cnci_set,
     compute_baselines,
     global_cnci,
-    nci_ratio_of_averages,
     relative_cnci,
 )
 from biblio.corpus import CellKey
@@ -139,8 +138,6 @@ def test_cited_paper_over_zero_baseline_is_an_error(simpson):
 def test_cnci_set_requires_papers(two_papers):
     with pytest.raises(EmptyInputError):
         cnci_set(two_papers, [], compute_baselines(two_papers, S))
-    with pytest.raises(EmptyInputError):
-        nci_ratio_of_averages(two_papers, [], compute_baselines(two_papers, S))
 
 
 # -- the whole-counting anomaly and its dual routes -----------------------------------

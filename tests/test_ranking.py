@@ -15,7 +15,6 @@ from biblio import (
     SchemaInfo,
     assign_quartiles,
     average_percentile,
-    best_quartile,
     boundary_ties,
     decimal_str,
     percentile,
@@ -234,20 +233,6 @@ def test_quartiles_match_tie_oracle(metrics):
     labels = assign_quartiles(ranking)
     expected = oracles.quartiles_with_ties(metrics)
     assert [int(labels[f"j{i:02d}"]) for i in range(len(metrics))] == expected
-
-
-def test_best_quartile_across_categories():
-    corpus = ranking_corpus(
-        [
-            ("jx", {S: ("A", "B")}, 1),
-            ("a1", ("A",), 5), ("a2", ("A",), 4), ("a3", ("A",), 3), ("a4", ("A",), 2),
-            ("b1", ("B",), Fraction(1, 2)), ("b2", ("B",), Fraction(1, 3)),
-            ("b3", ("B",), Fraction(1, 4)),
-        ]
-    )
-    # jx is rank 5 of 5 in A (Q4) but rank 1 of 4 in B (Q1).
-    assert assign_quartiles(rank_category(corpus, S, "A", 2021))["jx"] is Quartile.Q4
-    assert best_quartile(corpus, S, "jx", 2021) is Quartile.Q1
 
 
 # -- distributions ----------------------------------------------------------------

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio import decimal_str, parse_rational, rational_json, rational_str, round_half_up
+from biblio import decimal_str, rational_json, rational_str, round_half_up
 from oracles import decimal_half_up, decimal_quantized
 
 rationals = st.fractions(max_denominator=10_000, min_value=-10_000, max_value=10_000)
@@ -72,20 +71,9 @@ def test_decimal_str_round_trips_within_half_ulp(x, places):
 
 def test_rational_round_trip():
     for f in (Fraction(11, 12), Fraction(-3, 7), Fraction(4), Fraction(0)):
-        assert parse_rational(rational_str(f)) == f
+        assert Fraction(rational_str(f)) == f
     assert rational_str(Fraction(11, 12)) == "11/12"
     assert rational_str(Fraction(4)) == "4"
-
-
-def test_parse_rational_accepts_decimals_and_ints():
-    assert parse_rational("2.5") == Fraction(5, 2)
-    assert parse_rational("3") == Fraction(3)
-    assert parse_rational("6850/86") == Fraction(6850, 86)
-
-
-def test_parse_rational_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_rational("one half")
 
 
 def test_rational_json_shape():
