@@ -49,11 +49,6 @@ def _emit_report(result, args) -> None:
         _emit(_json_text(result.to_json_dict()), args)
 
 
-def _fail(message: str) -> int:
-    print(f"biblio: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _corpus_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--journals", required=True, help="journals file (JSONL or CSV)")
     p.add_argument("--papers", required=True, help="papers file (JSONL or CSV)")
@@ -137,10 +132,10 @@ def _load(args) -> Corpus:
     return corpus
 
 
-def _cnci_config(args, aggregation: str) -> normalization.CnciConfig:
-    """The regime the flags ask for; one that CnciConfig rejects is a usage error."""
+def _usage_checked(make, *flags):
+    """``make(*flags)``; flags that it rejects are a usage error."""
     try:
-        return normalization.CnciConfig(args.counting, aggregation, args.split_citations)
+        return make(*flags)
     except ComputationError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -233,7 +228,7 @@ def _cmd_quartiles(args) -> int:
 
 
 def _cmd_baselines(args) -> int:
-    _cnci_config(args, normalization.ROA if args.split_citations else normalization.AOR)
+    _usage_checked(normalization.baseline_config, args.counting, args.split_citations)
     corpus = _load(args)
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
@@ -246,7 +241,9 @@ def _cmd_baselines(args) -> int:
 
 
 def _cmd_cnci(args) -> int:
-    config = _cnci_config(args, args.aggregation)
+    config = _usage_checked(
+        normalization.CnciConfig, args.counting, args.aggregation, args.split_citations
+    )
     corpus = _load(args)
     papers = _slice_papers(corpus, args)
     [(value, baselines)] = normalization.global_cnci_regimes(
@@ -369,20 +366,20 @@ def _cmd_simulate(args) -> int:
     try:
         raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
     except OSError as exc:
-        return _fail(f"cannot read --config {args.config!r}: {exc}")
+        raise _UsageError(f"cannot read --config {args.config!r}: {exc}")
     except yaml.YAMLError as exc:
-        return _fail(f"--config {args.config!r} is not valid YAML/JSON: {exc}")
+        raise _UsageError(f"--config {args.config!r} is not valid YAML/JSON: {exc}")
     if not isinstance(raw or {}, dict):
-        return _fail(f"--config {args.config!r}: top level is not a mapping")
+        raise _UsageError(f"--config {args.config!r}: top level is not a mapping")
     try:
         config = synthesis.GenConfig.from_dict(raw or {})
     except (AttributeError, KeyError, TypeError, ValueError, ComputationError) as exc:
-        return _fail(f"--config {args.config!r}: {exc}")
+        raise _UsageError(f"--config {args.config!r}: {exc}")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     if args.experiment == "corpus" and out_dir is None:
-        return _fail("--experiment corpus requires --out-dir")
+        raise _UsageError("--experiment corpus requires --out-dir")
 
     if args.experiment == "corpus":
         corpus = synthesis.generate_corpus(config)
@@ -579,7 +576,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except _UsageError as exc:
-        return _fail(str(exc))
+        print(f"biblio: error: {exc}", file=sys.stderr)
+        return 2
     except LoadError as exc:
         print(f"biblio: load error: {exc}", file=sys.stderr)
         return 2

@@ -115,6 +115,11 @@ class BaselineTable:
         }
 
 
+def baseline_config(counting: str, split_citations: bool) -> CnciConfig:
+    """The regime a baseline table obeys: splitting presumes ratio-of-averages."""
+    return CnciConfig(counting, ROA if split_citations else AOR, split_citations)
+
+
 def compute_baselines(
     corpus: Corpus, schema: str, counting: str = WHOLE, *,
     split_citations: bool = False, papers: Iterable[Paper] | None = None,
@@ -125,7 +130,7 @@ def compute_baselines(
     indicators use it to normalize against a reference set instead of the
     whole corpus. Cells with no paper in the pool are absent, not zero.
     """
-    CnciConfig(counting, ROA if split_citations else AOR, split_citations)  # validates
+    baseline_config(counting, split_citations)  # validates
     pool = corpus.papers.values() if papers is None else papers
     return _table(_cell_sums(corpus, pool, schema)[0], schema, counting, split_citations)
 
