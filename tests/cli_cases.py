@@ -6,6 +6,7 @@ determinism; ``test_golden`` compares their stdout, and every file an
 ``--out-dir`` case writes, against the files in ``tests/golden/``, so byte
 identity also holds across changes to the code. A case is named after its
 subcommand, or after the subcommand and a suffix when there are several.
+Every case exits 0 except those in ``EXIT_CODES``.
 
 Regenerate the golden files (only for an intended output change) with::
 
@@ -26,6 +27,40 @@ from biblio.cli import main
 SCHEMA = corpora.SCHEMA
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# Cases that exit non-zero by design; every other case exits 0.
+EXIT_CODES = {"validate-dirty": 2}
+
+# One row per load-report reason, and one duplicate edge that collapses.
+DIRTY = {
+    "j.jsonl": [
+        '{"_schemas": {"s": {"single_attribution": false}}}',
+        '{"id": "J1", "categories": {"s": ["A"]}, "metric": {"2020": 2}}',
+        '{"id": "J2", "categories": {"s": ["A"]}, "metric": {"2020": "x"}}',
+        '{"id": "J1", "categories": {"s": ["B"]}}',
+        '{"id": "J3", "categories": {"mystery": ["A"]}}',
+    ],
+    "p.jsonl": [
+        '{"id": "P1", "journal": "J1", "year": 2020, "doc_type": "article"}',
+        '{"id": "P2", "journal": "J1", "year": 2020, "doc_type": "article"}',
+        '{"id": "P3", "journal": "J3", "year": 2020, "doc_type": "review"}',
+        '{"id": "P4", "journal": "J1", "year": 2020}',
+        '{"id": "P1", "journal": "J1", "year": 2021, "doc_type": "article"}',
+        '{"id": "P5", "journal": "GHOST", "year": 2020, "doc_type": "article"}',
+        '{"id": "P6", "journal": "J1", "year": 2020, "doc_type": "article", "citations": -1}',
+    ],
+    "e.jsonl": [
+        '{"citing": "P2", "cited": "P1"}',
+        '{"citing": "P2", "cited": "P1", "date": "2021-01-01"}',
+        '{"citing": "P3"}',
+        '{"citing": "P3", "cited": "NOPE"}',
+        '{"citing": "P3", "cited": "P3"}',
+    ],
+}
+
+
+def exit_code(case: str) -> int:
+    return EXIT_CODES.get(case, 0)
+
 
 def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     """Write the fixture corpora under ``tmp_path`` and return (case name,
@@ -43,6 +78,11 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
     slices_j, slices_p, _ = files("slices", corpora.make_slices())
     avg_j, avg_p, _ = files("avgpct", corpora.make_avgpct())
+    dirty = tmp_path / "dirty"
+    dirty.mkdir()
+    for name, rows in DIRTY.items():
+        (dirty / name).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    dirty_j, dirty_p, dirty_e = (dirty / name for name in DIRTY)
 
     def config(name, text):
         path = tmp_path / name
@@ -93,6 +133,8 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("simulate", "--config", fixed, "--experiment", "surplus", "--trials", "4"),
     ]
     named = [(argv[0], argv) for argv in argvs] + [
+        ("validate-dirty",
+         ("validate", "--journals", dirty_j, "--papers", dirty_p, "--edges", dirty_e)),
         ("rank-csv",
          ("rank", "--journals", two_j, "--papers", two_p,
           "--schema", SCHEMA, "--category", "A", "--year", "2020", "--format", "csv")),
@@ -152,7 +194,7 @@ def _regenerate() -> None:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(list(argv))
-            if code != 0:
+            if code != exit_code(name):
                 sys.exit(f"{name} exited {code}")
             files = {"out": out.getvalue().encode("utf-8"), **outputs(argv)}
             for output, data in files.items():

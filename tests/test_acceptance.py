@@ -258,13 +258,13 @@ def test_criterion_9_cli_determinism(capsys, tmp_path):
     subcommands = {argv[0] for _, argv in invocations}
     assert len(subcommands) == 11  # every subcommand is exercised
 
-    for _, argv in invocations:
+    for name, argv in invocations:
         runs = []
         for _ in range(2):
             code = main(list(argv))
             captured = capsys.readouterr()
             runs.append((code, captured.out.encode(), captured.err.encode()))
-            assert code == 0, (argv[0], captured.err)
+            assert code == cli_cases.exit_code(name), (name, captured.err)
         assert runs[0] == runs[1], f"{argv[0]} output varied between runs"
 
     print("all 11 subcommands byte-identical across reruns")

@@ -17,7 +17,7 @@ def test_stdout_matches_golden_bytes(tmp_path, capsys):
     for name, argv in invocations:
         code = main(list(argv))
         captured = capsys.readouterr()
-        assert code == 0, (name, captured.err)
+        assert code == cli_cases.exit_code(name), (name, captured.err)
         if captured.out.encode("utf-8") != cli_cases.golden_path(name).read_bytes():
             differing.append(name)
         written = cli_cases.outputs(argv)
