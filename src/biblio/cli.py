@@ -101,6 +101,12 @@ def _str_list(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+def _trials(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _top_percent(text: str) -> Fraction:
     try:
         return excellence._share(text)
@@ -192,22 +198,26 @@ def _cmd_rank(args) -> int:
 
 def _cmd_percentile(args) -> int:
     corpus = _load(args)
-    per_category = {}
-    for cat in corpus.categories_of(args.journal, args.schema):
+    cats = corpus.categories_of(args.journal, args.schema)
+    if not cats:
+        raise ComputationError(
+            f"journal {args.journal!r} has no categories under {args.schema!r}")
+    per_category, values = {}, []
+    for cat in cats:
         result = ranking.rank_category(corpus, args.schema, cat, args.year)
         rank = result.rank_of(args.journal)
+        values.append(ranking.percentile(rank, result.n))
         per_category[cat] = {
             "rank": rank,
             "n": result.n,
-            "percentile": rational_json(ranking.percentile(rank, result.n), 1),
+            "percentile": rational_json(values[-1], 1),
         }
-    average = ranking.average_percentile(corpus, args.schema, args.journal, args.year)
     payload = {
         "schema": args.schema,
         "journal": args.journal,
         "year": args.year,
         "per_category": per_category,
-        "average": rational_json(average, 1),
+        "average": rational_json(sum(values, Fraction(0)) / len(values), 1),
     }
     _emit(_json_text(payload), args)
     return 0
@@ -559,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--experiment", choices=["surplus", "cnci", "corpus"], required=True,
         help="surplus: quartile imbalance; cnci: global mean per regime; corpus: emit files",
     )
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_trials, default=1)
     p.add_argument("--out-dir", help="directory for per-trial CSV, summary JSON, corpus files")
     p.set_defaults(handler=_cmd_simulate)
 

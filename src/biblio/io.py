@@ -8,10 +8,14 @@ encoded inside the cell. The journals file starts with a registry record
 single-attribution; in CSV the registry travels in the ``categories`` column
 of a row whose id is ``_schemas``.
 
-Strict mode aborts on the first contract violation. Lenient mode drops the
-offending row and counts it in the load report. Duplicate (citing, cited)
-pairs are collapsed with a warning in both modes; they are a fact about messy
-exports, not a reason to abort.
+Every row goes through one parse function per kind. A row that is not an
+object, lacks a required field or holds a field of the wrong type is
+``malformed_<kind>``; a well-formed row the corpus cannot take raises
+``_Drop`` with its reason. Strict mode aborts on the first such row with its
+file and line. Lenient mode drops the row and counts it in the load report
+under its reason. Duplicate (citing, cited) pairs are collapsed with a
+warning in both modes; they are a fact about messy exports, not a reason to
+abort.
 """
 from __future__ import annotations
 
@@ -96,31 +100,35 @@ def _read_records(path: Path):
             raise
 
 
-def _nested(record: dict, key: str, where: str):
-    """A value that is a JSON object/array inline or JSON text in a CSV cell."""
-    value = record.get(key)
+class _Drop(Exception):
+    """A well-formed row the corpus cannot take, with its load-report reason."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
+def _string(record: dict, key: str) -> str:
+    value = record[key]
+    if not isinstance(value, str):
+        raise TypeError(f"field {key!r} is not a string: {value!r}")
+    return value
+
+
+def _nested(record: dict, key: str, default):
+    """An optional object/array field, inline or as JSON text (as in a CSV cell)."""
+    if key not in record:
+        return default
+    value = record[key]
     if isinstance(value, str):
         try:
             return json.loads(value)
         except json.JSONDecodeError as exc:
-            raise LoadError(f"{where}: field {key!r} is not valid JSON: {exc}") from exc
+            raise ValueError(f"field {key!r} is not valid JSON: {exc}") from exc
     return value
 
 
-def _entities(author: dict) -> tuple[str, ...]:
-    entities = author.get("entities", [])
-    if not isinstance(entities, list):  # a string would become one entity per letter
-        raise TypeError(f"entities are not a list: {entities!r}")
-    return tuple(dict.fromkeys(entities))
-
-
-def _metric(value) -> Fraction:
-    # JSON numbers round-trip through repr exactly; "num/den" strings are
-    # accepted for values with no finite decimal form.
-    return Fraction(str(value))
-
-
-def _integer(record: dict, key: str, where: str) -> int | None:
+def _integer(record: dict, key: str) -> int | None:
     """An optional whole number: a JSON integer (or integral float) or CSV text."""
     if key not in record:
         return None
@@ -134,18 +142,45 @@ def _integer(record: dict, key: str, where: str) -> int | None:
         return value
     elif isinstance(value, float) and value.is_integer():
         return int(value)
-    raise LoadError(f"{where}: field {key!r} is not an integer: {value!r}")
+    raise ValueError(f"field {key!r} is not an integer: {value!r}")
 
 
-def _parse_date(value: str, where: str) -> date:
+def _metric_map(raw, jid: str) -> dict[int, Fraction]:
+    # JSON numbers round-trip through repr exactly; "num/den" strings are
+    # accepted for values with no finite decimal form.
+    try:
+        return {int(y): Fraction(str(v)) for y, v in raw.items()}
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"journal {jid!r} has a malformed metric map") from exc
+
+
+def _author(entry) -> AuthorCredit:
+    key, entities = entry["key"], entry.get("entities", [])
+    if not isinstance(entities, list):  # a string would become one entity per letter
+        raise TypeError(f"entities are not a list: {entities!r}")
+    if not all(isinstance(name, str) for name in [key, *entities]):
+        raise TypeError(f"author key or entities are not strings: {entry!r}")
+    return AuthorCredit(key, tuple(dict.fromkeys(entities)))
+
+
+def _authors(raw) -> tuple[AuthorCredit, ...]:
+    if not isinstance(raw, list):
+        raise TypeError(f"field 'authors' is not a list: {raw!r}")
+    try:
+        return tuple(_author(entry) for entry in raw)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed author entry: {exc!r}") from exc
+
+
+def _parse_date(value) -> date:
     try:
         return date.fromisoformat(value)
     except (TypeError, ValueError) as exc:
-        raise LoadError(f"{where}: malformed date {value!r}") from exc
+        raise ValueError(f"malformed date {value!r}") from exc
 
 
-def _parse_month(value, year: int, where: str) -> date:
-    if isinstance(value, int):
+def _parse_month(value, year: int) -> date:
+    if isinstance(value, int) and not isinstance(value, bool):
         month = value
     else:
         text = str(value)
@@ -156,9 +191,9 @@ def _parse_month(value, year: int, where: str) -> date:
             else:
                 month = int(text)
         except ValueError as exc:
-            raise LoadError(f"{where}: malformed month {value!r}") from exc
+            raise ValueError(f"malformed month {value!r}") from exc
     if not 1 <= month <= 12:
-        raise LoadError(f"{where}: malformed month {value!r}")
+        raise ValueError(f"malformed month {value!r}")
     return date(year, month, 1)
 
 
@@ -177,165 +212,110 @@ def load_corpus(
             raise LoadError(message)
         report.record(reason, message)
 
+    def load(path, kind: str, parse) -> None:
+        path = Path(path)
+        for line_no, record in _read_records(path):
+            where = f"{path.name}:{line_no}"
+            try:
+                if not isinstance(record, dict):
+                    raise TypeError(f"row is not an object: {record!r}")
+                parse(record, where)
+            except _Drop as drop:
+                reject(drop.reason, f"{where}: {drop}")
+            except (KeyError, TypeError, ValueError) as exc:
+                reject(f"malformed_{kind}", f"{where}: {exc}")
+
     schemas: dict[str, SchemaInfo] = {}
     journals: dict[str, Journal] = {}
-    journals_path = Path(journals_path)
-    for line_no, record in _read_records(journals_path):
-        where = f"{journals_path.name}:{line_no}"
+
+    def parse_journal(record: dict, where: str) -> None:
         if "_schemas" in record or record.get("id") == "_schemas":
-            key = "_schemas" if "_schemas" in record else "categories"
-            try:
-                registry = _nested(record, key, where) or {}
-            except LoadError as exc:
-                reject("malformed_journal", str(exc))
-                continue
+            registry = _nested(record, "_schemas" if "_schemas" in record else "categories", {})
             if not isinstance(registry, dict) or not all(
                 isinstance(info, dict) for info in registry.values()
             ):
-                reject("malformed_journal",
-                       f"{where}: schema registry is not an object of objects: {registry!r}")
-                continue
-            for name, info in registry.items():
-                schemas[name] = SchemaInfo(
-                    name=name, single_attribution=bool(info.get("single_attribution"))
-                )
-            continue
-        try:
-            jid = record["id"]
-            raw_cats = _nested(record, "categories", where) or {}
-            raw_metric = _nested(record, "metric", where) or {}
-        except KeyError as exc:
-            reject("malformed_journal", f"{where}: {exc}")
-            continue
-        except LoadError as exc:
-            reject("malformed_journal", str(exc))
-            continue
+                raise TypeError(f"schema registry is not an object of objects: {registry!r}")
+            flags = {name: info.get("single_attribution", False)
+                     for name, info in registry.items()}
+            if not all(isinstance(flag, bool) for flag in flags.values()):
+                raise TypeError(f"single_attribution is not a boolean: {flags!r}")
+            schemas.update((name, SchemaInfo(name, flag)) for name, flag in flags.items())
+            return
+        jid = _string(record, "id")
+        raw_cats = _nested(record, "categories", {})
+        raw_metric = _nested(record, "metric", {})
         if not isinstance(raw_cats, dict) or not all(
             isinstance(members, list) for members in raw_cats.values()
         ):
-            reject("malformed_journal",
-                   f"{where}: journal {jid!r} categories are not lists: {raw_cats!r}")
-            continue
+            raise TypeError(f"journal {jid!r} categories are not lists: {raw_cats!r}")
+        if not all(isinstance(c, str) for members in raw_cats.values() for c in members):
+            raise TypeError(f"journal {jid!r} category members are not strings: {raw_cats!r}")
         if jid in journals:
-            reject("duplicate_journal_id", f"{where}: duplicate journal id {jid!r}")
-            continue
+            raise _Drop("duplicate_journal_id", f"duplicate journal id {jid!r}")
+        metric = _metric_map(raw_metric, jid)
         cats: dict[str, tuple[str, ...]] = {}
         for schema, members in raw_cats.items():
-            if schema not in schemas:
+            if schema in schemas:
+                cats[schema] = tuple(members)
+            else:
                 reject("unknown_schema", f"{where}: journal {jid!r} uses unknown schema {schema!r}")
-                continue
-            cats[schema] = tuple(members)
-        try:
-            metric = {int(y): _metric(v) for y, v in raw_metric.items()}
-        except (ValueError, ZeroDivisionError):
-            reject("malformed_journal", f"{where}: journal {jid!r} has a malformed metric map")
-            continue
         journals[jid] = Journal(id=jid, categories=cats, metric_by_year=metric)
 
     papers: dict[str, Paper] = {}
     counts: dict[str, int] = {}
-    papers_path = Path(papers_path)
-    for line_no, record in _read_records(papers_path):
-        where = f"{papers_path.name}:{line_no}"
-        try:
-            pid = record["id"]
-            jid = record["journal"]
-            year = _integer(record, "year", where)
-            if year is None:
-                raise KeyError("year")
-            doc_type = str(record["doc_type"])
-        except (KeyError, TypeError) as exc:
-            reject("malformed_paper", f"{where}: {exc}")
-            continue
-        except LoadError as exc:
-            reject("malformed_paper", str(exc))
-            continue
+
+    def parse_paper(record: dict, where: str) -> None:
+        pid = _string(record, "id")
+        jid = _string(record, "journal")
+        year = _integer(record, "year")
+        if year is None:
+            raise KeyError("year")
+        doc_type = _string(record, "doc_type")
         if pid in papers:
-            reject("duplicate_paper_id", f"{where}: duplicate paper id {pid!r}")
-            continue
+            raise _Drop("duplicate_paper_id", f"duplicate paper id {pid!r}")
         if jid not in journals:
-            reject("unresolved_journal", f"{where}: paper {pid!r} cites unknown journal {jid!r}")
-            continue
-        try:
-            online = (
-                _parse_date(record["online_date"], where)
-                if "online_date" in record
-                else None
-            )
-            if "pub_date" in record:
-                pub, precision = _parse_date(record["pub_date"], where), DAY
-            elif "pub_month" in record:
-                pub, precision = _parse_month(record["pub_month"], year, where), MONTH
-            else:
-                pub, precision = None, DAY
-            raw_authors = _nested(record, "authors", where) or []
-            try:
-                authors = tuple(AuthorCredit(a["key"], _entities(a)) for a in raw_authors)
-            except (KeyError, TypeError) as exc:
-                raise LoadError(f"{where}: malformed author entry: {exc!r}") from exc
-            pages = _integer(record, "pages", where)
-            cited = _integer(record, "citations", where)
-        except LoadError as exc:
-            reject("malformed_paper", str(exc))
-            continue
+            raise _Drop("unresolved_journal", f"paper {pid!r} cites unknown journal {jid!r}")
+        online = _parse_date(record["online_date"]) if "online_date" in record else None
+        if "pub_date" in record:
+            pub, precision = _parse_date(record["pub_date"]), DAY
+        elif "pub_month" in record:
+            pub, precision = _parse_month(record["pub_month"], year), MONTH
+        else:
+            pub, precision = None, DAY
+        authors = _authors(_nested(record, "authors", []))
+        pages = _integer(record, "pages")
+        cited = _integer(record, "citations")
         if cited is not None and cited < 0:
-            reject("negative_citations", f"{where}: paper {pid!r} has {cited} citations")
-            continue
+            raise _Drop("negative_citations", f"paper {pid!r} has {cited} citations")
         if cited is not None:
             counts[pid] = cited
-        papers[pid] = Paper(
-            id=pid,
-            journal_id=jid,
-            year=year,
-            doc_type=doc_type,
-            online_date=online,
-            pub_date=pub,
-            pub_date_precision=precision,
-            authors=authors,
-            page_count=pages,
-        )
+        papers[pid] = Paper(id=pid, journal_id=jid, year=year, doc_type=doc_type,
+                            online_date=online, pub_date=pub, pub_date_precision=precision,
+                            authors=authors, page_count=pages)
 
-    edges: list[CitationEdge] | None = None
+    edges: dict[tuple[str, str], CitationEdge] = {}
+
+    def parse_edge(record: dict, where: str) -> None:
+        citing, cited = _string(record, "citing"), _string(record, "cited")
+        if citing not in papers or cited not in papers:
+            raise _Drop("unresolved_edge_endpoint",
+                        f"edge {citing!r}->{cited!r} references an unknown paper")
+        if citing == cited:
+            raise _Drop("self_citation_loop", f"paper {citing!r} cites itself")
+        when = _parse_date(record["date"]) if "date" in record else None
+        if (citing, cited) in edges:
+            report.collapsed_duplicate_edges += 1
+            report.note(f"{where}: duplicate edge {citing!r}->{cited!r} collapsed")
+            return
+        edges[citing, cited] = CitationEdge(citing=citing, cited=cited, date=when)
+
+    load(journals_path, "journal", parse_journal)
+    load(papers_path, "paper", parse_paper)
     if edges_path is not None:
-        edges = []
-        seen: set[tuple[str, str]] = set()
-        edges_path = Path(edges_path)
-        for line_no, record in _read_records(edges_path):
-            where = f"{edges_path.name}:{line_no}"
-            try:
-                citing, cited = record["citing"], record["cited"]
-            except KeyError as exc:
-                reject("malformed_edge", f"{where}: {exc}")
-                continue
-            if citing not in papers or cited not in papers:
-                reject(
-                    "unresolved_edge_endpoint",
-                    f"{where}: edge {citing!r}->{cited!r} references an unknown paper",
-                )
-                continue
-            if citing == cited:
-                reject("self_citation_loop", f"{where}: paper {citing!r} cites itself")
-                continue
-            if (citing, cited) in seen:
-                report.collapsed_duplicate_edges += 1
-                report.note(f"{where}: duplicate edge {citing!r}->{cited!r} collapsed")
-                continue
-            seen.add((citing, cited))
-            try:
-                when = _parse_date(record["date"], where) if "date" in record else None
-            except LoadError as exc:
-                reject("malformed_edge", str(exc))
-                continue
-            edges.append(CitationEdge(citing=citing, cited=cited, date=when))
-
-    return Corpus(
-        schemas=schemas.values(),
-        journals=journals.values(),
-        papers=papers.values(),
-        edges=edges,
-        citation_counts=counts if counts else None,
-        load_report=report,
-    )
+        load(edges_path, "edge", parse_edge)
+    return Corpus(schemas.values(), journals.values(), papers.values(),
+                  list(edges.values()) if edges_path is not None else None,
+                  citation_counts=counts or None, load_report=report)
 
 
 # -- serialization -------------------------------------------------------------

@@ -167,18 +167,6 @@ def percentile(rank: int, n: int) -> Fraction:
     return (Fraction(n) - (Fraction(rank) - Fraction(1, 2))) / n * 100
 
 
-def average_percentile(corpus: Corpus, schema: str, journal_id: str, year: int) -> Fraction:
-    """Mean of the journal's exact percentiles across all its categories."""
-    cats = corpus.categories_of(journal_id, schema)
-    if not cats:
-        raise ComputationError(f"journal {journal_id!r} has no categories under {schema!r}")
-    values = []
-    for cat in cats:
-        ranking = rank_category(corpus, schema, cat, year)
-        values.append(percentile(ranking.rank_of(journal_id), ranking.n))
-    return sum(values, Fraction(0)) / len(values)
-
-
 def assign_quartiles(ranking: RankedCategory) -> dict[str, Quartile]:
     """Quartile labels per journal; a tie block shares its minimal rank's label."""
     bounds = quartile_partition(ranking.n)

@@ -28,6 +28,20 @@ from .ranking import quartile_partition
 from .rounding import round_half_up
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string", list: "a list", dict: "a mapping"}
+
+
+def _typed(value, kind: type, what: str):
+    """A config value of one YAML type; an integer is a float, a bool is neither."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if (not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+            or (kind is float and not math.isfinite(value))):
+        raise ComputationError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SizeDist:
     """Integer size distribution: a fixed value or a uniform inclusive range."""
@@ -53,13 +67,13 @@ class SizeDist:
 
     @classmethod
     def from_config(cls, raw) -> "SizeDist":
-        if isinstance(raw, int):
+        if isinstance(raw, int) and not isinstance(raw, bool):
             return cls.fixed(raw)
-        if "fixed" in raw:
-            return cls.fixed(int(raw["fixed"]))
-        if "uniform" in raw:
-            low, high = raw["uniform"]
-            return cls.uniform(int(low), int(high))
+        if isinstance(raw, dict) and "fixed" in raw:
+            return cls.fixed(_typed(raw["fixed"], int, "fixed size"))
+        if isinstance(raw, dict) and "uniform" in raw:
+            low, high = (_typed(b, int, "uniform bound") for b in raw["uniform"])
+            return cls.uniform(low, high)
         raise ComputationError(f"unrecognized size distribution {raw!r}")
 
     def to_config(self):
@@ -105,15 +119,17 @@ class CitationModel:
     def __post_init__(self):
         if self.kind not in ("lognormal", "yule"):
             raise ComputationError(f"unknown citation model {self.kind!r}")
+        if self.kind == "yule" and not self.rho > 0:
+            raise ComputationError("yule rho must be positive")
 
     @classmethod
     def from_config(cls, raw) -> "CitationModel":
         return cls(
             kind=raw.get("kind", "lognormal"),
-            mu=float(raw.get("mu", 0.5)),
-            sigma=float(raw.get("sigma", 1.0)),
-            rho=float(raw.get("rho", 2.0)),
-            shift=int(raw.get("shift", 0)),
+            mu=_typed(raw.get("mu", 0.5), float, "mu"),
+            sigma=_typed(raw.get("sigma", 1.0), float, "sigma"),
+            rho=_typed(raw.get("rho", 2.0), float, "rho"),
+            shift=_typed(raw.get("shift", 0), int, "shift"),
         )
 
     def to_config(self):
@@ -159,25 +175,31 @@ class GenConfig:
             raise ComputationError("max_categories_per_journal must be 1..3")
         if not self.years:
             raise ComputationError("need at least one publication year")
-        if not self.doc_type_mix:
-            raise ComputationError("doc_type_mix must not be empty")
+        weights = [w for _, w in self.doc_type_mix]
+        if min(weights, default=0) < 0 or not any(weights):
+            raise ComputationError("doc_type_mix needs non-negative weights, one positive")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenConfig":
-        mix = raw.get("doc_type_mix", {"article": 1.0})
+        def get(key, kind, *default):
+            return _typed(raw.get(key, *default) if default else raw[key], kind, key)
+
+        mix = get("doc_type_mix", dict, {"article": 1.0})
         return cls(
-            seed=int(raw["seed"]),
-            num_categories=int(raw["num_categories"]),
+            seed=get("seed", int),
+            num_categories=get("num_categories", int),
             journals_per_category=SizeDist.from_config(raw["journals_per_category"]),
             papers_per_journal=SizeDist.from_config(raw["papers_per_journal"]),
-            multi_attribution_prob=float(raw.get("multi_attribution_prob", 0.0)),
-            max_categories_per_journal=int(raw.get("max_categories_per_journal", 3)),
-            citation_model=CitationModel.from_config(raw.get("citation_model", {})),
-            years=tuple(int(y) for y in raw.get("years", [2020])),
-            doc_type_mix=tuple(sorted((str(k), float(v)) for k, v in mix.items())),
-            correlate_volume_with_metric=bool(raw.get("correlate_volume_with_metric", True)),
-            multi_field_citation_boost=float(raw.get("multi_field_citation_boost", 1.0)),
-            schema_name=str(raw.get("schema_name", "synthetic")),
+            multi_attribution_prob=get("multi_attribution_prob", float, 0.0),
+            max_categories_per_journal=get("max_categories_per_journal", int, 3),
+            citation_model=CitationModel.from_config(get("citation_model", dict, {})),
+            years=tuple(_typed(y, int, "years") for y in get("years", list, [2020])),
+            doc_type_mix=tuple(sorted(
+                (_typed(k, str, "doc_type"), _typed(v, float, f"doc_type_mix {k}"))
+                for k, v in mix.items())),
+            correlate_volume_with_metric=get("correlate_volume_with_metric", bool, True),
+            multi_field_citation_boost=get("multi_field_citation_boost", float, 1.0),
+            schema_name=get("schema_name", str, "synthetic"),
         )
 
     def to_dict(self) -> dict:

@@ -234,6 +234,26 @@ def test_percentile_average(run, corpus_files, avgpct):
     assert body["per_category"]["C"]["rank"] == 18
 
 
+def test_percentile_ranks_each_category_once(run, corpus_files, avgpct, monkeypatch):
+    from biblio import ranking
+
+    ranked = []
+    rank_category = ranking.rank_category
+
+    def counting(corpus, schema, category, year):
+        ranked.append(category)
+        return rank_category(corpus, schema, category, year)
+
+    monkeypatch.setattr(ranking, "rank_category", counting)
+    journals, papers, _ = corpus_files(avgpct)
+    code, _, _ = run(
+        "percentile", "--journals", journals, "--papers", papers,
+        "--schema", "s", "--journal", "jstar", "--year", "2021",
+    )
+    assert code == 0
+    assert ranked == ["A", "B", "C"]
+
+
 def test_percentile_of_an_uncategorized_journal_exits_three(run, corpus_files,
                                                             two_papers_edges):
     journals, papers, _ = corpus_files(two_papers_edges)
@@ -727,6 +747,33 @@ def test_simulate_config_errors(run, tmp_path):
     nested = write_config(tmp_path, SURPLUS_CONFIG + "citation_model: [yule]\n")
     code, _, err = run("simulate", "--config", nested, "--experiment", "surplus")
     assert code == 2 and err.startswith(f"biblio: error: --config {str(nested)!r}:")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("doc_type_mix: {article: 0, review: 0}", "doc_type_mix needs non-negative weights"),
+    ("citation_model: {kind: yule, rho: 0}", "yule rho must be positive"),
+    ('years: "2020"', "years must be a list, got '2020'"),
+    ('correlate_volume_with_metric: "false"',
+     "correlate_volume_with_metric must be true or false, got 'false'"),
+    ("num_categories: 2.7", "num_categories must be an integer, got 2.7"),
+    ("journals_per_category: {fixed: true}", "fixed size must be an integer, got True"),
+    ("citation_model: {mu: .nan}", "mu must be a finite number, got nan"),
+])
+def test_simulate_config_values_are_usage_errors(run, tmp_path, line, message):
+    config = write_config(tmp_path, CNCI_CONFIG + line + "\n")  # a repeated key wins
+    code, out, err = run("simulate", "--config", config, "--experiment", "cnci")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"biblio: error: --config {str(config)!r}: {message}")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+def test_simulate_trials_below_one_is_rejected_before_reading(run, tmp_path, trials):
+    out_dir = tmp_path / "runs"
+    code, out, err = run("simulate", "--config", tmp_path / "absent.yaml",
+                         "--experiment", "surplus", "--trials", trials, "--out-dir", out_dir)
+    assert (code, out) == (2, "")
+    assert f"argument --trials: must be a positive integer, got {trials!r}" in err
+    assert not out_dir.exists()
 
 
 def test_simulate_is_deterministic(run, tmp_path):

@@ -140,6 +140,29 @@ def test_duplicate_edges_collapse_in_both_modes(tmp_path, minimal_paths):
         assert corpus.citations("P1") == 1
 
 
+def test_an_edge_dropped_for_its_date_does_not_hide_a_valid_duplicate(tmp_path, minimal_paths):
+    journals, papers, _ = minimal_paths
+    edges = write(
+        tmp_path / "e.jsonl",
+        json.dumps({"citing": "X1", "cited": "P1", "date": "not-a-date"}),
+        json.dumps({"citing": "X1", "cited": "P1", "date": "2021-01-01"}),
+    )
+    corpus = load_corpus(journals, papers, edges)
+    assert corpus.load_report.dropped == {"malformed_edge": 1}
+    assert corpus.load_report.collapsed_duplicate_edges == 0
+    assert corpus.citations("P1") == 1
+
+
+def test_a_malformed_journal_is_counted_once(tmp_path):
+    journals = write(
+        tmp_path / "j.jsonl", REGISTRY,
+        journal_line("J1", {"mystery": ["A"], "other": ["B"]}, {"2020": "x"}),
+    )
+    corpus = load_corpus(journals, write(tmp_path / "p.jsonl"))
+    assert corpus.load_report.dropped == {"malformed_journal": 1}
+    assert corpus.journals == {}
+
+
 def test_duplicate_ids_rejected(tmp_path):
     journals = write(
         tmp_path / "j.jsonl",

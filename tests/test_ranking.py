@@ -14,7 +14,6 @@ from biblio import (
     Quartile,
     SchemaInfo,
     assign_quartiles,
-    average_percentile,
     boundary_ties,
     decimal_str,
     percentile,
@@ -180,23 +179,6 @@ def test_percentile_matches_midpoint_count_for_distinct_metrics(metrics):
     for i in range(len(metrics)):
         mine = percentile(ranking.rank_of(f"j{i:02d}"), n)
         assert mine == oracles.midpoint_percentile(metrics, i)
-
-
-def test_average_percentile_across_three_categories(avgpct):
-    parts = [
-        percentile(rank_category(avgpct, "s", cat, 2021).rank_of("jstar"),
-                   rank_category(avgpct, "s", cat, 2021).n)
-        for cat in ("A", "B", "C")
-    ]
-    assert parts == [Fraction(175, 2), Fraction(50), Fraction(6850, 86)]
-    mean = average_percentile(avgpct, "s", "jstar", 2021)
-    assert mean == Fraction(6225, 86)
-    assert decimal_str(mean, 1) == "72.4"
-
-
-def test_average_percentile_requires_categories(avgpct):
-    with pytest.raises(ComputationError):
-        average_percentile(avgpct, "s", "ghost", 2021)
 
 
 # -- quartile assignment -----------------------------------------------------------
