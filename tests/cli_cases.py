@@ -106,6 +106,8 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         "citation_model: {kind: yule, rho: 2.0}\nyears: [2020, 2021]\n"
         "doc_type_mix: {article: 0.7, review: 0.3}\n",
     )
+    subunit_ids = config("subunit.ids", "RC1\n")
+    reference_ids = config("reference.ids", "RC1\nRC2\n\nRM\n")
 
     argvs = [
         ("validate", "--journals", two_j, "--papers", two_p),
@@ -170,6 +172,22 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
           "--out-dir", tmp_path / "surplus-uniform")),
         ("simulate-cnci-yule",
          ("simulate", "--config", yule, "--experiment", "cnci", "--trials", "5")),
+        ("simulate-corpus-yule",
+         ("simulate", "--config", yule, "--experiment", "corpus",
+          "--out-dir", tmp_path / "corpus-yule")),
+        ("relative-cnci-ids",
+         ("relative-cnci", "--journals", simpson_j, "--papers", simpson_p,
+          "--schema", SCHEMA, "--subunit-ids", subunit_ids,
+          "--reference-ids", reference_ids)),
+        # No reference flag: the reference is the --years/--doc-types slice.
+        ("relative-cnci-slice",
+         ("relative-cnci", "--journals", simpson_j, "--papers", simpson_p,
+          "--schema", SCHEMA, "--subunit-entity", "team-s",
+          "--years", "2020", "--doc-types", "article")),
+        # The 68-journal block at rank 19 of category C spans the Q1 cut.
+        ("quartiles-ties",
+         ("quartiles", "--journals", avg_j, "--papers", avg_p,
+          "--schema", "s", "--year", "2021")),
     ]
     return [(name, tuple(str(a) for a in argv)) for name, argv in named]
 

@@ -65,6 +65,76 @@ def test_every_flag_shows_up_in_its_subcommand_help(run):
                 assert option in out, f"{name} help is missing {option}"
 
 
+# Each option of each subcommand: (default, choices, required, takes a value).
+_CORPUS = {
+    "--journals": (None, None, True, True),
+    "--papers": (None, None, True, True),
+    "--edges": (None, None, False, True),
+    "--strict": (False, None, False, False),
+    "--out": (None, None, False, True),
+}
+_SCHEMA = {"--schema": (None, None, True, True)}
+_JSON = {"--format": ("json", ["json"], False, True)}
+_JSON_CSV = {"--format": ("json", ["json", "csv"], False, True)}
+_COUNTING = {"--counting": ("whole", ["whole", "fractional"], False, True)}
+_SLICE = {"--years": (None, None, False, True), "--doc-types": (None, None, False, True)}
+_HCP = {
+    "--top-percent": ("1", None, False, True),
+    "--method": ("inclusive", ["inclusive", "exclusive", "fractional-ws", "quota"],
+                 False, True),
+    "--tiebreak": ([], None, False, True),
+    "--no-esi-low-threshold": (False, None, False, False),
+}
+OPTIONS = {
+    "validate": _CORPUS,
+    "rank": {**_CORPUS, **_SCHEMA, **_JSON_CSV,
+             "--category": (None, None, True, True), "--year": (None, None, True, True)},
+    "percentile": {**_CORPUS, **_SCHEMA, **_JSON,
+                   "--journal": (None, None, True, True), "--year": (None, None, True, True)},
+    "quartiles": {
+        **_CORPUS, **_SCHEMA, **_JSON_CSV,
+        "--year": (None, None, True, True),
+        "--level": ("journals", ["journals", "papers"], False, True),
+        "--mode": ("per-category", ["per-category", "database-best"], False, True),
+        "--min-category-size": (0, None, False, True),
+    },
+    "baselines": {**_CORPUS, **_SCHEMA, **_JSON_CSV, **_COUNTING, **_SLICE,
+                  "--split-citations": (False, None, False, False)},
+    "cnci": {**_CORPUS, **_SCHEMA, **_JSON, **_COUNTING, **_SLICE,
+             "--aggregation": ("aor", ["aor", "roa"], False, True),
+             "--split-citations": (False, None, False, False),
+             "--per-paper": (False, None, False, False)},
+    "relative-cnci": {**_CORPUS, **_SCHEMA, **_JSON, **_COUNTING, **_SLICE, **{
+        flag: (None, None, False, True) for flag in (
+            "--subunit-entity", "--subunit-ids", "--reference-entity", "--reference-ids")}},
+    "hcp": {**_CORPUS, **_SCHEMA, **_JSON, **_HCP, **_SLICE},
+    "hcp-report": {**_CORPUS, **_SCHEMA, **_JSON_CSV, **_HCP, **_SLICE},
+    "entity-share": {**_CORPUS, **_SCHEMA, **_JSON, **_COUNTING, **_HCP, **_SLICE,
+                     "--entity": (None, None, True, True)},
+    "simulate": {
+        "--config": (None, None, True, True),
+        "--experiment": (None, ["surplus", "cnci", "corpus"], True, True),
+        "--trials": (1, None, False, True),
+        "--out-dir": (None, None, False, True),
+    },
+}
+
+
+def test_each_subcommand_keeps_its_options_defaults_and_choices():
+    subaction = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    found = {
+        name: {
+            option: (action.default, action.choices, action.required, action.nargs != 0)
+            for action in sub._actions if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        for name, sub in subaction.choices.items()
+    }
+    assert found == OPTIONS
+
+
 # -- validate ----------------------------------------------------------------------
 
 
