@@ -1,6 +1,8 @@
 """Command-line interface: one indicator per invocation, batch only.
 
-Data goes to standard output (or ``--out``), diagnostics to standard error.
+Each subcommand's handler computes and returns its result, a payload dict or
+a result that renders itself; ``main`` alone renders that result and writes it
+to standard output (or ``--out``). Diagnostics go to standard error.
 Exit codes: 0 success, 2 usage or validation problems (including strict-mode
 load failures), 3 computation errors such as a cited paper over a zero
 baseline. Output is byte-stable: JSON is emitted with sorted keys and compact
@@ -17,8 +19,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import yaml
-
 from . import excellence, normalization, ranking, synthesis
 from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
@@ -30,26 +30,18 @@ class _UsageError(Exception):
     """Flags the subcommand cannot run with; exit 2 before any result."""
 
 
-def _json_text(obj) -> str:
-    return json_line(obj) + "\n"
+def _render(result, fmt: str = "json") -> str:
+    """A handler's result as text: a payload dict, or a result that renders itself."""
+    if fmt == "csv":
+        return result.to_csv_text()
+    return json_line(result if isinstance(result, dict) else result.to_json_dict()) + "\n"
 
 
-def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_report(result, args) -> None:
-    """A result that renders itself, as CSV or JSON per ``--format``."""
-    if args.format == "csv":
-        _emit(result.to_csv_text(), args)
-    else:
-        _emit(_json_text(result.to_json_dict()), args)
-
-
-def _corpus_options(p: argparse.ArgumentParser) -> None:
+def _corpus_subcommand(sub, name: str, handler, help: str, *groups, formats=("json",)):
+    """A corpus-file subcommand with the shared options, plus ``--schema`` and
+    ``--format`` unless ``formats=()`` (validate), plus each of ``groups``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
     p.add_argument("--journals", required=True, help="journals file (JSONL or CSV)")
     p.add_argument("--papers", required=True, help="papers file (JSONL or CSV)")
     p.add_argument("--edges", help="citation edges file (JSONL or CSV)")
@@ -57,14 +49,18 @@ def _corpus_options(p: argparse.ArgumentParser) -> None:
         "--strict", action="store_true",
         help="abort on the first contract violation instead of dropping rows",
     )
-
-
-def _output_options(p: argparse.ArgumentParser, formats=("json",)) -> None:
     p.add_argument("--out", help="write results to this file instead of standard output")
-    p.add_argument(
-        "--format", choices=list(formats), default=formats[0],
-        help="output format",
-    )
+    if formats:
+        p.add_argument("--schema", required=True)
+        p.add_argument("--format", choices=list(formats), default=formats[0],
+                       help="output format")
+    for group in groups:
+        group(p)
+    return p
+
+
+def _counting_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--counting", choices=["whole", "fractional"], default="whole")
 
 
 def _slice_options(p: argparse.ArgumentParser) -> None:
@@ -146,12 +142,18 @@ def _usage_checked(make, *flags):
         raise _UsageError(str(exc)) from None
 
 
-def _ids_from_file(path: str) -> list[str]:
+def _papers_in_file(corpus: Corpus, path: str, flag: str) -> list:
+    """The papers whose ids the file at ``path`` lists, one per line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise LoadError(f"cannot read id list {path!r}: {exc}") from exc
-    return [line.strip() for line in lines if line.strip()]
+    papers = []
+    for pid in filter(None, map(str.strip, lines)):
+        if pid not in corpus.papers:
+            raise LoadError(f"{flag}: unknown paper id {pid!r}")
+        papers.append(corpus.papers[pid])
+    return papers
 
 
 def _slice_papers(corpus: Corpus, args) -> list:
@@ -160,43 +162,25 @@ def _slice_papers(corpus: Corpus, args) -> list:
     return list({p.id: p for papers in cells for p in papers}.values())
 
 
-def _papers_by_ids(corpus: Corpus, ids, what: str):
-    papers = []
-    for pid in ids:
-        paper = corpus.papers.get(pid)
-        if paper is None:
-            raise LoadError(f"{what}: unknown paper id {pid!r}")
-        papers.append(paper)
-    return papers
-
-
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     corpus = _load(args)
     report = validate(corpus)
     load_report = corpus.load_report
-    ok = report.ok and (load_report is None or load_report.clean)
-    payload = {
-        "ok": ok,
+    return {
+        "ok": report.ok and (load_report is None or load_report.clean),
         "validation": report.to_json_dict(),
         "load": load_report.to_json_dict() if load_report is not None else None,
     }
-    _emit(_json_text(payload), args)
-    if not ok:
-        print("biblio: corpus has validation findings", file=sys.stderr)
-        return 2
-    return 0
 
 
-def _cmd_rank(args) -> int:
-    corpus = _load(args)
-    _emit_report(ranking.rank_category(corpus, args.schema, args.category, args.year), args)
-    return 0
+def _cmd_rank(args) -> ranking.RankedCategory:
+    return ranking.rank_category(_load(args), args.schema, args.category, args.year)
 
 
-def _cmd_percentile(args) -> int:
+def _cmd_percentile(args) -> dict:
     corpus = _load(args)
     cats = corpus.categories_of(args.journal, args.schema)
     if not cats:
@@ -212,45 +196,38 @@ def _cmd_percentile(args) -> int:
             "n": result.n,
             "percentile": rational_json(values[-1], 1),
         }
-    payload = {
+    return {
         "schema": args.schema,
         "journal": args.journal,
         "year": args.year,
         "per_category": per_category,
         "average": rational_json(sum(values, Fraction(0)) / len(values), 1),
     }
-    _emit(_json_text(payload), args)
-    return 0
 
 
-def _cmd_quartiles(args) -> int:
-    corpus = _load(args)
-    report = ranking.quartile_distribution(
-        corpus,
+def _cmd_quartiles(args) -> ranking.DistributionReport:
+    return ranking.quartile_distribution(
+        _load(args),
         args.schema,
         args.year,
         level=args.level,
         mode=args.mode.replace("-", "_"),
         min_category_size=args.min_category_size,
     )
-    _emit_report(report, args)
-    return 0
 
 
-def _cmd_baselines(args) -> int:
+def _cmd_baselines(args) -> normalization.BaselineTable:
     _usage_checked(normalization.baseline_config, args.counting, args.split_citations)
     corpus = _load(args)
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
     )
-    table = dataclasses.replace(table, cells={
+    return dataclasses.replace(table, cells={
         k: v for k, v in table.cells.items() if k.within(args.years, args.doc_types)
     })
-    _emit_report(table, args)
-    return 0
 
 
-def _cmd_cnci(args) -> int:
+def _cmd_cnci(args) -> dict:
     config = _usage_checked(
         normalization.CnciConfig, args.counting, args.aggregation, args.split_citations
     )
@@ -272,24 +249,21 @@ def _cmd_cnci(args) -> int:
             p.id: rational_json(normalization.cnci_paper(corpus, p, baselines), 4)
             for p in papers
         }
-    _emit(_json_text(payload), args)
-    return 0
+    return payload
 
 
-def _cmd_relative_cnci(args) -> int:
+def _cmd_relative_cnci(args) -> dict:
     if not args.subunit_entity and not args.subunit_ids:
         raise _UsageError("relative-cnci needs --subunit-entity or --subunit-ids")
     corpus = _load(args)
     if args.subunit_entity:
         subunit = list(corpus.papers_of_entity(args.subunit_entity))
     else:
-        subunit = _papers_by_ids(corpus, _ids_from_file(args.subunit_ids), "--subunit-ids")
+        subunit = _papers_in_file(corpus, args.subunit_ids, "--subunit-ids")
     if args.reference_entity:
         reference = list(corpus.papers_of_entity(args.reference_entity))
     elif args.reference_ids:
-        reference = _papers_by_ids(
-            corpus, _ids_from_file(args.reference_ids), "--reference-ids"
-        )
+        reference = _papers_in_file(corpus, args.reference_ids, "--reference-ids")
     else:
         reference = _slice_papers(corpus, args)
 
@@ -299,7 +273,7 @@ def _cmd_relative_cnci(args) -> int:
     relative = normalization.relative_cnci(
         corpus, subunit, reference, args.schema, args.counting
     )
-    payload = {
+    return {
         "schema": args.schema,
         "counting": args.counting,
         "subunit": {"papers": len(subunit), "cnci": rational_json(subunit_cnci, 4)},
@@ -307,8 +281,6 @@ def _cmd_relative_cnci(args) -> int:
         "cnci_ratio": rational_json(subunit_cnci / reference_cnci, 4),
         "relative_cnci": rational_json(relative, 4),
     }
-    _emit(_json_text(payload), args)
-    return 0
 
 
 def _hcp_selection(args):
@@ -331,10 +303,10 @@ def _hcp_selection(args):
     )
 
 
-def _cmd_hcp(args) -> int:
+def _cmd_hcp(args) -> dict:
     _, thresholds, decisions = _hcp_selection(args)
     total = sum((d.weight for d in decisions), Fraction(0))
-    payload = {
+    return {
         "schema": args.schema,
         "top_percent": rational_str(args.top_percent),
         "method": args.method,
@@ -344,13 +316,11 @@ def _cmd_hcp(args) -> int:
         "decisions": [d.to_json_dict() for d in decisions],
         "total_weight": rational_json(total, 2),
     }
-    _emit(_json_text(payload), args)
-    return 0
 
 
-def _cmd_hcp_report(args) -> int:
+def _cmd_hcp_report(args) -> excellence.ExcellenceReport:
     corpus, _, decisions = _hcp_selection(args)
-    report = excellence.hcp_report(
+    return excellence.hcp_report(
         corpus,
         args.schema,
         decisions,
@@ -358,57 +328,55 @@ def _cmd_hcp_report(args) -> int:
         years=args.years,
         doc_types=args.doc_types,
     )
-    _emit_report(report, args)
-    return 0
 
 
-def _cmd_entity_share(args) -> int:
+def _cmd_entity_share(args) -> dict:
     corpus, _, decisions = _hcp_selection(args)
     share = excellence.entity_hcp_share(corpus, args.entity, decisions, args.counting)
     payload = share.to_json_dict()
     payload["top_percent"] = rational_str(args.top_percent)
     payload["method"] = args.method
-    _emit(_json_text(payload), args)
-    return 0
+    return payload
 
 
-def _cmd_simulate(args) -> int:
+def _gen_config(path: str) -> synthesis.GenConfig:
+    """The ``--config`` file as a generator config; any fault in it is a usage error."""
+    import yaml  # only simulate reads YAML; a top-level import slows every start-up
     try:
-        raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
+        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise _UsageError(f"cannot read --config {args.config!r}: {exc}")
+        raise _UsageError(f"cannot read --config {path!r}: {exc}")
     except yaml.YAMLError as exc:
-        raise _UsageError(f"--config {args.config!r} is not valid YAML/JSON: {exc}")
+        raise _UsageError(f"--config {path!r} is not valid YAML/JSON: {exc}")
     if not isinstance(raw or {}, dict):
-        raise _UsageError(f"--config {args.config!r}: top level is not a mapping")
+        raise _UsageError(f"--config {path!r}: top level is not a mapping")
     try:
-        config = synthesis.GenConfig.from_dict(raw or {})
+        return synthesis.GenConfig.from_dict(raw or {})
     except (AttributeError, KeyError, TypeError, ValueError, ComputationError) as exc:
-        raise _UsageError(f"--config {args.config!r}: {exc}")
+        raise _UsageError(f"--config {path!r}: {exc}")
+
+
+def _cmd_simulate(args) -> dict:
+    config = _gen_config(args.config)
+    if args.experiment == "corpus" and not args.out_dir:
+        raise _UsageError("--experiment corpus requires --out-dir")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    if args.experiment == "corpus" and out_dir is None:
-        raise _UsageError("--experiment corpus requires --out-dir")
 
+    summary = {"experiment": args.experiment, "config": config.to_dict()}
     if args.experiment == "corpus":
         corpus = synthesis.generate_corpus(config)
         dump_corpus(corpus, out_dir / "journals.jsonl", out_dir / "papers.jsonl")
-        report = validate(corpus)
-        summary = {
-            "experiment": "corpus",
-            "config": config.to_dict(),
+        summary.update({
             "journals": len(corpus.journals),
             "papers": len(corpus.papers),
-            "validation": report.to_json_dict(),
+            "validation": validate(corpus).to_json_dict(),
             "files": {"journals": "journals.jsonl", "papers": "papers.jsonl"},
-        }
-        trial_lines = None
+        })
     elif args.experiment == "surplus":
         result = synthesis.monte_carlo_surplus(config, args.trials)
-        summary = {
-            "experiment": "surplus",
-            "config": config.to_dict(),
+        summary.update({
             "trials": result.trials,
             "analytic_extras": list(result.analytic_extras),
             "mean_extras": [rational_json(m, 3) for m in result.mean_extras],
@@ -417,15 +385,15 @@ def _cmd_simulate(args) -> int:
             "se_totals": [None if s is None else f"{s:.6g}" for s in result.se_totals],
             "flagged": list(result.flagged),
             "agrees": result.agrees,
-        }
-        trial_lines = ["trial,q1,q2,q3,q4"]
-        for t, row in enumerate(result.per_trial_totals):
-            trial_lines.append(f"{t},{row[0]},{row[1]},{row[2]},{row[3]}")
+        })
+        if out_dir is not None:
+            (out_dir / "trials.csv").write_text("trial,q1,q2,q3,q4\n" + "".join(
+                f"{t},{q1},{q2},{q3},{q4}\n"
+                for t, (q1, q2, q3, q4) in enumerate(result.per_trial_totals)
+            ), encoding="utf-8")
     else:
         result = synthesis.monte_carlo_global_cnci(config, args.trials)
-        summary = {
-            "experiment": "cnci",
-            "config": config.to_dict(),
+        summary.update({
             "trials": result.trials,
             "regimes": {
                 name: {
@@ -438,18 +406,11 @@ def _cmd_simulate(args) -> int:
                 for name, stats in sorted(result.regimes.items())
             },
             "all_pins_hold": result.all_pins_hold,
-        }
-        trial_lines = None
+        })
 
-    text = _json_text(summary)
     if out_dir is not None:
-        (out_dir / "summary.json").write_text(text, encoding="utf-8")
-        if trial_lines is not None:
-            (out_dir / "trials.csv").write_text(
-                "\n".join(trial_lines) + "\n", encoding="utf-8"
-            )
-    sys.stdout.write(text)
-    return 0
+        (out_dir / "summary.json").write_text(_render(summary), encoding="utf-8")
+    return summary
 
 
 # -- parser -----------------------------------------------------------------------
@@ -462,31 +423,25 @@ def build_parser() -> argparse.ArgumentParser:
         "highly cited papers, and synthetic-corpus experiments.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
+    json_csv = ("json", "csv")
 
-    p = sub.add_parser("validate", help="check a corpus against every structural invariant")
-    _corpus_options(p)
-    p.add_argument("--out", help="write results to this file instead of standard output")
-    p.set_defaults(handler=_cmd_validate)
+    _corpus_subcommand(sub, "validate", _cmd_validate,
+                       "check a corpus against every structural invariant", formats=())
 
-    p = sub.add_parser("rank", help="rank one category's journals by their yearly metric")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
+    p = _corpus_subcommand(sub, "rank", _cmd_rank,
+                           "rank one category's journals by their yearly metric",
+                           formats=json_csv)
     p.add_argument("--category", required=True)
     p.add_argument("--year", type=int, required=True)
-    _output_options(p, ("json", "csv"))
-    p.set_defaults(handler=_cmd_rank)
 
-    p = sub.add_parser("percentile", help="percentile position of a journal per category")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
+    p = _corpus_subcommand(sub, "percentile", _cmd_percentile,
+                           "percentile position of a journal per category")
     p.add_argument("--journal", required=True)
     p.add_argument("--year", type=int, required=True)
-    _output_options(p)
-    p.set_defaults(handler=_cmd_percentile)
 
-    p = sub.add_parser("quartiles", help="distribution of journals or papers over quartiles")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
+    p = _corpus_subcommand(sub, "quartiles", _cmd_quartiles,
+                           "distribution of journals or papers over quartiles",
+                           formats=json_csv)
     p.add_argument("--year", type=int, required=True)
     p.add_argument("--level", choices=["journals", "papers"], default="journals")
     p.add_argument("--mode", choices=["per-category", "database-best"], default="per-category")
@@ -494,76 +449,46 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-category-size", type=int, default=0,
         help="skip categories with fewer ranked journals (0 = off)",
     )
-    _output_options(p, ("json", "csv"))
-    p.set_defaults(handler=_cmd_quartiles)
 
-    p = sub.add_parser("baselines", help="expected citation rates per (field, year, type) cell")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--counting", choices=["whole", "fractional"], default="whole")
+    p = _corpus_subcommand(sub, "baselines", _cmd_baselines,
+                           "expected citation rates per (field, year, type) cell",
+                           _counting_option, _slice_options, formats=json_csv)
     p.add_argument(
         "--split-citations", action="store_true",
         help="split citations across fields while counting papers whole",
     )
-    _slice_options(p)
-    _output_options(p, ("json", "csv"))
-    p.set_defaults(handler=_cmd_baselines)
 
-    p = sub.add_parser("cnci", help="global normalized citation impact of a corpus slice")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--counting", choices=["whole", "fractional"], default="whole")
+    p = _corpus_subcommand(sub, "cnci", _cmd_cnci,
+                           "global normalized citation impact of a corpus slice",
+                           _counting_option, _slice_options)
     p.add_argument("--aggregation", choices=["aor", "roa"], default="aor")
     p.add_argument(
         "--split-citations", action="store_true",
         help="split citations across fields (ratio-of-averages with whole counting only)",
     )
     p.add_argument("--per-paper", action="store_true", help="include per-paper values")
-    _slice_options(p)
-    _output_options(p)
-    p.set_defaults(handler=_cmd_cnci)
 
-    p = sub.add_parser(
-        "relative-cnci", help="impact of a subunit normalized by a reference set's baselines"
-    )
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--counting", choices=["whole", "fractional"], default="whole")
+    p = _corpus_subcommand(sub, "relative-cnci", _cmd_relative_cnci,
+                           "impact of a subunit normalized by a reference set's baselines",
+                           _counting_option, _slice_options)
     p.add_argument("--subunit-entity", help="subunit = papers attributed to this entity")
     p.add_argument("--subunit-ids", help="file with one subunit paper id per line")
     p.add_argument("--reference-entity", help="reference = papers attributed to this entity")
     p.add_argument("--reference-ids", help="file with one reference paper id per line")
-    _slice_options(p)
-    _output_options(p)
-    p.set_defaults(handler=_cmd_relative_cnci)
 
-    p = sub.add_parser("hcp", help="highly cited paper thresholds and decisions per cell")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
-    _hcp_options(p)
-    _slice_options(p)
-    _output_options(p)
-    p.set_defaults(handler=_cmd_hcp)
-
-    p = sub.add_parser("hcp-report", help="per-field expected vs actual excellence table")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
-    _hcp_options(p)
-    _slice_options(p)
-    _output_options(p, ("json", "csv"))
-    p.set_defaults(handler=_cmd_hcp_report)
-
-    p = sub.add_parser("entity-share", help="share of an entity's output that is highly cited")
-    _corpus_options(p)
-    p.add_argument("--schema", required=True)
+    _corpus_subcommand(sub, "hcp", _cmd_hcp,
+                       "highly cited paper thresholds and decisions per cell",
+                       _hcp_options, _slice_options)
+    _corpus_subcommand(sub, "hcp-report", _cmd_hcp_report,
+                       "per-field expected vs actual excellence table",
+                       _hcp_options, _slice_options, formats=json_csv)
+    p = _corpus_subcommand(sub, "entity-share", _cmd_entity_share,
+                           "share of an entity's output that is highly cited",
+                           _counting_option, _hcp_options, _slice_options)
     p.add_argument("--entity", required=True)
-    p.add_argument("--counting", choices=["whole", "fractional"], default="whole")
-    _hcp_options(p)
-    _slice_options(p)
-    _output_options(p)
-    p.set_defaults(handler=_cmd_entity_share)
 
     p = sub.add_parser("simulate", help="synthetic corpora and Monte Carlo experiments")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--config", required=True, help="generator config file (YAML or JSON)")
     p.add_argument(
         "--experiment", choices=["surplus", "cnci", "corpus"], required=True,
@@ -571,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_trials, default=1)
     p.add_argument("--out-dir", help="directory for per-trial CSV, summary JSON, corpus files")
-    p.set_defaults(handler=_cmd_simulate)
 
     return parser
 
@@ -584,7 +508,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        return args.handler(args)
+        result = args.handler(args)
     except _UsageError as exc:
         print(f"biblio: error: {exc}", file=sys.stderr)
         return 2
@@ -594,6 +518,15 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"biblio: computation error: {exc}", file=sys.stderr)
         return 3
+    text = _render(result, getattr(args, "format", "json"))
+    if getattr(args, "out", None):
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    if args.subcommand == "validate" and not result["ok"]:
+        print("biblio: corpus has validation findings", file=sys.stderr)
+        return 2
+    return 0
 
 
 def entrypoint() -> None:

@@ -17,7 +17,6 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -121,6 +120,8 @@ class CitationModel:
             raise ComputationError(f"unknown citation model {self.kind!r}")
         if self.kind == "yule" and not self.rho > 0:
             raise ComputationError("yule rho must be positive")
+        if self.shift < 0:
+            raise ComputationError(f"shift must be >= 0, got {self.shift!r}")
 
     @classmethod
     def from_config(cls, raw) -> "CitationModel":
@@ -138,15 +139,25 @@ class CitationModel:
         return {"kind": "yule", "rho": self.rho, "shift": self.shift}
 
     def sample(self, rng: random.Random) -> int:
-        if self.kind == "lognormal":
-            return int(math.exp(rng.gauss(self.mu, self.sigma))) + self.shift
-        # Yule via its exponential-geometric mixture representation.
-        w = rng.expovariate(self.rho)
-        p = math.exp(-w)
-        u = rng.random()
-        if p >= 1.0:
-            return 1 + self.shift
-        return 1 + int(math.log(1.0 - u) / math.log(1.0 - p)) + self.shift
+        """One draw; a draw too large for a float is a :class:`ComputationError`."""
+        try:
+            if self.kind == "lognormal":
+                return int(math.exp(rng.gauss(self.mu, self.sigma))) + self.shift
+            # Yule via its exponential-geometric mixture representation.
+            w = rng.expovariate(self.rho)
+            p = math.exp(-w)
+            u = rng.random()
+            if p >= 1.0:
+                return 1 + self.shift
+            # log(1 - p) is 0.0 once p < 2**-53; falling back to log1p only there
+            # leaves every other draw as it was.
+            log_q = math.log(1.0 - p) or math.log1p(-p)
+            return 1 + int(math.log(1.0 - u) / log_q) + self.shift
+        except (OverflowError, ZeroDivisionError):
+            params = (f"rho {self.rho}" if self.kind == "yule"
+                      else f"mu {self.mu} and sigma {self.sigma}")
+            raise ComputationError(
+                f"{self.kind} draw with {params} is too large to represent") from None
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,9 @@ class GenConfig:
         weights = [w for _, w in self.doc_type_mix]
         if min(weights, default=0) < 0 or not any(weights):
             raise ComputationError("doc_type_mix needs non-negative weights, one positive")
+        if self.multi_field_citation_boost < 0:
+            raise ComputationError("multi_field_citation_boost must be >= 0, "
+                                   f"got {self.multi_field_citation_boost!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenConfig":
@@ -268,6 +282,7 @@ def generate_corpus(config: GenConfig, trial: int | None = None) -> Corpus:
     counts: dict[str, int] = {}
     doc_types = [t for t, _ in config.doc_type_mix]
     weights = [w for _, w in config.doc_type_mix]
+    boost = config.multi_field_citation_boost
     for year in config.years:
         for cat in cats:
             indexes = homes[cat]
@@ -286,8 +301,13 @@ def generate_corpus(config: GenConfig, trial: int | None = None) -> Corpus:
                     pid = f"p{len(papers):06d}"
                     doc_type = rng.choices(doc_types, weights=weights)[0]
                     c = config.citation_model.sample(rng)
-                    if k >= 2 and config.multi_field_citation_boost != 1.0:
-                        c = int(round(c * config.multi_field_citation_boost))
+                    if k >= 2 and boost != 1.0:
+                        try:
+                            c = int(round(c * boost))
+                        except OverflowError:
+                            raise ComputationError(
+                                f"a count times multi_field_citation_boost {boost} "
+                                "is too large to represent") from None
                     counts[pid] = c
                     papers.append(
                         Paper(
@@ -393,6 +413,8 @@ def _run_trials(rows_of, config: GenConfig, trials: int, workers: int | None) ->
     workers = max(1, workers)
     if workers < 2 or trials < 2 * workers:
         return rows_of(config, 0, trials)
+    # Imported here: only runs with two or more workers need it, and it slows start-up.
+    from concurrent.futures import ProcessPoolExecutor
     size = -(-trials // workers)
     starts = range(0, trials, size)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -501,6 +501,15 @@ def test_relative_cnci_id_files(run, corpus_files, simpson, tmp_path):
     assert code == 2
     assert "unknown paper id 'nope'" in err
 
+    missing = tmp_path / "absent.txt"
+    code, out, err = run(
+        "relative-cnci", "--journals", journals, "--papers", papers,
+        "--schema", "subjects",
+        "--subunit-ids", missing, "--reference-entity", "unit-r",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"biblio: load error: cannot read id list {str(missing)!r}: ")
+
 
 # -- hcp family ----------------------------------------------------------------------
 
@@ -834,6 +843,41 @@ def test_simulate_config_values_are_usage_errors(run, tmp_path, line, message):
     code, out, err = run("simulate", "--config", config, "--experiment", "cnci")
     assert (code, out) == (2, "")
     assert err.startswith(f"biblio: error: --config {str(config)!r}: {message}")
+
+
+@pytest.mark.parametrize("lines, expected", [
+    # About 2.6 % of rho 0.1 draws make log(1 - p) exactly 0.0.
+    (["citation_model: {kind: yule, rho: 0.1}", "papers_per_journal: 50"], ""),
+    (["citation_model: {kind: yule, rho: 1.0e-300}"],
+     "biblio: computation error: yule draw with rho 1e-300 is too large to represent\n"),
+    (["citation_model: {mu: 1000}"],
+     "biblio: computation error: lognormal draw with mu 1000.0 and sigma 1.0 "
+     "is too large to represent\n"),
+    (["citation_model: {kind: yule, shift: -1}"], "shift must be >= 0, got -1"),
+    (["multi_field_citation_boost: -2.0", "multi_attribution_prob: 0.5"],
+     "multi_field_citation_boost must be >= 0, got -2.0"),
+    (["citation_model: {kind: yule, rho: 0.01}", "multi_field_citation_boost: 1.0e+300",
+      "multi_attribution_prob: 0.5"],
+     "biblio: computation error: a count times multi_field_citation_boost 1e+300 "
+     "is too large to represent\n"),
+])
+def test_simulate_extreme_citation_models(run, tmp_path, lines, expected):
+    """A well-typed config yields non-negative counts, a usage error (exit 2) or,
+    for a draw too large to represent, a computation error (exit 3)."""
+    config = write_config(tmp_path, CNCI_CONFIG + "".join(line + "\n" for line in lines))
+    out_dir = tmp_path / "corpus"
+    code, _, err = run("simulate", "--config", config, "--experiment", "corpus",
+                       "--out-dir", out_dir)
+    if not expected:
+        assert (code, err) == (0, "")
+        rows = (out_dir / "papers.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 200
+        assert all(json.loads(row)["citations"] >= 1 for row in rows)
+    elif expected.startswith("biblio:"):
+        assert (code, err) == (3, expected)
+    else:
+        assert code == 2
+        assert err == f"biblio: error: --config {str(config)!r}: {expected}\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-3", "x"])

@@ -1,12 +1,13 @@
 import json
+from dataclasses import replace
 from datetime import date
 from fractions import Fraction
 
 import pytest
 
 import corpora
-from biblio import LoadError, dump_corpus, load_corpus
-from biblio.corpus import MONTH
+from biblio import Corpus, LoadError, dump_corpus, load_corpus
+from biblio.corpus import DAY, MONTH
 
 
 def write(path, *lines):
@@ -395,8 +396,16 @@ def test_round_trip_edge_corpus(fmt, reload):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_round_trip_count_corpus(fmt, tmp_path, reload):
-    original = corpora.make_simpson()
-    assert reload(original, fmt=fmt) == original
+    simpson = corpora.make_simpson()
+    # One paper with a day-precision issue date and a page count.
+    papers = [replace(p, pub_date=date(2020, 5, 17), page_count=12) if p.id == "RC1" else p
+              for p in simpson.papers.values()]
+    original = Corpus(simpson.schemas.values(), simpson.journals.values(), papers,
+                      citation_counts=simpson.explicit_counts)
+    again = reload(original, fmt=fmt)
+    rc1 = again.papers["RC1"]
+    assert (rc1.pub_date, rc1.pub_date_precision, rc1.page_count) == (date(2020, 5, 17), DAY, 12)
+    assert again == original
 
 
 def test_round_trip_preserves_month_precision(reload):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,23 @@ def test_volume_metric_coupling():
         ordered = sorted(members, key=lambda j: (-j.metric_by_year[year], j.id))
         drawn = sorted((volumes[j.id] for j in members), reverse=True)
         assert [volumes[j.id] for j in ordered] == drawn
+
+
+def test_uncorrelated_volumes_are_the_same_draws_in_journal_order():
+    def volumes(correlate):
+        config = small_config(
+            multi_attribution_prob=0.0,
+            journals_per_category=SizeDist.fixed(5),
+            papers_per_journal=SizeDist.uniform(1, 30),
+            correlate_volume_with_metric=correlate,
+        )
+        return Counter(p.journal_id for p in generate_corpus(config).papers.values())
+
+    paired, drawn = volumes(True), volumes(False)
+    assert paired != drawn
+    for cat in ("cat01", "cat02", "cat03"):
+        ids = [f"{cat}-j{i:03d}" for i in range(5)]
+        assert sorted(paired[j] for j in ids) == sorted(drawn[j] for j in ids)
 
 
 def test_multi_field_boost_inflates_multi_journal_counts():
