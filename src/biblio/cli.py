@@ -27,7 +27,8 @@ from .rounding import rational_json, rational_str
 
 
 class _UsageError(Exception):
-    """Flags the subcommand cannot run with; exit 2 before any result."""
+    """Flags the subcommand cannot run with, or an output path it cannot
+    write; exit 2."""
 
 
 def _render(result, fmt: str = "json") -> str:
@@ -35,6 +36,17 @@ def _render(result, fmt: str = "json") -> str:
     if fmt == "csv":
         return result.to_csv_text()
     return json_line(result if isinstance(result, dict) else result.to_json_dict()) + "\n"
+
+
+def _write(text: str, out: str | None) -> None:
+    """A rendered result to the ``--out`` file, or to stdout without one."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out!r}: {exc}") from None
 
 
 def _corpus_subcommand(sub, name: str, handler, help: str, *groups, formats=("json",)):
@@ -362,7 +374,10 @@ def _cmd_simulate(args) -> dict:
         raise _UsageError("--experiment corpus requires --out-dir")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"cannot create --out-dir {args.out_dir!r}: {exc}") from None
 
     summary = {"experiment": args.experiment, "config": config.to_dict()}
     if args.experiment == "corpus":
@@ -509,6 +524,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         result = args.handler(args)
+        _write(_render(result, getattr(args, "format", "json")), getattr(args, "out", None))
     except _UsageError as exc:
         print(f"biblio: error: {exc}", file=sys.stderr)
         return 2
@@ -518,11 +534,6 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"biblio: computation error: {exc}", file=sys.stderr)
         return 3
-    text = _render(result, getattr(args, "format", "json"))
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     if args.subcommand == "validate" and not result["ok"]:
         print("biblio: corpus has validation findings", file=sys.stderr)
         return 2

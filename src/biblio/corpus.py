@@ -10,9 +10,9 @@ fail loudly rather than degrade).
 Papers are sliced into (field, year, doc_type) cells per schema; a paper whose
 journal holds k categories under a schema appears in k cells.
 
-The derived indexes (citation counts, cells, ranked cells, citing edges and
-entity output) are built on first use and cached, so a corpus must not be
-mutated once it has been queried.
+The derived indexes (citation counts, cells, ranked cells, citing edges,
+entity output and its fractional weight) are built on first use and cached,
+so a corpus must not be mutated once it has been queried.
 """
 from __future__ import annotations
 
@@ -161,6 +161,7 @@ class Corpus:
         self._counts: dict[str, int] | None = None
         self._in_edges: dict[str, tuple[CitationEdge, ...]] | None = None
         self._entity_papers: dict[str, tuple[Paper, ...]] | None = None
+        self._entity_weights: dict[str, Fraction] = {}
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -294,6 +295,18 @@ class Corpus:
                     index.setdefault(e, []).append(p)
             self._entity_papers = {e: tuple(ps) for e, ps in index.items()}
         return self._entity_papers.get(entity, ())
+
+    def entity_output_weight(self, entity: str) -> Fraction:
+        """The fractional credit of ``entity`` summed over its output, once
+        per entity."""
+        weight = self._entity_weights.get(entity)
+        if weight is None:
+            weight = sum(
+                (self.entity_attribution(p, entity) for p in self.papers_of_entity(entity)),
+                Fraction(0),
+            )
+            self._entity_weights[entity] = weight
+        return weight
 
 
 def _within(cells: dict, years, doc_types) -> dict:

@@ -31,11 +31,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell
 from .errors import ComputationError, EmptyInputError, MissingDateError
-from .rounding import decimal_str, rational_json, rational_str, round_half_up
+from .rounding import _half_up, decimal_str, rational_json, rational_str, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +70,7 @@ class ThresholdResult:
         }
 
 
-@dataclass(frozen=True)
-class HcpDecision:
+class HcpDecision(NamedTuple):
     paper_id: str
     cell: CellKey
     status: str  # FULL | PARTIAL
@@ -80,12 +79,14 @@ class HcpDecision:
     trace: tuple[dict, ...] | None = None  # present iff a tie-breaker fired
 
     def to_json_dict(self) -> dict:
+        weight = self.weight
+        whole = weight is _ONE  # the kernels' full weight; any other 1 renders alike
         return {
             "paper": self.paper_id,
             "cell": self.cell.as_dict(),
             "status": self.status,
-            "weight": rational_str(self.weight),
-            "weight_decimal": decimal_str(self.weight, 2),
+            "weight": "1" if whole else rational_str(weight),
+            "weight_decimal": "1.00" if whole else decimal_str(weight, 2),
             "method": self.method,
             "trace": list(self.trace) if self.trace is not None else None,
         }
@@ -127,9 +128,11 @@ def _share(top_percent: Fraction | int | str) -> Fraction:
 
 
 def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdResult:
-    """The threshold kernel: one index into the ranked counts, two bisections."""
+    """The threshold kernel: one index into the ranked counts, two bisections.
+
+    The quota round_half_up(share * n / 100) is taken in integers."""
     counts = ranked.counts
-    quota = round_half_up(share * len(counts) / 100)
+    quota = _half_up(share.numerator * len(counts), share.denominator * 100)
     if quota == 0:
         return ThresholdResult(
             cell=cell, top_percent=share, quota=0,
@@ -142,6 +145,12 @@ def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdR
         cell=cell, top_percent=share, quota=quota,
         threshold=threshold, above_count=above, tie_count=ties,
     )
+
+
+def _selects(result: ThresholdResult, esi_low_threshold: bool) -> bool:
+    """Whether a cell selects anything: a quota of at least one and, under the
+    ESI-style rule, a threshold above two citations."""
+    return result.quota > 0 and not (esi_low_threshold and result.threshold <= 2)
 
 
 def _classify(result: ThresholdResult, ranked: RankedCell, method: str) -> list[HcpDecision]:
@@ -217,7 +226,9 @@ def tiebreak_trajectory(
 
     The ratio is extended-rational: anything over zero early citations ranks
     above every finite ratio, and a paper with no citations in either window
-    (0/0) ranks below everything. Every in-edge of a candidate must be dated.
+    (0/0) ranks below everything. Every in-edge of a candidate must be dated;
+    the error names a candidate's undated edge with the least citing id, so it
+    does not depend on the order of the edge file.
     """
     TiebreakMethod(TRAJECTORY, early_window, late_window)  # reuse window checks
     in_edges = corpus.in_edges
@@ -227,8 +238,9 @@ def tiebreak_trajectory(
         early = late = 0
         for e in in_edges[p.id]:
             if e.date is None:
+                citing = min(u.citing for u in in_edges[p.id] if u.date is None)
                 raise MissingDateError(
-                    f"edge {e.citing!r}->{e.cited!r} is undated; the trajectory "
+                    f"edge {citing!r}->{p.id!r} is undated; the trajectory "
                     "tie-break needs dated edges for every candidate"
                 )
             offset = e.date.year - p.year
@@ -276,16 +288,20 @@ def provisional_hcp_ids(
     top_percent: Fraction | int | str = 1,
     esi_low_threshold: bool = True,
 ) -> frozenset[str]:
-    """One global inclusive pass over all cells, borderline candidates included.
+    """The papers an inclusive :func:`hcp_run` over all cells selects: each
+    selecting cell's ranked prefix, borderline candidates included.
 
     This is the bootstrap set the citing-excellence tie-break counts against;
     it is computed once, before any tie-breaking, so selection order cannot
     feed back into the evidence.
     """
-    decisions = hcp_run(
-        corpus, schema, top_percent=top_percent, esi_low_threshold=esi_low_threshold
-    )
-    return frozenset(d.paper_id for d in decisions)
+    share = _share(top_percent)
+    ids: set[str] = set()
+    for cell, ranked in corpus.ranked_cells(schema).items():
+        result = _threshold(cell, ranked, share)
+        if _selects(result, esi_low_threshold):
+            ids.update(p.id for p in ranked.papers[:result.above_count + result.tie_count])
+    return frozenset(ids)
 
 
 def _run_method(
@@ -389,7 +405,7 @@ def hcp_selection(
     for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
         result = _threshold(cell, ranked, share)
         thresholds.append(result)
-        if result.quota == 0 or (esi_low_threshold and result.threshold <= 2):
+        if not _selects(result, esi_low_threshold):
             continue
         if method == "quota":
             if not tiebreak_chain:
@@ -448,9 +464,7 @@ def entity_hcp_share(
     if counting == "whole":
         output_weight = Fraction(len(output))
     else:
-        output_weight = sum(
-            (corpus.entity_attribution(p, entity) for p in output), Fraction(0)
-        )
+        output_weight = corpus.entity_output_weight(entity)
         if output_weight == 0:
             raise EmptyInputError(
                 f"entity {entity!r} has zero fractional output weight"
@@ -532,7 +546,7 @@ def hcp_report(
 
     Expected is the rounded share of the field's paper total (summed over the
     same year/doc-type slice the decisions were computed on); actual sums the
-    decision weights landing in the field.
+    decision weights landing in the field, whole weights as integers.
     """
     share = _share(top_percent)
     totals: dict[str, int] = {}
@@ -540,16 +554,22 @@ def hcp_report(
         totals[cell.field] = totals.get(cell.field, 0) + len(papers)
     if not totals:
         raise EmptyInputError(f"no papers under schema {schema!r} in the given slice")
-    actual: dict[str, Fraction] = {f: Fraction(0) for f in totals}
+    whole = dict.fromkeys(totals, 0)
+    partial: dict[str, Fraction] = {}
     for d in decisions:
-        if d.cell.field in actual:
-            actual[d.cell.field] += d.weight
+        field, weight = d.cell.field, d.weight
+        if field not in whole:
+            continue
+        if weight.denominator == 1:
+            whole[field] += weight.numerator
+        else:
+            partial[field] = partial.get(field, 0) + weight
     rows = tuple(
         FieldExcellenceRow(
             field=f,
             total=totals[f],
             expected=round_half_up(share * totals[f] / 100),
-            actual=actual[f],
+            actual=Fraction(whole[f]) + partial.get(f, 0),
         )
         for f in sorted(totals)
     )

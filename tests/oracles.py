@@ -11,7 +11,10 @@ partition per drawn category size, a ``Fraction`` per sampled value, and one
 full ``global_cnci`` per counting regime. Highly-cited selection is done paper
 by paper: each cell is sorted for its threshold and again for its decisions,
 every paper's count is looked up by id, and quota mode filters the whole
-cell for its above and borderline blocks.
+cell for its above and borderline blocks. Two former package definitions
+stay here as well: the provisional HCP set as the ids of an inclusive
+``hcp_run``, and the quota as ``round_half_up`` of the ``Fraction``
+``share * n / 100``.
 Tests freeze their outputs or compare them against the package directly.
 """
 from __future__ import annotations
@@ -23,6 +26,7 @@ from fractions import Fraction
 
 from biblio.corpus import CellKey
 from biblio.errors import ComputationError, EmptyInputError, ZeroBaselineError
+from biblio import excellence
 from biblio.excellence import (
     CHRONOLOGY,
     CITING_EXCELLENCE,
@@ -44,6 +48,7 @@ from biblio.normalization import (
     cnci_paper,
 )
 from biblio.ranking import quartile_partition
+from biblio.rounding import round_half_up
 from biblio.synthesis import REGIMES, generate_corpus
 
 
@@ -437,3 +442,19 @@ def hcp_run(corpus, schema, *, top_percent=1, method="inclusive", esi_low_thresh
         else:
             decisions.extend(classify(corpus, result, papers, method, esi_low_threshold))
     return decisions
+
+
+# -- former package definitions ------------------------------------------------------
+
+
+def rational_quota(top_percent, n: int) -> int:
+    """The quota of a cell of ``n`` papers, rounded from its exact ``Fraction``."""
+    return round_half_up(Fraction(top_percent) * n / 100)
+
+
+def provisional_from_hcp_run(corpus, schema, top_percent=1, esi_low_threshold=True):
+    """The provisional HCP set as the ids of the package's inclusive ``hcp_run``."""
+    decisions = excellence.hcp_run(
+        corpus, schema, top_percent=top_percent, esi_low_threshold=esi_low_threshold
+    )
+    return frozenset(d.paper_id for d in decisions)

@@ -705,6 +705,29 @@ def test_out_flag_writes_the_file_instead_of_stdout(run, corpus_files, two_paper
     assert body["value"]["rational"] == "11/12"
 
 
+def test_out_file_in_a_missing_directory_is_a_usage_error(run, corpus_files, two_papers,
+                                                         tmp_path):
+    journals, papers, _ = corpus_files(two_papers)
+    target = tmp_path / "missing" / "dir" / "out.json"
+    code, out, err = run("validate", "--journals", journals, "--papers", papers,
+                         "--out", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"biblio: error: cannot write --out {str(target)!r}: ")
+    assert err.count("\n") == 1 and not target.parent.exists()
+
+
+@pytest.mark.parametrize("under", ["file", "file/runs"])
+def test_out_dir_at_or_under_a_file_is_a_usage_error(run, tmp_path, under):
+    config = write_config(tmp_path, SURPLUS_CONFIG)
+    (tmp_path / "file").write_text("taken\n", encoding="utf-8")
+    out_dir = tmp_path / under
+    code, out, err = run("simulate", "--config", config, "--experiment", "surplus",
+                         "--out-dir", out_dir)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"biblio: error: cannot create --out-dir {str(out_dir)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_reruns_are_byte_identical(run, corpus_files, avgpct):
     journals, papers, _ = corpus_files(avgpct)
     for argv in (

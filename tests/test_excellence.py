@@ -31,6 +31,8 @@ from biblio import (
     tiebreak_trajectory,
 )
 from biblio.corpus import CellKey
+from biblio.excellence import _ONE
+from biblio.rounding import decimal_str, rational_str
 
 S = corpora.SCHEMA
 FICT = CellKey("fict", 2019, "article")
@@ -299,6 +301,18 @@ def test_trajectory_requires_dated_edges():
         tiebreak_trajectory(corpus, [corpus.papers["P1"]])
 
 
+def test_trajectory_names_the_same_undated_edge_in_any_edge_order():
+    journals = [Journal("jf", {"f": ("fict",)}, {}), Journal("jx", {}, {})]
+    papers = [Paper("P1", "jf", 2011, "article")]
+    papers += [Paper(x, "jx", 2012, "article") for x in ("x1", "x2", "x3")]
+    edges = [CitationEdge("x3", "P1"), CitationEdge("x1", "P1", date(2012, 6, 1)),
+             CitationEdge("x2", "P1")]
+    for ordered in (edges, edges[::-1]):
+        corpus = Corpus([SchemaInfo("f", True)], journals, papers, ordered)
+        with pytest.raises(MissingDateError, match="^edge 'x2'->'P1' is undated"):
+            tiebreak_trajectory(corpus, [corpus.papers["P1"]])
+
+
 def test_trajectory_window_validation():
     with pytest.raises(ComputationError):
         TiebreakMethod("trajectory", early_window=(0, 5), late_window=(4, 9))
@@ -562,6 +576,32 @@ def test_public_kernels_match_the_oracle_on_shuffled_papers(world, top, chain, e
         assert got == want, options
 
 
+special_shares = st.sampled_from([Fraction(1, 3), "12.5", 100])
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=300),
+    special_shares | shares,
+    st.booleans(),
+)
+def test_integer_quota_matches_the_rational_rounding(counts, top, esi):
+    (result,), _ = hcp_selection(one_cell(counts), "f", top_percent=top, esi_low_threshold=esi)
+    assert result.quota == oracles.rational_quota(top, len(counts))
+
+
+@given(hcp_worlds(), special_shares | shares, st.booleans())
+def test_provisional_ids_are_the_ids_of_an_inclusive_run(world, top, esi):
+    want = oracles.provisional_from_hcp_run(world(), "f", top, esi)
+    assert provisional_hcp_ids(world(), "f", top, esi) == want
+
+
+def test_provisional_ids_reject_a_bad_share(hundred):
+    for bad in (0, 101):
+        got = oracles.outcome(lambda: provisional_hcp_ids(hundred, "f", bad))
+        assert got == oracles.outcome(lambda: oracles.provisional_from_hcp_run(hundred, "f", bad))
+        assert got[0] is ComputationError
+
+
 def test_methods_go_unchecked_when_every_cell_has_quota_zero():
     corpus = one_cell([5] * 10)  # top 1 % of 10 papers rounds to nothing
     assert hcp_run(corpus, "f", method="bogus") == []
@@ -625,6 +665,22 @@ def test_entity_share_uses_decision_weights():
     assert fractional.hcp_weight == Fraction(6, 10) * Fraction(3, 10)
 
 
+def test_fractional_entity_share_repeats_exactly():
+    corpus = entity_corpus()
+    decisions = [HcpDecision("h1", FICT, "PARTIAL", Fraction(6, 10), "fractional_ws")]
+    first = entity_hcp_share(corpus, "E", decisions, "fractional")
+    attribution = corpus.entity_attribution
+    calls = []
+    corpus.entity_attribution = lambda p, e: calls.append(p.id) or attribution(p, e)
+    assert entity_hcp_share(corpus, "E", decisions, "fractional") == first
+    assert calls == ["h1"]  # the output weight comes from the cache
+    assert entity_hcp_share(entity_corpus(), "E", decisions, "fractional") == first
+    fresh = entity_corpus()
+    assert fresh.entity_output_weight("E") == sum(
+        fresh.entity_attribution(p, "E") for p in fresh.papers_of_entity("E")
+    ) == first.output_weight
+
+
 def test_entity_share_errors():
     corpus = entity_corpus()
     with pytest.raises(EmptyInputError):
@@ -673,7 +729,43 @@ def test_unaffiliated_author_share_leaks():
     assert corpus.entity_attribution(p, "E1") == Fraction(1, 2)
 
 
-# -- reports -----------------------------------------------------------------------
+# -- rendering and reports -----------------------------------------------------------
+
+
+def test_decision_json_renders_every_whole_weight_alike():
+    rendered = [
+        HcpDecision("p", FICT, "full", weight, "inclusive").to_json_dict()
+        for weight in (_ONE, Fraction(1), Fraction(2, 2))
+    ]
+    assert rendered[0] == rendered[1] == rendered[2]
+    assert (rendered[0]["weight"], rendered[0]["weight_decimal"]) == ("1", "1.00")
+
+
+@given(st.fractions(min_value=0, max_value=3))
+def test_decision_json_renders_other_weights_exactly(weight):
+    body = HcpDecision("p", FICT, "fractional", weight, "fractional_ws").to_json_dict()
+    assert (body["weight"], body["weight_decimal"]) == (rational_str(weight), decimal_str(weight, 2))
+
+
+weights = st.sampled_from([_ONE, Fraction(1), Fraction(2, 2), Fraction(3)]) | st.fractions(
+    min_value=0, max_value=1
+)
+
+
+@given(hcp_worlds(), st.data())
+def test_report_sums_mixed_weights_exactly(world, data):
+    corpus = world()
+    cells = [*corpus.cells("f"), CellKey("elsewhere", 2010, "article")]
+    decisions = data.draw(st.lists(st.builds(
+        lambda cell, weight: HcpDecision("p", cell, "full", weight, "inclusive"),
+        st.sampled_from(cells), weights,
+    ), max_size=30))
+    report = hcp_report(corpus, "f", decisions, top_percent=10)
+    for row in report.rows:
+        want = sum((d.weight for d in decisions if d.cell.field == row.field), Fraction(0))
+        assert row.actual == want and type(row.actual) is Fraction
+
+
 
 
 def test_hundred_cell_report_without_low_threshold_rule(hundred):
