@@ -13,6 +13,7 @@ any corpus is read, and ``--schema`` against the corpus's registry right after.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -38,15 +39,22 @@ def _render(result, fmt: str = "json") -> str:
     return json_line(result if isinstance(result, dict) else result.to_json_dict()) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(flag: str, path):
+    """Writes under an output flag; a path that cannot be written is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {flag} {str(path)!r}: {exc}") from None
+
+
 def _write(text: str, out: str | None) -> None:
     """A rendered result to the ``--out`` file, or to stdout without one."""
     if not out:
         sys.stdout.write(text)
         return
-    try:
+    with _writing("--out", out):
         Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot write --out {out!r}: {exc}") from None
 
 
 def _corpus_subcommand(sub, name: str, handler, help: str, *groups, formats=("json",)):
@@ -374,15 +382,14 @@ def _cmd_simulate(args) -> dict:
         raise _UsageError("--experiment corpus requires --out-dir")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
-        try:
+        with _writing("--out-dir", out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise _UsageError(f"cannot create --out-dir {args.out_dir!r}: {exc}") from None
 
     summary = {"experiment": args.experiment, "config": config.to_dict()}
     if args.experiment == "corpus":
         corpus = synthesis.generate_corpus(config)
-        dump_corpus(corpus, out_dir / "journals.jsonl", out_dir / "papers.jsonl")
+        with _writing("--out-dir", out_dir):
+            dump_corpus(corpus, out_dir / "journals.jsonl", out_dir / "papers.jsonl")
         summary.update({
             "journals": len(corpus.journals),
             "papers": len(corpus.papers),
@@ -402,10 +409,11 @@ def _cmd_simulate(args) -> dict:
             "agrees": result.agrees,
         })
         if out_dir is not None:
-            (out_dir / "trials.csv").write_text("trial,q1,q2,q3,q4\n" + "".join(
-                f"{t},{q1},{q2},{q3},{q4}\n"
-                for t, (q1, q2, q3, q4) in enumerate(result.per_trial_totals)
-            ), encoding="utf-8")
+            with _writing("--out-dir", out_dir):
+                (out_dir / "trials.csv").write_text("trial,q1,q2,q3,q4\n" + "".join(
+                    f"{t},{q1},{q2},{q3},{q4}\n"
+                    for t, (q1, q2, q3, q4) in enumerate(result.per_trial_totals)
+                ), encoding="utf-8")
     else:
         result = synthesis.monte_carlo_global_cnci(config, args.trials)
         summary.update({
@@ -424,7 +432,8 @@ def _cmd_simulate(args) -> dict:
         })
 
     if out_dir is not None:
-        (out_dir / "summary.json").write_text(_render(summary), encoding="utf-8")
+        with _writing("--out-dir", out_dir):
+            (out_dir / "summary.json").write_text(_render(summary), encoding="utf-8")
     return summary
 
 

@@ -716,15 +716,24 @@ def test_out_file_in_a_missing_directory_is_a_usage_error(run, corpus_files, two
     assert err.count("\n") == 1 and not target.parent.exists()
 
 
-@pytest.mark.parametrize("under", ["file", "file/runs"])
-def test_out_dir_at_or_under_a_file_is_a_usage_error(run, tmp_path, under):
-    config = write_config(tmp_path, SURPLUS_CONFIG)
-    (tmp_path / "file").write_text("taken\n", encoding="utf-8")
+@pytest.mark.parametrize("experiment, under, taken", [
+    ("surplus", "file", "file"),  # --out-dir is a file
+    ("surplus", "file/runs", "file"),  # --out-dir lies under a file
+    ("surplus", "runs", "runs/trials.csv/"),  # a file it writes is a directory
+    ("cnci", "runs", "runs/summary.json/"),
+    ("corpus", "runs", "runs/papers.jsonl/"),
+])
+def test_unwritable_out_dir_is_a_usage_error(run, tmp_path, experiment, under, taken):
+    config = write_config(tmp_path, CNCI_CONFIG)
+    if taken.endswith("/"):
+        (tmp_path / taken).mkdir(parents=True)
+    else:
+        (tmp_path / taken).write_text("taken\n", encoding="utf-8")
     out_dir = tmp_path / under
-    code, out, err = run("simulate", "--config", config, "--experiment", "surplus",
+    code, out, err = run("simulate", "--config", config, "--experiment", experiment,
                          "--out-dir", out_dir)
     assert (code, out) == (2, "")
-    assert err.startswith(f"biblio: error: cannot create --out-dir {str(out_dir)!r}: ")
+    assert err.startswith(f"biblio: error: cannot write --out-dir {str(out_dir)!r}: ")
     assert err.count("\n") == 1
 
 
