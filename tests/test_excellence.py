@@ -20,19 +20,20 @@ from biblio import (
     Paper,
     SchemaInfo,
     TiebreakMethod,
+    decimal_str,
     entity_hcp_share,
     hcp_report,
     hcp_run,
     hcp_selection,
     parse_tiebreak_chain,
     provisional_hcp_ids,
+    rational_str,
     tiebreak_chronology,
     tiebreak_citing_excellence,
     tiebreak_trajectory,
 )
 from biblio.corpus import CellKey
 from biblio.excellence import _ONE
-from biblio.rounding import decimal_str, rational_str
 
 S = corpora.SCHEMA
 FICT = CellKey("fict", 2019, "article")
