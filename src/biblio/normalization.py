@@ -155,15 +155,22 @@ def _cell_sums(corpus: Corpus, papers: Iterable[Paper], schema: str):
         group = groups[p.journal_id, p.year, p.doc_type]
         group[0] += 1
         group[1] += counts[p.id]
+    sums = _cells_of_groups(groups, lambda journal_id: corpus.categories_of(journal_id, schema))
+    return sums, not all(corpus.categories_of(j, schema) for j, _, _ in groups)
+
+
+def _cells_of_groups(groups, fields_of) -> dict[CellKey, dict[int, list[int]]]:
+    """{cell: {k: [papers, citations]}} from {(journal, year, doc_type): [papers,
+    citations]}; ``fields_of(journal)`` gives the journal's fields, hence k."""
     sums: dict[CellKey, dict[int, list[int]]] = {}
-    for (journal_id, year, doc_type), (n, c) in groups.items():
-        fields = corpus.categories_of(journal_id, schema)
+    for (journal, year, doc_type), (n, c) in groups.items():
+        fields = fields_of(journal)
         for f in fields:
             per_k = sums.setdefault(CellKey(f, year, doc_type), {})
             total = per_k.setdefault(len(fields), [0, 0])
             total[0] += n
             total[1] += c
-    return sums, not all(corpus.categories_of(j, schema) for j, _, _ in groups)
+    return sums
 
 
 def _masses(per_k: dict[int, list[int]], split_citations: bool, fractional: bool):
@@ -261,11 +268,20 @@ def global_cnci_regimes(
 ) -> list[tuple[Fraction, BaselineTable]]:
     """``global_cnci`` under each regime in turn, with the baseline table it used.
 
-    One pass sums the corpus per cell, and regimes that share a counting scheme
-    and citation split share one table, so extra regimes cost a few Fraction
-    operations per cell each.
+    One pass sums the corpus per cell for :func:`global_cnci_of_sums`.
     """
     sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
+    return global_cnci_of_sums(sums, schema, configs, years, doc_types)
+
+
+def global_cnci_of_sums(
+    sums, schema: str, configs: Iterable[CnciConfig], years=None, doc_types=None
+) -> list[tuple[Fraction, BaselineTable]]:
+    """``global_cnci_regimes`` of a closed corpus given by its per-cell sums.
+
+    Regimes that share a counting scheme and citation split share one table, so
+    extra regimes cost a few Fraction operations per cell each.
+    """
     sliced = {key: per_k for key, per_k in sums.items() if key.within(years, doc_types)}
     n = sum(Fraction(m, k) for per_k in sliced.values() for k, (m, _) in per_k.items())
     tables: dict[tuple[str, bool], BaselineTable] = {}

@@ -16,13 +16,15 @@ from __future__ import annotations
 import math
 import os
 import random
-from collections import Counter
+from bisect import bisect
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
 from .errors import ComputationError
-from .normalization import CnciConfig, global_cnci_regimes
+from .normalization import CnciConfig, _cells_of_groups, global_cnci_of_sums
 from .ranking import quartile_partition
 from .rounding import round_half_up
 
@@ -55,6 +57,8 @@ class SizeDist:
             raise ComputationError(f"unknown size distribution {self.kind!r}")
         if self.kind == "uniform" and self.low > self.high:
             raise ComputationError("uniform range must have low <= high")
+        if min(self.value, self.low) < 0:
+            raise ComputationError(f"sizes must be integers >= 0, got {self.to_config()!r}")
 
     @classmethod
     def fixed(cls, value: int) -> "SizeDist":
@@ -80,10 +84,22 @@ class SizeDist:
             return {"fixed": self.value}
         return {"uniform": [self.low, self.high]}
 
-    def sample(self, rng: random.Random) -> int:
+    def draws(self, rng: random.Random, n: int) -> list[int]:
+        """``n`` sizes: a fixed spec draws nothing; a uniform one gives exactly what
+        ``n`` calls of ``Random.randint(low, high)`` give, by the same rejection of
+        ``getrandbits(span.bit_length())`` values at or above the span."""
         if self.kind == "fixed":
-            return self.value
-        return rng.randint(self.low, self.high)
+            return [self.value] * n
+        low, span = self.low, self.high - self.low + 1
+        bits, getrandbits = span.bit_length(), rng.getrandbits
+        sizes: list[int] = []
+        append = sizes.append
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            append(low + r)
+        return sizes
 
     def remainder_weights(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Exact distribution of size mod 4 under this spec."""
@@ -189,6 +205,8 @@ class GenConfig:
         weights = [w for _, w in self.doc_type_mix]
         if min(weights, default=0) < 0 or not any(weights):
             raise ComputationError("doc_type_mix needs non-negative weights, one positive")
+        if not math.isfinite(list(accumulate(weights))[-1]):  # as rng.choices adds them
+            raise ComputationError("doc_type_mix weights must have a finite total")
         if self.multi_field_citation_boost < 0:
             raise ComputationError("multi_field_citation_boost must be >= 0, "
                                    f"got {self.multi_field_citation_boost!r}")
@@ -196,14 +214,17 @@ class GenConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "GenConfig":
         def get(key, kind, *default):
-            return _typed(raw.get(key, *default) if default else raw[key], kind, key)
+            if key not in raw and not default:
+                raise ComputationError(f"missing required key {key!r}")
+            value = raw.get(key, *default)
+            return SizeDist.from_config(value) if kind is SizeDist else _typed(value, kind, key)
 
         mix = get("doc_type_mix", dict, {"article": 1.0})
         return cls(
             seed=get("seed", int),
             num_categories=get("num_categories", int),
-            journals_per_category=SizeDist.from_config(raw["journals_per_category"]),
-            papers_per_journal=SizeDist.from_config(raw["papers_per_journal"]),
+            journals_per_category=get("journals_per_category", SizeDist),
+            papers_per_journal=get("papers_per_journal", SizeDist),
             multi_attribution_prob=get("multi_attribution_prob", float, 0.0),
             max_categories_per_journal=get("max_categories_per_journal", int, 3),
             citation_model=CitationModel.from_config(get("citation_model", dict, {})),
@@ -237,6 +258,63 @@ def _stream(config: GenConfig, label: str) -> random.Random:
     return random.Random(f"{config.seed}/{label}")
 
 
+def _draw(config: GenConfig, trial: int | None):
+    """Every draw of one corpus, in the order the stream is consumed: journal ids,
+    category lists and {year: metric}, then one (journal index, year, doc-type index,
+    citations) row per paper, in paper-id order.
+
+    Metrics are ``round(x, 3)`` floats: their shortest repr is monotone, so they
+    sort as the ``Fraction`` of that repr does. A doc type is the bisection of
+    ``random() * total`` in the cumulative weights, which is ``rng.choices``."""
+    rng = _stream(config, "corpus" if trial is None else f"corpus/{trial}")
+    cats = [f"cat{i:02d}" for i in range(1, config.num_categories + 1)]
+    journal_ids: list[str] = []
+    categories: list[list[str]] = []
+    homes: dict[str, range] = {}
+    for cat, count in zip(cats, config.journals_per_category.draws(rng, len(cats))):
+        homes[cat] = range(len(journal_ids), len(journal_ids) + count)
+        journal_ids += [f"{cat}-j{j:03d}" for j in range(count)]
+        categories += [[cat] for _ in range(count)]
+    for cat_list in categories:
+        while (
+            len(cat_list) < config.max_categories_per_journal
+            and len(cat_list) < len(cats)
+            and rng.random() < config.multi_attribution_prob
+        ):
+            foreign = [c for c in cats if c not in cat_list]
+            cat_list.append(rng.choice(foreign))
+    metrics = [{y: round(rng.lognormvariate(0.0, 0.5), 3) for y in config.years}
+               for _ in journal_ids]
+
+    cum_weights = list(accumulate(w for _, w in config.doc_type_mix))
+    total, last = cum_weights[-1] + 0.0, len(cum_weights) - 1
+    random_, sample = rng.random, config.citation_model.sample
+    boost = config.multi_field_citation_boost
+    papers: list[tuple[int, int, int, int]] = []
+    for year in config.years:
+        for cat, indexes in homes.items():
+            volumes = config.papers_per_journal.draws(rng, len(indexes))
+            if config.correlate_volume_with_metric:
+                by_metric = sorted(indexes, key=lambda i: (-metrics[i][year], journal_ids[i]))
+                paired = dict(zip(by_metric, sorted(volumes, reverse=True)))
+            else:
+                paired = dict(zip(indexes, volumes))
+            for index in indexes:
+                boosted = len(categories[index]) >= 2 and boost != 1.0
+                for _ in range(paired[index]):
+                    doc_type = bisect(cum_weights, random_() * total, 0, last)
+                    c = sample(rng)
+                    if boosted:
+                        try:
+                            c = int(round(c * boost))
+                        except OverflowError:
+                            raise ComputationError(
+                                f"a count times multi_field_citation_boost {boost} "
+                                "is too large to represent") from None
+                    papers.append((index, year, doc_type, c))
+    return journal_ids, categories, metrics, papers
+
+
 def generate_corpus(config: GenConfig, trial: int | None = None) -> Corpus:
     """Build a synthetic corpus; identical (config, trial) gives identical bytes.
 
@@ -245,90 +323,24 @@ def generate_corpus(config: GenConfig, trial: int | None = None) -> Corpus:
     When volume correlation is on, within each home category the journals with
     the higher metric publish the larger drawn volumes.
     """
-    rng = _stream(config, "corpus" if trial is None else f"corpus/{trial}")
-    cats = [f"cat{i:02d}" for i in range(1, config.num_categories + 1)]
+    journal_ids, categories, metrics, rows = _draw(config, trial)
     schema = config.schema_name
-
-    journals: list[Journal] = []
-    homes: dict[str, list[int]] = {c: [] for c in cats}
-    memberships: list[list[str]] = []
-    for cat in cats:
-        for j in range(config.journals_per_category.sample(rng)):
-            homes[cat].append(len(journals))
-            memberships.append([cat])
-            journals.append(None)  # placeholder; filled after categories settle
-    for index, cat_list in enumerate(memberships):
-        while (
-            len(cat_list) < config.max_categories_per_journal
-            and len(cat_list) < len(cats)
-            and rng.random() < config.multi_attribution_prob
-        ):
-            foreign = [c for c in cats if c not in cat_list]
-            cat_list.append(rng.choice(foreign))
-
-    metrics: list[dict[int, Fraction]] = []
-    for index, cat_list in enumerate(memberships):
-        metrics.append(
-            {y: Fraction(str(round(rng.lognormvariate(0.0, 0.5), 3))) for y in config.years}
-        )
-    for index, cat_list in enumerate(memberships):
-        home = cat_list[0]
-        jid = f"{home}-j{homes[home].index(index):03d}"
-        journals[index] = Journal(
-            id=jid, categories={schema: tuple(cat_list)}, metric_by_year=metrics[index]
-        )
-
+    journals = [
+        Journal(id=jid, categories={schema: tuple(cat_list)},
+                metric_by_year={y: Fraction(str(m)) for y, m in metric.items()})
+        for jid, cat_list, metric in zip(journal_ids, categories, metrics)
+    ]
+    doc_types = [t for t, _ in config.doc_type_mix]
     papers: list[Paper] = []
     counts: dict[str, int] = {}
-    doc_types = [t for t, _ in config.doc_type_mix]
-    weights = [w for _, w in config.doc_type_mix]
-    boost = config.multi_field_citation_boost
-    for year in config.years:
-        for cat in cats:
-            indexes = homes[cat]
-            volumes = [config.papers_per_journal.sample(rng) for _ in indexes]
-            if config.correlate_volume_with_metric:
-                by_metric = sorted(
-                    indexes, key=lambda i: (-metrics[i][year], journals[i].id)
-                )
-                paired = dict(zip(by_metric, sorted(volumes, reverse=True)))
-            else:
-                paired = dict(zip(indexes, volumes))
-            for index in indexes:
-                journal = journals[index]
-                k = len(journal.categories[schema])
-                for _ in range(paired[index]):
-                    pid = f"p{len(papers):06d}"
-                    doc_type = rng.choices(doc_types, weights=weights)[0]
-                    c = config.citation_model.sample(rng)
-                    if k >= 2 and boost != 1.0:
-                        try:
-                            c = int(round(c * boost))
-                        except OverflowError:
-                            raise ComputationError(
-                                f"a count times multi_field_citation_boost {boost} "
-                                "is too large to represent") from None
-                    counts[pid] = c
-                    papers.append(
-                        Paper(
-                            id=pid,
-                            journal_id=journal.id,
-                            year=year,
-                            doc_type=doc_type,
-                            authors=(
-                                AuthorCredit(f"au-{pid}", (f"org-{journal.id}",)),
-                            ),
-                        )
-                    )
-
+    for n, (index, year, doc_type, c) in enumerate(rows):
+        pid, jid = f"p{n:06d}", journal_ids[index]
+        counts[pid] = c
+        papers.append(Paper(id=pid, journal_id=jid, year=year, doc_type=doc_types[doc_type],
+                            authors=(AuthorCredit(f"au-{pid}", (f"org-{jid}",)),)))
     info = SchemaInfo(name=schema, single_attribution=config.multi_attribution_prob == 0.0)
-    return Corpus(
-        schemas=[info],
-        journals=journals,
-        papers=papers,
-        edges=None,
-        citation_counts=counts,
-    )
+    return Corpus(schemas=[info], journals=journals, papers=papers, edges=None,
+                  citation_counts=counts)
 
 
 # -- quartile surplus -----------------------------------------------------------
@@ -429,8 +441,7 @@ def _surplus_rows(config: GenConfig, start: int, stop: int):
     spec = config.journals_per_category
     rows = []
     for t in range(start, stop):
-        rng = _stream(config, f"surplus/{t}")
-        sizes = Counter(spec.sample(rng) for _ in range(config.num_categories))
+        sizes = Counter(spec.draws(_stream(config, f"surplus/{t}"), config.num_categories))
         totals = [0, 0, 0, 0]
         for size, times in sizes.items():
             counts = quartile_partition(size).counts
@@ -547,10 +558,19 @@ class CnciMonteCarlo:
 
 
 def _cnci_rows(config: GenConfig, start: int, stop: int):
+    """Global CNCI of each trial's corpus under every regime, from its drawn rows
+    summed per (journal, year, doc type) and then per cell; no ``Corpus`` is built."""
+    doc_types = [t for t, _ in config.doc_type_mix]
     rows = []
     for t in range(start, stop):
-        corpus = generate_corpus(config, trial=t)
-        values = global_cnci_regimes(corpus, config.schema_name, _REGIME_CONFIGS)
+        _, categories, _, papers = _draw(config, t)
+        groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
+        for index, year, doc_type, c in papers:
+            group = groups[index, year, doc_types[doc_type]]
+            group[0] += 1
+            group[1] += c
+        sums = _cells_of_groups(groups, categories.__getitem__)
+        values = global_cnci_of_sums(sums, config.schema_name, _REGIME_CONFIGS)
         rows.append({regime[0]: value for regime, (value, _) in zip(REGIMES, values)})
     return rows
 

@@ -6,9 +6,12 @@ the midpoint-of-worse-items counting argument, and quartile surpluses come
 from exact enumeration of the size distribution. Baselines and set-level
 CNCI are the per-paper definitions: one exact ``Fraction`` update per paper
 and field, against which the package's per-cell integer sums are checked.
-The Monte Carlo trial kernels keep their one-call-per-draw forms: a quartile
-partition per drawn category size, a ``Fraction`` per sampled value, and one
-full ``global_cnci`` per counting regime. Highly-cited selection is done paper
+The Monte Carlo trial kernels keep their one-call-per-draw forms: the
+corpus generator in its first form (a ``randint`` per drawn size, a
+``choices`` per doc type, a ``Fraction`` metric per journal and year, and a
+``Paper`` per draw), a quartile partition per drawn category size, a
+``Fraction`` per sampled value, and one full ``global_cnci`` per counting regime
+on the generated ``Corpus``. Highly-cited selection is done paper
 by paper: each cell is sorted for its threshold and again for its decisions,
 every paper's count is looked up by id, and quota mode filters the whole
 cell for its above and borderline blocks. Two former package definitions
@@ -24,7 +27,7 @@ import math
 import random
 from fractions import Fraction
 
-from biblio.corpus import CellKey
+from biblio.corpus import AuthorCredit, CellKey, Corpus, Journal, Paper, SchemaInfo
 from biblio.errors import ComputationError, EmptyInputError, ZeroBaselineError
 from biblio import excellence
 from biblio.excellence import (
@@ -49,7 +52,7 @@ from biblio.normalization import (
 )
 from biblio.ranking import quartile_partition
 from biblio.rounding import round_half_up
-from biblio.synthesis import REGIMES, generate_corpus
+from biblio.synthesis import REGIMES
 
 
 def outcome(call):
@@ -271,6 +274,100 @@ def relative_cnci(corpus, subunit, reference, schema, counting=WHOLE) -> Fractio
 # -- Monte Carlo trials, one call per draw ---------------------------------------
 
 
+def size(spec, rng) -> int:
+    """One draw of a size spec: ``randint`` over a uniform range, nothing for a fixed one."""
+    return spec.value if spec.kind == "fixed" else rng.randint(spec.low, spec.high)
+
+
+def generate_corpus(config, trial=None) -> Corpus:
+    """The synthetic corpus of (config, trial), drawn one call at a time: a
+    ``randint`` per size, a ``choices`` per doc type and a ``Fraction`` per metric."""
+    rng = random.Random(f"{config.seed}/" + ("corpus" if trial is None else f"corpus/{trial}"))
+    cats = [f"cat{i:02d}" for i in range(1, config.num_categories + 1)]
+    schema = config.schema_name
+
+    journals: list[Journal] = []
+    homes: dict[str, list[int]] = {c: [] for c in cats}
+    memberships: list[list[str]] = []
+    for cat in cats:
+        for j in range(size(config.journals_per_category, rng)):
+            homes[cat].append(len(journals))
+            memberships.append([cat])
+            journals.append(None)  # placeholder; filled after categories settle
+    for index, cat_list in enumerate(memberships):
+        while (
+            len(cat_list) < config.max_categories_per_journal
+            and len(cat_list) < len(cats)
+            and rng.random() < config.multi_attribution_prob
+        ):
+            foreign = [c for c in cats if c not in cat_list]
+            cat_list.append(rng.choice(foreign))
+
+    metrics: list[dict[int, Fraction]] = []
+    for index, cat_list in enumerate(memberships):
+        metrics.append(
+            {y: Fraction(str(round(rng.lognormvariate(0.0, 0.5), 3))) for y in config.years}
+        )
+    for index, cat_list in enumerate(memberships):
+        home = cat_list[0]
+        jid = f"{home}-j{homes[home].index(index):03d}"
+        journals[index] = Journal(
+            id=jid, categories={schema: tuple(cat_list)}, metric_by_year=metrics[index]
+        )
+
+    papers: list[Paper] = []
+    counts: dict[str, int] = {}
+    doc_types = [t for t, _ in config.doc_type_mix]
+    weights = [w for _, w in config.doc_type_mix]
+    boost = config.multi_field_citation_boost
+    for year in config.years:
+        for cat in cats:
+            indexes = homes[cat]
+            volumes = [size(config.papers_per_journal, rng) for _ in indexes]
+            if config.correlate_volume_with_metric:
+                by_metric = sorted(
+                    indexes, key=lambda i: (-metrics[i][year], journals[i].id)
+                )
+                paired = dict(zip(by_metric, sorted(volumes, reverse=True)))
+            else:
+                paired = dict(zip(indexes, volumes))
+            for index in indexes:
+                journal = journals[index]
+                k = len(journal.categories[schema])
+                for _ in range(paired[index]):
+                    pid = f"p{len(papers):06d}"
+                    doc_type = rng.choices(doc_types, weights=weights)[0]
+                    c = config.citation_model.sample(rng)
+                    if k >= 2 and boost != 1.0:
+                        try:
+                            c = int(round(c * boost))
+                        except OverflowError:
+                            raise ComputationError(
+                                f"a count times multi_field_citation_boost {boost} "
+                                "is too large to represent") from None
+                    counts[pid] = c
+                    papers.append(
+                        Paper(
+                            id=pid,
+                            journal_id=journal.id,
+                            year=year,
+                            doc_type=doc_type,
+                            authors=(
+                                AuthorCredit(f"au-{pid}", (f"org-{journal.id}",)),
+                            ),
+                        )
+                    )
+
+    info = SchemaInfo(name=schema, single_attribution=config.multi_attribution_prob == 0.0)
+    return Corpus(
+        schemas=[info],
+        journals=journals,
+        papers=papers,
+        edges=None,
+        citation_counts=counts,
+    )
+
+
 def surplus_rows(config, start, stop):
     """Per-quartile journal totals of trials start..stop-1: one partition per
     drawn category size, from the trial's own stream."""
@@ -279,7 +376,7 @@ def surplus_rows(config, start, stop):
         rng = random.Random(f"{config.seed}/surplus/{t}")
         totals = [0, 0, 0, 0]
         for _ in range(config.num_categories):
-            counts = quartile_partition(config.journals_per_category.sample(rng)).counts
+            counts = quartile_partition(size(config.journals_per_category, rng)).counts
             for q in range(4):
                 totals[q] += counts[q]
         rows.append(tuple(totals))

@@ -869,12 +869,42 @@ def test_simulate_config_errors(run, tmp_path):
     ("num_categories: 2.7", "num_categories must be an integer, got 2.7"),
     ("journals_per_category: {fixed: true}", "fixed size must be an integer, got True"),
     ("citation_model: {mu: .nan}", "mu must be a finite number, got nan"),
+    ("doc_type_mix: {a: 1.0e+308, b: 1.0e+308}", "doc_type_mix weights must have a finite total"),
 ])
 def test_simulate_config_values_are_usage_errors(run, tmp_path, line, message):
     config = write_config(tmp_path, CNCI_CONFIG + line + "\n")  # a repeated key wins
     code, out, err = run("simulate", "--config", config, "--experiment", "cnci")
     assert (code, out) == (2, "")
     assert err.startswith(f"biblio: error: --config {str(config)!r}: {message}")
+
+
+@pytest.mark.parametrize("experiment", ["cnci", "corpus", "surplus"])
+@pytest.mark.parametrize("line, spec", [
+    ("papers_per_journal: {uniform: [-5, 2]}", "{'uniform': [-5, 2]}"),
+    ("journals_per_category: {uniform: [-3, 3]}", "{'uniform': [-3, 3]}"),
+    ("journals_per_category: -1", "{'fixed': -1}"),
+    ("papers_per_journal: {fixed: -2}", "{'fixed': -2}"),
+])
+def test_simulate_negative_size_specs_are_usage_errors(run, tmp_path, experiment, line, spec):
+    config = write_config(tmp_path, CNCI_CONFIG + line + "\n")
+    out_dir = tmp_path / "runs"
+    code, out, err = run("simulate", "--config", config, "--experiment", experiment,
+                         "--out-dir", out_dir)
+    assert (code, out) == (2, "")
+    assert err == (f"biblio: error: --config {str(config)!r}: "
+                   f"sizes must be integers >= 0, got {spec}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["seed", "num_categories", "journals_per_category",
+                                 "papers_per_journal"])
+def test_simulate_names_a_missing_required_key(run, tmp_path, key):
+    fields = {"seed": 4, "num_categories": 2, "journals_per_category": 2, "papers_per_journal": 3}
+    del fields[key]
+    config = write_config(tmp_path, "".join(f"{k}: {v}\n" for k, v in fields.items()))
+    code, out, err = run("simulate", "--config", config, "--experiment", "cnci")
+    assert (code, out) == (2, "")
+    assert err == f"biblio: error: --config {str(config)!r}: missing required key {key!r}\n"
 
 
 @pytest.mark.parametrize("lines, expected", [

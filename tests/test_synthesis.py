@@ -43,10 +43,9 @@ def small_config(**overrides) -> GenConfig:
 def test_size_dist_sampling_bounds():
     rng = random.Random(0)
     fixed = SizeDist.fixed(17)
-    assert {fixed.sample(rng) for _ in range(5)} == {17}
+    assert fixed.draws(rng, 5) == [17] * 5
     uni = SizeDist.uniform(3, 6)
-    draws = {uni.sample(rng) for _ in range(200)}
-    assert draws == {3, 4, 5, 6}
+    assert set(uni.draws(rng, 200)) == {3, 4, 5, 6}
 
 
 def test_size_dist_config_round_trip():
@@ -57,6 +56,10 @@ def test_size_dist_config_round_trip():
         SizeDist.from_config({"gaussian": [1, 2]})
     with pytest.raises(ComputationError):
         SizeDist.uniform(5, 4)
+    for negative in (SizeDist.fixed, lambda low: SizeDist.uniform(low, 2)):
+        with pytest.raises(ComputationError, match="sizes must be integers >= 0"):
+            negative(-1)
+    assert SizeDist.fixed(0).draws(random.Random(0), 2) == [0, 0]
 
 
 def test_remainder_weights():
@@ -217,6 +220,8 @@ def test_config_validation_errors():
         small_config(years=())
     with pytest.raises(ComputationError):
         small_config(doc_type_mix=())
+    with pytest.raises(ComputationError, match="finite total"):
+        small_config(doc_type_mix=(("article", 1.0e308), ("review", 1.0e308)))
 
 
 def test_config_dict_round_trip():
