@@ -171,7 +171,8 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
          ("simulate", "--config", uniform, "--experiment", "surplus", "--trials", "6",
           "--out-dir", tmp_path / "surplus-uniform")),
         ("simulate-cnci-yule",
-         ("simulate", "--config", yule, "--experiment", "cnci", "--trials", "5")),
+         ("simulate", "--config", yule, "--experiment", "cnci", "--trials", "5",
+          "--out-dir", tmp_path / "cnci-yule")),
         ("simulate-corpus-yule",
          ("simulate", "--config", yule, "--experiment", "corpus",
           "--out-dir", tmp_path / "corpus-yule")),
