@@ -380,60 +380,36 @@ def _cmd_simulate(args) -> dict:
     config = _gen_config(args.config)
     if args.experiment == "corpus" and not args.out_dir:
         raise _UsageError("--experiment corpus requires --out-dir")
+    if args.experiment == "corpus" and args.trials != 1:
+        raise _UsageError("--trials applies to --experiment surplus and cnci only")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         with _writing("--out-dir", out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
 
-    summary = {"experiment": args.experiment, "config": config.to_dict()}
+    files = {}
     if args.experiment == "corpus":
         corpus = synthesis.generate_corpus(config)
         with _writing("--out-dir", out_dir):
             dump_corpus(corpus, out_dir / "journals.jsonl", out_dir / "papers.jsonl")
-        summary.update({
+        payload = {
             "journals": len(corpus.journals),
             "papers": len(corpus.papers),
             "validation": validate(corpus).to_json_dict(),
             "files": {"journals": "journals.jsonl", "papers": "papers.jsonl"},
-        })
-    elif args.experiment == "surplus":
-        result = synthesis.monte_carlo_surplus(config, args.trials)
-        summary.update({
-            "trials": result.trials,
-            "analytic_extras": list(result.analytic_extras),
-            "mean_extras": [rational_json(m, 3) for m in result.mean_extras],
-            "se_extras": [None if s is None else f"{s:.6g}" for s in result.se_extras],
-            "mean_totals": [rational_json(m, 3) for m in result.mean_totals],
-            "se_totals": [None if s is None else f"{s:.6g}" for s in result.se_totals],
-            "flagged": list(result.flagged),
-            "agrees": result.agrees,
-        })
-        if out_dir is not None:
-            with _writing("--out-dir", out_dir):
-                (out_dir / "trials.csv").write_text("trial,q1,q2,q3,q4\n" + "".join(
-                    f"{t},{q1},{q2},{q3},{q4}\n"
-                    for t, (q1, q2, q3, q4) in enumerate(result.per_trial_totals)
-                ), encoding="utf-8")
+        }
     else:
-        result = synthesis.monte_carlo_global_cnci(config, args.trials)
-        summary.update({
-            "trials": result.trials,
-            "regimes": {
-                name: {
-                    "min": rational_json(stats.minimum, 4),
-                    "mean": rational_json(stats.mean, 4),
-                    "max": rational_json(stats.maximum, 4),
-                    "pinned": stats.pinned,
-                    "violations": stats.violations,
-                }
-                for name, stats in sorted(result.regimes.items())
-            },
-            "all_pins_hold": result.all_pins_hold,
-        })
-
+        run = {"surplus": synthesis.monte_carlo_surplus,
+               "cnci": synthesis.monte_carlo_global_cnci}[args.experiment]
+        result = run(config, args.trials)
+        payload = result.to_json_dict()
+        if hasattr(result, "to_csv_text"):
+            files["trials.csv"] = result.to_csv_text()
+    summary = {"experiment": args.experiment, "config": config.to_dict(), **payload}
     if out_dir is not None:
         with _writing("--out-dir", out_dir):
-            (out_dir / "summary.json").write_text(_render(summary), encoding="utf-8")
+            for name, text in {**files, "summary.json": _render(summary)}.items():
+                (out_dir / name).write_text(text, encoding="utf-8")
     return summary
 
 

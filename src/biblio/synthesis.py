@@ -8,11 +8,12 @@ hashes through SHA-512 and is documented stable across Python versions.
 
 Generated corpora carry explicit citation counts rather than edge lists; the
 corpus module accepts those, and nothing in these experiments needs individual
-citing papers. The ``BIBLIO_THREADS`` environment variable caps how many
-worker processes the Monte Carlo drivers may use (default 1, serial).
+citing papers. ``BIBLIO_THREADS=N`` lets the Monte Carlo drivers use at most
+N worker processes, and no more than the CPUs (default 1, serial).
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 import random
@@ -26,8 +27,9 @@ from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
 from .errors import ComputationError
 from .normalization import CnciConfig, _cells_of_groups, global_cnci_of_sums
 from .ranking import quartile_partition
-from .rounding import round_half_up
+from .rounding import rational_json, round_half_up
 
+logger = logging.getLogger(__name__)
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", list: "a list", dict: "a mapping"}
@@ -412,43 +414,48 @@ def surplus_analytic(
     )
 
 
-def _run_trials(rows_of, config: GenConfig, trials: int, workers: int | None) -> list:
-    """``rows_of(config, start, stop)`` over every trial, in trial order; split into
-    one contiguous chunk per worker process when there are enough trials."""
+def _chunk_rows(row_of, config: GenConfig, trials: range) -> list:
+    """``row_of(config, t)`` for each trial ``t`` of one worker's chunk."""
+    return [row_of(config, t) for t in trials]
+
+
+def _run_trials(row_of, config: GenConfig, trials: int, workers: int | None) -> list:
+    """``row_of(config, t)`` for every trial, in trial order; split into one
+    contiguous chunk per worker process when there are enough trials. Workers
+    come from ``BIBLIO_THREADS`` unless given, and never outnumber the CPUs."""
     if trials < 1:
         raise ComputationError("need at least one trial")
     if workers is None:
+        threads = os.environ.get("BIBLIO_THREADS", "")
         try:
-            workers = int(os.environ.get("BIBLIO_THREADS", ""))
+            workers = int(threads) if threads.strip() else 1
         except ValueError:
+            logger.warning("BIBLIO_THREADS=%r is not an integer; running trials serially",
+                           threads)
             workers = 1
-    workers = max(1, workers)
+    workers = max(1, min(workers, os.cpu_count() or 1))
     if workers < 2 or trials < 2 * workers:
-        return rows_of(config, 0, trials)
+        return _chunk_rows(row_of, config, range(trials))
     # Imported here: only runs with two or more workers need it, and it slows start-up.
     from concurrent.futures import ProcessPoolExecutor
     size = -(-trials // workers)
-    starts = range(0, trials, size)
+    chunks = [range(a, min(a + size, trials)) for a in range(0, trials, size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(rows_of, [config] * len(starts), starts,
-                         [min(a + size, trials) for a in starts])
+        parts = pool.map(_chunk_rows, [row_of] * len(chunks), [config] * len(chunks), chunks)
         return [row for part in parts for row in part]
 
 
-def _surplus_rows(config: GenConfig, start: int, stop: int):
-    """Per-quartile journal totals of each trial. Every category size is drawn in
+def _surplus_row(config: GenConfig, t: int) -> tuple[int, int, int, int]:
+    """Per-quartile journal totals of trial ``t``. Every category size is drawn in
     turn from the trial's stream; each distinct size is partitioned once."""
-    spec = config.journals_per_category
-    rows = []
-    for t in range(start, stop):
-        sizes = Counter(spec.draws(_stream(config, f"surplus/{t}"), config.num_categories))
-        totals = [0, 0, 0, 0]
-        for size, times in sizes.items():
-            counts = quartile_partition(size).counts
-            for q in range(4):
-                totals[q] += times * counts[q]
-        rows.append(tuple(totals))
-    return rows
+    sizes = Counter(config.journals_per_category.draws(
+        _stream(config, f"surplus/{t}"), config.num_categories))
+    totals = [0, 0, 0, 0]
+    for size, times in sizes.items():
+        counts = quartile_partition(size).counts
+        for q in range(4):
+            totals[q] += times * counts[q]
+    return tuple(totals)
 
 
 def _mean_se(values: list[int]) -> tuple[Fraction, float | None]:
@@ -477,6 +484,27 @@ class SurplusMonteCarlo:
     def agrees(self) -> bool:
         return not self.flagged
 
+    def to_json_dict(self) -> dict:
+        def se(values):
+            return [None if s is None else f"{s:.6g}" for s in values]
+
+        return {
+            "trials": self.trials,
+            "analytic_extras": list(self.analytic_extras),
+            "mean_extras": [rational_json(m, 3) for m in self.mean_extras],
+            "se_extras": se(self.se_extras),
+            "mean_totals": [rational_json(m, 3) for m in self.mean_totals],
+            "se_totals": se(self.se_totals),
+            "flagged": list(self.flagged),
+            "agrees": self.agrees,
+        }
+
+    def to_csv_text(self) -> str:
+        """``trials.csv``: each trial's per-quartile journal totals."""
+        return "trial,q1,q2,q3,q4\n" + "".join(
+            f"{t},{q1},{q2},{q3},{q4}\n"
+            for t, (q1, q2, q3, q4) in enumerate(self.per_trial_totals))
+
 
 def monte_carlo_surplus(
     config: GenConfig, trials: int, workers: int | None = None
@@ -489,7 +517,7 @@ def monte_carlo_surplus(
     outside the Monte Carlo mean plus or minus three standard errors (for a
     zero-variance run, when it differs at all).
     """
-    rows = _run_trials(_surplus_rows, config, trials, workers)
+    rows = _run_trials(_surplus_row, config, trials, workers)
 
     analytic = _expected_extras(
         config.num_categories, config.journals_per_category.remainder_weights()
@@ -539,7 +567,6 @@ PINNED_REGIMES = ("fractional_aor", "whole_roa_split")
 
 @dataclass(frozen=True)
 class RegimeStats:
-    name: str
     minimum: Fraction
     mean: Fraction
     maximum: Fraction
@@ -556,37 +583,42 @@ class CnciMonteCarlo:
     def all_pins_hold(self) -> bool:
         return all(r.violations == 0 for r in self.regimes.values() if r.pinned)
 
+    def to_json_dict(self) -> dict:
+        regimes = {
+            name: {"min": rational_json(r.minimum, 4), "mean": rational_json(r.mean, 4),
+                   "max": rational_json(r.maximum, 4), "pinned": r.pinned,
+                   "violations": r.violations}
+            for name, r in sorted(self.regimes.items())
+        }
+        return {"trials": self.trials, "regimes": regimes, "all_pins_hold": self.all_pins_hold}
 
-def _cnci_rows(config: GenConfig, start: int, stop: int):
-    """Global CNCI of each trial's corpus under every regime, from its drawn rows
+
+def _cnci_row(config: GenConfig, t: int) -> dict[str, Fraction]:
+    """Global CNCI of trial ``t``'s corpus under every regime, from its drawn rows
     summed per (journal, year, doc type) and then per cell; no ``Corpus`` is built."""
-    doc_types = [t for t, _ in config.doc_type_mix]
-    rows = []
-    for t in range(start, stop):
-        _, categories, _, papers = _draw(config, t)
-        groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
-        for index, year, doc_type, c in papers:
-            group = groups[index, year, doc_types[doc_type]]
-            group[0] += 1
-            group[1] += c
-        sums = _cells_of_groups(groups, categories.__getitem__)
-        values = global_cnci_of_sums(sums, config.schema_name, _REGIME_CONFIGS)
-        rows.append({regime[0]: value for regime, (value, _) in zip(REGIMES, values)})
-    return rows
+    doc_types = [name for name, _ in config.doc_type_mix]
+    _, categories, _, papers = _draw(config, t)
+    groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
+    for index, year, doc_type, c in papers:
+        group = groups[index, year, doc_types[doc_type]]
+        group[0] += 1
+        group[1] += c
+    sums = _cells_of_groups(groups, categories.__getitem__)
+    values = global_cnci_of_sums(sums, config.schema_name, _REGIME_CONFIGS)
+    return {regime[0]: value for regime, (value, _) in zip(REGIMES, values)}
 
 
 def monte_carlo_global_cnci(
     config: GenConfig, trials: int, workers: int | None = None
 ) -> CnciMonteCarlo:
     """Global CNCI of freshly generated corpora under every counting regime."""
-    rows = _run_trials(_cnci_rows, config, trials, workers)
+    rows = _run_trials(_cnci_row, config, trials, workers)
 
     regimes = {}
     for name, *_ in REGIMES:
         values = [row[name] for row in rows]
         pinned = name in PINNED_REGIMES
         regimes[name] = RegimeStats(
-            name=name,
             minimum=min(values),
             mean=sum(values, Fraction(0)) / len(values),
             maximum=max(values),

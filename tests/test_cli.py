@@ -3,11 +3,14 @@ import json
 from fractions import Fraction
 
 import pytest
+import yaml
 
 import corpora
-from biblio import Corpus, Journal, Paper, SchemaInfo, excellence, normalization
+from biblio import (Corpus, GenConfig, Journal, Paper, SchemaInfo, excellence,
+                    monte_carlo_global_cnci, monte_carlo_surplus, normalization)
 from biblio.corpus import rank_cell
 from biblio.cli import build_parser, main
+from biblio.io import json_line
 
 
 @pytest.fixture
@@ -815,6 +818,40 @@ def test_simulate_corpus_requires_out_dir(run, tmp_path):
     code, _, err = run("simulate", "--config", config, "--experiment", "corpus")
     assert code == 2
     assert err == "biblio: error: --experiment corpus requires --out-dir\n"
+
+
+def test_simulate_corpus_rejects_trials(run, tmp_path):
+    config = write_config(tmp_path, CNCI_CONFIG)
+    out_dir = tmp_path / "corpus"
+    code, out, err = run("simulate", "--config", config, "--experiment", "corpus",
+                         "--trials", "2", "--out-dir", out_dir)
+    assert (code, out) == (2, "")
+    assert err == "biblio: error: --trials applies to --experiment surplus and cnci only\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("experiment, text, monte_carlo", [
+    ("surplus", SURPLUS_CONFIG.replace("20", "{uniform: [1, 9]}"), monte_carlo_surplus),
+    ("cnci", CNCI_CONFIG, monte_carlo_global_cnci),
+])
+def test_simulate_prints_and_writes_what_its_result_renders(
+        run, tmp_path, experiment, text, monte_carlo):
+    config_path = write_config(tmp_path, text)
+    out_dir = tmp_path / "runs"
+    code, out, _ = run("simulate", "--config", config_path, "--experiment", experiment,
+                       "--trials", "7", "--out-dir", out_dir)
+    assert code == 0
+    config = GenConfig.from_dict(yaml.safe_load(text))
+    result = monte_carlo(config, 7)
+    summary = {"experiment": experiment, "config": config.to_dict(), **result.to_json_dict()}
+    assert out == json_line(summary) + "\n"
+    assert (out_dir / "summary.json").read_text(encoding="utf-8") == out
+    written = sorted(p.name for p in out_dir.iterdir())
+    if experiment == "surplus":
+        assert written == ["summary.json", "trials.csv"]
+        assert (out_dir / "trials.csv").read_text(encoding="utf-8") == result.to_csv_text()
+    else:
+        assert written == ["summary.json"]
 
 
 def test_simulate_corpus_emits_a_loadable_corpus(run, tmp_path):

@@ -1,3 +1,7 @@
+import concurrent.futures
+import logging
+import multiprocessing
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -364,6 +368,63 @@ def test_thread_env_var_changes_nothing(monkeypatch):
     parallel = monte_carlo_surplus(mc_config(), trials=12)
     assert parallel.per_trial_totals == serial.per_trial_totals
     assert parallel.mean_extras == serial.mean_extras
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and maps
+    in this process, so no worker is ever started."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_thread_env_var_is_capped_at_the_cpu_count(monkeypatch):
+    serial = monte_carlo_surplus(mc_config(), trials=1000, workers=1)
+    monkeypatch.setattr(RecordingPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("BIBLIO_THREADS", "500")
+    capped = monte_carlo_surplus(mc_config(), trials=1000)
+    assert RecordingPool.max_workers == [2]
+    assert capped.per_trial_totals == serial.per_trial_totals
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("value", ["two", "1.5"])
+def test_thread_env_var_that_is_not_an_integer_warns_and_runs_serially(
+        monkeypatch, caplog, value):
+    serial = monte_carlo_surplus(mc_config(), trials=12, workers=1)
+    monkeypatch.setenv("BIBLIO_THREADS", value)
+    with caplog.at_level(logging.WARNING, logger="biblio.synthesis"):
+        result = monte_carlo_surplus(mc_config(), trials=12)
+    assert result.per_trial_totals == serial.per_trial_totals
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, f"BIBLIO_THREADS={value!r} is not an integer; running trials serially")]
+
+
+@pytest.mark.parametrize("value", [None, "", " "])
+def test_unset_or_empty_thread_env_var_is_silent_and_serial(monkeypatch, caplog, value):
+    if value is None:
+        monkeypatch.delenv("BIBLIO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BIBLIO_THREADS", value)
+    monkeypatch.setattr(RecordingPool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    with caplog.at_level(logging.DEBUG, logger="biblio.synthesis"):
+        monte_carlo_surplus(mc_config(), trials=12)
+    assert caplog.records == []
+    assert RecordingPool.max_workers == []
 
 
 # -- Monte Carlo: global CNCI ---------------------------------------------------------

@@ -4,7 +4,8 @@
 ``choices`` per doc type and a ``Paper`` per draw, the surplus rows with one
 quartile partition per drawn category size, the mean and standard error with
 one ``Fraction`` per value, and the CNCI rows with one full ``global_cnci`` per
-regime on a generated corpus. The package must give equal bytes, rows and
+regime on a generated corpus. The package's per-trial kernels, run through the
+chunk helper that each worker process runs, must give equal bytes, rows and
 moments, or raise the same exception type with the same message, for every
 chunk of trials that the worker fan-out can hand one process.
 """
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from biblio import CitationModel, GenConfig, SizeDist, dump_corpus, generate_corpus
-from biblio.synthesis import _cnci_rows, _mean_se, _surplus_rows
+from biblio.synthesis import _chunk_rows, _cnci_row, _mean_se, _surplus_row
 
 
 @pytest.mark.parametrize("span", [1, 2, 3, 8, 9, 10**12])
@@ -41,16 +42,16 @@ size_dists = st.one_of(
 )
 
 
-def chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """The (start, stop) ranges ``_run_trials`` gives its workers."""
+def chunks(trials: int, workers: int) -> list[range]:
+    """The trial ranges ``_run_trials`` gives its workers."""
     size = -(-trials // workers)
-    return [(a, min(a + size, trials)) for a in range(0, trials, size)]
+    return [range(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 
-def assert_chunks_match(kernel, oracle, config, trials, workers):
-    for start, stop in chunks(trials, workers):
-        assert oracles.outcome(lambda: kernel(config, start, stop)) == oracles.outcome(
-            lambda: oracle(config, start, stop))
+def assert_chunks_match(row_of, oracle, config, trials, workers):
+    for chunk in chunks(trials, workers):
+        assert oracles.outcome(lambda: _chunk_rows(row_of, config, chunk)) == oracles.outcome(
+            lambda: oracle(config, chunk.start, chunk.stop))
 
 
 @settings(max_examples=300)
@@ -61,7 +62,7 @@ def assert_chunks_match(kernel, oracle, config, trials, workers):
 def test_surplus_rows_and_moments_match_the_oracle(spec, categories, seed, trials, workers):
     config = GenConfig(seed=seed, num_categories=categories, journals_per_category=spec,
                        papers_per_journal=SizeDist.fixed(1))
-    assert_chunks_match(_surplus_rows, oracles.surplus_rows, config, trials, workers)
+    assert_chunks_match(_surplus_row, oracles.surplus_rows, config, trials, workers)
     rows = oracles.outcome(lambda: oracles.surplus_rows(config, 0, trials))
     if isinstance(rows, list):
         columns = [[r[q] for r in rows] for q in range(4)]
@@ -108,7 +109,7 @@ def test_cnci_rows_match_five_oracle_runs(seed, categories, journals, papers, pr
                        citation_model=model, years=years, doc_type_mix=mix,
                        correlate_volume_with_metric=correlate,
                        multi_field_citation_boost=boost)
-    assert_chunks_match(_cnci_rows, oracles.cnci_rows, config, trials, workers)
+    assert_chunks_match(_cnci_row, oracles.cnci_rows, config, trials, workers)
 
 
 def dumped(corpus, directory, name) -> bytes:
