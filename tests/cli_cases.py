@@ -163,6 +163,11 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
          ("hcp", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
           "--schema", "f", "--top-percent", "40", "--method", "quota",
           "--tiebreak", "citing-excellence,trajectory,chronology")),
+        # Both methods tie, so the chain is exhausted and paper ids decide.
+        ("hcp-quota-exhausted",
+         ("hcp", "--journals", mini_j, "--papers", mini_p, "--edges", mini_e,
+          "--schema", "f", "--top-percent", "40", "--method", "quota",
+          "--tiebreak", "citing-excellence,trajectory")),
         ("hcp-inclusive-slice",
          ("hcp", "--journals", slices_j, "--papers", slices_p,
           "--schema", "f", "--top-percent", "25", "--years", "2019",
