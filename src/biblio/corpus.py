@@ -373,6 +373,8 @@ def validate(corpus: Corpus, max_examples: int = 5) -> ValidationReport:
                 hit(found, "empty_category_list", f"{j.id}:{schema}")
             elif info.single_attribution and len(cats) != 1:
                 hit(found, "single_attribution_violation", f"{j.id}:{schema}")
+            if len(set(cats)) < len(cats):
+                hit(found, "duplicate_category", f"{j.id}:{schema}")
         for year, m in j.metric_by_year.items():
             if m < 0:
                 hit(found, "negative_metric", f"{j.id}:{year}")

@@ -8,10 +8,10 @@ inclusive takes them all, exclusive none, fractional_ws gives each the weight
 (quota - above) / ties, and quota mode picks exactly enough of them via an
 ordered chain of tie-break methods.
 
-A tie-break method resolves the cut only if the papers straddling the cut
-boundary are strictly ordered; otherwise just the unresolved sub-tie passes to
-the next method in the chain. An exhausted chain falls back to paper-id order,
-loudly flagged in the trace.
+Quota mode walks the chain once: each method orders the current group into
+tiers, the tiers that fit under the quota are taken, and only the one tier that
+straddles the cut passes to the next method. An exhausted chain takes that tier
+in paper-id order, loudly flagged in the trace.
 
 The ESI-style low-threshold rule (threshold <= 2 means the cell selects
 nothing) is a flag, on by default in the run orchestrator.
@@ -20,8 +20,8 @@ Every step works on a ranked cell (``Corpus.ranked_cells``): the cell's papers
 sorted once per corpus by (-citations, id), with their counts. The threshold
 is one index into the counts plus two bisections; papers above it are the
 first ``above_count`` of the ranking and the borderline block the next
-``tie_count``, already in id order. Classification and quota selection read
-only that prefix, which is also their output order, so a run does work in
+``tie_count``, already in id order. One decision kernel per selecting cell
+reads only that prefix, which is also its output order, so a run does work in
 proportion to the papers it selects.
 """
 from __future__ import annotations
@@ -46,7 +46,6 @@ CITING_EXCELLENCE = "citing_excellence"
 FULL = "full"
 PARTIAL = "fractional"
 
-_CLASSIFY_METHODS = ("inclusive", "exclusive", "fractional_ws")
 _ONE = Fraction(1)  # the weight of every full decision
 
 
@@ -153,22 +152,6 @@ def _selects(result: ThresholdResult, esi_low_threshold: bool) -> bool:
     return result.quota > 0 and not (esi_low_threshold and result.threshold <= 2)
 
 
-def _classify(result: ThresholdResult, ranked: RankedCell, method: str) -> list[HcpDecision]:
-    """The classification kernel: decisions for the ranked cell's prefix of
-    ``above_count + tie_count`` papers, already in output order."""
-    if method not in _CLASSIFY_METHODS:
-        raise ComputationError(f"unknown classification method {method!r}")
-    cell, above, ties = result.cell, result.above_count, result.tie_count
-    decisions = [HcpDecision(p.id, cell, FULL, _ONE, method) for p in ranked.papers[:above]]
-    borderline = ranked.papers[above:above + ties]
-    if method == "inclusive":
-        decisions += [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
-    elif method == "fractional_ws":
-        weight = Fraction(result.quota - above, ties)
-        decisions += [HcpDecision(p.id, cell, PARTIAL, weight, method) for p in borderline]
-    return decisions
-
-
 # -- tie-break orderings --------------------------------------------------------
 
 
@@ -200,7 +183,8 @@ def _group_by_key(papers, key, method, evidence, flag_note) -> TiebreakOrdering:
 
 def tiebreak_chronology(papers: Sequence[Paper]) -> TiebreakOrdering:
     """Later effective date first; equal dates are an unresolved, flagged tie."""
-    evidence = {}
+    keys: dict[str, int] = {}
+    evidence: dict[str, str] = {}
     for p in papers:
         stamp = p.effective_date()
         if stamp is None:
@@ -208,12 +192,10 @@ def tiebreak_chronology(papers: Sequence[Paper]) -> TiebreakOrdering:
         when, precision, source = stamp
         shown = f"{when.year:04d}-{when.month:02d}" if precision == MONTH else when.isoformat()
         evidence[p.id] = f"{source}:{shown}"
-
-    def key(p: Paper):
-        when, _, _ = p.effective_date()
-        return (-when.toordinal(),)
-
-    return _group_by_key(papers, key, CHRONOLOGY, evidence, "equal effective dates")
+        keys[p.id] = -when.toordinal()
+    return _group_by_key(
+        papers, lambda p: keys[p.id], CHRONOLOGY, evidence, "equal effective dates"
+    )
 
 
 def tiebreak_trajectory(
@@ -304,80 +286,75 @@ def provisional_hcp_ids(
     return frozenset(ids)
 
 
-def _run_method(
-    corpus: Corpus, method: TiebreakMethod, papers: Sequence[Paper],
-    provisional_hcp: frozenset[str] | None,
-) -> TiebreakOrdering:
-    if method.kind == CHRONOLOGY:
-        return tiebreak_chronology(papers)
-    if method.kind == TRAJECTORY:
-        return tiebreak_trajectory(corpus, papers, method.early_window, method.late_window)
-    return tiebreak_citing_excellence(corpus, papers, provisional_hcp)
-
-
-def _select_quota(
+def _decide(
     corpus: Corpus,
     result: ThresholdResult,
     ranked: RankedCell,
+    method: str,
     chain: Sequence[TiebreakMethod],
     provisional_hcp: frozenset[str] | None,
 ) -> list[HcpDecision]:
-    """The quota kernel: the ranked prefix of ``above_count`` papers, then the
-    next ``tie_count`` (the borderline block, in id order) resolved down the
-    chain."""
-    cell, above = result.cell, result.above_count
-    decisions = [HcpDecision(p.id, cell, FULL, _ONE, "quota") for p in ranked.papers[:above]]
-    borderline = ranked.papers[above:above + result.tie_count]
+    """The decision kernel: the ranked cell's first ``above_count`` papers in
+    full, then the borderline block of the next ``tie_count`` (in id order)
+    decided by ``method``; decisions come out in ranked order."""
+    cell, above, ties = result.cell, result.above_count, result.tie_count
+    decisions = [HcpDecision(p.id, cell, FULL, _ONE, method) for p in ranked.papers[:above]]
+    borderline = ranked.papers[above:above + ties]
+    need = result.quota - above  # at least 1 and at most ties in a selecting cell
+    if method == "inclusive":
+        return decisions + [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
+    if method == "exclusive":
+        return decisions
+    if method == "fractional_ws":
+        weight = Fraction(need, ties)
+        return decisions + [HcpDecision(p.id, cell, PARTIAL, weight, method) for p in borderline]
+    if method != "quota":
+        raise ComputationError(f"unknown classification method {method!r}")
+    if not chain:
+        raise ComputationError("quota selection needs a tie-break chain")
+    if ties == need:  # the whole block fits: no method runs, and nothing is traced
+        return decisions + [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
+    # One pass down the chain: each method orders the group into tiers, best
+    # first; the tiers that fit are taken, and only the tier straddling the
+    # cut passes to the next method as a tied step of its members' traces.
     by_id = {p.id: p for p in borderline}
-
-    def resolve(group, need: int, methods, steps) -> list[tuple[str, list[dict]]]:
-        def trace(p: Paper, last_step: dict | None = None) -> tuple[str, list[dict]]:
-            inherited = [dict(s, evidence=s["evidence"].get(p.id, "")) for s in steps]
-            return p.id, inherited + ([last_step] if last_step else [])
-
-        if need <= 0:
-            return []
-        if len(group) <= need:
-            return [trace(p) for p in sorted(group, key=lambda p: p.id)]
-        if not methods:
-            ordered = sorted(group, key=lambda p: p.id)
-            logger.warning(
-                "tie-break chain exhausted in cell %s; falling back to paper-id "
-                "order for %s",
-                cell,
-                ", ".join(p.id for p in ordered),
-            )
-            return [trace(p, {"method": "id_order", "evidence": p.id, "tied": False,
-                              "chain_exhausted": True}) for p in ordered[:need]]
-        method = methods[0]
-        ordering = _run_method(corpus, method, group, provisional_hcp)
+    group, tied = borderline, []
+    picks: list[tuple[str, int, dict]] = []  # (paper id, tied steps above it, last step)
+    for link in chain:
+        if link.kind == CHRONOLOGY:
+            ordering = tiebreak_chronology(group)
+        elif link.kind == TRAJECTORY:
+            ordering = tiebreak_trajectory(corpus, group, link.early_window, link.late_window)
+        else:
+            ordering = tiebreak_citing_excellence(corpus, group, provisional_hcp)
         for flag in ordering.flags:
             logger.info("tie-break %s", flag)
-        chosen: list[tuple[str, list[dict]]] = []
         for ids in ordering.groups:
-            if need == 0:
+            if len(ids) > need:
                 break
-            members = [by_id[i] for i in ids]
-            if len(ids) <= need:
-                chosen.extend(
-                    trace(p, {"method": ordering.method,
-                              "evidence": ordering.evidence[p.id], "tied": False})
-                    for p in sorted(members, key=lambda p: p.id)
-                )
-                need -= len(ids)
-            else:
-                step = {"method": ordering.method, "evidence": ordering.evidence,
-                        "tied": True}
-                chosen.extend(resolve(members, need, methods[1:], steps + [step]))
-                need = 0
-        return chosen
-
-    chosen = resolve(borderline, result.quota - above, list(chain), [])
-    for pid, trace in sorted(chosen, key=lambda c: c[0]):  # chain order -> id order
-        decisions.append(
-            HcpDecision(pid, cell, FULL, _ONE, "quota", trace=tuple(trace) if trace else None)
+            picks += [(i, len(tied), {"method": ordering.method,
+                                      "evidence": ordering.evidence[i], "tied": False})
+                      for i in ids]
+            need -= len(ids)
+        if not need:
+            break
+        tied.append(ordering)
+        group = [by_id[i] for i in ids]
+    else:
+        logger.warning(
+            "tie-break chain exhausted in cell %s; falling back to paper-id order for %s",
+            cell, ", ".join(p.id for p in group),
         )
-    return decisions
+        picks += [(p.id, len(tied), {"method": "id_order", "evidence": p.id, "tied": False,
+                                     "chain_exhausted": True}) for p in group[:need]]
+    return decisions + [
+        HcpDecision(pid, cell, FULL, _ONE, method, trace=(
+            *({"method": o.method, "evidence": o.evidence[pid], "tied": True}
+              for o in tied[:depth]),
+            last,
+        ))
+        for pid, depth, last in sorted(picks)  # ids are unique: sorts by id alone
+    ]
 
 
 # -- orchestration ----------------------------------------------------------------
@@ -405,14 +382,8 @@ def hcp_selection(
     for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
         result = _threshold(cell, ranked, share)
         thresholds.append(result)
-        if not _selects(result, esi_low_threshold):
-            continue
-        if method == "quota":
-            if not tiebreak_chain:
-                raise ComputationError("quota selection needs a tie-break chain")
-            decisions += _select_quota(corpus, result, ranked, tiebreak_chain, provisional)
-        else:
-            decisions += _classify(result, ranked, method)
+        if _selects(result, esi_low_threshold):
+            decisions += _decide(corpus, result, ranked, method, tiebreak_chain, provisional)
     return thresholds, decisions
 
 

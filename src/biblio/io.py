@@ -250,6 +250,8 @@ def load_corpus(
             raise TypeError(f"journal {jid!r} categories are not lists: {raw_cats!r}")
         if not all(isinstance(c, str) for members in raw_cats.values() for c in members):
             raise TypeError(f"journal {jid!r} category members are not strings: {raw_cats!r}")
+        if any(len(set(members)) < len(members) for members in raw_cats.values()):
+            raise ValueError(f"journal {jid!r} lists a category twice: {raw_cats!r}")
         if jid in journals:
             raise _Drop("duplicate_journal_id", f"duplicate journal id {jid!r}")
         metric = _metric_map(raw_metric, jid)

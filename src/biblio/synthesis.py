@@ -447,9 +447,11 @@ def _run_trials(row_of, config: GenConfig, trials: int, workers: int | None) -> 
 
 def _surplus_row(config: GenConfig, t: int) -> tuple[int, int, int, int]:
     """Per-quartile journal totals of trial ``t``. Every category size is drawn in
-    turn from the trial's stream; each distinct size is partitioned once."""
+    turn from the trial's stream; each distinct size is partitioned once, and an
+    empty category (size 0) places no journal."""
     sizes = Counter(config.journals_per_category.draws(
         _stream(config, f"surplus/{t}"), config.num_categories))
+    del sizes[0]  # a Counter ignores a missing key
     totals = [0, 0, 0, 0]
     for size, times in sizes.items():
         counts = quartile_partition(size).counts

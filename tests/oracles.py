@@ -370,13 +370,17 @@ def generate_corpus(config, trial=None) -> Corpus:
 
 def surplus_rows(config, start, stop):
     """Per-quartile journal totals of trials start..stop-1: one partition per
-    drawn category size, from the trial's own stream."""
+    drawn category size, from the trial's own stream; an empty category adds
+    nothing."""
     rows = []
     for t in range(start, stop):
         rng = random.Random(f"{config.seed}/surplus/{t}")
         totals = [0, 0, 0, 0]
         for _ in range(config.num_categories):
-            counts = quartile_partition(size(config.journals_per_category, rng)).counts
+            drawn = size(config.journals_per_category, rng)
+            if drawn == 0:
+                continue
+            counts = quartile_partition(drawn).counts
             for q in range(4):
                 totals[q] += counts[q]
         rows.append(tuple(totals))

@@ -797,6 +797,19 @@ def test_simulate_surplus_writes_artifacts(run, tmp_path):
     assert trials == ["trial,q1,q2,q3,q4"] + [f"{t},40,40,40,40" for t in range(3)]
 
 
+def test_simulate_surplus_places_no_journal_for_an_empty_category(run, tmp_path):
+    # Sizes 0-3 have uniform remainders mod 4, so the expectation is an integer,
+    # and none of them reaches Q1.
+    config = write_config(tmp_path, SURPLUS_CONFIG.replace("20", "{uniform: [0, 3]}"))
+    code, out, err = run("simulate", "--config", config, "--experiment", "surplus",
+                         "--trials", "400")
+    assert (code, err) == (0, "")
+    body = payload(out)
+    assert body["analytic_extras"] == [4, 2, 6]
+    assert body["agrees"] is True
+    assert body["mean_totals"][0]["rational"] == "0"
+
+
 def test_simulate_cnci_stdout_only(run, tmp_path):
     config = write_config(tmp_path, CNCI_CONFIG)
     code, out, _ = run("simulate", "--config", config, "--experiment", "cnci", "--trials", "2")

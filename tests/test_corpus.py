@@ -160,6 +160,16 @@ def test_validate_empty_category_list():
     assert "empty_category_list" in violations(c)
 
 
+def test_validate_duplicate_category():
+    c = Corpus(
+        [SchemaInfo(S)],
+        [Journal("j", {S: ("A", "B", "A")}, {})],
+        [],
+        citation_counts={},
+    )
+    assert violations(c)["duplicate_category"].examples == (f"j:{S}",)
+
+
 def test_validate_single_attribution_violation():
     c = Corpus(
         [SchemaInfo(S, single_attribution=True)],

@@ -499,8 +499,9 @@ METHODS = ("inclusive", "exclusive", "fractional_ws", "quota", "bogus")
 GRID_DATES = (date(2010, 3, 1), date(2010, 3, 15), date(2011, 3, 1))
 GRID_MONTHS = (date(2010, 3, 1), date(2011, 3, 1))  # issue months are stored as day 01
 shares = st.fractions(min_value=0, max_value=100, max_denominator=8).filter(lambda f: f > 0)
+# Repeats allowed, as on the CLI: a method may run again on its own straddling tier.
 chains = st.lists(
-    st.sampled_from(["chronology", "trajectory", "citing-excellence"]), unique=True, max_size=3
+    st.sampled_from(["chronology", "trajectory", "citing-excellence"]), max_size=4
 ).map(parse_tiebreak_chain)
 slices = st.tuples(
     st.none() | st.lists(st.sampled_from([2010, 2011]), min_size=1, unique=True),

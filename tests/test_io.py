@@ -231,6 +231,25 @@ def test_malformed_rows_are_located(tmp_path):
     assert str(err.value) == "years.jsonl:2: field 'year' is not an integer: 2020.5"
 
 
+def test_a_category_listed_twice_is_rejected(tmp_path):
+    # Listing A twice would put J1's papers into cell A twice.
+    journals = write(
+        tmp_path / "j.jsonl", REGISTRY,
+        journal_line("J1", {corpora.SCHEMA: ["A", "A"]}, {"2020": 2}),
+        journal_line("J2", {corpora.SCHEMA: ["A"]}),
+    )
+    papers = write(tmp_path / "p.jsonl", paper_line("p1", "J1", citations=10),
+                   paper_line("p2", "J2"), paper_line("p3", "J2"))
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_journal": 1, "unresolved_journal": 1}
+    assert set(corpus.journals) == {"J2"}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == (
+        "j.jsonl:2: journal 'J1' lists a category twice: {'subjects': ['A', 'A']}"
+    )
+
+
 @pytest.mark.parametrize("registry", [{corpora.SCHEMA: True}, [corpora.SCHEMA]])
 def test_a_registry_that_is_not_an_object_of_objects_is_rejected(tmp_path, registry):
     journals = write(

@@ -57,7 +57,7 @@ def assert_chunks_match(row_of, oracle, config, trials, workers):
 @settings(max_examples=300)
 @given(size_dists, st.integers(1, 40), st.integers(0, 10**6),
        st.integers(1, 12), st.integers(1, 4))
-@example(SizeDist.fixed(0), 3, 1, 2, 1)  # every draw is an empty category
+@example(SizeDist.fixed(0), 3, 1, 2, 1)  # every category is empty: all-zero rows
 @example(SizeDist.uniform(0, 3), 40, 1, 5, 2)
 def test_surplus_rows_and_moments_match_the_oracle(spec, categories, seed, trials, workers):
     config = GenConfig(seed=seed, num_categories=categories, journals_per_category=spec,
