@@ -296,7 +296,7 @@ def _decide(
 ) -> list[HcpDecision]:
     """The decision kernel: the ranked cell's first ``above_count`` papers in
     full, then the borderline block of the next ``tie_count`` (in id order)
-    decided by ``method``; decisions come out in ranked order."""
+    decided by the checked ``method``; decisions come out in ranked order."""
     cell, above, ties = result.cell, result.above_count, result.tie_count
     decisions = [HcpDecision(p.id, cell, FULL, _ONE, method) for p in ranked.papers[:above]]
     borderline = ranked.papers[above:above + ties]
@@ -308,10 +308,6 @@ def _decide(
     if method == "fractional_ws":
         weight = Fraction(need, ties)
         return decisions + [HcpDecision(p.id, cell, PARTIAL, weight, method) for p in borderline]
-    if method != "quota":
-        raise ComputationError(f"unknown classification method {method!r}")
-    if not chain:
-        raise ComputationError("quota selection needs a tie-break chain")
     if ties == need:  # the whole block fits: no method runs, and nothing is traced
         return decisions + [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
     # One pass down the chain: each method orders the group into tiers, best
@@ -374,6 +370,10 @@ def hcp_selection(
     """Every sliced cell's threshold, in cell order, and the decisions of
     :func:`hcp_run`."""
     share = _share(top_percent)
+    if method not in ("inclusive", "exclusive", "fractional_ws", "quota"):
+        raise ComputationError(f"unknown classification method {method!r}")
+    if method == "quota" and not tiebreak_chain:
+        raise ComputationError("quota selection needs a tie-break chain")
     provisional: frozenset[str] | None = None
     if method == "quota" and any(m.kind == CITING_EXCELLENCE for m in tiebreak_chain):
         provisional = provisional_hcp_ids(corpus, schema, share, esi_low_threshold)

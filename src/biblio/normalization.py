@@ -19,6 +19,8 @@ dual routes exist to expose. All arithmetic is exact rational.
 Baselines and set aggregates come from integer sums (papers, citations) per
 cell and category count k, with no Fraction per paper. Exact sums do not depend
 on order, so they equal the per-paper definitions, which the test oracle keeps.
+Global CNCI costs one Fraction per regime: every regime is integer arithmetic
+on four masses per cell, and no baseline table is built for it.
 """
 from __future__ import annotations
 
@@ -136,11 +138,13 @@ def compute_baselines(
 
 
 def _table(sums, schema: str, counting: str, split_citations: bool) -> BaselineTable:
-    fractional = counting == FRACTIONAL
+    cite, weight = _RATE[counting, split_citations]
     cells = {}
     for key, per_k in sorted(sums.items()):
-        cite, weight = _masses(per_k, fractional or split_citations, fractional)
-        cells[key] = BaselineCell(cite / weight, weight, sum(n for n, _ in per_k.values()))
+        unit = math.lcm(*per_k)
+        masses = _cell_masses(per_k, unit)
+        cells[key] = BaselineCell(Fraction(masses[cite], masses[weight]),
+                                  Fraction(masses[weight], unit), masses[2] // unit)
     return BaselineTable(schema, counting, split_citations, cells)
 
 
@@ -173,15 +177,32 @@ def _cells_of_groups(groups, fields_of) -> dict[CellKey, dict[int, list[int]]]:
     return sums
 
 
-def _masses(per_k: dict[int, list[int]], split_citations: bool, fractional: bool):
-    """(citation mass, paper weight) of a cell; split means 1/k per k-field paper.
-    Both are integer sums in units of 1/lcm(k), so each costs one Fraction."""
-    unit = math.lcm(*per_k)
-    cite = weight = 0
+def _cell_masses(per_k: dict[int, list[int]], unit: int) -> tuple[int, int, int, int]:
+    """(split citations, citations, papers, split papers) of a cell in units of
+    1/``unit``, a multiple of every k; a k-field paper splits as c/k and 1/k."""
+    split_cite = cite = papers = split_papers = 0
     for k, (n, c) in per_k.items():
-        cite += c * unit // k if split_citations else c * unit
-        weight += n * unit // k if fractional else n * unit
-    return Fraction(cite, unit), Fraction(weight, unit)
+        share = unit // k
+        split_cite += c * share
+        cite += c * unit
+        papers += n * unit
+        split_papers += n * share
+    return split_cite, cite, papers, split_papers
+
+
+# (counting, split_citations) -> where in _cell_masses a cell's citation mass
+# and paper weight are; their ratio is the cell's expected citation rate
+_RATE = {(WHOLE, False): (1, 2), (WHOLE, True): (0, 2), (FRACTIONAL, False): (0, 3)}
+
+
+def _ratio_sum(terms) -> tuple[int, int]:
+    """Sum p/q over integer pairs (p, q > 0) as (numerator, denominator), the
+    denominator being the lcm of the q, so it stays small over many cells."""
+    num, den = 0, 1
+    for p, q in terms:
+        g = math.gcd(den, q)
+        num, den = num * (q // g) + p * (den // g), den // g * q
+    return num, den
 
 
 def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable):
@@ -229,25 +250,12 @@ def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) 
 def _aor(sums, n, baselines: BaselineTable) -> Fraction:
     if not n:
         raise EmptyInputError("cannot average CNCI over an empty paper set")
-    total = Fraction(0)
-    for key, per_k in sums.items():
-        if e := baselines.cells[key].expected:
-            total += _masses(per_k, True, False)[0] / e
-    return total / n
-
-
-def _roa(sums, n, baselines: BaselineTable) -> Fraction:
-    if not n:
-        raise EmptyInputError("cannot aggregate an empty paper set")
-    fractional = baselines.counting == FRACTIONAL
-    observed = expected = Fraction(0)
-    for key, per_k in sums.items():
-        cite, weight = _masses(per_k, baselines.split_citations or fractional, fractional)
-        observed += cite
-        expected += weight * baselines.cells[key].expected
-    if expected == 0:
-        raise ZeroBaselineError("total expected citation mass is zero")
-    return observed / expected
+    unit = math.lcm(*{k for per_k in sums.values() for k in per_k})
+    num, den = _ratio_sum(
+        (_cell_masses(per_k, unit)[0] * e.denominator, e.numerator)
+        for key, per_k in sums.items() if (e := baselines.cells[key].expected)
+    )
+    return Fraction(num, den * unit * n)
 
 
 def global_cnci(
@@ -260,7 +268,8 @@ def global_cnci(
     slice is closed with respect to its own baselines. It keeps or drops all k
     cells of a paper together, so its paper count is the sum of n_k / k.
     """
-    return global_cnci_regimes(corpus, schema, [config], years, doc_types)[0][0]
+    sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
+    return global_cnci_of_sums(sums, [config], years, doc_types)[0]
 
 
 def global_cnci_regimes(
@@ -268,31 +277,49 @@ def global_cnci_regimes(
 ) -> list[tuple[Fraction, BaselineTable]]:
     """``global_cnci`` under each regime in turn, with the baseline table it used.
 
-    One pass sums the corpus per cell for :func:`global_cnci_of_sums`.
+    One pass sums the corpus per cell for :func:`global_cnci_of_sums`; regimes
+    that share a counting scheme and citation split share one table.
     """
+    configs = list(configs)
     sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
-    return global_cnci_of_sums(sums, schema, configs, years, doc_types)
+    values = global_cnci_of_sums(sums, configs, years, doc_types)
+    schemes = [(config.counting, config.split_citations) for config in configs]
+    tables = {scheme: _table(sums, schema, *scheme) for scheme in set(schemes)}
+    return [(value, tables[scheme]) for value, scheme in zip(values, schemes)]
 
 
 def global_cnci_of_sums(
-    sums, schema: str, configs: Iterable[CnciConfig], years=None, doc_types=None
-) -> list[tuple[Fraction, BaselineTable]]:
-    """``global_cnci_regimes`` of a closed corpus given by its per-cell sums.
+    sums, configs: Iterable[CnciConfig], years=None, doc_types=None
+) -> list[Fraction]:
+    """``global_cnci`` under each regime of a closed corpus given by its per-cell sums.
 
-    Regimes that share a counting scheme and citation split share one table, so
-    extra regimes cost a few Fraction operations per cell each.
+    A slice keeps whole cells, so each kept cell's expected rate comes from its
+    own sums. Cell masses are formed once, in units of 1/lcm(k); each regime
+    sums its terms in integers and builds one Fraction.
     """
-    sliced = {key: per_k for key, per_k in sums.items() if key.within(years, doc_types)}
-    n = sum(Fraction(m, k) for per_k in sliced.values() for k, (m, _) in per_k.items())
-    tables: dict[tuple[str, bool], BaselineTable] = {}
-    results = []
+    sliced = [per_k for key, per_k in sums.items() if key.within(years, doc_types)]
+    unit = math.lcm(*{k for per_k in sliced for k in per_k})
+    cells = [_cell_masses(per_k, unit) for per_k in sliced]
+    papers = sum(masses[3] for masses in cells)  # the slice's paper count, times unit
+    values = []
     for config in configs:
-        scheme = config.counting, config.split_citations
-        if scheme not in tables:
-            tables[scheme] = _table(sums, schema, *scheme)
-        aggregate = _aor if config.aggregation == AOR else _roa
-        results.append((aggregate(sliced, n, tables[scheme]), tables[scheme]))
-    return results
+        aor = config.aggregation == AOR
+        if not papers:
+            raise EmptyInputError("cannot average CNCI over an empty paper set" if aor
+                                  else "cannot aggregate an empty paper set")
+        c, w = _RATE[config.counting, config.split_citations]
+        rates = [(masses[c], masses[w]) for masses in cells]
+        if aor:  # each cell's split citation mass over its expected rate
+            num, den = _ratio_sum((masses[0] * weight, cite)
+                                  for masses, (cite, weight) in zip(cells, rates) if cite)
+            values.append(Fraction(num, den * papers))
+            continue
+        # observed citation mass over the sum of weight times expected rate
+        num, den = _ratio_sum((weight * cite, weight) for cite, weight in rates)
+        if not num:
+            raise ZeroBaselineError("total expected citation mass is zero")
+        values.append(Fraction(sum(cite for cite, _ in rates) * den, num))
+    return values
 
 
 def relative_cnci(

@@ -606,8 +606,8 @@ def _cnci_row(config: GenConfig, t: int) -> dict[str, Fraction]:
         group[0] += 1
         group[1] += c
     sums = _cells_of_groups(groups, categories.__getitem__)
-    values = global_cnci_of_sums(sums, config.schema_name, _REGIME_CONFIGS)
-    return {regime[0]: value for regime, (value, _) in zip(REGIMES, values)}
+    values = global_cnci_of_sums(sums, _REGIME_CONFIGS)
+    return {regime[0]: value for regime, value in zip(REGIMES, values)}
 
 
 def monte_carlo_global_cnci(
@@ -620,9 +620,11 @@ def monte_carlo_global_cnci(
     for name, *_ in REGIMES:
         values = [row[name] for row in rows]
         pinned = name in PINNED_REGIMES
+        den = math.lcm(*(v.denominator for v in values))  # the mean is one Fraction
         regimes[name] = RegimeStats(
             minimum=min(values),
-            mean=sum(values, Fraction(0)) / len(values),
+            mean=Fraction(sum(v.numerator * (den // v.denominator) for v in values),
+                          den * len(values)),
             maximum=max(values),
             pinned=pinned,
             violations=sum(1 for v in values if v != 1) if pinned else 0,

@@ -528,6 +528,10 @@ def provisional_hcp_ids(corpus, schema, top_percent=1, esi_low_threshold=True):
 def hcp_run(corpus, schema, *, top_percent=1, method="inclusive", esi_low_threshold=True,
             tiebreak_chain=(), years=None, doc_types=None):
     """Threshold, then classification or quota selection, cell by cell."""
+    if method not in ("inclusive", "exclusive", "fractional_ws", "quota"):
+        raise ComputationError(f"unknown classification method {method!r}")
+    if method == "quota" and not tiebreak_chain:
+        raise ComputationError("quota selection needs a tie-break chain")
     provisional = None
     if method == "quota" and any(m.kind == CITING_EXCELLENCE for m in tiebreak_chain):
         provisional = provisional_hcp_ids(corpus, schema, top_percent, esi_low_threshold)
@@ -537,8 +541,6 @@ def hcp_run(corpus, schema, *, top_percent=1, method="inclusive", esi_low_thresh
         if result.quota == 0 or _low_threshold(result, esi_low_threshold):
             continue
         if method == "quota":
-            if not tiebreak_chain:
-                raise ComputationError("quota selection needs a tie-break chain")
             decisions.extend(select_quota(corpus, result, papers, tiebreak_chain, provisional))
         else:
             decisions.extend(classify(corpus, result, papers, method, esi_low_threshold))

@@ -39,7 +39,8 @@ REGIMES = (
 @st.composite
 def worlds(draw):
     """A corpus plus a subunit and a reference pool drawn from its papers."""
-    categories = st.lists(st.sampled_from("ABC"), min_size=1, max_size=3, unique=True)
+    # k runs 1..5, so a slice's lcm of k reaches 60 and cells mix units
+    categories = st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5, unique=True)
     journals = [
         # about one journal in six has no category under the schema
         Journal(f"j{i}", {S: tuple(cats)} if draw(st.integers(0, 5)) else {}, {})

@@ -604,14 +604,13 @@ def test_provisional_ids_reject_a_bad_share(hundred):
         assert got[0] is ComputationError
 
 
-def test_methods_go_unchecked_when_every_cell_has_quota_zero():
+def test_methods_are_checked_when_every_cell_has_quota_zero():
     corpus = one_cell([5] * 10)  # top 1 % of 10 papers rounds to nothing
-    assert hcp_run(corpus, "f", method="bogus") == []
-    assert hcp_run(corpus, "f", method="quota") == []
-    with pytest.raises(ComputationError, match="unknown classification method"):
-        hcp_run(corpus, "f", top_percent=10, method="bogus")
-    with pytest.raises(ComputationError, match="needs a tie-break chain"):
-        hcp_run(corpus, "f", top_percent=10, method="quota")
+    for percent in (1, 10):
+        with pytest.raises(ComputationError, match="unknown classification method"):
+            hcp_run(corpus, "f", top_percent=percent, method="bogus")
+        with pytest.raises(ComputationError, match="needs a tie-break chain"):
+            hcp_run(corpus, "f", top_percent=percent, method="quota")
 
 
 def test_quota_decisions_list_the_chosen_borderline_in_id_order():

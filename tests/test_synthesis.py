@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpora
 import oracles
 from biblio import (
     CitationModel,
@@ -26,6 +27,8 @@ from biblio import (
     surplus_analytic,
     validate,
 )
+from biblio import normalization
+from biblio.synthesis import _REGIME_CONFIGS
 
 
 def small_config(**overrides) -> GenConfig:
@@ -475,6 +478,22 @@ def test_cnci_monte_carlo_parallel_equals_serial(monkeypatch):
     monkeypatch.setenv("BIBLIO_THREADS", "2")
     parallel = monte_carlo_global_cnci(config, trials=8)
     assert serial.regimes == parallel.regimes
+
+
+def test_global_cnci_builds_no_baseline_table(monkeypatch, two_papers):
+    def values():
+        return (monte_carlo_global_cnci(small_config(), trials=12, workers=1).regimes,
+                [global_cnci(two_papers, corpora.SCHEMA, config, years)
+                 for config in _REGIME_CONFIGS for years in (None, [2020])])
+
+    def no_table(*args):
+        raise AssertionError("a baseline table was built")
+
+    want = values()
+    monkeypatch.setattr(normalization, "_table", no_table)
+    with pytest.raises(AssertionError, match="baseline table"):
+        normalization.compute_baselines(two_papers, corpora.SCHEMA)
+    assert values() == want
 
 
 def test_single_trial_regime_stats_collapse():
