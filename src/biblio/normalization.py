@@ -197,7 +197,7 @@ _RATE = {(WHOLE, False): (1, 2), (WHOLE, True): (0, 2), (FRACTIONAL, False): (0,
 
 def _ratio_sum(terms) -> tuple[int, int]:
     """Sum p/q over integer pairs (p, q > 0) as (numerator, denominator), the
-    denominator being the lcm of the q, so it stays small over many cells."""
+    denominator being the lcm of the q rather than their product."""
     num, den = 0, 1
     for p, q in terms:
         g = math.gcd(den, q)
