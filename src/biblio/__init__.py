@@ -81,66 +81,8 @@ from .synthesis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthorCredit",
-    "BaselineTable",
-    "BiblioError",
-    "CellKey",
-    "CitationEdge",
-    "CitationModel",
-    "CnciConfig",
-    "ComputationError",
-    "Corpus",
-    "EmptyInputError",
-    "EntityShare",
-    "ExcellenceReport",
-    "GenConfig",
-    "HcpDecision",
-    "Journal",
-    "LoadError",
-    "LoadReport",
-    "MissingDateError",
-    "Paper",
-    "Quartile",
-    "RankedCategory",
-    "SchemaInfo",
-    "SizeDist",
-    "SurplusEstimate",
-    "ThresholdResult",
-    "TiebreakMethod",
-    "ValidationReport",
-    "ZeroBaselineError",
-    "assign_quartiles",
-    "boundary_ties",
-    "cnci_paper",
-    "cnci_set",
-    "compute_baselines",
-    "decimal_str",
-    "dump_corpus",
-    "entity_hcp_share",
-    "generate_corpus",
-    "global_cnci",
-    "global_cnci_regimes",
-    "hcp_report",
-    "hcp_run",
-    "hcp_selection",
-    "load_corpus",
-    "monte_carlo_global_cnci",
-    "monte_carlo_surplus",
-    "parse_tiebreak_chain",
-    "percentile",
-    "provisional_hcp_ids",
-    "quartile_distribution",
-    "quartile_of_rank",
-    "quartile_partition",
-    "rank_category",
-    "rational_json",
-    "rational_str",
-    "relative_cnci",
-    "round_half_up",
-    "surplus_analytic",
-    "tiebreak_chronology",
-    "tiebreak_citing_excellence",
-    "tiebreak_trajectory",
-    "validate",
-]
+# Every public name imported above, so the list is written once.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith("biblio.")
+)

@@ -244,18 +244,22 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
 def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) -> Fraction:
     """Average-of-ratios aggregate: unweighted mean of per-paper CNCI. A k-field
     paper adds c/(k e) in each of its cells: per cell, split citation mass / e."""
-    return _aor(*_set_sums(corpus, papers, baselines), baselines)
-
-
-def _aor(sums, n, baselines: BaselineTable) -> Fraction:
-    if not n:
-        raise EmptyInputError("cannot average CNCI over an empty paper set")
+    sums, n = _set_sums(corpus, papers, baselines)
     unit = math.lcm(*{k for per_k in sums.values() for k in per_k})
-    num, den = _ratio_sum(
-        (_cell_masses(per_k, unit)[0] * e.denominator, e.numerator)
-        for key, per_k in sums.items() if (e := baselines.cells[key].expected)
-    )
-    return Fraction(num, den * unit * n)
+    cells = baselines.cells
+    return _aor(((_cell_masses(per_k, unit)[0], cells[key].expected.numerator,
+                  cells[key].expected.denominator) for key, per_k in sums.items()), unit * n)
+
+
+def _aor(terms, papers: int) -> Fraction:
+    """Average of ratios from (split citation mass, rate numerator, rate denominator)
+    per cell: each cell's split citation mass over its expected rate, summed and
+    divided by ``papers``, counted in the masses' unit. A zero-rate cell adds 0."""
+    if not papers:
+        raise EmptyInputError("cannot average CNCI over an empty paper set")
+    num, den = _ratio_sum((mass * rate_den, rate_num)
+                          for mass, rate_num, rate_den in terms if rate_num)
+    return Fraction(num, den * papers)
 
 
 def global_cnci(
@@ -303,17 +307,13 @@ def global_cnci_of_sums(
     papers = sum(masses[3] for masses in cells)  # the slice's paper count, times unit
     values = []
     for config in configs:
-        aor = config.aggregation == AOR
-        if not papers:
-            raise EmptyInputError("cannot average CNCI over an empty paper set" if aor
-                                  else "cannot aggregate an empty paper set")
         c, w = _RATE[config.counting, config.split_citations]
-        rates = [(masses[c], masses[w]) for masses in cells]
-        if aor:  # each cell's split citation mass over its expected rate
-            num, den = _ratio_sum((masses[0] * weight, cite)
-                                  for masses, (cite, weight) in zip(cells, rates) if cite)
-            values.append(Fraction(num, den * papers))
+        if config.aggregation == AOR:
+            values.append(_aor(((masses[0], masses[c], masses[w]) for masses in cells), papers))
             continue
+        if not papers:
+            raise EmptyInputError("cannot aggregate an empty paper set")
+        rates = [(masses[c], masses[w]) for masses in cells]
         # observed citation mass over the sum of weight times expected rate
         num, den = _ratio_sum((weight * cite, weight) for cite, weight in rates)
         if not num:

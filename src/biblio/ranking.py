@@ -12,6 +12,8 @@ and tiny categories can only be excluded via the explicit minimum-size gate.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -31,41 +33,33 @@ class Quartile(IntEnum):
         return self.name
 
 
+_QUARTILES = tuple(Quartile)
+
+
 @dataclass(frozen=True)
 class QuartileBounds:
-    """Rank cut positions for a category of n journals."""
+    """Rank cut positions for a category of n journals: ranks up to ``cuts[0]``
+    are Q1, up to ``cuts[1]`` Q2, up to ``cuts[2]`` Q3, and the rest Q4."""
 
     n: int
-    cut1: int
-    cut2: int
-    cut3: int
+    cuts: tuple[int, int, int]
 
     @property
     def counts(self) -> tuple[int, int, int, int]:
-        return (
-            self.cut1,
-            self.cut2 - self.cut1,
-            self.cut3 - self.cut2,
-            self.n - self.cut3,
-        )
+        c1, c2, c3 = self.cuts
+        return (c1, c2 - c1, c3 - c2, self.n - c3)
 
 
 def quartile_partition(n: int) -> QuartileBounds:
     if n < 1:
         raise EmptyInputError("a category must contain at least one ranked journal")
-    return QuartileBounds(n=n, cut1=n // 4, cut2=n // 2, cut3=3 * n // 4)
+    return QuartileBounds(n, (n // 4, n // 2, 3 * n // 4))
 
 
 def quartile_of_rank(rank: int, bounds: QuartileBounds) -> Quartile:
     if not 1 <= rank <= bounds.n:
         raise ComputationError(f"rank {rank} outside 1..{bounds.n}")
-    if rank <= bounds.cut1:
-        return Quartile.Q1
-    if rank <= bounds.cut2:
-        return Quartile.Q2
-    if rank <= bounds.cut3:
-        return Quartile.Q3
-    return Quartile.Q4
+    return _QUARTILES[bisect_left(bounds.cuts, rank)]
 
 
 @dataclass(frozen=True)
@@ -189,16 +183,12 @@ class BoundaryTie:
 
 def boundary_ties(ranking: RankedCategory) -> tuple[BoundaryTie, ...]:
     bounds = quartile_partition(ranking.n)
-    cuts = (bounds.cut1, bounds.cut2, bounds.cut3)
-    blocks: dict[int, int] = {}
-    for e in ranking.entries:
-        blocks[e.rank] = blocks.get(e.rank, 0) + 1
     flagged = []
-    for rank, size in sorted(blocks.items()):
+    for rank, size in sorted(Counter(e.rank for e in ranking.entries).items()):
         if size < 2:
             continue
         first, last = rank, rank + size - 1
-        if any(first <= cut < last for cut in cuts):
+        if any(first <= cut < last for cut in bounds.cuts):
             flagged.append(
                 BoundaryTie(
                     category=ranking.category,

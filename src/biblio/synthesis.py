@@ -104,18 +104,11 @@ class SizeDist:
         return sizes
 
     def remainder_weights(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Exact distribution of size mod 4 under this spec."""
-        if self.kind == "fixed":
-            weights = [Fraction(0)] * 4
-            weights[self.value % 4] = Fraction(1)
-            return tuple(weights)
-        span = self.high - self.low + 1
-        counts = [0, 0, 0, 0]
-        for r in range(4):
-            first = self.low + (r - self.low) % 4
-            if first <= self.high:
-                counts[r] = (self.high - first) // 4 + 1
-        return tuple(Fraction(c, span) for c in counts)
+        """Exact distribution of size mod 4 under this spec; a fixed spec is the
+        range from its value to itself."""
+        low, high = (self.value,) * 2 if self.kind == "fixed" else (self.low, self.high)
+        return tuple(Fraction(len(range(low + (r - low) % 4, high + 1, 4)), high - low + 1)
+                     for r in range(4))
 
 
 @dataclass(frozen=True)
@@ -353,9 +346,10 @@ class SurplusEstimate:
     """Analytic per-quartile journal counts when every category is cut at floors.
 
     ``extras`` are the expected surpluses of Q2, Q3, Q4 over Q1 across all
-    categories; ``totals`` are integer per-quartile totals obtained from the
-    exact solution by largest-remainder rounding, handing leftover units to
-    the smallest exact totals first, so the grand total is always preserved.
+    categories, rounded half-up; ``totals`` are integer per-quartile totals
+    obtained from the exact solution by largest-remainder rounding, handing
+    leftover units to the smallest exact totals first, so the grand total is
+    always preserved.
     """
 
     num_categories: int
@@ -368,10 +362,15 @@ class SurplusEstimate:
 
 def _expected_extras(
     num_categories: int, weights: tuple[Fraction, Fraction, Fraction, Fraction]
-) -> tuple[int, int, int]:
-    w0, w1, w2, w3 = weights
-    expected = (w2 + w3, w3, w1 + w2 + w3)
-    return tuple(round_half_up(Fraction(num_categories) * e) for e in expected)
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact expected surpluses of Q2, Q3, Q4 over Q1 across the categories, given
+    P(size mod 4 = r). A size's surpluses depend only on its remainder, so the
+    partition of 4 + r stands for every size of remainder r."""
+    counts = [quartile_partition(4 + r).counts for r in range(4)]
+    return tuple(
+        Fraction(num_categories) * sum(w * (c[q] - c[0]) for w, c in zip(weights, counts))
+        for q in (1, 2, 3)
+    )
 
 
 def surplus_analytic(
@@ -391,7 +390,7 @@ def surplus_analytic(
         remainder_weights = (Fraction(1, 4),) * 4
     if sum(remainder_weights) != 1:
         raise ComputationError("remainder weights must sum to 1")
-    extras = _expected_extras(num_categories, remainder_weights)
+    extras = tuple(map(round_half_up, _expected_extras(num_categories, remainder_weights)))
     q1 = Fraction(total_journals - sum(extras), 4)
     if q1 < 0:
         raise ComputationError("too few journals for the floor-cut surplus model")
@@ -480,7 +479,7 @@ class SurplusMonteCarlo:
     mean_extras: tuple[Fraction, Fraction, Fraction]
     se_extras: tuple[float | None, ...]
     per_trial_totals: tuple[tuple[int, int, int, int], ...]
-    flagged: tuple[str, ...]  # extras where the analytic value fell outside mean +- 3 SE
+    flagged: tuple[str, ...]  # extras whose exact expectation fell outside mean +- 3 SE
 
     @property
     def agrees(self) -> bool:
@@ -513,15 +512,15 @@ def monte_carlo_surplus(
 ) -> SurplusMonteCarlo:
     """Sample category sizes per trial and accumulate quartile totals.
 
-    The analytic expectation uses the exact remainder distribution of the
-    configured size spec, so fixed multiples of four really do predict zero
-    extras. A quartile's surplus is flagged when the analytic value falls
-    outside the Monte Carlo mean plus or minus three standard errors (for a
-    zero-variance run, when it differs at all).
+    The expectation uses the exact remainder distribution of the configured
+    size spec, so fixed multiples of four really do predict zero extras. A
+    quartile's surplus is flagged when its exact expectation falls outside the
+    Monte Carlo mean plus or minus three standard errors (for a zero-variance
+    run, when it differs at all); ``analytic_extras`` shows it rounded half-up.
     """
     rows = _run_trials(_surplus_row, config, trials, workers)
 
-    analytic = _expected_extras(
+    expected = _expected_extras(
         config.num_categories, config.journals_per_category.remainder_weights()
     )
     totals_stats = [_mean_se([r[q] for r in rows]) for q in range(4)]
@@ -531,13 +530,13 @@ def monte_carlo_surplus(
     for i, label in enumerate(("Q2", "Q3", "Q4")):
         mean, se = extras_stats[i]
         if se is None or se == 0.0:
-            if mean != analytic[i] and trials > 1:
+            if mean != expected[i] and trials > 1:
                 flagged.append(label)
-        elif abs(float(mean) - analytic[i]) > 3 * se:
+        elif abs(float(mean) - expected[i]) > 3 * se:
             flagged.append(label)
     return SurplusMonteCarlo(
         trials=trials,
-        analytic_extras=analytic,
+        analytic_extras=tuple(map(round_half_up, expected)),
         mean_totals=tuple(s[0] for s in totals_stats),
         se_totals=tuple(s[1] for s in totals_stats),
         mean_extras=tuple(s[0] for s in extras_stats),

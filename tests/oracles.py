@@ -149,22 +149,27 @@ def uniform_remainder_weights(low: int, high: int):
     )
 
 
-def surplus_by_enumeration(num_categories: int, total_journals: int, weights=None):
-    """Expected Q2/Q3/Q4 extras and integer per-quartile totals.
-
-    Extras follow from which quartiles receive a unit at each remainder
-    (r=1 feeds Q4, r=2 feeds Q2 and Q4, r=3 feeds Q2, Q3 and Q4); totals
-    split the remaining journals evenly and repair the floor loss by giving
-    spare units to the smallest exact totals.
-    """
-    if weights is None:
-        weights = (Fraction(1, 4),) * 4
+def exact_extras(num_categories: int, weights):
+    """Exact expected Q2/Q3/Q4 extras over Q1 across the categories, from which
+    quartiles receive a unit at each remainder (r=1 feeds Q4, r=2 feeds Q2 and
+    Q4, r=3 feeds Q2, Q3 and Q4)."""
     gains = {0: (), 1: (3,), 2: (1, 3), 3: (1, 2, 3)}
     expected = [Fraction(0)] * 4
     for r, w in enumerate(weights):
         for q in gains[r]:
             expected[q] += w
-    extras = tuple(decimal_half_up(num_categories * e) for e in expected[1:])
+    return tuple(num_categories * e for e in expected[1:])
+
+
+def surplus_by_enumeration(num_categories: int, total_journals: int, weights=None):
+    """Expected Q2/Q3/Q4 extras, rounded half-up, and integer per-quartile totals.
+
+    Extras are :func:`exact_extras`; totals split the remaining journals evenly
+    and repair the floor loss by giving spare units to the smallest exact totals.
+    """
+    if weights is None:
+        weights = (Fraction(1, 4),) * 4
+    extras = tuple(decimal_half_up(e) for e in exact_extras(num_categories, weights))
     base = Fraction(total_journals - sum(extras), 4)
     exact = [base, base + extras[0], base + extras[1], base + extras[2]]
     totals = [int(x) for x in exact]

@@ -85,6 +85,10 @@ def test_partition_exhaustive_against_positional_oracle():
         assert sum(counts) == n
         assert set(counts) <= {n // 4, n // 4 + 1}
         assert counts[0] <= counts[3]
+        if n <= 200:
+            labels = [quartile_of_rank(rank, bounds) for rank in range(1, n + 1)]
+            assert labels == oracle
+            assert all(type(q) is Quartile for q in labels)
 
 
 # -- competition ranking ---------------------------------------------------------

@@ -28,7 +28,7 @@ from biblio import (
     validate,
 )
 from biblio import normalization
-from biblio.synthesis import _REGIME_CONFIGS
+from biblio.synthesis import _REGIME_CONFIGS, _expected_extras
 
 
 def small_config(**overrides) -> GenConfig:
@@ -76,9 +76,12 @@ def test_remainder_weights():
         Fraction(1, 7), Fraction(2, 7), Fraction(2, 7), Fraction(2, 7),
     )
     assert SizeDist.uniform(1, 4).remainder_weights() == (Fraction(1, 4),) * 4
+    for value in range(8):
+        assert SizeDist.fixed(value).remainder_weights() == oracles.uniform_remainder_weights(
+            value, value)
 
 
-@given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=40))
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=40))
 def test_remainder_weights_match_enumeration(low, span):
     dist = SizeDist.uniform(low, low + span)
     assert dist.remainder_weights() == oracles.uniform_remainder_weights(low, low + span)
@@ -292,6 +295,22 @@ def test_surplus_matches_enumeration_oracle(nc, low, span):
     assert sum(est.totals) == total
 
 
+@pytest.mark.parametrize("low", range(6))
+def test_expected_extras_match_the_support_and_the_gains_table(low):
+    # Two independent routes to the exact expectation: the mean surplus over
+    # every size of the spec's support, each size cut position by position (a
+    # size-0 category places nothing), and the hand-written table of which
+    # quartiles gain a unit at each remainder.
+    for span in range(13):
+        sizes = range(low, low + span + 1)
+        cuts = [oracles.positional_quartiles(n) for n in sizes]
+        by_support = tuple(
+            Fraction(sum(q.count(b) - q.count(1) for q in cuts), len(sizes)) for b in (2, 3, 4))
+        weights = SizeDist.uniform(low, low + span).remainder_weights()
+        assert _expected_extras(1, weights) == by_support
+        assert _expected_extras(5, weights) == oracles.exact_extras(5, weights)
+
+
 def test_surplus_validation():
     with pytest.raises(ComputationError):
         surplus_analytic(0, 100)
@@ -327,14 +346,19 @@ def test_monte_carlo_surplus_agrees_with_analytic():
     assert len(mc.per_trial_totals) == 300
 
 
-def test_skewed_remainders_trip_the_agreement_flag():
-    # uniform(13, 19) has remainder weights (1/7, 2/7, 2/7, 2/7); the exact
-    # expected extras (32/7, 16/7, 48/7) are not integers, so a long run's
-    # mean settles away from the rounded analytic value and gets flagged.
-    config = mc_config(journals_per_category=SizeDist.uniform(13, 19))
-    mc = monte_carlo_surplus(config, trials=300)
-    assert mc.analytic_extras == (5, 2, 7)
-    assert not mc.agrees
+@pytest.mark.parametrize("overrides,trials,analytic", [
+    # remainder weights (1/7, 2/7, 2/7, 2/7): exact extras 32/7, 16/7, 48/7
+    ({"journals_per_category": SizeDist.uniform(13, 19)}, 300, (5, 2, 7)),
+    # remainder weights (2/9, 3/9, 2/9, 2/9): exact extras 16/3, 8/3, 28/3
+    ({"seed": 7, "num_categories": 12, "journals_per_category": SizeDist.uniform(1, 9)},
+     10_000, (5, 3, 9)),
+], ids=["uniform-13-19", "uniform-1-9"])
+def test_skewed_remainders_agree_with_the_exact_expectation(overrides, trials, analytic):
+    # The expectation is not an integer, so the flag compares the mean against
+    # the exact Fraction; analytic_extras only shows it rounded half-up.
+    mc = monte_carlo_surplus(mc_config(**overrides), trials=trials)
+    assert mc.analytic_extras == analytic
+    assert mc.agrees
 
 
 def test_monte_carlo_surplus_fixed_sizes_have_zero_variance():
