@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import logging
 import sys
 from fractions import Fraction
@@ -146,11 +145,8 @@ def _tiebreak_names(text: str) -> list[str]:
 
 def _load(args) -> Corpus:
     corpus = load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
-    schema = getattr(args, "schema", None)
-    if schema is not None and schema not in corpus.schemas:
-        declared = ", ".join(map(repr, sorted(corpus.schemas))) or "none"
-        raise _UsageError(f"--schema {schema!r} is not declared in the corpus "
-                          f"(declared: {declared})")
+    if getattr(args, "schema", None) is not None:
+        _usage_checked(corpus.require_schema, args.schema)
     return corpus
 
 
@@ -242,7 +238,7 @@ def _cmd_baselines(args) -> normalization.BaselineTable:
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
     )
-    return dataclasses.replace(table, cells={
+    return table._replace(cells={
         k: v for k, v in table.cells.items() if k.within(args.years, args.doc_types)
     })
 

@@ -16,7 +16,7 @@ so a corpus must not be mutated once it has been queried.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -27,8 +27,7 @@ DAY = "day"
 MONTH = "month"
 
 
-@dataclass(frozen=True)
-class SchemaInfo:
+class SchemaInfo(NamedTuple):
     """A journal classification schema.
 
     Single-attribution schemas assign every journal exactly one category;
@@ -40,8 +39,7 @@ class SchemaInfo:
     single_attribution: bool = False
 
 
-@dataclass(frozen=True)
-class AuthorCredit:
+class AuthorCredit(NamedTuple):
     """One author slot on a paper.
 
     An author with no entity affiliations still consumes one author share of
@@ -52,13 +50,13 @@ class AuthorCredit:
     entities: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Journal:
+class Journal(NamedTuple):
     id: str
     categories: dict[str, tuple[str, ...]]
-    metric_by_year: dict[int, Fraction] = field(default_factory=dict)
+    metric_by_year: dict[int, Fraction]
 
 
+# A dataclass, not a NamedTuple: indicators read it per paper, and its attribute reads are faster.
 @dataclass(frozen=True)
 class Paper:
     """A publication.
@@ -91,8 +89,7 @@ class Paper:
         return None
 
 
-@dataclass(frozen=True)
-class CitationEdge:
+class CitationEdge(NamedTuple):
     citing: str
     cited: str
     date: date | None = None
@@ -104,9 +101,6 @@ class CellKey(NamedTuple):
     field: str
     year: int
     doc_type: str
-
-    def as_dict(self) -> dict:
-        return {"field": self.field, "year": self.year, "doc_type": self.doc_type}
 
     def within(self, years=None, doc_types=None) -> bool:
         """Whether the cell lies in a year/doc-type slice; None admits every value."""
@@ -182,6 +176,15 @@ class Corpus:
             )
         return self.edges
 
+    def require_schema(self, schema: str) -> SchemaInfo:
+        info = self.schemas.get(schema)
+        if info is None:
+            declared = ", ".join(map(repr, sorted(self.schemas))) or "none"
+            raise ComputationError(
+                f"schema {schema!r} is not declared in the corpus (declared: {declared})"
+            )
+        return info
+
     @property
     def citation_counts(self) -> dict[str, int]:
         if self._counts is None:
@@ -241,9 +244,11 @@ class Corpus:
         """Papers grouped into (field, year, doc_type) cells, sorted by key.
 
         A paper appears once per category its journal holds under ``schema``;
-        papers whose journal has no category there are absent entirely.
+        papers whose journal has no category there are absent entirely. An
+        undeclared ``schema`` is a :class:`ComputationError`.
         """
         if schema not in self._cell_cache:
+            self.require_schema(schema)
             grouped: dict[CellKey, list[Paper]] = {}
             for p in self.papers.values():
                 for f in self.paper_fields(p, schema):
@@ -318,15 +323,13 @@ def _within(cells: dict, years, doc_types) -> dict:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     count: int
     examples: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Per-invariant violation counts with the first few offending ids."""
 
     violations: tuple[CheckResult, ...]

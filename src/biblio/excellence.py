@@ -49,8 +49,7 @@ PARTIAL = "fractional"
 _ONE = Fraction(1)  # the weight of every full decision
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     cell: CellKey
     top_percent: Fraction
     quota: int
@@ -60,7 +59,7 @@ class ThresholdResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "cell": self.cell.as_dict(),
+            "cell": self.cell._asdict(),
             "top_percent": rational_str(self.top_percent),
             "quota": self.quota,
             "threshold": self.threshold,
@@ -82,7 +81,7 @@ class HcpDecision(NamedTuple):
         whole = weight is _ONE  # the kernels' full weight; any other 1 renders alike
         return {
             "paper": self.paper_id,
-            "cell": self.cell.as_dict(),
+            "cell": self.cell._asdict(),
             "status": self.status,
             "weight": "1" if whole else rational_str(weight),
             "weight_decimal": "1.00" if whole else decimal_str(weight, 2),
@@ -155,8 +154,7 @@ def _selects(result: ThresholdResult, esi_low_threshold: bool) -> bool:
 # -- tie-break orderings --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TiebreakOrdering:
+class TiebreakOrdering(NamedTuple):
     """Groups of paper ids, best first; a group of several is an unresolved tie."""
 
     method: str
@@ -393,8 +391,7 @@ def hcp_run(corpus: Corpus, schema: str, **options) -> list[HcpDecision]:
     return hcp_selection(corpus, schema, **options)[1]
 
 
-@dataclass(frozen=True)
-class EntityShare:
+class EntityShare(NamedTuple):
     entity: str
     counting: str
     hcp_weight: Fraction
@@ -456,8 +453,7 @@ def entity_hcp_share(
     )
 
 
-@dataclass(frozen=True)
-class FieldExcellenceRow:
+class FieldExcellenceRow(NamedTuple):
     field: str
     total: int
     expected: int
@@ -472,8 +468,7 @@ class FieldExcellenceRow:
         return Fraction(100) * self.actual / self.total
 
 
-@dataclass(frozen=True)
-class ExcellenceReport:
+class ExcellenceReport(NamedTuple):
     schema: str
     top_percent: Fraction
     rows: tuple[FieldExcellenceRow, ...]

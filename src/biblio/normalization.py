@@ -29,7 +29,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CellKey, Corpus, Paper
 from .errors import ComputationError, EmptyInputError, ZeroBaselineError
@@ -67,15 +67,13 @@ class CnciConfig:
             )
 
 
-@dataclass(frozen=True)
-class BaselineCell:
+class BaselineCell(NamedTuple):
     expected: Fraction
     weight: Fraction  # total paper weight: n (whole) or sum of 1/k (fractional)
     papers: int
 
 
-@dataclass(frozen=True)
-class BaselineTable:
+class BaselineTable(NamedTuple):
     schema: str
     counting: str
     split_citations: bool
@@ -107,7 +105,7 @@ class BaselineTable:
             "counting": self.counting_label,
             "cells": [
                 {
-                    "cell": key.as_dict(),
+                    "cell": key._asdict(),
                     "expected": rational_json(cell.expected, 4),
                     "weight": rational_str(cell.weight),
                     "papers": cell.papers,
@@ -152,7 +150,8 @@ def _cell_sums(corpus: Corpus, papers: Iterable[Paper], schema: str):
     """({cell: {k: [papers, citations]}}, whether any paper had no category).
 
     Papers are grouped by (journal, year, doc_type) first, which fixes their
-    cells and k, so each paper costs one integer update."""
+    cells and k, so each paper costs one integer update. ``schema`` must be declared."""
+    corpus.require_schema(schema)
     counts = corpus.citation_counts
     groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
     for p in papers:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .corpus import Corpus
 from .errors import ComputationError, EmptyInputError
@@ -36,8 +36,7 @@ class Quartile(IntEnum):
 _QUARTILES = tuple(Quartile)
 
 
-@dataclass(frozen=True)
-class QuartileBounds:
+class QuartileBounds(NamedTuple):
     """Rank cut positions for a category of n journals: ranks up to ``cuts[0]``
     are Q1, up to ``cuts[1]`` Q2, up to ``cuts[2]`` Q3, and the rest Q4."""
 
@@ -62,15 +61,13 @@ def quartile_of_rank(rank: int, bounds: QuartileBounds) -> Quartile:
     return _QUARTILES[bisect_left(bounds.cuts, rank)]
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     journal_id: str
     metric: Fraction
     rank: int
 
 
-@dataclass(frozen=True)
-class RankedCategory:
+class RankedCategory(NamedTuple):
     schema: str
     category: str
     year: int
@@ -167,8 +164,7 @@ def assign_quartiles(ranking: RankedCategory) -> dict[str, Quartile]:
     return {e.journal_id: quartile_of_rank(e.rank, bounds) for e in ranking.entries}
 
 
-@dataclass(frozen=True)
-class BoundaryTie:
+class BoundaryTie(NamedTuple):
     """A tie block whose positions straddle a quartile cut.
 
     Everything in the block got the quartile of the shared minimal rank; the
@@ -200,8 +196,7 @@ def boundary_ties(ranking: RankedCategory) -> tuple[BoundaryTie, ...]:
     return tuple(flagged)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     """How journals or papers spread across quartiles.
 
     per_category counts each journal (or its papers) once per category, so

@@ -22,6 +22,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
 from .errors import ComputationError
@@ -341,8 +342,7 @@ def generate_corpus(config: GenConfig, trial: int | None = None) -> Corpus:
 # -- quartile surplus -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurplusEstimate:
+class SurplusEstimate(NamedTuple):
     """Analytic per-quartile journal counts when every category is cut at floors.
 
     ``extras`` are the expected surpluses of Q2, Q3, Q4 over Q1 across all
@@ -470,8 +470,7 @@ def _mean_se(values: list[int]) -> tuple[Fraction, float | None]:
     return mean, math.sqrt(float(var) / n)
 
 
-@dataclass(frozen=True)
-class SurplusMonteCarlo:
+class SurplusMonteCarlo(NamedTuple):
     trials: int
     analytic_extras: tuple[int, int, int]
     mean_totals: tuple[Fraction, Fraction, Fraction, Fraction]
@@ -566,8 +565,7 @@ _REGIME_CONFIGS = tuple(
 PINNED_REGIMES = ("fractional_aor", "whole_roa_split")
 
 
-@dataclass(frozen=True)
-class RegimeStats:
+class RegimeStats(NamedTuple):
     minimum: Fraction
     mean: Fraction
     maximum: Fraction
@@ -575,8 +573,7 @@ class RegimeStats:
     violations: int
 
 
-@dataclass(frozen=True)
-class CnciMonteCarlo:
+class CnciMonteCarlo(NamedTuple):
     trials: int
     regimes: dict[str, RegimeStats]
 

@@ -2,9 +2,10 @@
 
 At least one invocation per subcommand, over small fixture corpora written to
 a scratch directory. Acceptance criterion 9 reruns them in-process to check
-determinism; ``test_golden`` compares their stdout, and every file an
+determinism; ``differences`` compares their stdout, and every file an
 ``--out-dir`` case writes, against the files in ``tests/golden/``, so byte
-identity also holds across changes to the code. A case is named after its
+identity also holds across changes to the code and, in ``test_golden``,
+across every Python the package declares. A case is named after its
 subcommand, or after the subcommand and a suffix when there are several.
 Every case exits 0 except those in ``EXIT_CODES``.
 
@@ -211,16 +212,40 @@ def outputs(argv) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+def run_case(argv) -> tuple[int, dict[str, bytes]]:
+    """Run one case in this process: its exit code and its outputs, stdout as
+    ``out`` and each --out-dir file by name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, {"out": out.getvalue().encode("utf-8"), **outputs(argv)}
+
+
+def differences(tmp_path: Path) -> list[str]:
+    """Run every case in this process against ``tests/golden/``: each wrong exit
+    code, each output whose bytes differ or that has no golden file, and each
+    golden file that no case writes."""
+    pinned = {p.name for p in GOLDEN_DIR.iterdir()}
+    found, written = [], set()
+    for name, argv in invocations(tmp_path):
+        code, files = run_case(argv)
+        if code != exit_code(name):
+            found.append(f"{name} exited {code}")
+        for output, data in files.items():
+            path = golden_path(name, output)
+            written.add(path.name)
+            if path.name not in pinned or data != path.read_bytes():
+                found.append(path.name)
+    return found + sorted(f"{name} (written by no case)" for name in pinned - written)
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in invocations(Path(tmp)):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(list(argv))
+            code, files = run_case(argv)
             if code != exit_code(name):
                 sys.exit(f"{name} exited {code}")
-            files = {"out": out.getvalue().encode("utf-8"), **outputs(argv)}
             for output, data in files.items():
                 golden_path(name, output).write_bytes(data)
                 print(f"wrote {golden_path(name, output)}")

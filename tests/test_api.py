@@ -1,10 +1,16 @@
-"""The public API carries no dead weight.
+"""The public API carries no dead weight, and its records share one idiom.
 
 Every name ``biblio`` exports is either used by the package itself or
 documented under README's "Library use"; anything else is code only the
-tests keep alive.
+tests keep alive. Result records are ``NamedTuple``s; a dataclass is kept
+only where it is named below, with its reason.
 """
 import ast
+import dataclasses
+import enum
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -37,3 +43,27 @@ def test_every_export_is_used_or_documented():
         if name not in used and not re.search(rf"\b{name}\b", library_use)
     ]
     assert unaccounted == []
+
+
+# The classes that stay dataclasses: Paper, whose attribute reads are faster so,
+# the configs whose __post_init__ checks their fields, and the mutable LoadReport.
+DATACLASSES = {"Paper", "CnciConfig", "TiebreakMethod", "SizeDist", "CitationModel",
+               "GenConfig", "LoadReport"}
+
+
+def test_every_record_is_a_named_tuple():
+    """Every class the package defines, exported or not, is a NamedTuple, an
+    Enum, an exception or Corpus, or else one of the named dataclasses."""
+    classes = {
+        name: cls
+        for module in pkgutil.iter_modules(biblio.__path__, "biblio.")
+        for name, cls in inspect.getmembers(importlib.import_module(module.name), inspect.isclass)
+        if cls.__module__ == module.name
+    }
+    others = {
+        name for name, cls in classes.items()
+        if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))
+        and not issubclass(cls, (enum.Enum, Exception, biblio.Corpus))
+    }
+    assert others == DATACLASSES
+    assert all(dataclasses.is_dataclass(classes[name]) for name in DATACLASSES)

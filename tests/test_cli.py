@@ -233,7 +233,7 @@ def test_an_undeclared_schema_is_a_usage_error(run, corpus_files, two_papers, co
     code, out, err = run(*command, "--journals", journals, "--papers", papers, "--schema", "zz")
     assert (code, out) == (2, "")
     assert err == (
-        "biblio: error: --schema 'zz' is not declared in the corpus (declared: 'subjects')\n"
+        "biblio: error: schema 'zz' is not declared in the corpus (declared: 'subjects')\n"
     )
 
 

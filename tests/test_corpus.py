@@ -10,11 +10,16 @@ import corpora
 from biblio import (
     AuthorCredit,
     CitationEdge,
+    CnciConfig,
     ComputationError,
     Corpus,
     Journal,
     Paper,
     SchemaInfo,
+    compute_baselines,
+    global_cnci,
+    hcp_run,
+    provisional_hcp_ids,
     validate,
 )
 from biblio.corpus import MONTH, CellKey
@@ -59,6 +64,20 @@ def test_cells_multi_attribution(two_papers):
 def test_cells_skip_uncategorized_journals(two_papers_edges):
     members = {p.id for ps in two_papers_edges.cells(S).values() for p in ps}
     assert members == {"pa", "pab"}
+
+
+@pytest.mark.parametrize("indicator", [
+    lambda c: hcp_run(c, "zz"),
+    lambda c: compute_baselines(c, "zz"),
+    lambda c: provisional_hcp_ids(c, "zz"),
+    lambda c: global_cnci(c, "zz", CnciConfig()),
+], ids=["hcp_run", "compute_baselines", "provisional_hcp_ids", "global_cnci"])
+def test_an_undeclared_schema_is_refused(two_papers, indicator):
+    with pytest.raises(ComputationError) as err:
+        indicator(two_papers)
+    assert str(err.value) == (
+        "schema 'zz' is not declared in the corpus (declared: 'subjects')"
+    )
 
 
 def test_cells_slice_filters():
