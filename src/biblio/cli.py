@@ -2,7 +2,9 @@
 
 Each subcommand's handler computes and returns its result, a payload dict or
 a result that renders itself; ``main`` alone renders that result and writes it
-to standard output (or ``--out``). Diagnostics go to standard error.
+to standard output (or ``--out``). Each handler imports the modules it runs,
+so a process loads only those its subcommand needs. Diagnostics go to
+standard error.
 Exit codes: 0 success, 2 usage or validation problems (including strict-mode
 load failures), 3 computation errors such as a cited paper over a zero
 baseline. Output is byte-stable: JSON is emitted with sorted keys and compact
@@ -19,7 +21,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import excellence, normalization, ranking, synthesis
 from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
 from .io import dump_corpus, json_line, load_corpus
@@ -123,6 +124,7 @@ def _trials(text: str) -> int:
 
 
 def _top_percent(text: str) -> Fraction:
+    from . import excellence
     try:
         return excellence._share(text)
     except (ValueError, ZeroDivisionError, ComputationError):
@@ -131,6 +133,7 @@ def _top_percent(text: str) -> Fraction:
 
 
 def _tiebreak_names(text: str) -> list[str]:
+    from . import excellence
     names = _str_list(text)
     for name in names:
         try:
@@ -193,10 +196,12 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_rank(args) -> ranking.RankedCategory:
+    from . import ranking
     return ranking.rank_category(_load(args), args.schema, args.category, args.year)
 
 
 def _cmd_percentile(args) -> dict:
+    from . import ranking
     corpus = _load(args)
     cats = corpus.categories_of(args.journal, args.schema)
     if not cats:
@@ -222,6 +227,7 @@ def _cmd_percentile(args) -> dict:
 
 
 def _cmd_quartiles(args) -> ranking.DistributionReport:
+    from . import ranking
     return ranking.quartile_distribution(
         _load(args),
         args.schema,
@@ -233,6 +239,7 @@ def _cmd_quartiles(args) -> ranking.DistributionReport:
 
 
 def _cmd_baselines(args) -> normalization.BaselineTable:
+    from . import normalization
     _usage_checked(normalization.baseline_config, args.counting, args.split_citations)
     corpus = _load(args)
     table = normalization.compute_baselines(
@@ -244,6 +251,7 @@ def _cmd_baselines(args) -> normalization.BaselineTable:
 
 
 def _cmd_cnci(args) -> dict:
+    from . import normalization
     config = _usage_checked(
         normalization.CnciConfig, args.counting, args.aggregation, args.split_citations
     )
@@ -269,6 +277,7 @@ def _cmd_cnci(args) -> dict:
 
 
 def _cmd_relative_cnci(args) -> dict:
+    from . import normalization
     if not args.subunit_entity and not args.subunit_ids:
         raise _UsageError("relative-cnci needs --subunit-entity or --subunit-ids")
     corpus = _load(args)
@@ -302,6 +311,7 @@ def _cmd_relative_cnci(args) -> dict:
 def _hcp_selection(args):
     """The loaded corpus, its sliced cell thresholds and its HCP decisions
     under the hcp options, whose combination is checked before loading."""
+    from . import excellence
     if args.method == "quota" and not args.tiebreak:
         raise _UsageError("--method quota requires a --tiebreak chain")
     if args.method != "quota" and args.tiebreak:
@@ -335,6 +345,7 @@ def _cmd_hcp(args) -> dict:
 
 
 def _cmd_hcp_report(args) -> excellence.ExcellenceReport:
+    from . import excellence
     corpus, _, decisions = _hcp_selection(args)
     return excellence.hcp_report(
         corpus,
@@ -347,6 +358,7 @@ def _cmd_hcp_report(args) -> excellence.ExcellenceReport:
 
 
 def _cmd_entity_share(args) -> dict:
+    from . import excellence
     corpus, _, decisions = _hcp_selection(args)
     share = excellence.entity_hcp_share(corpus, args.entity, decisions, args.counting)
     payload = share.to_json_dict()
@@ -358,6 +370,8 @@ def _cmd_entity_share(args) -> dict:
 def _gen_config(path: str) -> synthesis.GenConfig:
     """The ``--config`` file as a generator config; any fault in it is a usage error."""
     import yaml  # only simulate reads YAML; a top-level import slows every start-up
+
+    from . import synthesis
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -373,6 +387,7 @@ def _gen_config(path: str) -> synthesis.GenConfig:
 
 
 def _cmd_simulate(args) -> dict:
+    from . import synthesis
     config = _gen_config(args.config)
     if args.experiment == "corpus" and not args.out_dir:
         raise _UsageError("--experiment corpus requires --out-dir")

@@ -128,6 +128,15 @@ def _nested(record: dict, key: str, default):
     return value
 
 
+def _int_text(text: str) -> int:
+    """Integer text: an optional ``-`` and ASCII digits. ``int`` alone would
+    also take ``+``, surrounding spaces, ``_`` separators and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _integer(record: dict, key: str) -> int | None:
     """An optional whole number: a JSON integer (or integral float) or CSV text."""
     if key not in record:
@@ -135,7 +144,7 @@ def _integer(record: dict, key: str) -> int | None:
     value = record[key]
     if isinstance(value, str):
         try:
-            return int(value)
+            return _int_text(value)
         except ValueError:
             pass
     elif isinstance(value, int) and not isinstance(value, bool):
@@ -149,7 +158,7 @@ def _metric_map(raw, jid: str) -> dict[int, Fraction]:
     # JSON numbers round-trip through repr exactly; "num/den" strings are
     # accepted for values with no finite decimal form.
     try:
-        return {int(y): Fraction(str(v)) for y, v in raw.items()}
+        return {_int_text(y): Fraction(str(v)) for y, v in raw.items()}
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"journal {jid!r} has a malformed metric map") from exc
 
@@ -173,10 +182,14 @@ def _authors(raw) -> tuple[AuthorCredit, ...]:
 
 
 def _parse_date(value) -> date:
-    try:
-        return date.fromisoformat(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed date {value!r}") from exc
+    """A ``YYYY-MM-DD`` date. The shape is checked first because from Python
+    3.11 on ``date.fromisoformat`` also takes other ISO 8601 forms."""
+    if isinstance(value, str) and len(value) == 10 and value[4] == value[7] == "-":
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    raise ValueError(f"malformed date {value!r}")
 
 
 def _parse_month(value, year: int) -> date:
@@ -187,9 +200,9 @@ def _parse_month(value, year: int) -> date:
         try:
             if "-" in text:
                 year_s, month_s = text.split("-")
-                year, month = int(year_s), int(month_s)
+                year, month = _int_text(year_s), _int_text(month_s)
             else:
-                month = int(text)
+                month = _int_text(text)
         except ValueError as exc:
             raise ValueError(f"malformed month {value!r}") from exc
     if not 1 <= month <= 12:

@@ -2,7 +2,9 @@
 
 Every name ``biblio`` exports is either used by the package itself or
 documented under README's "Library use"; anything else is code only the
-tests keep alive. Result records are ``NamedTuple``s; a dataclass is kept
+tests keep alive. The package loads its submodules on first use, and the
+names it exports, and what they are, stay as they were when it imported every
+submodule up front. Result records are ``NamedTuple``s; a dataclass is kept
 only where it is named below, with its reason.
 """
 import ast
@@ -13,6 +15,8 @@ import inspect
 import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import biblio
 
@@ -67,3 +71,45 @@ def test_every_record_is_a_named_tuple():
     }
     assert others == DATACLASSES
     assert all(dataclasses.is_dataclass(classes[name]) for name in DATACLASSES)
+
+
+# The exports, in order, as they were when the package imported every module.
+EXPORTS = [
+    "AuthorCredit", "BaselineTable", "BiblioError", "CellKey", "CitationEdge",
+    "CitationModel", "CnciConfig", "ComputationError", "Corpus", "EmptyInputError",
+    "EntityShare", "ExcellenceReport", "GenConfig", "HcpDecision", "Journal", "LoadError",
+    "LoadReport", "MissingDateError", "Paper", "Quartile", "RankedCategory", "SchemaInfo",
+    "SizeDist", "SurplusEstimate", "ThresholdResult", "TiebreakMethod", "ValidationReport",
+    "ZeroBaselineError", "assign_quartiles", "boundary_ties", "cnci_paper", "cnci_set",
+    "compute_baselines", "decimal_str", "dump_corpus", "entity_hcp_share",
+    "generate_corpus", "global_cnci", "global_cnci_regimes", "hcp_report", "hcp_run",
+    "hcp_selection", "load_corpus", "monte_carlo_global_cnci", "monte_carlo_surplus",
+    "parse_tiebreak_chain", "percentile", "provisional_hcp_ids", "quartile_distribution",
+    "quartile_of_rank", "quartile_partition", "rank_category", "rational_json",
+    "rational_str", "relative_cnci", "round_half_up", "surplus_analytic",
+    "tiebreak_chronology", "tiebreak_citing_excellence", "tiebreak_trajectory", "validate",
+]
+
+
+def test_the_exported_names_are_unchanged():
+    assert biblio.__all__ == EXPORTS
+
+
+def test_every_export_is_the_object_its_home_module_defines():
+    for name in EXPORTS:
+        value = getattr(biblio, name)
+        assert value.__module__.startswith("biblio."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_dir_and_star_import_cover_every_export():
+    assert set(EXPORTS) <= set(dir(biblio))
+    namespace = {}
+    exec("from biblio import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'biblio' has no attribute 'nope'$"):
+        biblio.nope
+    assert not hasattr(biblio, "nope")

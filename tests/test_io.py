@@ -346,6 +346,60 @@ def test_non_integer_count_is_located_when_strict(tmp_path, field):
     assert repr(field) in str(err.value)
 
 
+# Each is accepted by ``int`` or, from Python 3.11 on, ``date.fromisoformat``.
+OFF_SPELLINGS = {
+    "digit separator": {"citations": "1_000"},
+    "spaces": {"citations": " 12 "},
+    "plus sign": {"pages": "+5"},
+    "arabic-indic digit": {"year": "\u0663"},
+    "month part with a sign": {"pub_month": "2020-+3"},
+    "month with a space": {"pub_month": " 3"},
+    "year part with a separator": {"pub_month": "2_020-03"},
+    "basic date": {"pub_date": "20200115"},
+    "week date": {"online_date": "2020-W03-2"},
+}
+
+
+@pytest.mark.parametrize("spelling", OFF_SPELLINGS)
+def test_integers_and_dates_take_one_spelling(tmp_path, spelling):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = write(
+        tmp_path / "p.jsonl",
+        paper_line("P1", "J1", year="-0012", citations="007", pages="-3", pub_month="0012-03",
+                   online_date="2011-07-13"),
+        paper_line("P2", "J1", **OFF_SPELLINGS[spelling]),
+    )
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_paper": 1}
+    p1 = corpus.papers["P1"]
+    assert (p1.year, corpus.citations("P1"), p1.page_count) == (-12, 7, -3)
+    assert (p1.pub_date, p1.online_date) == (date(12, 3, 1), date(2011, 7, 13))
+    with pytest.raises(LoadError, match="^p.jsonl:2: "):
+        load_corpus(journals, papers, strict=True)
+
+
+@pytest.mark.parametrize("year", [" 2020_0 ", "+2020", "\u0662\u0660\u0662\u0660"])
+def test_metric_years_take_the_integer_spelling(tmp_path, year):
+    journals = write(
+        tmp_path / "j.jsonl", REGISTRY,
+        journal_line("J1", {corpora.SCHEMA: ["A"]}, {"-0020": 1}),
+        journal_line("J2", {corpora.SCHEMA: ["A"]}, {year: 1}),
+    )
+    papers = write(tmp_path / "p.jsonl")
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_journal": 1}
+    assert corpus.journals["J1"].metric_by_year == {-20: 1}
+    with pytest.raises(LoadError, match="^j.jsonl:3: "):
+        load_corpus(journals, papers, strict=True)
+
+
+@pytest.mark.parametrize("when", ["20210502", "2021-W18-7"])
+def test_edge_dates_take_one_spelling(tmp_path, minimal_paths, when):
+    journals, papers, _ = minimal_paths
+    edges = write(tmp_path / "e.jsonl", json.dumps({"citing": "X1", "cited": "P1", "date": when}))
+    assert load_corpus(journals, papers, edges).load_report.dropped == {"malformed_edge": 1}
+
+
 def test_negative_citations_are_rejected(tmp_path):
     journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
     papers = write(
