@@ -24,7 +24,7 @@ from pathlib import Path
 from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
 from .io import dump_corpus, json_line, load_corpus
-from .rounding import rational_json, rational_str
+from .rounding import _int_text, rational_json, rational_str
 
 
 class _UsageError(Exception):
@@ -109,8 +109,17 @@ def _hcp_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _int(text: str, least: int | None = None, kind: str = "an integer") -> int:
+    """An integer flag in the loader's spelling, at least ``least`` if given."""
+    with contextlib.suppress(ValueError):
+        n = _int_text(text)
+        if least is None or n >= least:
+            return n
+    raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [_int(x) for x in _str_list(text)]
 
 
 def _str_list(text: str) -> list[str]:
@@ -118,9 +127,11 @@ def _str_list(text: str) -> list[str]:
 
 
 def _trials(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return _int(text, 1, "a positive integer")
+
+
+def _size(text: str) -> int:
+    return _int(text, 0, "an integer >= 0")
 
 
 def _top_percent(text: str) -> Fraction:
@@ -443,21 +454,21 @@ def build_parser() -> argparse.ArgumentParser:
                            "rank one category's journals by their yearly metric",
                            formats=json_csv)
     p.add_argument("--category", required=True)
-    p.add_argument("--year", type=int, required=True)
+    p.add_argument("--year", type=_int, required=True)
 
     p = _corpus_subcommand(sub, "percentile", _cmd_percentile,
                            "percentile position of a journal per category")
     p.add_argument("--journal", required=True)
-    p.add_argument("--year", type=int, required=True)
+    p.add_argument("--year", type=_int, required=True)
 
     p = _corpus_subcommand(sub, "quartiles", _cmd_quartiles,
                            "distribution of journals or papers over quartiles",
                            formats=json_csv)
-    p.add_argument("--year", type=int, required=True)
+    p.add_argument("--year", type=_int, required=True)
     p.add_argument("--level", choices=["journals", "papers"], default="journals")
     p.add_argument("--mode", choices=["per-category", "database-best"], default="per-category")
     p.add_argument(
-        "--min-category-size", type=int, default=0,
+        "--min-category-size", type=_size, default=0,
         help="skip categories with fewer ranked journals (0 = off)",
     )
 

@@ -385,19 +385,10 @@ def validate(corpus: Corpus, max_examples: int = 5) -> ValidationReport:
     for p in corpus.papers.values():
         if p.journal_id not in corpus.journals:
             hit(found, "unresolved_journal", p.id)
-        if (
-            p.online_date is not None
-            and p.pub_date is not None
+        if p.online_date is not None and p.pub_date is not None and p.pub_date < (
+            p.online_date.replace(day=1) if p.pub_date_precision == MONTH else p.online_date
         ):
-            if p.pub_date_precision == MONTH:
-                early = (p.pub_date.year, p.pub_date.month) < (
-                    p.online_date.year,
-                    p.online_date.month,
-                )
-            else:
-                early = p.pub_date < p.online_date
-            if early:
-                hit(warned, "issue_precedes_online", p.id)
+            hit(warned, "issue_precedes_online", p.id)
 
     for pid, c in (corpus.explicit_counts or {}).items():
         if c < 0:

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell
 from .errors import ComputationError, EmptyInputError, MissingDateError
-from .rounding import _half_up, decimal_str, rational_json, rational_str, round_half_up
+from .rounding import _half_up, _rational, decimal_str, rational_json, rational_str, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +119,7 @@ def parse_tiebreak_chain(names: Iterable[str]) -> tuple[TiebreakMethod, ...]:
 
 
 def _share(top_percent: Fraction | int | str) -> Fraction:
-    share = Fraction(top_percent)
+    share = _rational(top_percent)
     if not 0 < share <= 100:
         raise ComputationError(f"top_percent must be in (0, 100], got {share}")
     return share

@@ -37,6 +37,7 @@ from .corpus import (
     SchemaInfo,
 )
 from .errors import LoadError
+from .rounding import _int_text, _rational
 
 _NOTE_CAP = 20
 
@@ -128,15 +129,6 @@ def _nested(record: dict, key: str, default):
     return value
 
 
-def _int_text(text: str) -> int:
-    """Integer text: an optional ``-`` and ASCII digits. ``int`` alone would
-    also take ``+``, surrounding spaces, ``_`` separators and non-ASCII digits."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def _integer(record: dict, key: str) -> int | None:
     """An optional whole number: a JSON integer (or integral float) or CSV text."""
     if key not in record:
@@ -155,10 +147,10 @@ def _integer(record: dict, key: str) -> int | None:
 
 
 def _metric_map(raw, jid: str) -> dict[int, Fraction]:
-    # JSON numbers round-trip through repr exactly; "num/den" strings are
-    # accepted for values with no finite decimal form.
+    # JSON numbers are read by their repr, which round-trips exactly; strings
+    # may also be "num/den" for values with no finite decimal form.
     try:
-        return {_int_text(y): Fraction(str(v)) for y, v in raw.items()}
+        return {_int_text(y): _rational(str(v)) for y, v in raw.items()}
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"journal {jid!r} has a malformed metric map") from exc
 

@@ -1,15 +1,38 @@
-"""Exact-rational rounding and rendering helpers.
+"""Exact-rational reading, rounding and rendering helpers.
 
 All indicator math stays in :class:`fractions.Fraction`; these helpers are the
-single place where values get rounded for display. Rounding is half-up (halves
-away from zero), matching the hand-rounding convention used throughout the
-reports, and is done in integer arithmetic so no float ever enters the path.
+single place where text becomes a number, by one ASCII grammar on every Python
+(``_int_text``, ``_rational``), and where values get rounded for display.
+Rounding is half-up (halves away from zero), matching the hand-rounding
+convention used throughout the reports, and is done in integer arithmetic so
+no float ever enters the path.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 RationalLike = Fraction | int | str
+
+_RATIONAL_TEXT = re.compile(r"-?(?:[0-9./]|[eE][-+]?)*")  # Fraction checks the order
+
+
+def _int_text(text: str) -> int:
+    """Integer text: an optional ``-`` and ASCII digits. ``int`` alone would
+    also take ``+``, surrounding spaces, ``_`` separators and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _rational(value: RationalLike) -> Fraction:
+    """``value`` as a Fraction. Text is ``num/den`` or a decimal with an optional
+    exponent, in ASCII with an optional ``-``: ``Fraction`` alone would also take
+    ``+``, spaces, ``_`` separators and non-ASCII digits, as the version allows."""
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(f"not a rational: {value!r}")
+    return Fraction(value)
 
 
 def _half_up(n: int, d: int) -> int:
@@ -19,7 +42,7 @@ def _half_up(n: int, d: int) -> int:
 
 def round_half_up(value: RationalLike) -> int:
     """Round to the nearest integer, halves away from zero."""
-    f = value if isinstance(value, Fraction) else Fraction(value)
+    f = value if isinstance(value, Fraction) else _rational(value)
     whole = _half_up(abs(f.numerator), f.denominator)
     return whole if f.numerator >= 0 else -whole
 
@@ -31,7 +54,7 @@ def decimal_str(value: RationalLike, places: int) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    f = value if isinstance(value, Fraction) else Fraction(value)
+    f = value if isinstance(value, Fraction) else _rational(value)
     scale = 10**places
     scaled = _half_up(abs(f.numerator) * scale, f.denominator)
     sign = "-" if f.numerator < 0 and scaled else ""
@@ -43,7 +66,7 @@ def decimal_str(value: RationalLike, places: int) -> str:
 
 def rational_str(value: RationalLike) -> str:
     """Canonical rendering: reduced "num/den", whole values without the /1."""
-    f = value if isinstance(value, Fraction) else Fraction(value)
+    f = value if isinstance(value, Fraction) else _rational(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -51,5 +74,5 @@ def rational_str(value: RationalLike) -> str:
 
 def rational_json(value: RationalLike, places: int) -> dict[str, str]:
     """The serialization pair used in JSON outputs: exact plus rounded."""
-    f = Fraction(value)
+    f = value if isinstance(value, Fraction) else _rational(value)
     return {"rational": rational_str(f), "decimal": decimal_str(f, places)}

@@ -28,7 +28,7 @@ from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
 from .errors import ComputationError
 from .normalization import CnciConfig, _cells_of_groups, global_cnci_of_sums
 from .ranking import quartile_partition
-from .rounding import rational_json, round_half_up
+from .rounding import _int_text, rational_json, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -427,7 +427,7 @@ def _run_trials(row_of, config: GenConfig, trials: int, workers: int | None) -> 
     if workers is None:
         threads = os.environ.get("BIBLIO_THREADS", "")
         try:
-            workers = int(threads) if threads.strip() else 1
+            workers = _int_text(threads.strip()) if threads.strip() else 1
         except ValueError:
             logger.warning("BIBLIO_THREADS=%r is not an integer; running trials serially",
                            threads)
@@ -548,17 +548,13 @@ def monte_carlo_surplus(
 # -- global CNCI across counting regimes ------------------------------------------
 
 
-REGIMES: tuple[tuple[str, str, str, bool], ...] = (
-    ("whole_aor", "whole", "aor", False),
-    ("fractional_aor", "fractional", "aor", False),
-    ("whole_roa", "whole", "roa", False),
-    ("whole_roa_split", "whole", "roa", True),
-    ("fractional_roa", "fractional", "roa", False),
-)
-
-_REGIME_CONFIGS = tuple(
-    CnciConfig(counting, aggregation, split) for _, counting, aggregation, split in REGIMES
-)
+REGIMES: dict[str, CnciConfig] = {  # in this order, so the first regime's error wins
+    "whole_aor": CnciConfig("whole", "aor", False),
+    "fractional_aor": CnciConfig("fractional", "aor", False),
+    "whole_roa": CnciConfig("whole", "roa", False),
+    "whole_roa_split": CnciConfig("whole", "roa", True),
+    "fractional_roa": CnciConfig("fractional", "roa", False),
+}
 
 # Regimes the closed-corpus theorem pins to exactly 1 (when every cell holds a
 # cited paper); violations are counted, never silently absorbed.
@@ -602,8 +598,7 @@ def _cnci_row(config: GenConfig, t: int) -> dict[str, Fraction]:
         group[0] += 1
         group[1] += c
     sums = _cells_of_groups(groups, categories.__getitem__)
-    values = global_cnci_of_sums(sums, _REGIME_CONFIGS)
-    return {regime[0]: value for regime, value in zip(REGIMES, values)}
+    return dict(zip(REGIMES, global_cnci_of_sums(sums, REGIMES.values())))
 
 
 def monte_carlo_global_cnci(
@@ -613,7 +608,7 @@ def monte_carlo_global_cnci(
     rows = _run_trials(_cnci_row, config, trials, workers)
 
     regimes = {}
-    for name, *_ in REGIMES:
+    for name in REGIMES:
         values = [row[name] for row in rows]
         pinned = name in PINNED_REGIMES
         den = math.lcm(*(v.denominator for v in values))  # the mean is one Fraction

@@ -29,7 +29,7 @@ SCHEMA = corpora.SCHEMA
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Cases that exit non-zero by design; every other case exits 0.
-EXIT_CODES = {"validate-dirty": 2}
+EXIT_CODES = {"validate-dirty": 2, "validate-spellings": 2, "hcp-top-percent-spelling": 2}
 
 # One row per load-report reason, and one duplicate edge that collapses.
 DIRTY = {
@@ -58,6 +58,18 @@ DIRTY = {
     ],
 }
 
+# Metric strings that ``Fraction`` takes on some Pythons ("1_000" from 3.11,
+# "1 /2" from 3.12) or on all ("+2"); the loader keeps only "1/3", "1e3" and
+# the JSON number 2.5, on every version.
+SPELLINGS = {
+    "j.jsonl": [
+        '{"_schemas": {"s": {"single_attribution": false}}}',
+        *(f'{{"id": "J{i}", "categories": {{"s": ["A"]}}, "metric": {{"2020": {m}}}}}'
+          for i, m in enumerate(['"1_000"', '"1 /2"', '"+2"', '"1/3"', '"1e3"', "2.5"], 1)),
+    ],
+    "p.jsonl": ['{"id": "P1", "journal": "J4", "year": 2020, "doc_type": "article"}'],
+}
+
 
 def exit_code(case: str) -> int:
     return EXIT_CODES.get(case, 0)
@@ -79,11 +91,16 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
     slices_j, slices_p, _ = files("slices", corpora.make_slices())
     avg_j, avg_p, _ = files("avgpct", corpora.make_avgpct())
-    dirty = tmp_path / "dirty"
-    dirty.mkdir()
-    for name, rows in DIRTY.items():
-        (dirty / name).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
-    dirty_j, dirty_p, dirty_e = (dirty / name for name in DIRTY)
+
+    def rows(name, contents):
+        base = tmp_path / name
+        base.mkdir()
+        for file, lines in contents.items():
+            (base / file).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return (base / file for file in contents)
+
+    dirty_j, dirty_p, dirty_e = rows("dirty", DIRTY)
+    spelled_j, spelled_p = rows("spellings", SPELLINGS)
 
     def config(name, text):
         path = tmp_path / name
@@ -138,6 +155,11 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     named = [(argv[0], argv) for argv in argvs] + [
         ("validate-dirty",
          ("validate", "--journals", dirty_j, "--papers", dirty_p, "--edges", dirty_e)),
+        ("validate-spellings", ("validate", "--journals", spelled_j, "--papers", spelled_p)),
+        # Python 3.11 on reads "1_0" as 10; the flag refuses it on every version.
+        ("hcp-top-percent-spelling",
+         ("hcp", "--journals", mini_j, "--papers", mini_p, "--schema", "f",
+          "--top-percent", "1_0")),
         ("rank-csv",
          ("rank", "--journals", two_j, "--papers", two_p,
           "--schema", SCHEMA, "--category", "A", "--year", "2020", "--format", "csv")),

@@ -47,7 +47,6 @@ from biblio.normalization import (
     WHOLE,
     BaselineCell,
     BaselineTable,
-    CnciConfig,
     cnci_paper,
 )
 from biblio.ranking import quartile_partition
@@ -407,10 +406,8 @@ def cnci_rows(config, start, stop):
     rows = []
     for t in range(start, stop):
         corpus = generate_corpus(config, trial=t)
-        rows.append({
-            name: global_cnci(corpus, config.schema_name, CnciConfig(counting, aggregation, split))
-            for name, counting, aggregation, split in REGIMES
-        })
+        rows.append({name: global_cnci(corpus, config.schema_name, regime)
+                     for name, regime in REGIMES.items()})
     return rows
 
 

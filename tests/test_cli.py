@@ -616,7 +616,7 @@ def test_tiebreak_rejected_outside_quota(run, corpus_files, hundred):
     assert err == "biblio: error: --tiebreak applies to --method quota only\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "1/0", " 5 ", "1_0", "+5"])
 def test_top_percent_checked_before_load(run, value):
     code, _, err = run(
         "hcp", "--journals", "missing.jsonl", "--papers", "missing.jsonl",
@@ -627,6 +627,37 @@ def test_top_percent_checked_before_load(run, value):
         f"biblio hcp: error: argument --top-percent: must be an exact rational "
         f"in (0, 100], got {value!r}\n"
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--category", "A", "--year", "\u0662\u0660\u0662\u0660"],
+     "argument --year: must be an integer, got '\u0662\u0660\u0662\u0660'"),
+    (["percentile", "--journal", "J", "--year", " 2020"],
+     "argument --year: must be an integer, got ' 2020'"),
+    (["hcp", "--years", "2_020, +2021"], "argument --years: must be an integer, got '2_020'"),
+    (["cnci", "--years", "2020, +2021"], "argument --years: must be an integer, got '+2021'"),
+    (["quartiles", "--year", "2020", "--min-category-size", "-7"],
+     "argument --min-category-size: must be an integer >= 0, got '-7'"),
+    (["quartiles", "--year", "2020", "--min-category-size", "1e3"],
+     "argument --min-category-size: must be an integer >= 0, got '1e3'"),
+])
+def test_integer_flags_take_the_loader_spelling_before_load(run, argv, message):
+    code, out, err = run(argv[0], "--journals", "missing.jsonl", "--papers", "missing.jsonl",
+                         "--schema", "f", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"biblio {argv[0]}: error: {message}\n")
+
+
+def test_integer_flags_read_what_they_accept():
+    parse = build_parser().parse_args
+    base = ["--journals", "j", "--papers", "p", "--schema", "f"]
+    args = parse(["quartiles", *base, "--year", "-0020", "--min-category-size", "0"])
+    assert (args.year, args.min_category_size) == (-20, 0)
+    args = parse(["quartiles", *base, "--year", "2020", "--min-category-size", "7"])
+    assert args.min_category_size == 7
+    assert parse(["hcp", *base, "--years", "2020, 2021,,2022"]).years == [2020, 2021, 2022]
+    args = parse(["simulate", "--config", "c", "--experiment", "cnci", "--trials", "12"])
+    assert args.trials == 12
 
 
 @pytest.mark.parametrize("command", [["hcp"], ["hcp-report"], ["entity-share", "--entity", "o"]])
@@ -992,7 +1023,7 @@ def test_simulate_extreme_citation_models(run, tmp_path, lines, expected):
         assert err == f"biblio: error: --config {str(config)!r}: {expected}\n"
 
 
-@pytest.mark.parametrize("trials", ["0", "-3", "x"])
+@pytest.mark.parametrize("trials", ["0", "-3", "x", "\u0663", " 5 ", "1_0"])
 def test_simulate_trials_below_one_is_rejected_before_reading(run, tmp_path, trials):
     out_dir = tmp_path / "runs"
     code, out, err = run("simulate", "--config", tmp_path / "absent.yaml",

@@ -1,6 +1,7 @@
 import random
 from datetime import date
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,7 @@ from biblio import (
     provisional_hcp_ids,
     validate,
 )
-from biblio.corpus import MONTH, CellKey
+from biblio.corpus import DAY, MONTH, CellKey
 
 S = corpora.SCHEMA
 
@@ -260,16 +261,17 @@ def test_validate_negative_citation_count():
 
 
 def test_validate_issue_before_online_is_a_warning_not_violation():
-    p = Paper(
-        "p", "j", 2020, "article",
-        online_date=date(2011, 3, 26),
-        pub_date=date(2011, 2, 1),
-        pub_date_precision=MONTH,
-    )
-    c = Corpus([SchemaInfo(S)], [Journal("j", {S: ("A",)}, {})], [p], citation_counts={})
-    report = validate(c)
-    assert report.ok
-    assert [w.name for w in report.warnings] == ["issue_precedes_online"]
+    for pub_date, precision in [(date(2011, 2, 1), MONTH), (date(2011, 3, 25), DAY)]:
+        p = Paper(
+            "p", "j", 2020, "article",
+            online_date=date(2011, 3, 26),
+            pub_date=pub_date,
+            pub_date_precision=precision,
+        )
+        c = Corpus([SchemaInfo(S)], [Journal("j", {S: ("A",)}, {})], [p], citation_counts={})
+        report = validate(c)
+        assert report.ok
+        assert [w.name for w in report.warnings] == ["issue_precedes_online"]
 
 
 def test_month_precision_same_month_is_not_flagged():
@@ -281,6 +283,21 @@ def test_month_precision_same_month_is_not_flagged():
     )
     c = Corpus([SchemaInfo(S)], [Journal("j", {S: ("A",)}, {})], [p], citation_counts={})
     assert not validate(c).warnings
+
+
+def test_issue_precedes_online_compares_months_or_days_by_precision():
+    days = [date(2010, 12, 31), date(2011, 2, 28), date(2011, 3, 1), date(2011, 3, 15),
+            date(2011, 3, 31), date(2011, 4, 1)]
+    papers = [Paper(f"p{i}", "j", 2011, "article", online_date=online, pub_date=pub,
+                    pub_date_precision=precision)
+              for i, (online, pub, precision) in enumerate(product(days, days, (DAY, MONTH)))]
+    # Month precision compares (year, month) pairs; day precision compares dates.
+    expected = {p.id for p in papers if (
+        (p.pub_date.year, p.pub_date.month) < (p.online_date.year, p.online_date.month)
+        if p.pub_date_precision == MONTH else p.pub_date < p.online_date)}
+    c = Corpus([SchemaInfo(S)], [Journal("j", {S: ("A",)}, {})], papers, citation_counts={})
+    [warning] = validate(c, max_examples=len(papers)).warnings
+    assert set(warning.examples) == expected
 
 
 def test_validate_truncates_examples():

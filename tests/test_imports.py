@@ -83,7 +83,7 @@ def test_a_public_name_loads_its_home_module_on_first_use():
 
 def test_a_submodule_is_an_attribute_of_the_package_on_first_use():
     assert loaded("import biblio\nassert biblio.io.load_corpus is biblio.load_corpus") == {
-        "corpus", "errors", "io"}
+        "corpus", "errors", "io", "rounding"}
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMAND_ADDS)

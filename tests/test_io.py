@@ -85,6 +85,24 @@ def test_metric_accepts_rational_strings(tmp_path):
     assert corpus.journals["J1"].metric_by_year[2020] == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("value", ["1_000", "1 /2", "+2", " 1.5 ", "\u0663", "1/0", True])
+def test_metric_values_take_the_rational_spelling(tmp_path, value):
+    journals = write(
+        tmp_path / "j.jsonl", REGISTRY,
+        journal_line("J1", {corpora.SCHEMA: ["A"]},
+                     {"2020": 1e16, "2021": 1e-07, "2022": "1e+16", "2023": "-.5", "2024": 2.5}),
+        journal_line("J2", {corpora.SCHEMA: ["A"]}, {"2020": value}),
+    )
+    papers = write(tmp_path / "p.jsonl")
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_journal": 1}
+    assert corpus.journals["J1"].metric_by_year == {
+        2020: Fraction(10**16), 2021: Fraction(1, 10**7), 2022: Fraction(10**16),
+        2023: Fraction(-1, 2), 2024: Fraction(5, 2)}
+    with pytest.raises(LoadError, match="^j.jsonl:3: journal 'J2' has a malformed metric map"):
+        load_corpus(journals, papers, strict=True)
+
+
 def test_pub_month_parses_to_first_of_month(tmp_path):
     journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
     papers = write(

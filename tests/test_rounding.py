@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from biblio import decimal_str, rational_json, rational_str, round_half_up
+from biblio.rounding import _int_text, _rational
 from oracles import decimal_half_up, decimal_quantized
 
 rationals = st.fractions(max_denominator=10_000, min_value=-10_000, max_value=10_000)
@@ -81,3 +83,59 @@ def test_rational_json_shape():
         "rational": "11/12",
         "decimal": "0.9167",
     }
+
+
+# Number text from outside (corpus rows, flags, ``str`` arguments) has one
+# spelling on every Python. Among the refused spellings are ``+``, spaces, ``_``
+# and non-ASCII digits, which ``int`` or ``Fraction`` take on some declared version.
+INT_SPELLINGS = {"0": 0, "2020": 2020, "-0020": -20, "007": 7, "-3": -3}
+NOT_INT_SPELLINGS = ["", "-", "+2", " 12 ", "1_000", "\u0663", "\uff11", "1.0", "1e3",
+                     "--1", "0x10", "2020-"]
+RATIONAL_SPELLINGS = {
+    "1/3": Fraction(1, 3), "-1/3": Fraction(-1, 3), "2.5": Fraction(5, 2), ".5": Fraction(1, 2),
+    "-0020": Fraction(-20), "1e-1": Fraction(1, 10), "1e+16": Fraction(10**16),
+    "1E3": Fraction(1000), "-2.50e-1": Fraction(-1, 4), "007/014": Fraction(1, 2),
+}
+NOT_RATIONAL_SPELLINGS = ["", "-", "+2", " 1.5 ", "1_000", "1 /2", "1/ 2", "\u0663", "1/\u0663",
+                          "1e1_0", "1/-2", "1/2/3", "1.5/2", "e3", "1e", "nan", "inf", "0x10"]
+
+
+@pytest.mark.parametrize("text", INT_SPELLINGS)
+def test_int_text_reads_ascii_integers(text):
+    assert _int_text(text) == INT_SPELLINGS[text]
+
+
+@pytest.mark.parametrize("text", NOT_INT_SPELLINGS)
+def test_int_text_refuses_every_other_spelling(text):
+    with pytest.raises(ValueError):
+        _int_text(text)
+
+
+@pytest.mark.parametrize("text", RATIONAL_SPELLINGS)
+def test_rational_reads_ascii_fractions_and_decimals(text):
+    assert _rational(text) == RATIONAL_SPELLINGS[text]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONAL_SPELLINGS)
+def test_rational_refuses_every_other_spelling(text):
+    with pytest.raises(ValueError):
+        _rational(text)
+
+
+def test_rational_passes_numbers_through_and_refuses_a_zero_denominator():
+    assert _rational(Fraction(2, 3)) == Fraction(2, 3)
+    assert _rational(7) == Fraction(7)
+    with pytest.raises(ZeroDivisionError):
+        _rational("1/0")
+
+
+def test_rendering_reads_text_by_the_rational_spelling():
+    assert round_half_up("5/2") == 3
+    assert decimal_str("1/3", 2) == "0.33"
+    assert rational_str("-0.50") == "-1/2"
+    assert rational_json("1e+1", 1) == {"rational": "10", "decimal": "10.0"}
+    for render in (round_half_up, rational_str, lambda t: decimal_str(t, 1),
+                   lambda t: rational_json(t, 1)):
+        for text in ("1_0", " 1", "+1"):
+            with pytest.raises(ValueError):
+                render(text)

@@ -28,7 +28,7 @@ from biblio import (
     validate,
 )
 from biblio import normalization
-from biblio.synthesis import _REGIME_CONFIGS, _expected_extras
+from biblio.synthesis import REGIMES, _expected_extras
 
 
 def small_config(**overrides) -> GenConfig:
@@ -428,7 +428,7 @@ def test_thread_env_var_is_capped_at_the_cpu_count(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("value", ["two", "1.5"])
+@pytest.mark.parametrize("value", ["two", "1.5", "+2", "2_0", "\u0662"])
 def test_thread_env_var_that_is_not_an_integer_warns_and_runs_serially(
         monkeypatch, caplog, value):
     serial = monte_carlo_surplus(mc_config(), trials=12, workers=1)
@@ -508,7 +508,7 @@ def test_global_cnci_builds_no_baseline_table(monkeypatch, two_papers):
     def values():
         return (monte_carlo_global_cnci(small_config(), trials=12, workers=1).regimes,
                 [global_cnci(two_papers, corpora.SCHEMA, config, years)
-                 for config in _REGIME_CONFIGS for years in (None, [2020])])
+                 for config in REGIMES.values() for years in (None, [2020])])
 
     def no_table(*args):
         raise AssertionError("a baseline table was built")
