@@ -26,7 +26,7 @@ _HOME = {
     ), "errors"),
     **dict.fromkeys((
         "EntityShare", "ExcellenceReport", "HcpDecision", "ThresholdResult",
-        "TiebreakMethod", "entity_hcp_share", "hcp_report", "hcp_run", "hcp_selection",
+        "entity_hcp_share", "hcp_report", "hcp_run", "hcp_selection",
         "parse_tiebreak_chain", "provisional_hcp_ids", "tiebreak_chronology",
         "tiebreak_citing_excellence", "tiebreak_trajectory",
     ), "excellence"),

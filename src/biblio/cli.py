@@ -146,14 +146,10 @@ def _top_percent(text: str) -> Fraction:
 def _tiebreak_names(text: str) -> list[str]:
     from . import excellence
     names = _str_list(text)
-    for name in names:
-        try:
-            excellence.parse_tiebreak_chain([name])
-        except ComputationError:
-            raise argparse.ArgumentTypeError(
-                f"unknown tie-break method {name!r} "
-                "(choose from chronology, trajectory, citing-excellence)"
-            ) from None
+    try:
+        excellence.parse_tiebreak_chain(names)
+    except ComputationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return names
 
 
@@ -291,6 +287,14 @@ def _cmd_relative_cnci(args) -> dict:
     from . import normalization
     if not args.subunit_entity and not args.subunit_ids:
         raise _UsageError("relative-cnci needs --subunit-entity or --subunit-ids")
+    if args.subunit_entity is not None and args.subunit_ids is not None:
+        raise _UsageError("relative-cnci takes --subunit-entity or --subunit-ids, not both")
+    if args.reference_entity is not None and args.reference_ids is not None:
+        raise _UsageError("relative-cnci takes --reference-entity or --reference-ids, not both")
+    if (args.reference_entity is not None or args.reference_ids is not None) and (
+            args.years is not None or args.doc_types is not None):
+        raise _UsageError(
+            "--years and --doc-types apply only without --reference-entity or --reference-ids")
     corpus = _load(args)
     if args.subunit_entity:
         subunit = list(corpus.papers_of_entity(args.subunit_entity))
@@ -334,7 +338,7 @@ def _hcp_selection(args):
         top_percent=args.top_percent,
         method=args.method.replace("-", "_"),
         esi_low_threshold=not args.no_esi_low_threshold,
-        tiebreak_chain=excellence.parse_tiebreak_chain(args.tiebreak),
+        tiebreak_chain=args.tiebreak,
         years=args.years,
         doc_types=args.doc_types,
     )

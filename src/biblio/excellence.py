@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell
 from .errors import ComputationError, EmptyInputError, MissingDateError
-from .rounding import _half_up, _rational, decimal_str, rational_json, rational_str, round_half_up
+from .rounding import _half_up, _rational, decimal_str, rational_json, rational_str
 
 logger = logging.getLogger(__name__)
 
@@ -90,32 +89,16 @@ class HcpDecision(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class TiebreakMethod:
-    """One link of a tie-break chain.
-
-    Trajectory windows are (start, end) year offsets from the publication
-    year, inclusive; the defaults compare the first five years against years
-    six to ten. Windows must be disjoint with the early one first.
-    """
-
-    kind: str
-    early_window: tuple[int, int] = (0, 4)
-    late_window: tuple[int, int] = (5, 9)
-
-    def __post_init__(self):
-        if self.kind not in (CHRONOLOGY, TRAJECTORY, CITING_EXCELLENCE):
-            raise ComputationError(f"unknown tie-break method {self.kind!r}")
-        e0, e1 = self.early_window
-        l0, l1 = self.late_window
-        if not (e0 <= e1 < l0 <= l1):
+def parse_tiebreak_chain(names: Iterable[str]) -> tuple[str, ...]:
+    """A tie-break chain: its method names, ``-`` read as ``_``."""
+    names = tuple(names)
+    for name in names:
+        if name.replace("-", "_") not in (CHRONOLOGY, TRAJECTORY, CITING_EXCELLENCE):
             raise ComputationError(
-                "trajectory windows must be disjoint with the early window first"
+                f"unknown tie-break method {name!r} "
+                "(choose from chronology, trajectory, citing-excellence)"
             )
-
-
-def parse_tiebreak_chain(names: Iterable[str]) -> tuple[TiebreakMethod, ...]:
-    return tuple(TiebreakMethod(kind=n.replace("-", "_")) for n in names)
+    return tuple(name.replace("-", "_") for name in names)
 
 
 def _share(top_percent: Fraction | int | str) -> Fraction:
@@ -125,12 +108,15 @@ def _share(top_percent: Fraction | int | str) -> Fraction:
     return share
 
 
-def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdResult:
-    """The threshold kernel: one index into the ranked counts, two bisections.
+def _quota(share: Fraction, n: int) -> int:
+    """The quota round_half_up(share * n / 100) of n papers, taken in integers."""
+    return _half_up(share.numerator * n, share.denominator * 100)
 
-    The quota round_half_up(share * n / 100) is taken in integers."""
+
+def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdResult:
+    """The threshold kernel: one index into the ranked counts, two bisections."""
     counts = ranked.counts
-    quota = _half_up(share.numerator * len(counts), share.denominator * 100)
+    quota = _quota(share, len(counts))
     if quota == 0:
         return ThresholdResult(
             cell=cell, top_percent=share, quota=0,
@@ -196,13 +182,9 @@ def tiebreak_chronology(papers: Sequence[Paper]) -> TiebreakOrdering:
     )
 
 
-def tiebreak_trajectory(
-    corpus: Corpus,
-    papers: Sequence[Paper],
-    early_window: tuple[int, int] = (0, 4),
-    late_window: tuple[int, int] = (5, 9),
-) -> TiebreakOrdering:
-    """Higher late-to-early citation ratio first.
+def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrdering:
+    """Higher late-to-early citation ratio first: citations in years 5-9 after
+    publication over those in years 0-4.
 
     The ratio is extended-rational: anything over zero early citations ranks
     above every finite ratio, and a paper with no citations in either window
@@ -210,7 +192,6 @@ def tiebreak_trajectory(
     the error names a candidate's undated edge with the least citing id, so it
     does not depend on the order of the edge file.
     """
-    TiebreakMethod(TRAJECTORY, early_window, late_window)  # reuse window checks
     in_edges = corpus.in_edges
     keys: dict[str, tuple] = {}
     evidence: dict[str, str] = {}
@@ -224,9 +205,9 @@ def tiebreak_trajectory(
                     "tie-break needs dated edges for every candidate"
                 )
             offset = e.date.year - p.year
-            if early_window[0] <= offset <= early_window[1]:
+            if 0 <= offset <= 4:
                 early += 1
-            elif late_window[0] <= offset <= late_window[1]:
+            elif 5 <= offset <= 9:
                 late += 1
         evidence[p.id] = f"late/early={late}/{early}"
         if early > 0:
@@ -289,7 +270,7 @@ def _decide(
     result: ThresholdResult,
     ranked: RankedCell,
     method: str,
-    chain: Sequence[TiebreakMethod],
+    chain: Sequence[str],
     provisional_hcp: frozenset[str] | None,
 ) -> list[HcpDecision]:
     """The decision kernel: the ranked cell's first ``above_count`` papers in
@@ -315,10 +296,10 @@ def _decide(
     group, tied = borderline, []
     picks: list[tuple[str, int, dict]] = []  # (paper id, tied steps above it, last step)
     for link in chain:
-        if link.kind == CHRONOLOGY:
+        if link == CHRONOLOGY:
             ordering = tiebreak_chronology(group)
-        elif link.kind == TRAJECTORY:
-            ordering = tiebreak_trajectory(corpus, group, link.early_window, link.late_window)
+        elif link == TRAJECTORY:
+            ordering = tiebreak_trajectory(corpus, group)
         else:
             ordering = tiebreak_citing_excellence(corpus, group, provisional_hcp)
         for flag in ordering.flags:
@@ -361,19 +342,21 @@ def hcp_selection(
     top_percent: Fraction | int | str = 1,
     method: str = "inclusive",
     esi_low_threshold: bool = True,
-    tiebreak_chain: Sequence[TiebreakMethod] = (),
+    tiebreak_chain: Iterable[str] = (),
     years=None,
     doc_types=None,
 ) -> tuple[list[ThresholdResult], list[HcpDecision]]:
     """Every sliced cell's threshold, in cell order, and the decisions of
-    :func:`hcp_run`."""
+    :func:`hcp_run`. A tie-break chain is a sequence of method names, in
+    either spelling (``citing-excellence`` or ``citing_excellence``)."""
     share = _share(top_percent)
+    chain = parse_tiebreak_chain(tiebreak_chain)
     if method not in ("inclusive", "exclusive", "fractional_ws", "quota"):
         raise ComputationError(f"unknown classification method {method!r}")
-    if method == "quota" and not tiebreak_chain:
+    if method == "quota" and not chain:
         raise ComputationError("quota selection needs a tie-break chain")
     provisional: frozenset[str] | None = None
-    if method == "quota" and any(m.kind == CITING_EXCELLENCE for m in tiebreak_chain):
+    if method == "quota" and CITING_EXCELLENCE in chain:
         provisional = provisional_hcp_ids(corpus, schema, share, esi_low_threshold)
     thresholds: list[ThresholdResult] = []
     decisions: list[HcpDecision] = []
@@ -381,7 +364,7 @@ def hcp_selection(
         result = _threshold(cell, ranked, share)
         thresholds.append(result)
         if _selects(result, esi_low_threshold):
-            decisions += _decide(corpus, result, ranked, method, tiebreak_chain, provisional)
+            decisions += _decide(corpus, result, ranked, method, chain, provisional)
     return thresholds, decisions
 
 
@@ -534,7 +517,7 @@ def hcp_report(
         FieldExcellenceRow(
             field=f,
             total=totals[f],
-            expected=round_half_up(share * totals[f] / 100),
+            expected=_quota(share, totals[f]),
             actual=Fraction(whole[f]) + partial.get(f, 0),
         )
         for f in sorted(totals)

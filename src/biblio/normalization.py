@@ -205,12 +205,13 @@ def _ratio_sum(terms) -> tuple[int, int]:
 
 
 def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable):
-    """Cell sums and size of a paper set. If a cell may fail its checks, the papers
-    are walked one by one so an error names the first failing paper, as per paper."""
+    """Cell sums and size of a paper set. If a cell fails its checks, the papers
+    are walked one by one so the error names the first failing paper, as per paper."""
     papers = list(papers)
     sums, uncategorized = _cell_sums(corpus, papers, baselines.schema)
     cells = baselines.cells
-    if uncategorized or any(k not in cells or cells[k].expected == 0 for k in sums):
+    if uncategorized or any(k not in cells or cells[k].expected == 0
+                            and any(c for _, c in per_k.values()) for k, per_k in sums.items()):
         for p in papers:
             cnci_paper(corpus, p, baselines)
     return sums, len(papers)

@@ -454,11 +454,11 @@ def classify(corpus, result, papers, method, esi_low_threshold):
 
 
 def _run_method(corpus, method, papers, provisional_hcp):
-    if method.kind == CHRONOLOGY:
+    if method == CHRONOLOGY:
         return tiebreak_chronology(papers)
-    if method.kind == TRAJECTORY:
-        return tiebreak_trajectory(corpus, papers, method.early_window, method.late_window)
-    assert method.kind == CITING_EXCELLENCE
+    if method == TRAJECTORY:
+        return tiebreak_trajectory(corpus, papers)
+    assert method == CITING_EXCELLENCE
     if provisional_hcp is None:
         raise ComputationError("the citing-excellence tie-break needs a provisional HCP set")
     return tiebreak_citing_excellence(corpus, papers, provisional_hcp)
@@ -535,7 +535,7 @@ def hcp_run(corpus, schema, *, top_percent=1, method="inclusive", esi_low_thresh
     if method == "quota" and not tiebreak_chain:
         raise ComputationError("quota selection needs a tie-break chain")
     provisional = None
-    if method == "quota" and any(m.kind == CITING_EXCELLENCE for m in tiebreak_chain):
+    if method == "quota" and CITING_EXCELLENCE in tiebreak_chain:
         provisional = provisional_hcp_ids(corpus, schema, top_percent, esi_low_threshold)
     decisions = []
     for cell, papers in corpus.cells(schema, years, doc_types).items():

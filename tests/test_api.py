@@ -51,8 +51,7 @@ def test_every_export_is_used_or_documented():
 
 # The classes that stay dataclasses: Paper, whose attribute reads are faster so,
 # the configs whose __post_init__ checks their fields, and the mutable LoadReport.
-DATACLASSES = {"Paper", "CnciConfig", "TiebreakMethod", "SizeDist", "CitationModel",
-               "GenConfig", "LoadReport"}
+DATACLASSES = {"Paper", "CnciConfig", "SizeDist", "CitationModel", "GenConfig", "LoadReport"}
 
 
 def test_every_record_is_a_named_tuple():
@@ -79,7 +78,7 @@ EXPORTS = [
     "CitationModel", "CnciConfig", "ComputationError", "Corpus", "EmptyInputError",
     "EntityShare", "ExcellenceReport", "GenConfig", "HcpDecision", "Journal", "LoadError",
     "LoadReport", "MissingDateError", "Paper", "Quartile", "RankedCategory", "SchemaInfo",
-    "SizeDist", "SurplusEstimate", "ThresholdResult", "TiebreakMethod", "ValidationReport",
+    "SizeDist", "SurplusEstimate", "ThresholdResult", "ValidationReport",
     "ZeroBaselineError", "assign_quartiles", "boundary_ties", "cnci_paper", "cnci_set",
     "compute_baselines", "decimal_str", "dump_corpus", "entity_hcp_share",
     "generate_corpus", "global_cnci", "global_cnci_regimes", "hcp_report", "hcp_run",

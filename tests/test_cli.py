@@ -483,6 +483,27 @@ def test_relative_cnci_requires_a_subunit_before_load(run):
     assert err == "biblio: error: relative-cnci needs --subunit-entity or --subunit-ids\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--subunit-entity", "team-s", "--subunit-ids", "absent.txt"],
+     "relative-cnci takes --subunit-entity or --subunit-ids, not both"),
+    (["--subunit-entity", "team-s", "--reference-entity", "unit-r",
+      "--reference-ids", "absent.txt"],
+     "relative-cnci takes --reference-entity or --reference-ids, not both"),
+    (["--subunit-entity", "team-s", "--reference-entity", "unit-r", "--years", "1999"],
+     "--years and --doc-types apply only without --reference-entity or --reference-ids"),
+    (["--subunit-ids", "absent.txt", "--reference-ids", "absent.txt",
+      "--doc-types", "article"],
+     "--years and --doc-types apply only without --reference-entity or --reference-ids"),
+])
+def test_relative_cnci_flags_it_would_ignore_are_usage_errors_before_load(run, flags, message):
+    code, out, err = run(
+        "relative-cnci", "--journals", "missing.jsonl", "--papers", "missing.jsonl",
+        "--schema", "subjects", *flags,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"biblio: error: {message}\n"
+
+
 def test_relative_cnci_id_files(run, corpus_files, simpson, tmp_path):
     journals, papers, _ = corpus_files(simpson)
     ids = tmp_path / "subunit.txt"

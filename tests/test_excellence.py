@@ -1,4 +1,5 @@
 import logging
+import re
 from datetime import date
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from biblio import (
     MissingDateError,
     Paper,
     SchemaInfo,
-    TiebreakMethod,
     decimal_str,
     entity_hcp_share,
     hcp_report,
@@ -38,6 +38,9 @@ from biblio.excellence import _ONE
 S = corpora.SCHEMA
 FICT = CellKey("fict", 2019, "article")
 MATH11 = CellKey("math", 2011, "article")
+UNKNOWN_SORTITION = re.escape(
+    "unknown tie-break method 'sortition' (choose from chronology, trajectory, citing-excellence)"
+)
 
 
 def one_cell(counts, year=2019):
@@ -280,13 +283,17 @@ def test_trajectory_extended_ratio_order():
     assert ordering.evidence["P4"] == "late/early=0/0"
 
 
-def test_trajectory_window_bounds_are_inclusive_offsets():
-    corpus = trajectory_corpus()
-    papers = [corpus.papers["P1"]]
-    shifted = tiebreak_trajectory(corpus, papers, early_window=(0, 1), late_window=(2, 9))
-    assert shifted.evidence["P1"] == "late/early=3/1"
-    narrow = tiebreak_trajectory(corpus, papers, early_window=(0, 0), late_window=(6, 6))
-    assert narrow.evidence["P1"] == "late/early=3/0"
+def test_trajectory_windows_are_years_0_to_4_and_5_to_9():
+    journals = [Journal("jf", {"f": ("fict",)}, {}), Journal("jx", {}, {})]
+    papers = [Paper("P1", "jf", 2011, "article")]
+    edges = []
+    for offset in (-1, 4, 5, 10):  # only the edges at offsets 4 and 5 count
+        citer = f"x{offset}"
+        papers.append(Paper(citer, "jx", 2011 + offset, "article"))
+        edges.append(CitationEdge(citer, "P1", date(2011 + offset, 6, 1)))
+    corpus = Corpus([SchemaInfo("f", True)], journals, papers, edges)
+    ordering = tiebreak_trajectory(corpus, [corpus.papers["P1"]])
+    assert ordering.evidence["P1"] == "late/early=1/1"
 
 
 def test_trajectory_requires_dated_edges():
@@ -314,12 +321,27 @@ def test_trajectory_names_the_same_undated_edge_in_any_edge_order():
             tiebreak_trajectory(corpus, [corpus.papers["P1"]])
 
 
-def test_trajectory_window_validation():
-    with pytest.raises(ComputationError):
-        TiebreakMethod("trajectory", early_window=(0, 5), late_window=(4, 9))
-    with pytest.raises(ComputationError):
-        TiebreakMethod("sortition")
-    assert parse_tiebreak_chain(["citing-excellence"])[0].kind == "citing_excellence"
+def test_tiebreak_chain_names_are_checked():
+    assert parse_tiebreak_chain(iter(["citing-excellence", "trajectory", "citing_excellence"])) \
+        == ("citing_excellence", "trajectory", "citing_excellence")
+    with pytest.raises(ComputationError, match=UNKNOWN_SORTITION):
+        parse_tiebreak_chain(["chronology", "sortition"])
+
+
+def test_hcp_run_takes_a_chain_in_either_spelling(math2011):
+    names = ["citing-excellence", "chronology"]
+    options = dict(method="quota", years=[2011])
+    assert hcp_run(math2011, "esi", tiebreak_chain=names, **options) == hcp_run(
+        math2011, "esi", tiebreak_chain=parse_tiebreak_chain(names), **options)
+
+
+def test_unknown_tiebreak_method_fails_before_any_cell(hundred, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was ranked")
+
+    monkeypatch.setattr(Corpus, "ranked_cells", no_cells)
+    with pytest.raises(ComputationError, match=UNKNOWN_SORTITION):
+        hcp_run(hundred, "f", method="quota", tiebreak_chain=["chronology", "sortition"])
 
 
 def test_citing_excellence_counts_provisional_citers_only():
@@ -807,6 +829,12 @@ def test_math_report_with_quota_selection(math2011):
     ]
     d = report.to_json_dict()
     assert d["rows"][0]["real_pct"]["decimal"] == "0.999"
+
+
+@given(st.integers(min_value=1, max_value=400), shares)
+def test_report_expected_is_the_rational_quota(total, share):
+    report = hcp_report(one_cell([0] * total), "f", [], top_percent=share)
+    assert [row.expected for row in report.rows] == [oracles.rational_quota(share, total)]
 
 
 def test_report_requires_a_populated_slice(hundred):

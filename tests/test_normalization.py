@@ -22,6 +22,7 @@ from biblio import (
     global_cnci,
     relative_cnci,
 )
+from biblio import normalization
 from biblio.corpus import CellKey
 
 S = corpora.SCHEMA
@@ -133,6 +134,23 @@ def test_cited_paper_over_zero_baseline_is_an_error(simpson):
     )
     with pytest.raises(ZeroBaselineError):
         cnci_paper(extended, extended.papers["RM"], table)
+
+
+def test_cnci_set_sums_uncited_cells_without_a_per_paper_walk(monkeypatch):
+    c = corpora.make_two_papers()
+    letter = Paper("pl", "JA", 2020, "letter")  # alone in an uncited cell
+    corpus = Corpus(c.schemas.values(), c.journals.values(), [*c.papers.values(), letter],
+                    citation_counts={"pa": 1, "pab": 2, "pl": 0})
+    table = compute_baselines(corpus, S, "whole")
+    assert table.expected(CellKey("A", 2020, "letter")) == 0
+    papers = list(corpus.papers.values())
+    want = sum(cnci_paper(corpus, p, table) for p in papers) / len(papers)
+
+    def no_walk(*args):
+        raise AssertionError("walked the papers one by one")
+
+    monkeypatch.setattr(normalization, "cnci_paper", no_walk)
+    assert cnci_set(corpus, papers, table) == want
 
 
 def test_cnci_set_requires_papers(two_papers):
