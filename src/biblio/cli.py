@@ -4,7 +4,7 @@ Each subcommand's handler computes and returns its result, a payload dict or
 a result that renders itself; ``main`` alone renders that result and writes it
 to standard output (or ``--out``). Each handler imports the modules it runs,
 so a process loads only those its subcommand needs. Diagnostics go to
-standard error.
+standard error, among them one line naming what a lenient load dropped.
 Exit codes: 0 success, 2 usage or validation problems (including strict-mode
 load failures), 3 computation errors such as a cited paper over a zero
 baseline. Output is byte-stable: JSON is emitted with sorted keys and compact
@@ -25,6 +25,8 @@ from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
 from .io import dump_corpus, json_line, load_corpus
 from .rounding import _int_text, rational_json, rational_str
+
+logger = logging.getLogger(__name__)
 
 
 class _UsageError(Exception):
@@ -155,6 +157,11 @@ def _tiebreak_names(text: str) -> list[str]:
 
 def _load(args) -> Corpus:
     corpus = load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
+    report = corpus.load_report
+    if report is not None and not report.clean:
+        dropped = ", ".join(f"{reason}={n}" for reason, n in sorted(report.dropped.items()))
+        logger.warning("load report: dropped %s; collapsed_duplicate_edges=%d",
+                       dropped or "none", report.collapsed_duplicate_edges)
     if getattr(args, "schema", None) is not None:
         _usage_checked(corpus.require_schema, args.schema)
     return corpus

@@ -270,6 +270,9 @@ def load_corpus(
 
     papers: dict[str, Paper] = {}
     counts: dict[str, int] = {}
+    # One object per distinct year and doc type, and the journal's own id: the
+    # cell folds read these per paper, and shared objects stay in the CPU cache.
+    shared: dict = {}
 
     def parse_paper(record: dict, where: str) -> None:
         pid = _string(record, "id")
@@ -296,7 +299,9 @@ def load_corpus(
             raise _Drop("negative_citations", f"paper {pid!r} has {cited} citations")
         if cited is not None:
             counts[pid] = cited
-        papers[pid] = Paper(id=pid, journal_id=jid, year=year, doc_type=doc_type,
+        papers[pid] = Paper(id=pid, journal_id=journals[jid].id,
+                            year=shared.setdefault(year, year),
+                            doc_type=shared.setdefault(doc_type, doc_type),
                             online_date=online, pub_date=pub, pub_date_precision=precision,
                             authors=authors, page_count=pages)
 

@@ -19,14 +19,16 @@ dual routes exist to expose. All arithmetic is exact rational.
 Baselines and set aggregates come from integer sums (papers, citations) per
 cell and category count k, with no Fraction per paper. Exact sums do not depend
 on order, so they equal the per-paper definitions, which the test oracle keeps.
+The whole corpus's sums are folded once per schema and kept by the corpus
+(:meth:`Corpus.cell_sums`); a reference pool's sums are folded on every call.
 Global CNCI costs one Fraction per regime: every regime is integer arithmetic
-on four masses per cell, and no baseline table is built for it.
+on four masses per cell, and no baseline table is built for it. One paper's
+CNCI is one Fraction as well.
 """
 from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -131,8 +133,7 @@ def compute_baselines(
     whole corpus. Cells with no paper in the pool are absent, not zero.
     """
     baseline_config(counting, split_citations)  # validates
-    pool = corpus.papers.values() if papers is None else papers
-    return _table(_cell_sums(corpus, pool, schema)[0], schema, counting, split_citations)
+    return _table(corpus.cell_sums(schema, papers), schema, counting, split_citations)
 
 
 def _table(sums, schema: str, counting: str, split_citations: bool) -> BaselineTable:
@@ -144,36 +145,6 @@ def _table(sums, schema: str, counting: str, split_citations: bool) -> BaselineT
         cells[key] = BaselineCell(Fraction(masses[cite], masses[weight]),
                                   Fraction(masses[weight], unit), masses[2] // unit)
     return BaselineTable(schema, counting, split_citations, cells)
-
-
-def _cell_sums(corpus: Corpus, papers: Iterable[Paper], schema: str):
-    """({cell: {k: [papers, citations]}}, whether any paper had no category).
-
-    Papers are grouped by (journal, year, doc_type) first, which fixes their
-    cells and k, so each paper costs one integer update. ``schema`` must be declared."""
-    corpus.require_schema(schema)
-    counts = corpus.citation_counts
-    groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
-    for p in papers:
-        group = groups[p.journal_id, p.year, p.doc_type]
-        group[0] += 1
-        group[1] += counts[p.id]
-    sums = _cells_of_groups(groups, lambda journal_id: corpus.categories_of(journal_id, schema))
-    return sums, not all(corpus.categories_of(j, schema) for j, _, _ in groups)
-
-
-def _cells_of_groups(groups, fields_of) -> dict[CellKey, dict[int, list[int]]]:
-    """{cell: {k: [papers, citations]}} from {(journal, year, doc_type): [papers,
-    citations]}; ``fields_of(journal)`` gives the journal's fields, hence k."""
-    sums: dict[CellKey, dict[int, list[int]]] = {}
-    for (journal, year, doc_type), (n, c) in groups.items():
-        fields = fields_of(journal)
-        for f in fields:
-            per_k = sums.setdefault(CellKey(f, year, doc_type), {})
-            total = per_k.setdefault(len(fields), [0, 0])
-            total[0] += n
-            total[1] += c
-    return sums
 
 
 def _cell_masses(per_k: dict[int, list[int]], unit: int) -> tuple[int, int, int, int]:
@@ -204,19 +175,6 @@ def _ratio_sum(terms) -> tuple[int, int]:
     return num, den
 
 
-def _set_sums(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable):
-    """Cell sums and size of a paper set. If a cell fails its checks, the papers
-    are walked one by one so the error names the first failing paper, as per paper."""
-    papers = list(papers)
-    sums, uncategorized = _cell_sums(corpus, papers, baselines.schema)
-    cells = baselines.cells
-    if uncategorized or any(k not in cells or cells[k].expected == 0
-                            and any(c for _, c in per_k.values()) for k, per_k in sums.items()):
-        for p in papers:
-            cnci_paper(corpus, p, baselines)
-    return sums, len(papers)
-
-
 def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fraction:
     """Category-normalized citation impact of one paper: mean of c/e over its cells.
 
@@ -229,26 +187,39 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
             f"paper {paper.id!r} has no categories under {baselines.schema!r}"
         )
     c = corpus.citations(paper.id)
-    total = Fraction(0)
+    inverse_rates = []  # 1/e of each non-zero cell, as (numerator, denominator)
     for f in fields:
         e = baselines.expected(CellKey(f, paper.year, paper.doc_type))
-        if e == 0 and c > 0:
+        if e:
+            inverse_rates.append((e.denominator, e.numerator))
+        elif c:
             raise ZeroBaselineError(
                 f"paper {paper.id!r} has {c} citations in a zero-baseline cell"
             )
-        if e:
-            total += Fraction(c) / e
-    return total / len(fields)
+    num, den = _ratio_sum(inverse_rates)
+    return Fraction(c * num, den * len(fields))
 
 
 def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) -> Fraction:
     """Average-of-ratios aggregate: unweighted mean of per-paper CNCI. A k-field
-    paper adds c/(k e) in each of its cells: per cell, split citation mass / e."""
-    sums, n = _set_sums(corpus, papers, baselines)
+    paper adds c/(k e) in each of its cells: per cell, split citation mass / e.
+
+    If a paper has no category, or a cell has no baseline or a zero one under
+    citations, the papers are walked one by one so the error names the first
+    failing paper, as per paper."""
+    papers = list(papers)
+    sums = corpus.cell_sums(baselines.schema, papers)
     unit = math.lcm(*{k for per_k in sums.values() for k in per_k})
+    masses = {key: _cell_masses(per_k, unit) for key, per_k in sums.items()}
     cells = baselines.cells
-    return _aor(((_cell_masses(per_k, unit)[0], cells[key].expected.numerator,
-                  cells[key].expected.denominator) for key, per_k in sums.items()), unit * n)
+    # each categorized paper adds 1 (``unit``) of split paper mass over its cells
+    if sum(m[3] for m in masses.values()) != unit * len(papers) or any(
+        key not in cells or m[0] and not cells[key].expected for key, m in masses.items()
+    ):
+        for p in papers:
+            cnci_paper(corpus, p, baselines)
+    return _aor(((m[0], cells[key].expected.numerator, cells[key].expected.denominator)
+                 for key, m in masses.items()), unit * len(papers))
 
 
 def _aor(terms, papers: int) -> Fraction:
@@ -272,8 +243,7 @@ def global_cnci(
     slice is closed with respect to its own baselines. It keeps or drops all k
     cells of a paper together, so its paper count is the sum of n_k / k.
     """
-    sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
-    return global_cnci_of_sums(sums, [config], years, doc_types)[0]
+    return global_cnci_of_sums(corpus.cell_sums(schema), [config], years, doc_types)[0]
 
 
 def global_cnci_regimes(
@@ -281,11 +251,11 @@ def global_cnci_regimes(
 ) -> list[tuple[Fraction, BaselineTable]]:
     """``global_cnci`` under each regime in turn, with the baseline table it used.
 
-    One pass sums the corpus per cell for :func:`global_cnci_of_sums`; regimes
-    that share a counting scheme and citation split share one table.
+    Every regime reads the corpus's cell sums through :func:`global_cnci_of_sums`;
+    regimes that share a counting scheme and citation split share one table.
     """
     configs = list(configs)
-    sums = _cell_sums(corpus, corpus.papers.values(), schema)[0]
+    sums = corpus.cell_sums(schema)
     values = global_cnci_of_sums(sums, configs, years, doc_types)
     schemes = [(config.counting, config.split_citations) for config in configs]
     tables = {scheme: _table(sums, schema, *scheme) for scheme in set(schemes)}

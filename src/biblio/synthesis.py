@@ -24,9 +24,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
-from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
+from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo, fold_cells
 from .errors import ComputationError
-from .normalization import CnciConfig, _cells_of_groups, global_cnci_of_sums
+from .normalization import CnciConfig, global_cnci_of_sums
 from .ranking import quartile_partition
 from .rounding import _int_text, rational_json, round_half_up
 
@@ -597,7 +597,7 @@ def _cnci_row(config: GenConfig, t: int) -> dict[str, Fraction]:
         group = groups[index, year, doc_types[doc_type]]
         group[0] += 1
         group[1] += c
-    sums = _cells_of_groups(groups, categories.__getitem__)
+    sums = fold_cells(groups, categories.__getitem__)
     return dict(zip(REGIMES, global_cnci_of_sums(sums, REGIMES.values())))
 
 

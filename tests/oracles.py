@@ -3,9 +3,10 @@
 These deliberately avoid the library's code paths: ranks come from pairwise
 comparison counts, rounding goes through the decimal module, percentiles use
 the midpoint-of-worse-items counting argument, and quartile surpluses come
-from exact enumeration of the size distribution. Baselines and set-level
-CNCI are the per-paper definitions: one exact ``Fraction`` update per paper
-and field, against which the package's per-cell integer sums are checked.
+from exact enumeration of the size distribution. Baselines, per-paper and
+set-level CNCI are the per-paper definitions: one exact ``Fraction`` update
+per paper and field, against which the package's per-cell integer sums and
+its one-``Fraction`` paper CNCI are checked.
 The Monte Carlo trial kernels keep their one-call-per-draw forms: the
 corpus generator in its first form (a ``randint`` per drawn size, a
 ``choices`` per doc type, a ``Fraction`` metric per journal and year, and a
@@ -42,13 +43,7 @@ from biblio.excellence import (
     tiebreak_citing_excellence,
     tiebreak_trajectory,
 )
-from biblio.normalization import (
-    FRACTIONAL,
-    WHOLE,
-    BaselineCell,
-    BaselineTable,
-    cnci_paper,
-)
+from biblio.normalization import FRACTIONAL, WHOLE, BaselineCell, BaselineTable
 from biblio.ranking import quartile_partition
 from biblio.rounding import round_half_up
 from biblio.synthesis import REGIMES
@@ -212,6 +207,27 @@ def compute_baselines(corpus, schema, counting=WHOLE, *, split_citations=False, 
     return BaselineTable(
         schema=schema, counting=counting, split_citations=split_citations, cells=cells
     )
+
+
+def cnci_paper(corpus, paper, baselines) -> Fraction:
+    """Mean of c/e over the paper's cells, one ``Fraction`` update per field; an
+    uncited paper over a zero baseline adds 0, a cited one is an error."""
+    fields = corpus.paper_fields(paper, baselines.schema)
+    if not fields:
+        raise ComputationError(
+            f"paper {paper.id!r} has no categories under {baselines.schema!r}"
+        )
+    c = corpus.citations(paper.id)
+    total = Fraction(0)
+    for f in fields:
+        e = baselines.expected(CellKey(f, paper.year, paper.doc_type))
+        if e == 0 and c > 0:
+            raise ZeroBaselineError(
+                f"paper {paper.id!r} has {c} citations in a zero-baseline cell"
+            )
+        if e:
+            total += Fraction(c) / e
+    return total / len(fields)
 
 
 def cnci_set(corpus, papers, baselines) -> Fraction:

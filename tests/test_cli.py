@@ -1,13 +1,18 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
 
 import corpora
 from biblio import (Corpus, GenConfig, Journal, Paper, SchemaInfo, excellence,
-                    monte_carlo_global_cnci, monte_carlo_surplus, normalization)
+                    monte_carlo_global_cnci, monte_carlo_surplus)
+from biblio import corpus as corpus_module
 from biblio.corpus import rank_cell
 from biblio.cli import build_parser, main
 from biblio.io import json_line
@@ -202,7 +207,7 @@ def test_strict_journal_row_errors_name_the_row_once(run, tmp_path):
     )
 
 
-def test_strict_load_failure_exits_two(run, corpus_files, hundred):
+def test_strict_load_failure_exits_two(run, corpus_files, hundred, caplog):
     journals, papers, _ = corpus_files(hundred)
     ghost = '{"id":"zzz","journal":"ghost","year":2019,"doc_type":"article","citations":0}\n'
     papers.write_text(papers.read_text(encoding="utf-8") + ghost, encoding="utf-8")
@@ -212,9 +217,31 @@ def test_strict_load_failure_exits_two(run, corpus_files, hundred):
     assert code == 2 and out == ""
     assert err.startswith("biblio: load error:")
     assert f"{papers.name}:101" in err
-    # The same defect is merely dropped in the default lenient mode.
+    # The same defect is merely dropped in the default lenient mode, and said so.
     code, out, _ = run("cnci", "--journals", journals, "--papers", papers, "--schema", "f")
     assert code == 0
+    assert caplog.messages == [
+        "load report: dropped unresolved_journal=1; collapsed_duplicate_edges=0"
+    ]
+
+
+def test_a_lenient_load_names_what_it_dropped_on_stderr(run, corpus_files, two_papers_edges):
+    journals, papers, edges = corpus_files(two_papers_edges)
+    argv = ["hcp", "--journals", journals, "--papers", papers, "--edges", edges,
+            "--schema", "subjects", "--top-percent", "50", "--no-esi-low-threshold"]
+    _, clean_out, _ = run(*argv)
+    edges.write_text(edges.read_text(encoding="utf-8")
+                     + '{"cited":"pab","citing":"x1","date":"2020-13-45"}\n'
+                     + '{"cited":"pa","citing":"x1","date":"2021-03-01"}\n'
+                     + '{"cited":"x2","citing":"x2"}\n', encoding="utf-8")
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-m", "biblio.cli", *map(str, argv)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (0, clean_out)
+    assert child.stderr == ("biblio: load report: dropped malformed_edge=1, "
+                            "self_citation_loop=1; collapsed_duplicate_edges=1\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -407,9 +434,9 @@ def test_cnci_whole_aor(run, corpus_files, two_papers):
 def test_cnci_per_paper_sums_the_corpus_once(run, corpus_files, hundred, monkeypatch):
     journals, papers, _ = corpus_files(hundred)
     passes = []
-    cell_sums = normalization._cell_sums
-    monkeypatch.setattr(normalization, "_cell_sums",
-                        lambda *args: passes.append(1) or cell_sums(*args))
+    fold = corpus_module.fold_cells
+    monkeypatch.setattr(corpus_module, "fold_cells",
+                        lambda *args: passes.append(1) or fold(*args))
     code, out, _ = run(
         "cnci", "--journals", journals, "--papers", papers, "--schema", "f", "--per-paper",
     )

@@ -1,10 +1,12 @@
 """The per-cell kernels against the per-paper definitions in ``oracles``.
 
-Baselines and set-level CNCI are computed from integer sums per cell; these
-tests build random small corpora (multi-attribution, uncited cells, papers
-without categories, arbitrary subsets with repeats, reference pools that
-leave subunit papers out) and require the package to give exactly the
-oracle's value, or the oracle's exception type and message.
+Baselines and set-level CNCI are computed from integer sums per cell, and
+one paper's CNCI as one Fraction; these tests build random small corpora
+(multi-attribution, uncited cells, papers without categories, arbitrary
+subsets with repeats, reference pools that leave subunit papers out) and
+require the package to give exactly the oracle's value, or the oracle's
+exception type and message. The whole corpus's cell sums are folded once per
+schema and kept; reference pools are folded on every call.
 """
 from fractions import Fraction
 
@@ -18,12 +20,14 @@ from biblio import (
     Journal,
     Paper,
     SchemaInfo,
+    cnci_paper,
     cnci_set,
     compute_baselines,
     global_cnci,
     global_cnci_regimes,
     relative_cnci,
 )
+from biblio import corpus as corpus_module
 
 S = "subjects"
 COUNTINGS = (("whole", False), ("fractional", False), ("whole", True))
@@ -91,6 +95,20 @@ def test_baselines_match_the_per_paper_definition(world):
 
 @settings(max_examples=300)
 @given(worlds())
+def test_paper_cnci_matches_the_per_field_definition(world):
+    # tables over the reference pool: a cell outside it is missing, an uncited one zero
+    corpus, _, reference = world
+    for counting, split in COUNTINGS:
+        table = oracles.compute_baselines(
+            corpus, S, counting, split_citations=split, papers=reference
+        )
+        for paper in corpus.papers.values():
+            assert_same(lambda: cnci_paper(corpus, paper, table),
+                        lambda: oracles.cnci_paper(corpus, paper, table))
+
+
+@settings(max_examples=300)
+@given(worlds())
 def test_set_aggregates_match_the_per_paper_definitions(world):
     corpus, subunit, reference = world
     for counting, split in COUNTINGS:
@@ -112,8 +130,9 @@ def test_set_aggregates_match_the_per_paper_definitions(world):
 def test_global_and_relative_cnci_match_the_oracle(world, years, doc_types):
     corpus, subunit, reference = world
     for config in REGIMES:
-        assert_same(lambda: global_cnci(corpus, S, config, years, doc_types),
-                    lambda: oracles.global_cnci(corpus, S, config, years, doc_types))
+        for _ in range(2):  # the second call reads the sums the first one folded
+            assert_same(lambda: global_cnci(corpus, S, config, years, doc_types),
+                        lambda: oracles.global_cnci(corpus, S, config, years, doc_types))
     # all five regimes from one pass: the same values, or the first regime's error
     assert_same(lambda: [v for v, _ in global_cnci_regimes(corpus, S, REGIMES, years, doc_types)],
                 lambda: [oracles.global_cnci(corpus, S, c, years, doc_types) for c in REGIMES])
@@ -125,3 +144,49 @@ def test_global_and_relative_cnci_match_the_oracle(world, years, doc_types):
     for counting in ("whole", "fractional"):
         assert_same(lambda: relative_cnci(corpus, subunit, reference, S, counting),
                     lambda: oracles.relative_cnci(corpus, subunit, reference, S, counting))
+
+
+def test_the_corpus_is_folded_once_per_schema(monkeypatch):
+    journals = [Journal("JA", {S: ("A",), "other": ("X", "Y")}, {}),
+                Journal("JAB", {S: ("A", "B"), "other": ("X",)}, {})]
+    papers = [Paper("p1", "JA", 2020, "article"), Paper("p2", "JAB", 2020, "article"),
+              Paper("p3", "JAB", 2021, "review"), Paper("p4", "JA", 2021, "article")]
+    corpus = Corpus([SchemaInfo(S), SchemaInfo("other")], journals, papers,
+                    citation_counts={"p1": 3, "p2": 1, "p3": 4, "p4": 2})
+    subunit, reference = papers[1:3], papers[:3]
+    folds = []
+    fold = corpus_module.fold_cells
+    monkeypatch.setattr(corpus_module, "fold_cells",
+                        lambda *args: folds.append(1) or fold(*args))
+
+    def pool_calls_match_the_oracle():
+        for counting, split in COUNTINGS:
+            got = compute_baselines(corpus, S, counting, split_citations=split, papers=reference)
+            assert table_rows(got) == table_rows(oracles.compute_baselines(
+                corpus, S, counting, split_citations=split, papers=reference))
+        assert relative_cnci(corpus, subunit, reference, S) == oracles.relative_cnci(
+            corpus, subunit, reference, S)
+
+    # a pool is folded on its own and leaves the cache empty ...
+    pool_calls_match_the_oracle()
+    assert len(folds) == 5
+    # ... so the whole corpus is folded once here, and only once
+    for counting, split in COUNTINGS:
+        assert table_rows(compute_baselines(corpus, S, counting, split_citations=split)) == (
+            table_rows(oracles.compute_baselines(corpus, S, counting, split_citations=split)))
+    for years, doc_types in ((None, None), ([2021], ["article"])):
+        for config in REGIMES:
+            assert global_cnci(corpus, S, config, years, doc_types) == oracles.global_cnci(
+                corpus, S, config, years, doc_types)
+        assert [v for v, _ in global_cnci_regimes(corpus, S, REGIMES, years, doc_types)] == [
+            oracles.global_cnci(corpus, S, c, years, doc_types) for c in REGIMES]
+    assert len(folds) == 6
+    # a second schema is folded on its own
+    other = compute_baselines(corpus, "other", "fractional")
+    assert global_cnci(corpus, "other", REGIMES[1]) == 1
+    assert len(folds) == 7
+    assert table_rows(other) == table_rows(
+        oracles.compute_baselines(corpus, "other", "fractional"))
+    # with the cache warm, pools still see only their own papers
+    pool_calls_match_the_oracle()
+    assert len(folds) == 12
