@@ -291,8 +291,8 @@ class Corpus:
         return _within(self._ranked_cache[schema], years, doc_types)
 
     def cell_sums(self, schema: str, papers=None) -> dict[CellKey, dict[int, list[int]]]:
-        """:func:`fold_cells` of ``papers`` (default: the whole corpus) under
-        ``schema``; the caller must not mutate it.
+        """{cell: {k: [papers, citations]}} of ``papers`` (default: the whole
+        corpus) under ``schema``, as :func:`fold_cells` gives; do not mutate it.
 
         The whole corpus is folded once per schema and cached; a paper pool is
         folded on every call. An undeclared ``schema`` is a :class:`ComputationError`.
