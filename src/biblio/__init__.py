@@ -33,7 +33,7 @@ _HOME = {
     **dict.fromkeys(("LoadReport", "dump_corpus", "load_corpus"), "io"),
     **dict.fromkeys((
         "BaselineTable", "CnciConfig", "cnci_paper", "cnci_set", "compute_baselines",
-        "global_cnci", "global_cnci_regimes", "relative_cnci",
+        "global_cnci", "relative_cnci",
     ), "normalization"),
     **dict.fromkeys((
         "Quartile", "RankedCategory", "assign_quartiles", "boundary_ties", "percentile",

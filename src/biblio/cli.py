@@ -52,7 +52,7 @@ def _writing(flag: str, path):
 
 def _write(text: str, out: str | None) -> None:
     """A rendered result to the ``--out`` file, or to stdout without one."""
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     with _writing("--out", out):
@@ -64,14 +64,15 @@ def _corpus_subcommand(sub, name: str, handler, help: str, *groups, formats=("js
     ``--format`` unless ``formats=()`` (validate), plus each of ``groups``."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(handler=handler)
-    p.add_argument("--journals", required=True, help="journals file (JSONL or CSV)")
-    p.add_argument("--papers", required=True, help="papers file (JSONL or CSV)")
-    p.add_argument("--edges", help="citation edges file (JSONL or CSV)")
+    p.add_argument("--journals", type=_path, required=True, help="journals file (JSONL or CSV)")
+    p.add_argument("--papers", type=_path, required=True, help="papers file (JSONL or CSV)")
+    p.add_argument("--edges", type=_path, help="citation edges file (JSONL or CSV)")
     p.add_argument(
         "--strict", action="store_true",
         help="abort on the first contract violation instead of dropping rows",
     )
-    p.add_argument("--out", help="write results to this file instead of standard output")
+    p.add_argument("--out", type=_path,
+                   help="write results to this file instead of standard output")
     if formats:
         p.add_argument("--schema", required=True)
         p.add_argument("--format", choices=list(formats), default=formats[0],
@@ -118,6 +119,13 @@ def _int(text: str, least: int | None = None, kind: str = "an integer") -> int:
         if least is None or n >= least:
             return n
     raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+
+
+def _path(text: str) -> str:
+    """A file or directory flag: an empty value is an error, not the flag left out."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
 
 
 def _int_list(text: str) -> list[int]:
@@ -178,7 +186,7 @@ def _usage_checked(make, *flags):
 def _papers_in_file(corpus: Corpus, path: str, flag: str) -> list:
     """The papers whose ids the file at ``path`` lists, one per line."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise LoadError(f"cannot read id list {path!r}: {exc}") from exc
     papers = []
@@ -271,9 +279,7 @@ def _cmd_cnci(args) -> dict:
     )
     corpus = _load(args)
     papers = _slice_papers(corpus, args)
-    [(value, baselines)] = normalization.global_cnci_regimes(
-        corpus, args.schema, [config], args.years, args.doc_types
-    )
+    value = normalization.global_cnci(corpus, args.schema, config, args.years, args.doc_types)
     payload = {
         "schema": args.schema,
         "counting": config.counting,
@@ -283,6 +289,8 @@ def _cmd_cnci(args) -> dict:
         "value": rational_json(value, 4),
     }
     if args.per_paper:
+        baselines = normalization.compute_baselines(
+            corpus, args.schema, config.counting, split_citations=config.split_citations)
         payload["per_paper"] = {
             p.id: rational_json(normalization.cnci_paper(corpus, p, baselines), 4)
             for p in papers
@@ -292,7 +300,7 @@ def _cmd_cnci(args) -> dict:
 
 def _cmd_relative_cnci(args) -> dict:
     from . import normalization
-    if not args.subunit_entity and not args.subunit_ids:
+    if args.subunit_entity is None and args.subunit_ids is None:
         raise _UsageError("relative-cnci needs --subunit-entity or --subunit-ids")
     if args.subunit_entity is not None and args.subunit_ids is not None:
         raise _UsageError("relative-cnci takes --subunit-entity or --subunit-ids, not both")
@@ -303,13 +311,13 @@ def _cmd_relative_cnci(args) -> dict:
         raise _UsageError(
             "--years and --doc-types apply only without --reference-entity or --reference-ids")
     corpus = _load(args)
-    if args.subunit_entity:
+    if args.subunit_entity is not None:
         subunit = list(corpus.papers_of_entity(args.subunit_entity))
     else:
         subunit = _papers_in_file(corpus, args.subunit_ids, "--subunit-ids")
-    if args.reference_entity:
+    if args.reference_entity is not None:
         reference = list(corpus.papers_of_entity(args.reference_entity))
-    elif args.reference_ids:
+    elif args.reference_ids is not None:
         reference = _papers_in_file(corpus, args.reference_ids, "--reference-ids")
     else:
         reference = _slice_papers(corpus, args)
@@ -411,11 +419,11 @@ def _gen_config(path: str) -> synthesis.GenConfig:
 def _cmd_simulate(args) -> dict:
     from . import synthesis
     config = _gen_config(args.config)
-    if args.experiment == "corpus" and not args.out_dir:
+    if args.experiment == "corpus" and args.out_dir is None:
         raise _UsageError("--experiment corpus requires --out-dir")
     if args.experiment == "corpus" and args.trials != 1:
         raise _UsageError("--trials applies to --experiment surplus and cnci only")
-    out_dir = Path(args.out_dir) if args.out_dir else None
+    out_dir = Path(args.out_dir) if args.out_dir is not None else None
     if out_dir is not None:
         with _writing("--out-dir", out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -505,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "impact of a subunit normalized by a reference set's baselines",
                            _counting_option, _slice_options)
     p.add_argument("--subunit-entity", help="subunit = papers attributed to this entity")
-    p.add_argument("--subunit-ids", help="file with one subunit paper id per line")
+    p.add_argument("--subunit-ids", type=_path, help="file with one subunit paper id per line")
     p.add_argument("--reference-entity", help="reference = papers attributed to this entity")
-    p.add_argument("--reference-ids", help="file with one reference paper id per line")
+    p.add_argument("--reference-ids", type=_path, help="file with one reference paper id per line")
 
     _corpus_subcommand(sub, "hcp", _cmd_hcp,
                        "highly cited paper thresholds and decisions per cell",
@@ -522,13 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthetic corpora and Monte Carlo experiments")
     p.set_defaults(handler=_cmd_simulate)
-    p.add_argument("--config", required=True, help="generator config file (YAML or JSON)")
+    p.add_argument("--config", type=_path, required=True,
+                   help="generator config file (YAML or JSON)")
     p.add_argument(
         "--experiment", choices=["surplus", "cnci", "corpus"], required=True,
         help="surplus: quartile imbalance; cnci: global mean per regime; corpus: emit files",
     )
     p.add_argument("--trials", type=_trials, default=1)
-    p.add_argument("--out-dir", help="directory for per-trial CSV, summary JSON, corpus files")
+    p.add_argument("--out-dir", type=_path,
+                   help="directory for per-trial CSV, summary JSON, corpus files")
 
     return parser
 

@@ -10,13 +10,14 @@ fail loudly rather than degrade).
 Papers are sliced into (field, year, doc_type) cells per schema; a paper whose
 journal holds k categories under a schema appears in k cells.
 
-The derived indexes (citation counts, cells, ranked cells, per-cell sums of
-papers and citations, citing edges, entity output and its fractional weight)
-are built on first use and cached, so a corpus must not be mutated once it has
-been queried.
+The derived indexes (citation counts, cells, ranked cells, per-cell integer
+citation and paper masses, citing edges, entity output and its fractional
+weight) are built on first use and cached, so a corpus must not be mutated once
+it has been queried.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
@@ -27,6 +28,7 @@ from .errors import ComputationError
 
 DAY = "day"
 MONTH = "month"
+MAX_EXAMPLES = 5  # offending ids a validation finding lists
 
 
 class SchemaInfo(NamedTuple):
@@ -125,22 +127,30 @@ def rank_cell(papers, counts: Mapping[str, int]) -> RankedCell:
     return RankedCell(ranked, tuple(counts[p.id] for p in ranked))
 
 
-def fold_cells(groups, fields_of) -> dict[CellKey, dict[int, list[int]]]:
-    """{cell: {k: [papers, citations]}} from {(journal, year, doc_type): [papers,
-    citations]}, k being the number of fields ``fields_of(journal)`` gives.
+def fold_cells(groups, fields_of) -> tuple[int, dict[CellKey, list[int]]]:
+    """(unit, {cell: [split citations, citations, papers, split papers]}) from
+    {(journal, year, doc_type): [papers, citations]}: each cell's integer masses
+    in units of 1/``unit``, the lcm of every k, k being the number of fields
+    ``fields_of(journal)`` gives. A k-field paper with c citations adds c/k, c, 1
+    and 1/k to each of its k cells.
 
     Callers sum their papers per (journal, year, doc_type) first, which fixes the
     papers' cells and k, so each paper costs one integer update. They do so in
     their own loop: a generator of rows costs about a third more per paper. A
     journal without fields adds to no cell."""
-    sums: dict[tuple, dict[int, list[int]]] = {}  # plain keys: one CellKey per cell, last
+    fields = {journal: fields_of(journal) for journal in {journal for journal, _, _ in groups}}
+    unit = math.lcm(*{len(f) for f in fields.values() if f})
+    sums: dict[tuple, list[int]] = {}  # plain keys: one CellKey per cell, last
     for (journal, year, doc_type), (n, c) in groups.items():
-        fields = fields_of(journal)
-        for f in fields:
-            total = sums.setdefault((f, year, doc_type), {}).setdefault(len(fields), [0, 0])
-            total[0] += n
-            total[1] += c
-    return {CellKey._make(key): per_k for key, per_k in sums.items()}
+        fs = fields[journal]
+        share = unit // len(fs) if fs else 0
+        for f in fs:
+            masses = sums.setdefault((f, year, doc_type), [0, 0, 0, 0])
+            masses[0] += c * share
+            masses[1] += c * unit
+            masses[2] += n * unit
+            masses[3] += n * share
+    return unit, {CellKey._make(key): masses for key, masses in sums.items()}
 
 
 class Corpus:
@@ -172,7 +182,7 @@ class Corpus:
         self.load_report = load_report
         self._cell_cache: dict[str, dict[CellKey, tuple[Paper, ...]]] = {}
         self._ranked_cache: dict[str, dict[CellKey, RankedCell]] = {}
-        self._sums_cache: dict[str, dict[CellKey, dict[int, list[int]]]] = {}
+        self._sums_cache: dict[str, tuple[int, dict[CellKey, list[int]]]] = {}
         self._counts: dict[str, int] | None = None
         self._in_edges: dict[str, tuple[CitationEdge, ...]] | None = None
         self._entity_papers: dict[str, tuple[Paper, ...]] | None = None
@@ -290,9 +300,10 @@ class Corpus:
             }
         return _within(self._ranked_cache[schema], years, doc_types)
 
-    def cell_sums(self, schema: str, papers=None) -> dict[CellKey, dict[int, list[int]]]:
-        """{cell: {k: [papers, citations]}} of ``papers`` (default: the whole
-        corpus) under ``schema``, as :func:`fold_cells` gives; do not mutate it.
+    def cell_sums(self, schema: str, papers=None) -> tuple[int, dict[CellKey, list[int]]]:
+        """(unit, {cell: [split citations, citations, papers, split papers]}) of
+        ``papers`` (default: the whole corpus) under ``schema``, the integer
+        masses :func:`fold_cells` gives; do not mutate them.
 
         The whole corpus is folded once per schema and cached; a paper pool is
         folded on every call. An undeclared ``schema`` is a :class:`ComputationError`.
@@ -395,7 +406,7 @@ class ValidationReport(NamedTuple):
         }
 
 
-def validate(corpus: Corpus, max_examples: int = 5) -> ValidationReport:
+def validate(corpus: Corpus) -> ValidationReport:
     """Check every structural invariant; an all-clear report is empty.
 
     A publication-date month that precedes the online date is reported as a
@@ -456,7 +467,7 @@ def validate(corpus: Corpus, max_examples: int = 5) -> ValidationReport:
 
     def results(bucket):
         return tuple(
-            CheckResult(name, len(ids), tuple(ids[:max_examples]))
+            CheckResult(name, len(ids), tuple(ids[:MAX_EXAMPLES]))
             for name, ids in sorted(bucket.items())
         )
 

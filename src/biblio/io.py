@@ -74,7 +74,7 @@ def _read_records(path: Path):
     """Yield (line_no, record) from a JSONL or CSV file, sniffed by suffix."""
     is_csv = path.suffix.lower() == ".csv"
     try:
-        fh = path.open(newline="" if is_csv else None, encoding="utf-8")
+        fh = path.open(newline="" if is_csv else None, encoding="utf-8-sig")
     except OSError as exc:
         raise LoadError(f"cannot open {path}: {exc.strerror or exc}") from exc
     with fh:

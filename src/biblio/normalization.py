@@ -16,14 +16,14 @@ every ratio-of-averages variant and fractional average-of-ratios equal exactly
 1; whole counting with average-of-ratios does not, which is the anomaly these
 dual routes exist to expose. All arithmetic is exact rational.
 
-Baselines and set aggregates come from integer sums (papers, citations) per
-cell and category count k, with no Fraction per paper. Exact sums do not depend
-on order, so they equal the per-paper definitions, which the test oracle keeps.
-The whole corpus's sums are folded once per schema and kept by the corpus
-(:meth:`Corpus.cell_sums`); a reference pool's sums are folded on every call.
-Global CNCI costs one Fraction per regime: every regime is integer arithmetic
-on four masses per cell, and no baseline table is built for it. One paper's
-CNCI is one Fraction as well.
+Baselines and set aggregates read four integer masses per cell (split
+citations, citations, papers, split papers) in units of 1/lcm(k), with no
+Fraction per paper. Exact sums do not depend on order, so they equal the
+per-paper definitions, which the test oracle keeps. The whole corpus's masses
+are folded once per schema and kept by the corpus (:meth:`Corpus.cell_sums`);
+a reference pool's masses are folded on every call. Global CNCI costs one
+Fraction per regime, and no baseline table is built for it. One paper's CNCI
+is one Fraction as well.
 """
 from __future__ import annotations
 
@@ -133,35 +133,17 @@ def compute_baselines(
     whole corpus. Cells with no paper in the pool are absent, not zero.
     """
     baseline_config(counting, split_citations)  # validates
-    return _table(corpus.cell_sums(schema, papers), schema, counting, split_citations)
-
-
-def _table(sums, schema: str, counting: str, split_citations: bool) -> BaselineTable:
+    unit, masses = corpus.cell_sums(schema, papers)
     cite, weight = _RATE[counting, split_citations]
-    cells = {}
-    for key, per_k in sorted(sums.items()):
-        unit = math.lcm(*per_k)
-        masses = _cell_masses(per_k, unit)
-        cells[key] = BaselineCell(Fraction(masses[cite], masses[weight]),
-                                  Fraction(masses[weight], unit), masses[2] // unit)
-    return BaselineTable(schema, counting, split_citations, cells)
+    return BaselineTable(schema, counting, split_citations, {
+        key: BaselineCell(Fraction(m[cite], m[weight]), Fraction(m[weight], unit), m[2] // unit)
+        for key, m in sorted(masses.items())
+    })
 
 
-def _cell_masses(per_k: dict[int, list[int]], unit: int) -> tuple[int, int, int, int]:
-    """(split citations, citations, papers, split papers) of a cell in units of
-    1/``unit``, a multiple of every k; a k-field paper splits as c/k and 1/k."""
-    split_cite = cite = papers = split_papers = 0
-    for k, (n, c) in per_k.items():
-        share = unit // k
-        split_cite += c * share
-        cite += c * unit
-        papers += n * unit
-        split_papers += n * share
-    return split_cite, cite, papers, split_papers
-
-
-# (counting, split_citations) -> where in _cell_masses a cell's citation mass
-# and paper weight are; their ratio is the cell's expected citation rate
+# (counting, split_citations) -> where a cell's citation mass and paper weight
+# are among its masses (split citations, citations, papers, split papers; see
+# corpus.fold_cells); their ratio is the cell's expected citation rate
 _RATE = {(WHOLE, False): (1, 2), (WHOLE, True): (0, 2), (FRACTIONAL, False): (0, 3)}
 
 
@@ -208,9 +190,7 @@ def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) 
     citations, the papers are walked one by one so the error names the first
     failing paper, as per paper."""
     papers = list(papers)
-    sums = corpus.cell_sums(baselines.schema, papers)
-    unit = math.lcm(*{k for per_k in sums.values() for k in per_k})
-    masses = {key: _cell_masses(per_k, unit) for key, per_k in sums.items()}
+    unit, masses = corpus.cell_sums(baselines.schema, papers)
     cells = baselines.cells
     # each categorized paper adds 1 (``unit``) of split paper mass over its cells
     if sum(m[3] for m in masses.values()) != unit * len(papers) or any(
@@ -246,35 +226,15 @@ def global_cnci(
     return global_cnci_of_sums(corpus.cell_sums(schema), [config], years, doc_types)[0]
 
 
-def global_cnci_regimes(
-    corpus: Corpus, schema: str, configs: Iterable[CnciConfig], years=None, doc_types=None
-) -> list[tuple[Fraction, BaselineTable]]:
-    """``global_cnci`` under each regime in turn, with the baseline table it used.
-
-    Every regime reads the corpus's cell sums through :func:`global_cnci_of_sums`;
-    regimes that share a counting scheme and citation split share one table.
-    """
-    configs = list(configs)
-    sums = corpus.cell_sums(schema)
-    values = global_cnci_of_sums(sums, configs, years, doc_types)
-    schemes = [(config.counting, config.split_citations) for config in configs]
-    tables = {scheme: _table(sums, schema, *scheme) for scheme in set(schemes)}
-    return [(value, tables[scheme]) for value, scheme in zip(values, schemes)]
-
-
 def global_cnci_of_sums(
     sums, configs: Iterable[CnciConfig], years=None, doc_types=None
 ) -> list[Fraction]:
-    """``global_cnci`` under each regime of a closed corpus given by its per-cell sums.
-
-    A slice keeps whole cells, so each kept cell's expected rate comes from its
-    own sums. Cell masses are formed once, in units of 1/lcm(k); each regime
-    sums its terms in integers and builds one Fraction.
-    """
-    sliced = [per_k for key, per_k in sums.items() if key.within(years, doc_types)]
-    unit = math.lcm(*{k for per_k in sliced for k in per_k})
-    cells = [_cell_masses(per_k, unit) for per_k in sliced]
-    papers = sum(masses[3] for masses in cells)  # the slice's paper count, times unit
+    """``global_cnci`` under each regime of a closed corpus given by its cell
+    masses (:meth:`Corpus.cell_sums`). A slice keeps whole cells, so each kept
+    cell's expected rate comes from its own masses; each regime sums its terms
+    in integers and builds one Fraction."""
+    cells = [masses for key, masses in sums[1].items() if key.within(years, doc_types)]
+    papers = sum(masses[3] for masses in cells)  # the slice's paper count, times the unit
     values = []
     for config in configs:
         c, w = _RATE[config.counting, config.split_citations]

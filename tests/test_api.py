@@ -81,7 +81,7 @@ EXPORTS = [
     "SizeDist", "SurplusEstimate", "ThresholdResult", "ValidationReport",
     "ZeroBaselineError", "assign_quartiles", "boundary_ties", "cnci_paper", "cnci_set",
     "compute_baselines", "decimal_str", "dump_corpus", "entity_hcp_share",
-    "generate_corpus", "global_cnci", "global_cnci_regimes", "hcp_report", "hcp_run",
+    "generate_corpus", "global_cnci", "hcp_report", "hcp_run",
     "hcp_selection", "load_corpus", "monte_carlo_global_cnci", "monte_carlo_surplus",
     "parse_tiebreak_chain", "percentile", "provisional_hcp_ids", "quartile_distribution",
     "quartile_of_rank", "quartile_partition", "rank_category", "rational_json",

@@ -531,17 +531,30 @@ def test_relative_cnci_flags_it_would_ignore_are_usage_errors_before_load(run, f
     assert err == f"biblio: error: {message}\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--subunit-entity", ""],
+    ["--subunit-entity", "team-s", "--reference-entity", ""],
+])
+def test_an_empty_entity_selects_no_papers(run, corpus_files, simpson, flags):
+    journals, papers, _ = corpus_files(simpson)
+    code, out, err = run("relative-cnci", "--journals", journals, "--papers", papers,
+                         "--schema", "subjects", *flags)
+    assert (code, out) == (3, "")
+    assert err == "biblio: computation error: cannot average CNCI over an empty paper set\n"
+
+
 def test_relative_cnci_id_files(run, corpus_files, simpson, tmp_path):
     journals, papers, _ = corpus_files(simpson)
     ids = tmp_path / "subunit.txt"
-    ids.write_text("RC1\n", encoding="utf-8")
-    code, out, _ = run(
-        "relative-cnci", "--journals", journals, "--papers", papers,
-        "--schema", "subjects",
-        "--subunit-ids", ids, "--reference-entity", "unit-r",
-    )
-    assert code == 0
-    assert payload(out)["relative_cnci"]["rational"] == "4/3"
+    for text in ("RC1\n", "\ufeffRC1\n"):  # a leading byte-order mark is ignored
+        ids.write_text(text, encoding="utf-8")
+        code, out, _ = run(
+            "relative-cnci", "--journals", journals, "--papers", papers,
+            "--schema", "subjects",
+            "--subunit-ids", ids, "--reference-entity", "unit-r",
+        )
+        assert code == 0
+        assert payload(out)["relative_cnci"]["rational"] == "4/3"
 
     ids.write_text("RC1\nnope\n", encoding="utf-8")
     code, _, err = run(
@@ -796,6 +809,29 @@ def test_out_file_in_a_missing_directory_is_a_usage_error(run, corpus_files, two
     assert (code, out) == (2, "")
     assert err.startswith(f"biblio: error: cannot write --out {str(target)!r}: ")
     assert err.count("\n") == 1 and not target.parent.exists()
+
+
+MISSING_CORPUS = ("--journals", "missing.jsonl", "--papers", "missing.jsonl")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--journals", ["validate", "--papers", "missing.jsonl"]),
+    ("--papers", ["validate", "--journals", "missing.jsonl"]),
+    ("--edges", ["validate", *MISSING_CORPUS]),
+    ("--out", ["validate", *MISSING_CORPUS]),
+    ("--subunit-ids", ["relative-cnci", *MISSING_CORPUS, "--schema", "subjects"]),
+    ("--reference-ids", ["relative-cnci", *MISSING_CORPUS, "--schema", "subjects",
+                         "--subunit-entity", "team-s"]),
+    ("--config", ["simulate", "--experiment", "surplus"]),
+    ("--out-dir", ["simulate", "--config", "config.yaml", "--experiment", "surplus"]),
+])
+def test_an_empty_path_is_a_usage_error_before_load(run, tmp_path, monkeypatch, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, SURPLUS_CONFIG)
+    code, out, err = run(*argv, flag, "")
+    assert (code, out) == (2, "")
+    assert err.endswith(f": error: argument {flag}: must be a non-empty path\n")
+    assert list(tmp_path.iterdir()) == [config]  # nothing written
 
 
 @pytest.mark.parametrize("experiment, under, taken", [

@@ -24,7 +24,6 @@ from biblio import (
     cnci_set,
     compute_baselines,
     global_cnci,
-    global_cnci_regimes,
     relative_cnci,
 )
 from biblio import corpus as corpus_module
@@ -133,14 +132,6 @@ def test_global_and_relative_cnci_match_the_oracle(world, years, doc_types):
         for _ in range(2):  # the second call reads the sums the first one folded
             assert_same(lambda: global_cnci(corpus, S, config, years, doc_types),
                         lambda: oracles.global_cnci(corpus, S, config, years, doc_types))
-    # all five regimes from one pass: the same values, or the first regime's error
-    assert_same(lambda: [v for v, _ in global_cnci_regimes(corpus, S, REGIMES, years, doc_types)],
-                lambda: [oracles.global_cnci(corpus, S, c, years, doc_types) for c in REGIMES])
-    results = oracles.outcome(lambda: global_cnci_regimes(corpus, S, REGIMES, years, doc_types))
-    if isinstance(results, list):
-        for config, (_, table) in zip(REGIMES, results):
-            assert table_rows(table) == table_rows(oracles.compute_baselines(
-                corpus, S, config.counting, split_citations=config.split_citations))
     for counting in ("whole", "fractional"):
         assert_same(lambda: relative_cnci(corpus, subunit, reference, S, counting),
                     lambda: oracles.relative_cnci(corpus, subunit, reference, S, counting))
@@ -178,8 +169,6 @@ def test_the_corpus_is_folded_once_per_schema(monkeypatch):
         for config in REGIMES:
             assert global_cnci(corpus, S, config, years, doc_types) == oracles.global_cnci(
                 corpus, S, config, years, doc_types)
-        assert [v for v, _ in global_cnci_regimes(corpus, S, REGIMES, years, doc_types)] == [
-            oracles.global_cnci(corpus, S, c, years, doc_types) for c in REGIMES]
     assert len(folds) == 6
     # a second schema is folded on its own
     other = compute_baselines(corpus, "other", "fractional")

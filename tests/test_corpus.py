@@ -23,6 +23,7 @@ from biblio import (
     provisional_hcp_ids,
     validate,
 )
+from biblio import corpus as corpus_module
 from biblio.corpus import DAY, MONTH, CellKey
 
 S = corpora.SCHEMA
@@ -285,7 +286,7 @@ def test_month_precision_same_month_is_not_flagged():
     assert not validate(c).warnings
 
 
-def test_issue_precedes_online_compares_months_or_days_by_precision():
+def test_issue_precedes_online_compares_months_or_days_by_precision(monkeypatch):
     days = [date(2010, 12, 31), date(2011, 2, 28), date(2011, 3, 1), date(2011, 3, 15),
             date(2011, 3, 31), date(2011, 4, 1)]
     papers = [Paper(f"p{i}", "j", 2011, "article", online_date=online, pub_date=pub,
@@ -296,7 +297,8 @@ def test_issue_precedes_online_compares_months_or_days_by_precision():
         (p.pub_date.year, p.pub_date.month) < (p.online_date.year, p.online_date.month)
         if p.pub_date_precision == MONTH else p.pub_date < p.online_date)}
     c = Corpus([SchemaInfo(S)], [Journal("j", {S: ("A",)}, {})], papers, citation_counts={})
-    [warning] = validate(c, max_examples=len(papers)).warnings
+    monkeypatch.setattr(corpus_module, "MAX_EXAMPLES", len(papers))
+    [warning] = validate(c).warnings
     assert set(warning.examples) == expected
 
 
@@ -305,8 +307,7 @@ def test_validate_truncates_examples():
     c = Corpus([SchemaInfo(S)], [], papers, citation_counts={})
     row = violations(c)["unresolved_journal"]
     assert row.count == 9
-    assert len(row.examples) == 5
-    assert len(validate(c, max_examples=2).violations[0].examples) == 2
+    assert len(row.examples) == corpus_module.MAX_EXAMPLES == 5
 
 
 def test_validation_report_json_shape(two_papers):

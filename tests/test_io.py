@@ -460,6 +460,14 @@ def test_undecodable_input_is_located(tmp_path, suffix):
         assert str(err.value).startswith(f"p{suffix}:1001: not valid UTF-8")
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_leading_byte_order_mark_is_ignored(fmt, corpus_files):
+    original = corpora.make_quota_mini()
+    journals, papers, edges = corpus_files(original, fmt=fmt)
+    journals.write_bytes(b"\xef\xbb\xbf" + journals.read_bytes())
+    assert load_corpus(journals, papers, edges, strict=True) == original
+
+
 def test_invalid_json_line_always_raises(tmp_path):
     journals = write(tmp_path / "j.jsonl", REGISTRY, "{not json")
     papers = write(tmp_path / "p.jsonl")

@@ -514,7 +514,7 @@ def test_global_cnci_builds_no_baseline_table(monkeypatch, two_papers):
         raise AssertionError("a baseline table was built")
 
     want = values()
-    monkeypatch.setattr(normalization, "_table", no_table)
+    monkeypatch.setattr(normalization, "BaselineTable", no_table)
     with pytest.raises(AssertionError, match="baseline table"):
         normalization.compute_baselines(two_papers, corpora.SCHEMA)
     assert values() == want
