@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import logging
 import sys
 from fractions import Fraction
@@ -165,6 +166,9 @@ def _tiebreak_names(text: str) -> list[str]:
 
 def _load(args) -> Corpus:
     corpus = load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
+    if not gc.get_freeze_count():
+        # the process's one corpus: later collections skip it (``main`` thaws it)
+        gc.freeze()
     report = corpus.load_report
     if report is not None and not report.clean:
         dropped = ", ".join(f"{reason}={n}" for reason, n in sorted(report.dropped.items()))
@@ -550,6 +554,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
+    frozen = gc.get_freeze_count()
     try:
         result = args.handler(args)
         _write(_render(result, getattr(args, "format", "json")), getattr(args, "out", None))
@@ -562,6 +567,9 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"biblio: computation error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if not frozen:  # an in-process caller gets its collector back as it was
+            gc.unfreeze()
     if args.subcommand == "validate" and not result["ok"]:
         print("biblio: corpus has validation findings", file=sys.stderr)
         return 2

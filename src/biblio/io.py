@@ -9,17 +9,18 @@ single-attribution; in CSV the registry travels in the ``categories`` column
 of a row whose id is ``_schemas``.
 
 Every row goes through one parse function per kind. A row that is not an
-object, lacks a required field or holds a field of the wrong type is
-``malformed_<kind>``; a well-formed row the corpus cannot take raises
-``_Drop`` with its reason. Strict mode aborts on the first such row with its
-file and line. Lenient mode drops the row and counts it in the load report
-under its reason. Duplicate (citing, cited) pairs are collapsed with a
-warning in both modes; they are a fact about messy exports, not a reason to
-abort.
+object, has more cells than its CSV header, lacks a required field or holds a
+field of the wrong type is ``malformed_<kind>``; a well-formed row the corpus
+cannot take raises ``_Drop`` with its reason. Strict mode aborts on the first
+such row with its file and line. Lenient mode drops the row and counts it in
+the load report under its reason. Duplicate (citing, cited) pairs are
+collapsed with a warning in both modes; they are a fact about messy exports,
+not a reason to abort.
 """
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from dataclasses import dataclass, field as dc_field
 from datetime import date
@@ -40,6 +41,7 @@ from .errors import LoadError
 from .rounding import _int_text, _rational
 
 _NOTE_CAP = 20
+_DECODE = json.JSONDecoder().raw_decode
 
 
 @dataclass
@@ -88,9 +90,15 @@ def _read_records(path: Path):
                     if not line:
                         continue
                     try:
-                        yield i, json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise LoadError(f"{path.name}:{i}: not valid JSON: {exc}") from exc
+                        record, end = _DECODE(line)
+                    except json.JSONDecodeError:
+                        end = None
+                    if end != len(line):  # a bad line: decode it again for json's own message
+                        try:
+                            record = json.loads(line)
+                        except json.JSONDecodeError as exc:
+                            raise LoadError(f"{path.name}:{i}: not valid JSON: {exc}") from exc
+                    yield i, record
         except UnicodeDecodeError:
             data = path.read_bytes()  # text reads decode whole chunks: find the line again
             try:
@@ -159,16 +167,21 @@ def _author(entry) -> AuthorCredit:
     key, entities = entry["key"], entry.get("entities", [])
     if not isinstance(entities, list):  # a string would become one entity per letter
         raise TypeError(f"entities are not a list: {entities!r}")
-    if not all(isinstance(name, str) for name in [key, *entities]):
-        raise TypeError(f"author key or entities are not strings: {entry!r}")
-    return AuthorCredit(key, tuple(dict.fromkeys(entities)))
+    if isinstance(key, str):
+        for name in entities:
+            if not isinstance(name, str):
+                break
+        else:
+            return AuthorCredit(key, tuple(dict.fromkeys(entities) if len(entities) > 1
+                                           else entities))
+    raise TypeError(f"author key or entities are not strings: {entry!r}")
 
 
 def _authors(raw) -> tuple[AuthorCredit, ...]:
     if not isinstance(raw, list):
         raise TypeError(f"field 'authors' is not a list: {raw!r}")
     try:
-        return tuple(_author(entry) for entry in raw)
+        return tuple([_author(entry) for entry in raw])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed author entry: {exc!r}") from exc
 
@@ -219,11 +232,14 @@ def load_corpus(
 
     def load(path, kind: str, parse) -> None:
         path = Path(path)
+        name = path.name
         for line_no, record in _read_records(path):
-            where = f"{path.name}:{line_no}"
+            where = f"{name}:{line_no}"
             try:
                 if not isinstance(record, dict):
                     raise TypeError(f"row is not an object: {record!r}")
+                if None in record:  # csv.DictReader's key for cells beyond the header
+                    raise ValueError(f"row has more cells than its header: {record[None]!r}")
                 parse(record, where)
             except _Drop as drop:
                 reject(drop.reason, f"{where}: {drop}")
@@ -312,6 +328,7 @@ def load_corpus(
         if citing not in papers or cited not in papers:
             raise _Drop("unresolved_edge_endpoint",
                         f"edge {citing!r}->{cited!r} references an unknown paper")
+        citing, cited = papers[citing].id, papers[cited].id  # one id object per paper
         if citing == cited:
             raise _Drop("self_citation_loop", f"paper {citing!r} cites itself")
         when = _parse_date(record["date"]) if "date" in record else None
@@ -321,13 +338,21 @@ def load_corpus(
             return
         edges[citing, cited] = CitationEdge(citing=citing, cited=cited, date=when)
 
-    load(journals_path, "journal", parse_journal)
-    load(papers_path, "paper", parse_paper)
-    if edges_path is not None:
-        load(edges_path, "edge", parse_edge)
-    return Corpus(schemas.values(), journals.values(), papers.values(),
-                  list(edges.values()) if edges_path is not None else None,
-                  citation_counts=counts or None, load_report=report)
+    # Records hold no cycles, so the cyclic collector would only re-scan the
+    # growing corpus; it is paused for the load and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        load(journals_path, "journal", parse_journal)
+        load(papers_path, "paper", parse_paper)
+        if edges_path is not None:
+            load(edges_path, "edge", parse_edge)
+        return Corpus(schemas.values(), journals.values(), papers.values(),
+                      list(edges.values()) if edges_path is not None else None,
+                      citation_counts=counts or None, load_report=report)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- serialization -------------------------------------------------------------

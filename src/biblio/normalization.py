@@ -231,8 +231,15 @@ def global_cnci_of_sums(
 ) -> list[Fraction]:
     """``global_cnci`` under each regime of a closed corpus given by its cell
     masses (:meth:`Corpus.cell_sums`). A slice keeps whole cells, so each kept
-    cell's expected rate comes from its own masses; each regime sums its terms
-    in integers and builds one Fraction."""
+    cell's expected rate comes from its own masses.
+
+    Average-of-ratios sums its terms in integers and builds one Fraction;
+    under whole counting it is not 1, which is the paper's point that world
+    baselines are not unity. Ratio-of-averages needs no sum: a kept cell's
+    expected mass is its paper weight (> 0, since a kept cell has papers) times
+    its rate, citation mass over that weight, so it is the cell's observed
+    citation mass again and the ratio is exactly 1 whenever a kept cell is
+    cited."""
     cells = [masses for key, masses in sums[1].items() if key.within(years, doc_types)]
     papers = sum(masses[3] for masses in cells)  # the slice's paper count, times the unit
     values = []
@@ -243,12 +250,9 @@ def global_cnci_of_sums(
             continue
         if not papers:
             raise EmptyInputError("cannot aggregate an empty paper set")
-        rates = [(masses[c], masses[w]) for masses in cells]
-        # observed citation mass over the sum of weight times expected rate
-        num, den = _ratio_sum((weight * cite, weight) for cite, weight in rates)
-        if not num:
+        if not any(masses[c] for masses in cells):
             raise ZeroBaselineError("total expected citation mass is zero")
-        values.append(Fraction(sum(cite for cite, _ in rates) * den, num))
+        values.append(Fraction(1))
     return values
 
 

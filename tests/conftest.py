@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,6 +14,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def collector_left_as_found():
+    """Fail a test that leaves the cyclic collector paused or changes its frozen set."""
+    frozen = gc.get_freeze_count()
+    yield
+    assert gc.isenabled(), "the test left the cyclic collector disabled"
+    assert gc.get_freeze_count() == frozen, "the test changed the collector's frozen set"
 
 
 @pytest.fixture

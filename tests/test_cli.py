@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -262,6 +263,24 @@ def test_an_undeclared_schema_is_a_usage_error(run, corpus_files, two_papers, co
     assert err == (
         "biblio: error: schema 'zz' is not declared in the corpus (declared: 'subjects')\n"
     )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_freezes_its_corpus_and_leaves_the_collector_as_found(
+    run, corpus_files, two_papers, monkeypatch, enabled
+):
+    journals, papers, _ = corpus_files(two_papers)
+    frozen, freeze = [], gc.freeze
+    monkeypatch.setattr(gc, "freeze", lambda: (freeze(), frozen.append(gc.get_freeze_count())))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for schema, code in ((corpora.SCHEMA, 0), ("zz", 2)):
+            assert run("cnci", "--journals", journals, "--papers", papers,
+                       "--schema", schema)[0] == code
+            assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+    assert len(frozen) == 2 and min(frozen) > 0
 
 
 def test_missing_input_file_exits_two(run, corpus_files, hundred, tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import json
 from dataclasses import replace
 from datetime import date
@@ -474,6 +476,73 @@ def test_invalid_json_line_always_raises(tmp_path):
     with pytest.raises(LoadError) as err:
         load_corpus(journals, papers)
     assert "j.jsonl:2" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [
+    '{"id": "x"} y', '{"a":1}{"b":2}', "\ufeff" + paper_line("P9", "J1"), '{"a": }', "nul", "[1",
+])
+def test_a_bad_json_line_gives_the_decoders_own_message(tmp_path, bad):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = write(tmp_path / "p.jsonl", paper_line("P1", "J1"), bad, paper_line("P2", "J1"))
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(bad)
+    for strict in (False, True):
+        with pytest.raises(LoadError) as err:
+            load_corpus(journals, papers, strict=strict)
+        assert str(err.value) == f"p.jsonl:2: not valid JSON: {decode.value}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_load_leaves_the_collector_as_it_found_it(tmp_path, minimal_paths, enabled):
+    journals, papers, edges = minimal_paths
+    bad_papers = write(tmp_path / "bad.jsonl", paper_line("P1", "J1"), paper_line("P2", "GHOST"))
+    calls = [
+        lambda: load_corpus(journals, papers, edges),
+        lambda: load_corpus(journals, bad_papers, strict=True),
+        lambda: load_corpus(journals, papers, tmp_path / "absent.jsonl"),
+    ]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call in calls:
+            with contextlib.suppress(LoadError):
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    with pytest.raises(LoadError, match="bad.jsonl:2"):
+        calls[1]()
+    with pytest.raises(LoadError, match="absent.jsonl"):
+        calls[2]()
+
+
+def test_edge_endpoints_are_the_papers_own_ids(minimal_paths):
+    corpus = load_corpus(*minimal_paths)
+    for edge in corpus.edges:
+        assert edge.citing is corpus.papers[edge.citing].id
+        assert edge.cited is corpus.papers[edge.cited].id
+
+
+@pytest.mark.parametrize("kind", ["journal", "paper", "edge"])
+def test_a_csv_row_with_more_cells_than_its_header_is_malformed(tmp_path, kind):
+    files = {
+        "journal": ["id,categories,metric",
+                    '_schemas,"{""f"": {""single_attribution"": false}}",',
+                    'J1,"{""f"": [""A""]}",', 'J2,"{""f"": [""A""]}",'],
+        "paper": ["id,journal,year,doc_type,citations",
+                  "P1,J1,2020,article,3", "P2,J1,2020,article,1", "P3,J1,2020,article,0"],
+        "edge": ["citing,cited", "P1,P2", "P2,P1"],
+    }
+    files[kind][-1] += ",EXTRA,MORE"  # every file's last row is cited by no other row
+    paths = [write(tmp_path / f"{name}.csv", *lines) for name, lines in files.items()]
+    corpus = load_corpus(*paths)
+    assert corpus.load_report.dropped == {f"malformed_{kind}": 1}
+    kept = {"journal": corpus.journals, "paper": corpus.papers, "edge": corpus.edges}
+    for name, rows in kept.items():
+        assert len(rows) == len(files[name]) - 1 - (name == "journal") - (name == kind)
+    with pytest.raises(LoadError) as err:
+        load_corpus(*paths, strict=True)
+    assert str(err.value) == (f"{kind}.csv:{len(files[kind])}: row has more cells than its "
+                              "header: ['EXTRA', 'MORE']")
 
 
 def test_note_cap(tmp_path):
