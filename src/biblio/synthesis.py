@@ -19,8 +19,9 @@ import os
 import random
 from bisect import bisect
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -44,6 +45,13 @@ def _typed(value, kind: type, what: str):
             or (kind is float and not math.isfinite(value))):
         raise ComputationError(f"{what} must be {_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _known_keys(raw: dict, keys: tuple[str, ...], where: str = "") -> None:
+    """Reject a mapping key outside ``keys``: a misspelled key is never a default."""
+    for key in raw:
+        if key not in keys:
+            raise ComputationError(f"unknown key {key!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -75,12 +83,18 @@ class SizeDist:
     def from_config(cls, raw) -> "SizeDist":
         if isinstance(raw, int) and not isinstance(raw, bool):
             return cls.fixed(raw)
-        if isinstance(raw, dict) and "fixed" in raw:
+        if not isinstance(raw, dict):
+            raise ComputationError(f"unrecognized size distribution {raw!r}")
+        _known_keys(raw, ("fixed", "uniform"), " in size spec")
+        if len(raw) != 1:
+            raise ComputationError("a size spec needs exactly one of fixed and uniform, "
+                                   f"got {raw!r}")
+        if "fixed" in raw:
             return cls.fixed(_typed(raw["fixed"], int, "fixed size"))
-        if isinstance(raw, dict) and "uniform" in raw:
-            low, high = (_typed(b, int, "uniform bound") for b in raw["uniform"])
-            return cls.uniform(low, high)
-        raise ComputationError(f"unrecognized size distribution {raw!r}")
+        bounds = raw["uniform"]
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ComputationError(f"uniform needs [LOW, HIGH], got {bounds!r}")
+        return cls.uniform(*(_typed(b, int, "uniform bound") for b in bounds))
 
     def to_config(self):
         if self.kind == "fixed":
@@ -104,12 +118,45 @@ class SizeDist:
             append(low + r)
         return sizes
 
+    def _tally(self, rng: random.Random, n: int) -> dict[int, int]:
+        """``{size: count}`` of ``n`` draws, equal to ``Counter(self.draws(rng, n))``.
+
+        A draw of at most 8 bits is the top byte of one 32-bit stream word shifted
+        right, and ``getrandbits(32 * m)`` is the next ``m`` words, the first least
+        significant; so for a span of at most 255 the words are read in bulk and the
+        accepted draws kept in order. This may read the stream past the last draw:
+        pass only a stream that is discarded afterwards."""
+        if self.kind == "fixed":
+            return {self.value: n}
+        span = self.high - self.low + 1
+        if span > 255:
+            return Counter(self.draws(rng, n))
+        table, rejected = _offsets(span)
+        kept = b""
+        while len(kept) < n:  # at least half the words are accepted; a short read
+            # is continued, since drawing one at a time would have read it all too
+            words = 2 * (n - len(kept)) + 64
+            top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            kept += top.translate(table, rejected)
+        kept = kept[:n]
+        return {self.low + r: times for r in range(span) if (times := kept.count(r))}
+
     def remainder_weights(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Exact distribution of size mod 4 under this spec; a fixed spec is the
         range from its value to itself."""
         low, high = (self.value,) * 2 if self.kind == "fixed" else (self.low, self.high)
         return tuple(Fraction(len(range(low + (r - low) % 4, high + 1, 4)), high - low + 1)
                      for r in range(4))
+
+
+@cache
+def _offsets(span: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments for a span of at most 255: the table from a
+    word's top byte to its draw, and the top bytes whose draw is at or above the
+    span, which are redrawn."""
+    shift = 8 - span.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= span))
 
 
 @dataclass(frozen=True)
@@ -137,6 +184,7 @@ class CitationModel:
 
     @classmethod
     def from_config(cls, raw) -> "CitationModel":
+        _known_keys(raw, ("kind", "mu", "sigma", "rho", "shift"), " in citation_model")
         return cls(
             kind=raw.get("kind", "lognormal"),
             mu=_typed(raw.get("mu", 0.5), float, "mu"),
@@ -215,6 +263,7 @@ class GenConfig:
             value = raw.get(key, *default)
             return SizeDist.from_config(value) if kind is SizeDist else _typed(value, kind, key)
 
+        _known_keys(raw, tuple(f.name for f in fields(cls)))
         mix = get("doc_type_mix", dict, {"article": 1.0})
         return cls(
             seed=get("seed", int),
@@ -445,18 +494,23 @@ def _run_trials(row_of, config: GenConfig, trials: int, workers: int | None) -> 
 
 
 def _surplus_row(config: GenConfig, t: int) -> tuple[int, int, int, int]:
-    """Per-quartile journal totals of trial ``t``. Every category size is drawn in
-    turn from the trial's stream; each distinct size is partitioned once, and an
-    empty category (size 0) places no journal."""
-    sizes = Counter(config.journals_per_category.draws(
-        _stream(config, f"surplus/{t}"), config.num_categories))
-    del sizes[0]  # a Counter ignores a missing key
-    totals = [0, 0, 0, 0]
+    """Per-quartile journal totals of trial ``t``. Only how many categories drew
+    each size matters, so the sizes are tallied from the trial's stream, which is
+    then discarded; a size's partition is cached, and an empty category (size 0)
+    places no journal."""
+    sizes = config.journals_per_category._tally(
+        _stream(config, f"surplus/{t}"), config.num_categories)
+    sizes.pop(0, None)
+    q1 = q2 = q3 = q4 = 0
     for size, times in sizes.items():
-        counts = quartile_partition(size).counts
-        for q in range(4):
-            totals[q] += times * counts[q]
-    return tuple(totals)
+        c1, c2, c3, c4 = _partition_counts(size)
+        q1, q2, q3, q4 = q1 + times * c1, q2 + times * c2, q3 + times * c3, q4 + times * c4
+    return q1, q2, q3, q4
+
+
+@lru_cache(maxsize=256)  # every size of a span of at most 255
+def _partition_counts(size: int) -> tuple[int, int, int, int]:
+    return quartile_partition(size).counts
 
 
 def _mean_se(values: list[int]) -> tuple[Fraction, float | None]:

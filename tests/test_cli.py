@@ -1054,6 +1054,16 @@ def test_simulate_config_errors(run, tmp_path):
     ("journals_per_category: {fixed: true}", "fixed size must be an integer, got True"),
     ("citation_model: {mu: .nan}", "mu must be a finite number, got nan"),
     ("doc_type_mix: {a: 1.0e+308, b: 1.0e+308}", "doc_type_mix weights must have a finite total"),
+    ("num_categoriess: 5", "unknown key 'num_categoriess'"),
+    ("multi_atribution_prob: 0.5", "unknown key 'multi_atribution_prob'"),
+    ("citation_model: {kind: yule, rhoo: 9}", "unknown key 'rhoo' in citation_model"),
+    ("journals_per_category: {fixd: 3}", "unknown key 'fixd' in size spec"),
+    ("journals_per_category: {fixed: 3, uniform: [1, 2]}",
+     "a size spec needs exactly one of fixed and uniform, got {'fixed': 3, 'uniform': [1, 2]}"),
+    ("journals_per_category: {}", "a size spec needs exactly one of fixed and uniform, got {}"),
+    ("papers_per_journal: {uniform: [1, 2, 3]}", "uniform needs [LOW, HIGH], got [1, 2, 3]"),
+    ("papers_per_journal: {uniform: [3]}", "uniform needs [LOW, HIGH], got [3]"),
+    ("papers_per_journal: {uniform: 3}", "uniform needs [LOW, HIGH], got 3"),
 ])
 def test_simulate_config_values_are_usage_errors(run, tmp_path, line, message):
     config = write_config(tmp_path, CNCI_CONFIG + line + "\n")  # a repeated key wins

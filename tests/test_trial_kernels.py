@@ -10,6 +10,7 @@ moments, or raise the same exception type with the same message, for every
 chunk of trials that the worker fan-out can hand one process.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,16 @@ from biblio import CitationModel, GenConfig, SizeDist, dump_corpus, generate_cor
 from biblio.synthesis import _chunk_rows, _cnci_row, _mean_se, _surplus_row
 
 
-@pytest.mark.parametrize("span", [1, 2, 3, 8, 9, 10**12])
+@pytest.mark.parametrize("span", [1, 2, 3, 8, 9, 255, 256, 10**12])
 @pytest.mark.parametrize("low", [0, 7])
 def test_size_draws_are_randint_draws(low, span):
     spec, n = SizeDist.uniform(low, low + span - 1), 500
     ours, theirs = random.Random(f"draws/{span}"), random.Random(f"draws/{span}")
-    assert spec.draws(ours, n) == [theirs.randint(low, low + span - 1) for _ in range(n)]
+    expected = [theirs.randint(low, low + span - 1) for _ in range(n)]
+    assert spec.draws(ours, n) == expected
     assert ours.random() == theirs.random()
+    # The tally reads a fresh stream of its own, in bulk for a span up to 255.
+    assert spec._tally(random.Random(f"draws/{span}"), n) == Counter(expected)
 
 
 def test_fixed_size_draws_consume_nothing():
@@ -59,6 +63,7 @@ def assert_chunks_match(row_of, oracle, config, trials, workers):
        st.integers(1, 12), st.integers(1, 4))
 @example(SizeDist.fixed(0), 3, 1, 2, 1)  # every category is empty: all-zero rows
 @example(SizeDist.uniform(0, 3), 40, 1, 5, 2)
+@example(SizeDist.uniform(2, 301), 40, 1, 3, 1)  # a span above 255 draws one at a time
 def test_surplus_rows_and_moments_match_the_oracle(spec, categories, seed, trials, workers):
     config = GenConfig(seed=seed, num_categories=categories, journals_per_category=spec,
                        papers_per_journal=SizeDist.fixed(1))
