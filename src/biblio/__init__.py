@@ -36,8 +36,8 @@ _HOME = {
         "global_cnci", "relative_cnci",
     ), "normalization"),
     **dict.fromkeys((
-        "Quartile", "RankedCategory", "assign_quartiles", "boundary_ties", "percentile",
-        "quartile_distribution", "quartile_of_rank", "quartile_partition", "rank_category",
+        "Quartile", "RankedCategory", "boundary_ties", "percentile", "quartile_distribution",
+        "quartile_of_rank", "quartile_partition", "rank_category",
     ), "ranking"),
     **dict.fromkeys(("decimal_str", "rational_json", "rational_str", "round_half_up"),
                     "rounding"),

@@ -199,14 +199,6 @@ class Corpus:
             and self.explicit_counts == other.explicit_counts
         )
 
-    def require_edges(self, what: str) -> tuple[CitationEdge, ...]:
-        if self.edges is None:
-            raise ComputationError(
-                f"{what} needs edge-level citation data; this corpus was "
-                "ingested with precomputed citation counts only"
-            )
-        return self.edges
-
     def require_schema(self, schema: str) -> SchemaInfo:
         info = self.schemas.get(schema)
         if info is None:
@@ -231,16 +223,17 @@ class Corpus:
             self._counts = counts
         return self._counts
 
-    def citations(self, paper_id: str) -> int:
-        return self.citation_counts[paper_id]
-
     @property
     def in_edges(self) -> dict[str, tuple[CitationEdge, ...]]:
         """cited paper id -> its incoming edges (edge-based corpora only)."""
         if self._in_edges is None:
-            edges = self.require_edges("building the citing-paper index")
+            if self.edges is None:
+                raise ComputationError(
+                    "building the citing-paper index needs edge-level citation data; "
+                    "this corpus was ingested with precomputed citation counts only"
+                )
             index: dict[str, list[CitationEdge]] = {pid: [] for pid in self.papers}
-            for e in edges:
+            for e in self.edges:
                 if e.cited in index:
                     index[e.cited].append(e)
             self._in_edges = {pid: tuple(es) for pid, es in index.items()}
@@ -253,21 +246,6 @@ class Corpus:
         if journal is None:
             return ()
         return journal.categories.get(schema, ())
-
-    def paper_fields(self, paper: Paper, schema: str) -> tuple[str, ...]:
-        return self.categories_of(paper.journal_id, schema)
-
-    def journals_in_category(self, schema: str, category: str) -> tuple[Journal, ...]:
-        return tuple(
-            j for j in self.journals.values() if category in j.categories.get(schema, ())
-        )
-
-    def categories(self, schema: str) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for j in self.journals.values():
-            for cat in j.categories.get(schema, ()):
-                seen.setdefault(cat, None)
-        return tuple(sorted(seen))
 
     def cells(
         self, schema: str, years=None, doc_types=None
@@ -282,7 +260,7 @@ class Corpus:
             self.require_schema(schema)
             grouped: dict[CellKey, list[Paper]] = {}
             for p in self.papers.values():
-                for f in self.paper_fields(p, schema):
+                for f in self.categories_of(p.journal_id, schema):
                     grouped.setdefault(CellKey(f, p.year, p.doc_type), []).append(p)
             self._cell_cache[schema] = {
                 k: tuple(v) for k, v in sorted(grouped.items())

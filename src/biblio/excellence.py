@@ -416,10 +416,6 @@ def entity_hcp_share(
         output_weight = Fraction(len(output))
     else:
         output_weight = corpus.entity_output_weight(entity)
-        if output_weight == 0:
-            raise EmptyInputError(
-                f"entity {entity!r} has zero fractional output weight"
-            )
     entity_ids = {p.id for p in output}
     hcp_weight = Fraction(0)
     for d in decisions:

@@ -163,12 +163,12 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
     An uncited paper in an uncited cell contributes 0 for that cell (it sits at
     the degenerate cell average); a cited paper over a zero baseline is an error.
     """
-    fields = corpus.paper_fields(paper, baselines.schema)
+    fields = corpus.categories_of(paper.journal_id, baselines.schema)
     if not fields:
         raise ComputationError(
             f"paper {paper.id!r} has no categories under {baselines.schema!r}"
         )
-    c = corpus.citations(paper.id)
+    c = corpus.citation_counts[paper.id]
     inverse_rates = []  # 1/e of each non-zero cell, as (numerator, denominator)
     for f in fields:
         e = baselines.expected(CellKey(f, paper.year, paper.doc_type))

@@ -65,6 +65,7 @@ class RankedEntry(NamedTuple):
     journal_id: str
     metric: Fraction
     rank: int
+    quartile: Quartile  # a tie block shares the quartile of its minimal rank
 
 
 class RankedCategory(NamedTuple):
@@ -88,7 +89,6 @@ class RankedCategory(NamedTuple):
         )
 
     def to_json_dict(self) -> dict:
-        labels = assign_quartiles(self)
         return {
             "schema": self.schema,
             "category": self.category,
@@ -99,7 +99,7 @@ class RankedCategory(NamedTuple):
                     "journal": e.journal_id,
                     "metric": rational_json(e.metric, 3),
                     "rank": e.rank,
-                    "quartile": str(labels[e.journal_id]),
+                    "quartile": str(e.quartile),
                     "percentile": rational_json(percentile(e.rank, self.n), 1),
                 }
                 for e in self.entries
@@ -112,19 +112,18 @@ class RankedCategory(NamedTuple):
         }
 
     def to_csv_text(self) -> str:
-        labels = assign_quartiles(self)
         lines = ["journal,metric,rank,quartile,percentile"]
         for e in self.entries:
             lines.append(
                 f"{e.journal_id},{rational_str(e.metric)},{e.rank},"
-                f"{labels[e.journal_id]},{decimal_str(percentile(e.rank, self.n), 1)}"
+                f"{e.quartile},{decimal_str(percentile(e.rank, self.n), 1)}"
             )
         return "\n".join(lines) + "\n"
 
 
 def rank_category(corpus: Corpus, schema: str, category: str, year: int) -> RankedCategory:
     """Competition-rank a category's journals by their metric for ``year``."""
-    members = corpus.journals_in_category(schema, category)
+    members = [j for j in corpus.journals.values() if category in j.categories.get(schema, ())]
     if not members:
         raise EmptyInputError(f"category {category!r} has no journals under {schema!r}")
     ranked = [(j.metric_by_year[year], j.id) for j in members if year in j.metric_by_year]
@@ -134,12 +133,13 @@ def rank_category(corpus: Corpus, schema: str, category: str, year: int) -> Rank
             f"no journal in {category!r} has a metric for {year}"
         )
     ranked.sort(key=lambda pair: (-pair[0], pair[1]))
+    bounds = quartile_partition(len(ranked))
     entries: list[RankedEntry] = []
     rank = 0
     for position, (metric, jid) in enumerate(ranked, start=1):
         if rank == 0 or metric != entries[-1].metric:
             rank = position
-        entries.append(RankedEntry(journal_id=jid, metric=metric, rank=rank))
+        entries.append(RankedEntry(jid, metric, rank, quartile_of_rank(rank, bounds)))
     return RankedCategory(
         schema=schema, category=category, year=year,
         entries=tuple(entries), excluded=excluded,
@@ -156,12 +156,6 @@ def percentile(rank: int, n: int) -> Fraction:
     if n < 1 or not 1 <= rank <= n:
         raise ComputationError(f"rank {rank} outside 1..{n}")
     return (Fraction(n) - (Fraction(rank) - Fraction(1, 2))) / n * 100
-
-
-def assign_quartiles(ranking: RankedCategory) -> dict[str, Quartile]:
-    """Quartile labels per journal; a tie block shares its minimal rank's label."""
-    bounds = quartile_partition(ranking.n)
-    return {e.journal_id: quartile_of_rank(e.rank, bounds) for e in ranking.entries}
 
 
 class BoundaryTie(NamedTuple):
@@ -270,7 +264,8 @@ def quartile_distribution(
     rankings: dict[str, RankedCategory] = {}
     skipped: list[str] = []
     excluded: set[str] = set()
-    for cat in corpus.categories(schema):
+    held = {cat for j in corpus.journals.values() for cat in j.categories.get(schema, ())}
+    for cat in sorted(held):
         try:
             ranking = rank_category(corpus, schema, cat, year)
         except ComputationError:
@@ -298,11 +293,11 @@ def quartile_distribution(
     ties: list[BoundaryTie] = []
     best: dict[str, Quartile] = {}
     for cat, ranking in sorted(rankings.items()):
-        for jid, label in assign_quartiles(ranking).items():
+        for e in ranking.entries:
             if mode == "per_category":
-                counts[label] += weight(jid)
-            elif jid not in best or label < best[jid]:
-                best[jid] = label
+                counts[e.quartile] += weight(e.journal_id)
+            elif e.journal_id not in best or e.quartile < best[e.journal_id]:
+                best[e.journal_id] = e.quartile
         ties.extend(boundary_ties(ranking))
     for jid, label in best.items():
         counts[label] += weight(jid)

@@ -47,6 +47,12 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _typed_fields(config, kinds: dict[str, type]) -> None:
+    """:func:`_typed` on each named field of a frozen config, storing the value it returns."""
+    for name, kind in kinds.items():
+        object.__setattr__(config, name, _typed(getattr(config, name), kind, name))
+
+
 def _known_keys(raw: dict, keys: tuple[str, ...], where: str = "") -> None:
     """Reject a mapping key outside ``keys``: a misspelled key is never a default."""
     for key in raw:
@@ -66,6 +72,9 @@ class SizeDist:
     def __post_init__(self):
         if self.kind not in ("fixed", "uniform"):
             raise ComputationError(f"unknown size distribution {self.kind!r}")
+        for value, what in ((self.value, "fixed size"), (self.low, "uniform bound"),
+                            (self.high, "uniform bound")):
+            _typed(value, int, what)
         if self.kind == "uniform" and self.low > self.high:
             raise ComputationError("uniform range must have low <= high")
         if min(self.value, self.low) < 0:
@@ -90,11 +99,11 @@ class SizeDist:
             raise ComputationError("a size spec needs exactly one of fixed and uniform, "
                                    f"got {raw!r}")
         if "fixed" in raw:
-            return cls.fixed(_typed(raw["fixed"], int, "fixed size"))
+            return cls.fixed(raw["fixed"])
         bounds = raw["uniform"]
         if not isinstance(bounds, list) or len(bounds) != 2:
             raise ComputationError(f"uniform needs [LOW, HIGH], got {bounds!r}")
-        return cls.uniform(*(_typed(b, int, "uniform bound") for b in bounds))
+        return cls.uniform(*bounds)
 
     def to_config(self):
         if self.kind == "fixed":
@@ -175,6 +184,7 @@ class CitationModel:
     shift: int = 0
 
     def __post_init__(self):
+        _typed_fields(self, {"mu": float, "sigma": float, "rho": float, "shift": int})
         if self.kind not in ("lognormal", "yule"):
             raise ComputationError(f"unknown citation model {self.kind!r}")
         if self.kind == "yule" and not self.rho > 0:
@@ -184,14 +194,8 @@ class CitationModel:
 
     @classmethod
     def from_config(cls, raw) -> "CitationModel":
-        _known_keys(raw, ("kind", "mu", "sigma", "rho", "shift"), " in citation_model")
-        return cls(
-            kind=raw.get("kind", "lognormal"),
-            mu=_typed(raw.get("mu", 0.5), float, "mu"),
-            sigma=_typed(raw.get("sigma", 1.0), float, "sigma"),
-            rho=_typed(raw.get("rho", 2.0), float, "rho"),
-            shift=_typed(raw.get("shift", 0), int, "shift"),
-        )
+        _known_keys(raw, tuple(f.name for f in fields(cls)), " in citation_model")
+        return cls(**raw)
 
     def to_config(self):
         if self.kind == "lognormal":
@@ -238,6 +242,15 @@ class GenConfig:
     schema_name: str = "synthetic"
 
     def __post_init__(self):
+        _typed_fields(self, {
+            "seed": int, "num_categories": int, "multi_attribution_prob": float,
+            "max_categories_per_journal": int, "correlate_volume_with_metric": bool,
+            "multi_field_citation_boost": float, "schema_name": str})
+        for year in self.years:
+            _typed(year, int, "years")
+        object.__setattr__(self, "doc_type_mix", tuple(
+            (_typed(k, str, "doc_type"), _typed(v, float, f"doc_type_mix {k}"))
+            for k, v in self.doc_type_mix))
         if self.num_categories < 1:
             raise ComputationError("need at least one category")
         if not 0.0 <= self.multi_attribution_prob <= 1.0:
@@ -257,30 +270,24 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GenConfig":
-        def get(key, kind, *default):
-            if key not in raw and not default:
-                raise ComputationError(f"missing required key {key!r}")
-            value = raw.get(key, *default)
-            return SizeDist.from_config(value) if kind is SizeDist else _typed(value, kind, key)
-
         _known_keys(raw, tuple(f.name for f in fields(cls)))
+        for key in ("seed", "num_categories", "journals_per_category", "papers_per_journal"):
+            if key not in raw:
+                raise ComputationError(f"missing required key {key!r}")
+
+        def get(key, kind, default):  # a mapping or list the field is built from
+            return _typed(raw.get(key, default), kind, key)
+
         mix = get("doc_type_mix", dict, {"article": 1.0})
-        return cls(
-            seed=get("seed", int),
-            num_categories=get("num_categories", int),
-            journals_per_category=get("journals_per_category", SizeDist),
-            papers_per_journal=get("papers_per_journal", SizeDist),
-            multi_attribution_prob=get("multi_attribution_prob", float, 0.0),
-            max_categories_per_journal=get("max_categories_per_journal", int, 3),
-            citation_model=CitationModel.from_config(get("citation_model", dict, {})),
-            years=tuple(_typed(y, int, "years") for y in get("years", list, [2020])),
-            doc_type_mix=tuple(sorted(
-                (_typed(k, str, "doc_type"), _typed(v, float, f"doc_type_mix {k}"))
-                for k, v in mix.items())),
-            correlate_volume_with_metric=get("correlate_volume_with_metric", bool, True),
-            multi_field_citation_boost=get("multi_field_citation_boost", float, 1.0),
-            schema_name=get("schema_name", str, "synthetic"),
-        )
+        return cls(**{
+            **raw,
+            "journals_per_category": SizeDist.from_config(raw["journals_per_category"]),
+            "papers_per_journal": SizeDist.from_config(raw["papers_per_journal"]),
+            "citation_model": CitationModel.from_config(get("citation_model", dict, {})),
+            "years": tuple(get("years", list, [2020])),
+            # sorted by the key's text, so a key that is not a string reaches the check
+            "doc_type_mix": tuple(sorted(mix.items(), key=lambda item: str(item[0]))),
+        })
 
     def to_dict(self) -> dict:
         return {

@@ -186,11 +186,11 @@ def compute_baselines(corpus, schema, counting=WHOLE, *, split_citations=False, 
     sums: dict[CellKey, list[Fraction]] = {}
     sizes: dict[CellKey, int] = {}
     for p in pool:
-        fields = corpus.paper_fields(p, schema)
+        fields = corpus.categories_of(p.journal_id, schema)
         if not fields:
             continue
         k = len(fields)
-        c = corpus.citations(p.id)
+        c = corpus.citation_counts[p.id]
         cite_mass = Fraction(c, k) if (counting == FRACTIONAL or split_citations) else Fraction(c)
         paper_mass = Fraction(1, k) if counting == FRACTIONAL else Fraction(1)
         for f in fields:
@@ -212,12 +212,12 @@ def compute_baselines(corpus, schema, counting=WHOLE, *, split_citations=False, 
 def cnci_paper(corpus, paper, baselines) -> Fraction:
     """Mean of c/e over the paper's cells, one ``Fraction`` update per field; an
     uncited paper over a zero baseline adds 0, a cited one is an error."""
-    fields = corpus.paper_fields(paper, baselines.schema)
+    fields = corpus.categories_of(paper.journal_id, baselines.schema)
     if not fields:
         raise ComputationError(
             f"paper {paper.id!r} has no categories under {baselines.schema!r}"
         )
-    c = corpus.citations(paper.id)
+    c = corpus.citation_counts[paper.id]
     total = Fraction(0)
     for f in fields:
         e = baselines.expected(CellKey(f, paper.year, paper.doc_type))
@@ -247,13 +247,13 @@ def nci_ratio_of_averages(corpus, papers, baselines) -> Fraction:
     empty = True
     for p in papers:
         empty = False
-        fields = corpus.paper_fields(p, baselines.schema)
+        fields = corpus.categories_of(p.journal_id, baselines.schema)
         if not fields:
             raise ComputationError(
                 f"paper {p.id!r} has no categories under {baselines.schema!r}"
             )
         k = len(fields)
-        c = corpus.citations(p.id)
+        c = corpus.citation_counts[p.id]
         cite_mass = Fraction(c, k) if (split or fractional) else Fraction(c)
         paper_mass = Fraction(1, k) if fractional else Fraction(1)
         for f in fields:
@@ -271,7 +271,7 @@ def global_cnci(corpus, schema, config, years=None, doc_types=None) -> Fraction:
     papers = [
         p
         for p in corpus.papers.values()
-        if corpus.paper_fields(p, schema)
+        if corpus.categories_of(p.journal_id, schema)
         and (years is None or p.year in years)
         and (doc_types is None or p.doc_type in doc_types)
     ]
@@ -440,7 +440,7 @@ def compute_threshold(corpus, cell, papers, top_percent=1) -> ThresholdResult:
     quota = decimal_half_up(share * len(papers) / 100)
     if quota == 0:
         return ThresholdResult(cell, share, 0, None, 0, 0)
-    counts = sorted((corpus.citations(p.id) for p in papers), reverse=True)
+    counts = sorted((corpus.citation_counts[p.id] for p in papers), reverse=True)
     threshold = counts[quota - 1]
     above = sum(1 for c in counts if c > threshold)
     ties = sum(1 for c in counts if c == threshold)
@@ -460,8 +460,8 @@ def classify(corpus, result, papers, method, esi_low_threshold):
     threshold = result.threshold
     tie_weight = Fraction(result.quota - result.above_count, result.tie_count)
     decisions = []
-    for p in sorted(papers, key=lambda p: (-corpus.citations(p.id), p.id)):
-        c = corpus.citations(p.id)
+    for p in sorted(papers, key=lambda p: (-corpus.citation_counts[p.id], p.id)):
+        c = corpus.citation_counts[p.id]
         if c > threshold or (c == threshold and method == "inclusive"):
             decisions.append(HcpDecision(p.id, result.cell, FULL, Fraction(1), method))
         elif c == threshold and method == "fractional_ws":
@@ -487,9 +487,9 @@ def select_quota(corpus, result, papers, chain, provisional_hcp=None):
         raise ComputationError(f"cell {result.cell} has quota 0; nothing to select")
     by_id = {p.id: p for p in papers}
     threshold = result.threshold
-    above = [p for p in papers if corpus.citations(p.id) > threshold]
+    above = [p for p in papers if corpus.citation_counts[p.id] > threshold]
     borderline = sorted(
-        (p for p in papers if corpus.citations(p.id) == threshold), key=lambda p: p.id
+        (p for p in papers if corpus.citation_counts[p.id] == threshold), key=lambda p: p.id
     )
     decisions = [HcpDecision(p.id, result.cell, FULL, Fraction(1), "quota") for p in above]
 
@@ -529,7 +529,7 @@ def select_quota(corpus, result, papers, chain, provisional_hcp=None):
     for pid, steps in resolve(borderline, result.quota - len(above), list(chain), []):
         decisions.append(HcpDecision(pid, result.cell, FULL, Fraction(1), "quota",
                                      trace=tuple(steps) if steps else None))
-    decisions.sort(key=lambda d: (-corpus.citations(d.paper_id), d.paper_id))
+    decisions.sort(key=lambda d: (-corpus.citation_counts[d.paper_id], d.paper_id))
     return decisions
 
 

@@ -165,7 +165,7 @@ def test_criterion_6_math_2011_borderline_tiebreaks():
     assert (result.above_count, result.tie_count) == (376, 9)
 
     ties = sorted(
-        (p for p in papers if corpus.citations(p.id) == 88), key=lambda p: p.id
+        (p for p in papers if corpus.citation_counts[p.id] == 88), key=lambda p: p.id
     )
     assert [p.id for p in ties] == [f"b{i}" for i in range(1, 10)]
 

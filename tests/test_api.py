@@ -79,7 +79,7 @@ EXPORTS = [
     "EntityShare", "ExcellenceReport", "GenConfig", "HcpDecision", "Journal", "LoadError",
     "LoadReport", "MissingDateError", "Paper", "Quartile", "RankedCategory", "SchemaInfo",
     "SizeDist", "SurplusEstimate", "ThresholdResult", "ValidationReport",
-    "ZeroBaselineError", "assign_quartiles", "boundary_ties", "cnci_paper", "cnci_set",
+    "ZeroBaselineError", "boundary_ties", "cnci_paper", "cnci_set",
     "compute_baselines", "decimal_str", "dump_corpus", "entity_hcp_share",
     "generate_corpus", "global_cnci", "hcp_report", "hcp_run",
     "hcp_selection", "load_corpus", "monte_carlo_global_cnci", "monte_carlo_surplus",

@@ -1052,6 +1052,7 @@ def test_simulate_config_errors(run, tmp_path):
      "correlate_volume_with_metric must be true or false, got 'false'"),
     ("num_categories: 2.7", "num_categories must be an integer, got 2.7"),
     ("journals_per_category: {fixed: true}", "fixed size must be an integer, got True"),
+    ('journals_per_category: "5"', "unrecognized size distribution '5'"),
     ("citation_model: {mu: .nan}", "mu must be a finite number, got nan"),
     ("doc_type_mix: {a: 1.0e+308, b: 1.0e+308}", "doc_type_mix weights must have a finite total"),
     ("num_categoriess: 5", "unknown key 'num_categoriess'"),

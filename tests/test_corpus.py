@@ -32,19 +32,23 @@ S = corpora.SCHEMA
 def test_counts_from_edges():
     c = corpora.make_minimal_edges()
     assert len(c.papers) == 4
-    assert c.citations("P1") == 1
-    assert c.citations("P2") == 2
-    assert c.citations("X1") == 0
+    assert c.citation_counts["P1"] == 1
+    assert c.citation_counts["P2"] == 2
+    assert c.citation_counts["X1"] == 0
 
 
 def test_counts_from_explicit_column(two_papers):
-    assert two_papers.citations("pa") == 1
-    assert two_papers.citations("pab") == 2
+    assert two_papers.citation_counts["pa"] == 1
+    assert two_papers.citation_counts["pab"] == 2
 
 
 def test_count_only_corpus_refuses_edge_operations(two_papers):
-    with pytest.raises(ComputationError):
+    with pytest.raises(ComputationError) as err:
         two_papers.in_edges
+    assert str(err.value) == (
+        "building the citing-paper index needs edge-level citation data; this corpus was "
+        "ingested with precomputed citation counts only"
+    )
 
 
 def test_in_edges_index():
@@ -66,6 +70,7 @@ def test_cells_multi_attribution(two_papers):
 def test_cells_skip_uncategorized_journals(two_papers_edges):
     members = {p.id for ps in two_papers_edges.cells(S).values() for p in ps}
     assert members == {"pa", "pab"}
+    assert two_papers_edges.categories_of("GHOST", S) == ()
 
 
 @pytest.mark.parametrize("indicator", [

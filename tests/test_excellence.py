@@ -168,7 +168,7 @@ def test_classify_rejects_unknown_method(hundred):
 
 def test_decisions_sorted_by_count_then_id(ws105):
     _, decisions = cell_selection(ws105, percent=10)
-    keys = [(-ws105.citations(d.paper_id), d.paper_id) for d in decisions]
+    keys = [(-ws105.citation_counts[d.paper_id], d.paper_id) for d in decisions]
     assert keys == sorted(keys)
 
 

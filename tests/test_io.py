@@ -57,8 +57,8 @@ def test_load_minimal(minimal_paths):
     assert corpus.load_report.clean
     assert len(corpus.journals) == 2
     assert len(corpus.papers) == 4
-    assert corpus.citations("P1") == 1
-    assert corpus.citations("P2") == 2
+    assert corpus.citation_counts["P1"] == 1
+    assert corpus.citation_counts["P2"] == 2
     assert corpus.journals["J1"].metric_by_year == {2020: Fraction(5, 2)}
     assert corpus.edges[2].date == date(2021, 5, 2)
 
@@ -72,8 +72,8 @@ def test_load_without_edges_uses_counts_column(tmp_path):
     )
     corpus = load_corpus(journals, papers)
     assert corpus.edges is None
-    assert corpus.citations("P1") == 7
-    assert corpus.citations("P2") == 0
+    assert corpus.citation_counts["P1"] == 7
+    assert corpus.citation_counts["P2"] == 0
 
 
 def test_metric_accepts_rational_strings(tmp_path):
@@ -158,7 +158,7 @@ def test_duplicate_edges_collapse_in_both_modes(tmp_path, minimal_paths):
     for strict in (False, True):
         corpus = load_corpus(journals, papers, edges, strict=strict)
         assert corpus.load_report.collapsed_duplicate_edges == 1
-        assert corpus.citations("P1") == 1
+        assert corpus.citation_counts["P1"] == 1
 
 
 def test_an_edge_dropped_for_its_date_does_not_hide_a_valid_duplicate(tmp_path, minimal_paths):
@@ -171,7 +171,7 @@ def test_an_edge_dropped_for_its_date_does_not_hide_a_valid_duplicate(tmp_path, 
     corpus = load_corpus(journals, papers, edges)
     assert corpus.load_report.dropped == {"malformed_edge": 1}
     assert corpus.load_report.collapsed_duplicate_edges == 0
-    assert corpus.citations("P1") == 1
+    assert corpus.citation_counts["P1"] == 1
 
 
 def test_a_malformed_journal_is_counted_once(tmp_path):
@@ -235,10 +235,13 @@ def test_malformed_rows_are_located(tmp_path):
         paper_line("P8", "J1", authors=[{"key": "au-8", "entities": "org"}]),
         paper_line("P9", "J1", year=2020.5),
         paper_line("P10", "J1", year=True),
+        paper_line("P11", "J1", authors=[{"key": 5}]),
+        paper_line("P12", "J1", authors={"key": "au-12"}),
+        paper_line("P13", "J1", pub_date="2021-02-30"),
     )
     corpus = load_corpus(journals, papers)
     assert corpus.load_report.dropped == {
-        "malformed_journal": 1, "malformed_paper": 9, "unresolved_journal": 1}
+        "malformed_journal": 1, "malformed_paper": 12, "unresolved_journal": 1}
     assert set(corpus.journals) == {"J1"}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
@@ -249,6 +252,11 @@ def test_malformed_rows_are_located(tmp_path):
         load_corpus(write(tmp_path / "j1.jsonl", REGISTRY, journal_line("J1", {})),
                     year_rows, strict=True)
     assert str(err.value) == "years.jsonl:2: field 'year' is not an integer: 2020.5"
+    with pytest.raises(LoadError) as err:
+        load_corpus(write(tmp_path / "j1.jsonl", REGISTRY, journal_line("J1", {})),
+                    write(tmp_path / "dates.jsonl", paper_line("P13", "J1", pub_date="2021-02-30")),
+                    strict=True)
+    assert str(err.value) == "dates.jsonl:1: malformed date '2021-02-30'"
 
 
 def test_a_category_listed_twice_is_rejected(tmp_path):
@@ -392,7 +400,7 @@ def test_integers_and_dates_take_one_spelling(tmp_path, spelling):
     corpus = load_corpus(journals, papers)
     assert corpus.load_report.dropped == {"malformed_paper": 1}
     p1 = corpus.papers["P1"]
-    assert (p1.year, corpus.citations("P1"), p1.page_count) == (-12, 7, -3)
+    assert (p1.year, corpus.citation_counts["P1"], p1.page_count) == (-12, 7, -3)
     assert (p1.pub_date, p1.online_date) == (date(12, 3, 1), date(2011, 7, 13))
     with pytest.raises(LoadError, match="^p.jsonl:2: "):
         load_corpus(journals, papers, strict=True)
@@ -468,6 +476,15 @@ def test_a_leading_byte_order_mark_is_ignored(fmt, corpus_files):
     journals, papers, edges = corpus_files(original, fmt=fmt)
     journals.write_bytes(b"\xef\xbb\xbf" + journals.read_bytes())
     assert load_corpus(journals, papers, edges, strict=True) == original
+
+
+def test_blank_lines_are_skipped_and_still_counted(tmp_path):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, "", journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = write(tmp_path / "p.jsonl", paper_line("P1", "J1"), "  ", paper_line("P2", "GHOST"))
+    corpus = load_corpus(journals, papers)
+    assert (set(corpus.papers), corpus.load_report.dropped) == ({"P1"}, {"unresolved_journal": 1})
+    with pytest.raises(LoadError, match="^p.jsonl:3: "):
+        load_corpus(journals, papers, strict=True)
 
 
 def test_invalid_json_line_always_raises(tmp_path):
@@ -605,3 +622,11 @@ def test_dump_emits_exact_rationals(tmp_path):
     again = load_corpus(tmp_path / "j.jsonl", tmp_path / "p.jsonl")
     assert again.journals["JA"].metric_by_year[2020] == Fraction(5, 2)
     assert again == corpus
+    # A metric with no finite decimal form is written as "num/den".
+    journals = {**corpus.journals, "JA": corpus.journals["JA"]._replace(
+        metric_by_year={2020: Fraction(1, 3)})}
+    corpus = Corpus(corpus.schemas.values(), journals.values(), corpus.papers.values(),
+                    citation_counts=corpus.explicit_counts)
+    dump_corpus(corpus, tmp_path / "j.jsonl", tmp_path / "p.jsonl")
+    assert '"metric":{"2020":"1/3"}' in (tmp_path / "j.jsonl").read_text(encoding="utf-8")
+    assert load_corpus(tmp_path / "j.jsonl", tmp_path / "p.jsonl") == corpus

@@ -13,7 +13,6 @@ from biblio import (
     Paper,
     Quartile,
     SchemaInfo,
-    assign_quartiles,
     boundary_ties,
     decimal_str,
     percentile,
@@ -126,7 +125,7 @@ def test_monotone_transform_preserves_ranks_and_quartiles(metrics):
     assert [(e.journal_id, e.rank) for e in plain.entries] == [
         (e.journal_id, e.rank) for e in squeezed.entries
     ]
-    assert assign_quartiles(plain) == assign_quartiles(squeezed)
+    assert [e.quartile for e in plain.entries] == [e.quartile for e in squeezed.entries]
 
 
 def test_journals_without_metric_are_listed_not_ranked():
@@ -194,7 +193,7 @@ def test_tie_block_shares_minimal_rank_quartile():
     corpus = one_category([10, 5, 5, 5, 1])
     ranking = rank_category(corpus, S, "A", 2021)
     assert [e.rank for e in ranking.entries] == [1, 2, 2, 2, 5]
-    labels = assign_quartiles(ranking)
+    labels = {e.journal_id: e.quartile for e in ranking.entries}
     assert labels == {
         "j00": Quartile.Q1,
         "j01": Quartile.Q2,
@@ -216,7 +215,7 @@ def test_interior_tie_is_not_flagged():
 @given(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=40))
 def test_quartiles_match_tie_oracle(metrics):
     ranking = rank_category(one_category(metrics), S, "A", 2021)
-    labels = assign_quartiles(ranking)
+    labels = {e.journal_id: e.quartile for e in ranking.entries}
     expected = oracles.quartiles_with_ties(metrics)
     assert [int(labels[f"j{i:02d}"]) for i in range(len(metrics))] == expected
 
@@ -268,6 +267,10 @@ def test_distribution_paper_level_weighting():
     assert [report.counts[q] for q in Quartile] == [40, 8, 8, 5]
     assert report.share(Quartile.Q1) == Fraction(40, 61)
     assert report.share(Quartile.Q1) > Fraction(1, 4)
+    # Ranked journals with no papers that year: every share is 0, not a division by 0.
+    empty = quartile_distribution(ranking_corpus(specs), S, 2021, level="papers")
+    assert (empty.total, empty.share(Quartile.Q1)) == (0, 0)
+    assert empty.to_csv_text().splitlines()[1:] == [f"{q},0,0.0000" for q in Quartile]
 
 
 def test_min_category_size_gate_is_off_by_default():

@@ -109,6 +109,21 @@ def test_citation_model_config_round_trip():
         assert CitationModel.from_config(model.to_config()) == model
     with pytest.raises(ComputationError):
         CitationModel(kind="zipf")
+    assert repr(CitationModel(mu=1).mu) == "1.0"  # stored as the reader stores it
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CitationModel(shift=0.5), "shift must be an integer, got 0.5"),
+    (lambda: small_config(years=(2020.5,)), "years must be an integer, got 2020.5"),
+    (lambda: small_config(multi_attribution_prob=True),
+     "multi_attribution_prob must be a finite number, got True"),
+    (lambda: SizeDist.fixed(2.5), "fixed size must be an integer, got 2.5"),
+    (lambda: SizeDist.uniform(1, 2.0), "uniform bound must be an integer, got 2.0"),
+], ids=["shift", "years", "multi_attribution_prob", "fixed", "uniform"])
+def test_library_built_configs_check_types_as_the_reader_does(build, message):
+    with pytest.raises(ComputationError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # -- generator ----------------------------------------------------------------------
@@ -143,8 +158,8 @@ def test_fixed_shape_counts():
     assert len(corpus.journals) == 68
     assert len(corpus.papers) == 4 * 17 * 5
     assert corpus.schemas["synthetic"].single_attribution is True
-    for cat in corpus.categories("synthetic"):
-        assert len(corpus.journals_in_category("synthetic", cat)) == 17
+    for cat in {c for j in corpus.journals.values() for c in j.categories["synthetic"]}:
+        assert len([j for j in corpus.journals.values() if cat in j.categories["synthetic"]]) == 17
     assert "cat01-j000" in corpus.journals
     assert "p000000" in corpus.papers
 
@@ -180,8 +195,8 @@ def test_volume_metric_coupling():
     )
     corpus = generate_corpus(config)
     year = config.years[0]
-    for cat in corpus.categories("synthetic"):
-        members = corpus.journals_in_category("synthetic", cat)
+    for cat in {c for j in corpus.journals.values() for c in j.categories["synthetic"]}:
+        members = [j for j in corpus.journals.values() if cat in j.categories["synthetic"]]
         volumes = {j.id: 0 for j in members}
         for p in corpus.papers.values():
             if p.journal_id in volumes:
@@ -215,7 +230,7 @@ def test_multi_field_boost_inflates_multi_journal_counts():
         multi_field_citation_boost=4.0,
     )
     corpus = generate_corpus(config)
-    counts = [corpus.citations(p) for p in corpus.papers]
+    counts = [corpus.citation_counts[p] for p in corpus.papers]
     assert min(counts) >= 16  # every journal is multi-field: (1+3) * 4
 
 
@@ -367,6 +382,16 @@ def test_monte_carlo_surplus_fixed_sizes_have_zero_variance():
     assert mc.mean_extras == (0, 0, 0)
     assert set(mc.per_trial_totals) == {(40, 40, 40, 40)}
     assert mc.agrees
+
+
+def test_a_zero_variance_mean_off_the_exact_expectation_is_flagged():
+    # Sizes 1 and 2 give Q2 extras 0 and 1, so the expectation is 1/2; at this
+    # seed every trial draws 2.
+    config = mc_config(seed=3, num_categories=1, journals_per_category=SizeDist.uniform(1, 2))
+    mc = monte_carlo_surplus(config, trials=3)
+    assert set(mc.per_trial_totals) == {(0, 1, 0, 1)}
+    assert mc.se_extras == (0.0, 0.0, 0.0)
+    assert mc.flagged == ("Q2",) and not mc.agrees
 
 
 def test_monte_carlo_surplus_single_trial_has_no_se():
