@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .corpus import Corpus, validate
 from .errors import ComputationError, LoadError
-from .io import dump_corpus, json_line, load_corpus
+from .io import _read_text, dump_corpus, json_line, load_corpus
 from .rounding import _int_text, rational_json, rational_str
 
 logger = logging.getLogger(__name__)
@@ -188,17 +188,20 @@ def _usage_checked(make, *flags):
 
 
 def _papers_in_file(corpus: Corpus, path: str, flag: str) -> list:
-    """The papers whose ids the file at ``path`` lists, one per line."""
+    """The papers whose ids the file at ``path`` lists, one per line, each once."""
     try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+        lines = _read_text(path).splitlines()
     except OSError as exc:
         raise LoadError(f"cannot read id list {path!r}: {exc}") from exc
-    papers = []
-    for pid in filter(None, map(str.strip, lines)):
-        if pid not in corpus.papers:
-            raise LoadError(f"{flag}: unknown paper id {pid!r}")
-        papers.append(corpus.papers[pid])
-    return papers
+    papers = {}
+    for line_no, pid in enumerate(map(str.strip, lines), start=1):
+        if not pid:
+            continue
+        if pid in papers or pid not in corpus.papers:
+            fault = "duplicate" if pid in papers else "unknown"
+            raise LoadError(f"{flag} {Path(path).name}:{line_no}: {fault} paper id {pid!r}")
+        papers[pid] = corpus.papers[pid]
+    return list(papers.values())
 
 
 def _slice_papers(corpus: Corpus, args) -> list:
@@ -407,9 +410,11 @@ def _gen_config(path: str) -> synthesis.GenConfig:
 
     from . import synthesis
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.safe_load(_read_text(path))
     except OSError as exc:
         raise _UsageError(f"cannot read --config {path!r}: {exc}")
+    except LoadError as exc:
+        raise _UsageError(f"--config {exc}")
     except yaml.YAMLError as exc:
         raise _UsageError(f"--config {path!r} is not valid YAML/JSON: {exc}")
     if not isinstance(raw or {}, dict):

@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell
 from .errors import ComputationError, EmptyInputError, MissingDateError
-from .rounding import _half_up, _rational, decimal_str, rational_json, rational_str
+from .rounding import _half_up, _rational, csv_text, decimal_str, rational_json, rational_str
 
 logger = logging.getLogger(__name__)
 
@@ -453,13 +453,10 @@ class ExcellenceReport(NamedTuple):
     rows: tuple[FieldExcellenceRow, ...]
 
     def to_csv_text(self) -> str:
-        lines = ["field,total,expected,actual,surplus,real_pct"]
-        for r in self.rows:
-            lines.append(
-                f"{r.field},{r.total},{r.expected},{rational_str(r.actual)},"
-                f"{rational_str(r.surplus)},{decimal_str(r.real_percent, 3)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("field", "total", "expected", "actual", "surplus", "real_pct"),
+            [(r.field, r.total, r.expected, rational_str(r.actual),
+              rational_str(r.surplus), decimal_str(r.real_percent, 3)) for r in self.rows])
 
     def to_json_dict(self) -> dict:
         return {

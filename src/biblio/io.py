@@ -38,7 +38,7 @@ from .corpus import (
     SchemaInfo,
 )
 from .errors import LoadError
-from .rounding import _int_text, _rational
+from .rounding import _int_text, _rational, csv_text
 
 _NOTE_CAP = 20
 _DECODE = json.JSONDecoder().raw_decode
@@ -72,6 +72,37 @@ class LoadReport:
         }
 
 
+def _not_utf8(path: Path, data: bytes) -> LoadError:
+    """For the ``UnicodeDecodeError`` being handled, the error naming the line
+    of ``path`` where its bytes ``data`` stop being UTF-8."""
+    try:
+        data.decode("utf-8")  # a decode of part of the file or after a BOM has other offsets
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return LoadError(f"{path.name}:{line}: not valid UTF-8: {exc.reason}")
+    raise  # the data decodes: the handled error came from elsewhere
+
+
+def _read_text(path) -> str:
+    """A whole UTF-8 text file, without a byte-order mark; bytes that are not
+    UTF-8 are a ``LoadError`` naming their line. An ``OSError`` passes through."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, data) from None
+
+
+def _csv_lines(fh, path: Path):
+    """The file's lines, refusing a NUL: ``csv`` refuses one before Python 3.11
+    and takes it from then on, so no Python takes it here."""
+    for i, line in enumerate(fh, start=1):
+        if "\0" in line:
+            raise LoadError(f"{path.name}:{i}: NUL character in a CSV file")
+        yield line
+
+
 def _read_records(path: Path):
     """Yield (line_no, record) from a JSONL or CSV file, sniffed by suffix."""
     is_csv = path.suffix.lower() == ".csv"
@@ -82,8 +113,12 @@ def _read_records(path: Path):
     with fh:
         try:
             if is_csv:
-                for i, row in enumerate(csv.DictReader(fh), start=2):
-                    yield i, {k: v for k, v in row.items() if v not in (None, "")}
+                rows = csv.DictReader(_csv_lines(fh, path))
+                try:
+                    for i, row in enumerate(rows, start=2):
+                        yield i, {k: v for k, v in row.items() if v not in (None, "")}
+                except csv.Error as exc:  # a cell over csv's field size limit
+                    raise LoadError(f"{path.name}:{rows.reader.line_num}: {exc}") from exc
             else:
                 for i, line in enumerate(fh, start=1):
                     line = line.strip()
@@ -100,13 +135,8 @@ def _read_records(path: Path):
                             raise LoadError(f"{path.name}:{i}: not valid JSON: {exc}") from exc
                     yield i, record
         except UnicodeDecodeError:
-            data = path.read_bytes()  # text reads decode whole chunks: find the line again
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise LoadError(f"{path.name}:{line}: not valid UTF-8: {exc.reason}") from exc
-            raise
+            # text reads decode whole chunks: find the line again
+            raise _not_utf8(path, path.read_bytes()) from None
 
 
 class _Drop(Exception):
@@ -410,69 +440,47 @@ def _edge_record(e: CitationEdge) -> dict:
     return record
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json_line(record) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], records) -> None:
+def _write_records(path: Path, header: tuple[str, ...], records) -> None:
+    """Write ``records`` as JSON lines, or as CSV rows under ``header`` when the
+    path's suffix is ``.csv``, nested values JSON-encoded in their cells. Each
+    record is written as it comes, so the file is never held in memory."""
+    is_csv = path.suffix.lower() == ".csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
+        if is_csv:
+            fh.write(csv_text(header, ()))
         for record in records:
-            row = {}
-            for key in header:
-                value = record.get(key)
-                if value is None:
-                    row[key] = ""
-                elif isinstance(value, (dict, list)):
-                    row[key] = json_line(value)
-                else:
-                    row[key] = value
-            writer.writerow(row)
+            if is_csv:
+                values = (record.get(key, "") for key in header)
+                fh.write(csv_text(
+                    tuple([json_line(v) if isinstance(v, (dict, list)) else v for v in values]),
+                    ()))
+            else:
+                fh.write(json_line(record) + "\n")
 
 
 def dump_corpus(corpus: Corpus, journals_path, papers_path, edges_path=None) -> None:
     """Serialize a corpus back to disk; format follows each path's suffix.
 
-    Round-trips exactly: loading the emitted files yields an equal Corpus.
+    Round-trips exactly: loading the emitted files yields an equal Corpus,
+    whatever its strings hold, save that a CSV file cannot carry a NUL
+    character, which loading refuses.
     """
-    journals_path, papers_path = Path(journals_path), Path(papers_path)
-    registry = {
-        "_schemas": {
-            name: {"single_attribution": info.single_attribution}
-            for name, info in sorted(corpus.schemas.items())
-        }
-    }
-    journal_records = [_journal_record(j) for j in corpus.journals.values()]
+    journals_path = Path(journals_path)
+    registry = {name: {"single_attribution": info.single_attribution}
+                for name, info in sorted(corpus.schemas.items())}
+    if journals_path.suffix.lower() == ".csv":  # the registry rides in a row of its own
+        registry_record = {"id": "_schemas", "categories": registry, "metric": {}}
+    else:
+        registry_record = {"_schemas": registry}
+    _write_records(journals_path, ("id", "categories", "metric"),
+                   [registry_record, *map(_journal_record, corpus.journals.values())])
     explicit = corpus.explicit_counts or {}
-    paper_records = [
-        _paper_record(p, explicit.get(p.id)) for p in corpus.papers.values()
-    ]
-
-    if journals_path.suffix.lower() == ".csv":
-        rows = [{"id": "_schemas", "categories": registry["_schemas"], "metric": {}}]
-        rows.extend(journal_records)
-        _write_csv(journals_path, ["id", "categories", "metric"], rows)
-    else:
-        _write_jsonl(journals_path, [registry, *journal_records])
-
-    if papers_path.suffix.lower() == ".csv":
-        header = [
-            "id", "journal", "year", "doc_type", "online_date", "pub_date",
-            "pub_month", "authors", "pages", "citations",
-        ]
-        _write_csv(papers_path, header, paper_records)
-    else:
-        _write_jsonl(papers_path, paper_records)
-
+    _write_records(Path(papers_path),
+                   ("id", "journal", "year", "doc_type", "online_date", "pub_date",
+                    "pub_month", "authors", "pages", "citations"),
+                   (_paper_record(p, explicit.get(p.id)) for p in corpus.papers.values()))
     if edges_path is not None:
         if corpus.edges is None:
             raise LoadError("corpus has no edge data to serialize")
-        edges_path = Path(edges_path)
-        records = [_edge_record(e) for e in corpus.edges]
-        if edges_path.suffix.lower() == ".csv":
-            _write_csv(edges_path, ["citing", "cited", "date"], records)
-        else:
-            _write_jsonl(edges_path, records)
+        _write_records(Path(edges_path), ("citing", "cited", "date"),
+                       map(_edge_record, corpus.edges))

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple
 
 from .corpus import CellKey, Corpus, Paper
 from .errors import ComputationError, EmptyInputError, ZeroBaselineError
-from .rounding import rational_json, rational_str
+from .rounding import csv_text, rational_json, rational_str
 
 logger = logging.getLogger(__name__)
 
@@ -92,14 +92,10 @@ class BaselineTable(NamedTuple):
         return cell.expected
 
     def to_csv_text(self) -> str:
-        lines = ["schema,field,year,doc_type,counting,expected,weight"]
-        for key, cell in sorted(self.cells.items()):
-            lines.append(
-                f"{self.schema},{key.field},{key.year},{key.doc_type},"
-                f"{self.counting_label},{rational_str(cell.expected)},"
-                f"{rational_str(cell.weight)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("schema", "field", "year", "doc_type", "counting", "expected", "weight"),
+            [(self.schema, *key, self.counting_label, rational_str(cell.expected),
+              rational_str(cell.weight)) for key, cell in sorted(self.cells.items())])
 
     def to_json_dict(self) -> dict:
         return {

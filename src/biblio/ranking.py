@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .corpus import Corpus
 from .errors import ComputationError, EmptyInputError
-from .rounding import decimal_str, rational_json, rational_str
+from .rounding import csv_text, decimal_str, rational_json, rational_str
 
 
 class Quartile(IntEnum):
@@ -112,13 +112,10 @@ class RankedCategory(NamedTuple):
         }
 
     def to_csv_text(self) -> str:
-        lines = ["journal,metric,rank,quartile,percentile"]
-        for e in self.entries:
-            lines.append(
-                f"{e.journal_id},{rational_str(e.metric)},{e.rank},"
-                f"{e.quartile},{decimal_str(percentile(e.rank, self.n), 1)}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("journal", "metric", "rank", "quartile", "percentile"),
+            [(e.journal_id, rational_str(e.metric), e.rank, e.quartile,
+              decimal_str(percentile(e.rank, self.n), 1)) for e in self.entries])
 
 
 def rank_category(corpus: Corpus, schema: str, category: str, year: int) -> RankedCategory:
@@ -236,10 +233,8 @@ class DistributionReport(NamedTuple):
         }
 
     def to_csv_text(self) -> str:
-        lines = ["quartile,count,share"]
-        for q in Quartile:
-            lines.append(f"{q},{self.counts[q]},{decimal_str(self.share(q), 4)}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("quartile", "count", "share"),
+                        [(q, self.counts[q], decimal_str(self.share(q), 4)) for q in Quartile])
 
 
 def quartile_distribution(

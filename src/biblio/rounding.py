@@ -5,7 +5,8 @@ single place where text becomes a number, by one ASCII grammar on every Python
 (``_int_text``, ``_rational``), and where values get rounded for display.
 Rounding is half-up (halves away from zero), matching the hand-rounding
 convention used throughout the reports, and is done in integer arithmetic so
-no float ever enters the path.
+no float ever enters the path. Every CSV table and file biblio writes is
+rendered here too (``csv_text``), by one quoting rule on every Python.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 RationalLike = Fraction | int | str
 
 _RATIONAL_TEXT = re.compile(r"-?(?:[0-9./]|[eE][-+]?)*")  # Fraction checks the order
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def _int_text(text: str) -> int:
@@ -76,3 +78,26 @@ def rational_json(value: RationalLike, places: int) -> dict[str, str]:
     """The serialization pair used in JSON outputs: exact plus rounded."""
     f = value if isinstance(value, Fraction) else _rational(value)
     return {"rational": rational_str(f), "decimal": decimal_str(f, places)}
+
+
+def _csv_field(value) -> str:
+    text = str(value)
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(header: tuple, rows) -> str:
+    """CSV text: ``header`` and each of ``rows``, tuples of as many values, on
+    a line of its own ended by ``\\n``. A value is rendered with ``str``, and
+    quoted if it holds ``,``, ``"``, CR or LF, its quotes doubled (RFC 4180).
+    By hand, because ``csv.writer`` quotes a lone CR on some Pythons only.
+    """
+    lines = [header, *rows]
+    line = ",".join(["%s"] * len(header)) + "\n"
+    text = "".join([line % fields for fields in lines])
+    # Unquoted, the text holds a comma between values, an LF after each line and
+    # no other special character; each value that needs quoting adds at least one.
+    if sum(map(text.count, ',"\r\n')) != len(lines) * len(header):
+        text = "".join([line % tuple(map(_csv_field, fields)) for fields in lines])
+    return text

@@ -29,7 +29,7 @@ from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo, fold_cells
 from .errors import ComputationError
 from .normalization import CnciConfig, global_cnci_of_sums
 from .ranking import quartile_partition
-from .rounding import _int_text, rational_json, round_half_up
+from .rounding import _int_text, csv_text, rational_json, round_half_up
 
 logger = logging.getLogger(__name__)
 
@@ -562,9 +562,8 @@ class SurplusMonteCarlo(NamedTuple):
 
     def to_csv_text(self) -> str:
         """``trials.csv``: each trial's per-quartile journal totals."""
-        return "trial,q1,q2,q3,q4\n" + "".join(
-            f"{t},{q1},{q2},{q3},{q4}\n"
-            for t, (q1, q2, q3, q4) in enumerate(self.per_trial_totals))
+        return csv_text(("trial", "q1", "q2", "q3", "q4"),
+                        [(t, *totals) for t, totals in enumerate(self.per_trial_totals)])
 
 
 def monte_carlo_surplus(

@@ -71,6 +71,25 @@ SPELLINGS = {
 }
 
 
+# A field name and a journal id that CSV output has to quote.
+ENGINEERING = "Engineering, Electrical & Electronic"
+QUOTED = {
+    "j.jsonl": [
+        '{"_schemas": {"f": {"single_attribution": false}}}',
+        f'{{"id": "J\\"1", "categories": {{"f": ["{ENGINEERING}"]}}, "metric": {{"2020": 3}}}}',
+        f'{{"id": "J2", "categories": {{"f": ["{ENGINEERING}", "Physics"]}}, '
+        '"metric": {"2020": 2}}',
+        '{"id": "J3", "categories": {"f": ["Physics"]}, "metric": {"2020": 1}}',
+    ],
+    "p.jsonl": [
+        f'{{"id": "P{i}", "journal": "{jid}", "year": 2020, "doc_type": "article", '
+        f'"citations": {cited}}}'
+        for i, (jid, cited) in enumerate(
+            [('J\\"1', 10), ('J\\"1', 5), ("J2", 8), ("J2", 3), ("J3", 6), ("J3", 4)], 1)
+    ],
+}
+
+
 def exit_code(case: str) -> int:
     return EXIT_CODES.get(case, 0)
 
@@ -101,6 +120,7 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
 
     dirty_j, dirty_p, dirty_e = rows("dirty", DIRTY)
     spelled_j, spelled_p = rows("spellings", SPELLINGS)
+    quoted_j, quoted_p = rows("quoted", QUOTED)
 
     def config(name, text):
         path = tmp_path / name
@@ -217,6 +237,13 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("quartiles-ties",
          ("quartiles", "--journals", avg_j, "--papers", avg_p,
           "--schema", "s", "--year", "2021")),
+        # A field name with a comma and a journal id with a quote are quoted.
+        ("hcp-report-quoted-csv",
+         ("hcp-report", "--journals", quoted_j, "--papers", quoted_p, "--schema", "f",
+          "--top-percent", "50", "--format", "csv")),
+        ("rank-quoted-csv",
+         ("rank", "--journals", quoted_j, "--papers", quoted_p, "--schema", "f",
+          "--category", ENGINEERING, "--year", "2020", "--format", "csv")),
     ]
     return [(name, tuple(str(a) for a in argv)) for name, argv in named]
 

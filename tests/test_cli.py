@@ -582,7 +582,7 @@ def test_relative_cnci_id_files(run, corpus_files, simpson, tmp_path):
         "--subunit-ids", ids, "--reference-entity", "unit-r",
     )
     assert code == 2
-    assert "unknown paper id 'nope'" in err
+    assert err == "biblio: load error: --subunit-ids subunit.txt:2: unknown paper id 'nope'\n"
 
     missing = tmp_path / "absent.txt"
     code, out, err = run(
@@ -592,6 +592,36 @@ def test_relative_cnci_id_files(run, corpus_files, simpson, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err.startswith(f"biblio: load error: cannot read id list {str(missing)!r}: ")
+
+
+@pytest.mark.parametrize("flag", ["--subunit-ids", "--reference-ids"])
+def test_an_id_listed_twice_is_a_load_error(run, corpus_files, simpson, tmp_path, flag):
+    journals, papers, _ = corpus_files(simpson)
+    ids = tmp_path / "ids.txt"
+    ids.write_text("RC1\n\nRM\n RC1\n", encoding="utf-8")
+    other = "--reference-entity" if flag == "--subunit-ids" else "--subunit-entity"
+    code, out, err = run("relative-cnci", "--journals", journals, "--papers", papers,
+                         "--schema", "subjects", flag, ids, other, "unit-r")
+    assert (code, out) == (2, "")
+    assert err == f"biblio: load error: {flag} ids.txt:4: duplicate paper id 'RC1'\n"
+
+
+@pytest.mark.parametrize("flag", ["--subunit-ids", "--reference-ids", "--config"])
+def test_an_input_file_that_is_not_utf8_is_located(run, corpus_files, simpson, tmp_path, flag):
+    journals, papers, _ = corpus_files(simpson)
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"RC1\nR\xe9M\n")
+    if flag == "--config":
+        argv = ["simulate", "--config", path, "--experiment", "surplus"]
+        prefix = "error: --config"
+    else:
+        other = "--reference-entity" if flag == "--subunit-ids" else "--subunit-entity"
+        argv = ["relative-cnci", "--journals", journals, "--papers", papers,
+                "--schema", "subjects", flag, path, other, "unit-r"]
+        prefix = "load error:"
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"biblio: {prefix} input.txt:2: not valid UTF-8: invalid continuation byte\n"
 
 
 # -- hcp family ----------------------------------------------------------------------

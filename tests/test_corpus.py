@@ -37,6 +37,13 @@ def test_counts_from_edges():
     assert c.citation_counts["X1"] == 0
 
 
+def test_a_corpus_equals_only_a_corpus(two_papers):
+    assert two_papers == corpora.make_two_papers()
+    assert two_papers != corpora.make_two_papers(swapped=True)
+    assert two_papers.__eq__(two_papers.papers) is NotImplemented
+    assert two_papers != two_papers.papers
+
+
 def test_counts_from_explicit_column(two_papers):
     assert two_papers.citation_counts["pa"] == 1
     assert two_papers.citation_counts["pab"] == 2

@@ -8,7 +8,17 @@ from fractions import Fraction
 import pytest
 
 import corpora
-from biblio import Corpus, LoadError, dump_corpus, load_corpus
+from biblio import (
+    AuthorCredit,
+    CitationEdge,
+    Corpus,
+    Journal,
+    LoadError,
+    Paper,
+    SchemaInfo,
+    dump_corpus,
+    load_corpus,
+)
 from biblio.corpus import DAY, MONTH
 
 
@@ -238,10 +248,11 @@ def test_malformed_rows_are_located(tmp_path):
         paper_line("P11", "J1", authors=[{"key": 5}]),
         paper_line("P12", "J1", authors={"key": "au-12"}),
         paper_line("P13", "J1", pub_date="2021-02-30"),
+        paper_line("P14", "J1", authors=[{"key": "au-14", "entities": ["org", 7]}]),
     )
     corpus = load_corpus(journals, papers)
     assert corpus.load_report.dropped == {
-        "malformed_journal": 1, "malformed_paper": 12, "unresolved_journal": 1}
+        "malformed_journal": 1, "malformed_paper": 13, "unresolved_journal": 1}
     assert set(corpus.journals) == {"J1"}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
@@ -487,6 +498,23 @@ def test_blank_lines_are_skipped_and_still_counted(tmp_path):
         load_corpus(journals, papers, strict=True)
 
 
+@pytest.mark.parametrize("text, message", [
+    # csv refuses a NUL before Python 3.11 and reads it from then on; no Python loads it here
+    ("id,journal,year,doc_type\nP1,J1,2020,article\nP\0,J1,2020,article\n",
+     "p.csv:3: NUL character in a CSV file"),
+    ('id,journal,year,doc_type\nP1,J1,2020,article\n"P2\n' + "x" * 131_072 + '",J1,2020,a\n',
+     "p.csv:4: field larger than field limit (131072)"),
+], ids=["nul", "oversized-cell"])
+def test_a_csv_file_that_csv_cannot_read_is_located(tmp_path, text, message):
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    papers = tmp_path / "p.csv"
+    papers.write_text(text, encoding="utf-8", newline="")
+    for strict in (False, True):
+        with pytest.raises(LoadError) as err:
+            load_corpus(journals, papers, strict=strict)
+        assert str(err.value) == message
+
+
 def test_invalid_json_line_always_raises(tmp_path):
     journals = write(tmp_path / "j.jsonl", REGISTRY, "{not json")
     papers = write(tmp_path / "p.jsonl")
@@ -599,6 +627,24 @@ def test_round_trip_preserves_month_precision(reload):
     b2 = again.papers["b2"]
     assert (b2.pub_date, b2.pub_date_precision) == (date(2011, 11, 1), MONTH)
     assert again == original
+
+
+ODD = 'x,y "z"\rCR\nLF\r\n'  # every character a CSV field is quoted for
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_round_trip_of_strings_with_csv_special_characters(fmt, reload):
+    quoted = Corpus(
+        [SchemaInfo("s" + ODD)],
+        [Journal("J" + ODD, {"s" + ODD: ("Engineering, Electrical & Electronic", "c" + ODD)},
+                 {2020: Fraction(1, 3)})],
+        [Paper("p" + ODD, "J" + ODD, 2020, "article" + ODD,
+               authors=(AuthorCredit("a" + ODD, ("e" + ODD, "org")),)),
+         # Only a lone CR: csv.writer leaves it unquoted before Python 3.13.
+         Paper("p\rq", "J" + ODD, 2021, "article")],
+        [CitationEdge("p\rq", "p" + ODD, date(2021, 3, 1))],
+    )
+    assert reload(quoted, fmt=fmt) == quoted
 
 
 def test_csv_registry_row_and_nested_cells(tmp_path, corpus_files):

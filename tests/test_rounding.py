@@ -1,11 +1,30 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biblio import decimal_str, rational_json, rational_str, round_half_up
-from biblio.rounding import _int_text, _rational
+from biblio import (
+    Corpus,
+    GenConfig,
+    Journal,
+    Paper,
+    SchemaInfo,
+    SizeDist,
+    compute_baselines,
+    decimal_str,
+    hcp_report,
+    hcp_selection,
+    monte_carlo_surplus,
+    quartile_distribution,
+    rank_category,
+    rational_json,
+    rational_str,
+    round_half_up,
+)
+from biblio.rounding import _int_text, _rational, csv_text
 from oracles import decimal_half_up, decimal_quantized
 
 rationals = st.fractions(max_denominator=10_000, min_value=-10_000, max_value=10_000)
@@ -50,6 +69,8 @@ def test_decimal_str_examples():
 
 def test_decimal_str_zero_places():
     assert decimal_str(Fraction(5, 2), 0) == "3"
+    with pytest.raises(ValueError, match="places must be >= 0"):
+        decimal_str(Fraction(5, 2), -1)
 
 
 # Exact halves at up to seven places, so every rounding position meets them.
@@ -139,3 +160,62 @@ def test_rendering_reads_text_by_the_rational_spelling():
         for text in ("1_0", " 1", "+1"):
             with pytest.raises(ValueError):
                 render(text)
+
+
+def test_csv_text_quotes_only_the_fields_that_need_it():
+    text = csv_text(("a", "b"), [(1, "x,y"), ('say "hi"', "\r"), ("", "\n"), ("\r\n", "plain")])
+    assert text == 'a,b\n1,"x,y"\n"say ""hi""","\r"\n,"\n"\n"\r\n",plain\n'
+    assert csv_text(("a",), [("",), (2,)]) == "a\n\n2\n"
+
+
+ENGINEERING = "Engineering, Electrical & Electronic"
+ODD = 'x,y "z"\rCR\nLF'
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    assert text.endswith("\n")
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_every_csv_rendering_reads_back_as_its_rendered_values():
+    """Each ``to_csv_text`` parses into rows as wide as its header, holding the
+    values its JSON rendering holds, even where they carry CSV's own characters."""
+    corpus = Corpus(
+        [SchemaInfo("s")],
+        [Journal('J"1', {"s": (ENGINEERING, "c" + ODD)}, {2020: Fraction(7, 3)}),
+         Journal("J" + ODD, {"s": (ENGINEERING,)}, {2020: Fraction(1, 2)})],
+        [Paper(f"p{i}", jid, 2020, doc_type)
+         for i, (jid, doc_type) in enumerate([('J"1', "article"), ('J"1', "re,view"),
+                                              ("J" + ODD, "article"), ("J" + ODD, "article")])],
+        citation_counts={"p0": 9, "p1": 4, "p2": 3, "p3": 1},
+    )
+    ranked = rank_category(corpus, "s", ENGINEERING, 2020)
+    quartiles = quartile_distribution(corpus, "s", 2020, level="papers")
+    baselines = compute_baselines(corpus, "s", "fractional")
+    _, decisions = hcp_selection(corpus, "s", top_percent=50, esi_low_threshold=False)
+    report = hcp_report(corpus, "s", decisions, top_percent=50)
+    surplus = monte_carlo_surplus(GenConfig(seed=1, num_categories=2,
+                                            journals_per_category=SizeDist.uniform(1, 5),
+                                            papers_per_journal=SizeDist.fixed(1)), 3)
+    rendered = [
+        (ranked, ["journal", "metric", "rank", "quartile", "percentile"],
+         [[e["journal"], e["metric"]["rational"], str(e["rank"]), e["quartile"],
+           e["percentile"]["decimal"]] for e in ranked.to_json_dict()["entries"]]),
+        (quartiles, ["quartile", "count", "share"],
+         [[q, str(v["count"]), v["share"]["decimal"]]
+          for q, v in quartiles.to_json_dict()["quartiles"].items()]),
+        (baselines, ["schema", "field", "year", "doc_type", "counting", "expected", "weight"],
+         [["s", c["cell"]["field"], str(c["cell"]["year"]), c["cell"]["doc_type"], "fractional",
+           c["expected"]["rational"], c["weight"]] for c in baselines.to_json_dict()["cells"]]),
+        (report, ["field", "total", "expected", "actual", "surplus", "real_pct"],
+         [[r["field"], str(r["total"]), str(r["expected"]), r["actual"]["rational"],
+           r["surplus"]["rational"], r["real_pct"]["decimal"]]
+          for r in report.to_json_dict()["rows"]]),
+        (surplus, ["trial", "q1", "q2", "q3", "q4"],
+         [[str(t), *map(str, totals)] for t, totals in enumerate(surplus.per_trial_totals)]),
+    ]
+    for result, header, rows in rendered:
+        assert csv_rows(result.to_csv_text()) == [header, *rows]
+    quoted = [cell for result, _, _ in rendered for row in csv_rows(result.to_csv_text())
+              for cell in row if any(c in cell for c in ',"\r\n')]
+    assert {'J"1', "J" + ODD, ENGINEERING, "c" + ODD, "re,view"} <= set(quoted)

@@ -61,6 +61,8 @@ def test_size_dist_config_round_trip():
     assert SizeDist.from_config(17) == SizeDist.fixed(17)
     with pytest.raises(ComputationError):
         SizeDist.from_config({"gaussian": [1, 2]})
+    with pytest.raises(ComputationError, match="unknown size distribution 'normal'"):
+        SizeDist("normal")
     with pytest.raises(ComputationError):
         SizeDist.uniform(5, 4)
     for negative in (SizeDist.fixed, lambda low: SizeDist.uniform(low, 2)):
@@ -99,6 +101,15 @@ def test_citation_model_support():
 
     shifted = CitationModel(kind="lognormal", mu=0.0, sigma=1.0, shift=2)
     assert min(shifted.sample(rng) for _ in range(500)) >= 2
+
+    class ZeroExponential(random.Random):
+        """A stream whose exponential is 0.0, as ``expovariate`` draws when
+        ``random()`` is 0.0: the geometric then succeeds at once, with p = 1."""
+
+        def expovariate(self, lambd):
+            return 0.0
+
+    assert CitationModel(kind="yule", rho=1.5, shift=2).sample(ZeroExponential(0)) == 3
 
 
 def test_citation_model_config_round_trip():
