@@ -170,7 +170,7 @@ def _load(args) -> Corpus:
         # the process's one corpus: later collections skip it (``main`` thaws it)
         gc.freeze()
     report = corpus.load_report
-    if report is not None and not report.clean:
+    if not report.clean:
         dropped = ", ".join(f"{reason}={n}" for reason, n in sorted(report.dropped.items()))
         logger.warning("load report: dropped %s; collapsed_duplicate_edges=%d",
                        dropped or "none", report.collapsed_duplicate_edges)
@@ -216,11 +216,10 @@ def _slice_papers(corpus: Corpus, args) -> list:
 def _cmd_validate(args) -> dict:
     corpus = _load(args)
     report = validate(corpus)
-    load_report = corpus.load_report
     return {
-        "ok": report.ok and (load_report is None or load_report.clean),
+        "ok": report.ok and corpus.load_report.clean,
         "validation": report.to_json_dict(),
-        "load": load_report.to_json_dict() if load_report is not None else None,
+        "load": corpus.load_report.to_json_dict(),
     }
 
 

@@ -22,6 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .errors import ComputationError
@@ -176,16 +177,13 @@ class Corpus:
         self.edges: tuple[CitationEdge, ...] | None = (
             tuple(edges) if edges is not None else None
         )
-        self.explicit_counts: dict[str, int] | None = (
-            dict(citation_counts) if citation_counts is not None else None
+        self.explicit_counts: dict[str, int] | None = (  # an empty mapping is no counts
+            dict(citation_counts) if citation_counts else None
         )
         self.load_report = load_report
         self._cell_cache: dict[str, dict[CellKey, tuple[Paper, ...]]] = {}
         self._ranked_cache: dict[str, dict[CellKey, RankedCell]] = {}
         self._sums_cache: dict[str, tuple[int, dict[CellKey, list[int]]]] = {}
-        self._counts: dict[str, int] | None = None
-        self._in_edges: dict[str, tuple[CitationEdge, ...]] | None = None
-        self._entity_papers: dict[str, tuple[Paper, ...]] | None = None
         self._entity_weights: dict[str, Fraction] = {}
 
     def __eq__(self, other):
@@ -208,36 +206,32 @@ class Corpus:
             )
         return info
 
-    @property
+    @cached_property
     def citation_counts(self) -> dict[str, int]:
-        if self._counts is None:
-            counts = dict.fromkeys(self.papers, 0)
-            if self.edges is not None:
-                for e in self.edges:
-                    if e.cited in counts:
-                        counts[e.cited] += 1
-            elif self.explicit_counts:
-                for pid, c in self.explicit_counts.items():
-                    if pid in counts:
-                        counts[pid] = c
-            self._counts = counts
-        return self._counts
+        counts = dict.fromkeys(self.papers, 0)
+        if self.edges is not None:
+            for e in self.edges:
+                if e.cited in counts:
+                    counts[e.cited] += 1
+        elif self.explicit_counts:
+            for pid, c in self.explicit_counts.items():
+                if pid in counts:
+                    counts[pid] = c
+        return counts
 
-    @property
+    @cached_property
     def in_edges(self) -> dict[str, tuple[CitationEdge, ...]]:
         """cited paper id -> its incoming edges (edge-based corpora only)."""
-        if self._in_edges is None:
-            if self.edges is None:
-                raise ComputationError(
-                    "building the citing-paper index needs edge-level citation data; "
-                    "this corpus was ingested with precomputed citation counts only"
-                )
-            index: dict[str, list[CitationEdge]] = {pid: [] for pid in self.papers}
-            for e in self.edges:
-                if e.cited in index:
-                    index[e.cited].append(e)
-            self._in_edges = {pid: tuple(es) for pid, es in index.items()}
-        return self._in_edges
+        if self.edges is None:
+            raise ComputationError(
+                "building the citing-paper index needs edge-level citation data; "
+                "this corpus was ingested with precomputed citation counts only"
+            )
+        index: dict[str, list[CitationEdge]] = {pid: [] for pid in self.papers}
+        for e in self.edges:
+            if e.cited in index:
+                index[e.cited].append(e)
+        return {pid: tuple(es) for pid, es in index.items()}
 
     # -- schema-indexed views ------------------------------------------------
 
@@ -324,13 +318,15 @@ class Corpus:
     def papers_of_entity(self, entity: str) -> tuple[Paper, ...]:
         """Papers with at least one author slot affiliated to ``entity``, in
         corpus order."""
-        if self._entity_papers is None:
-            index: dict[str, list[Paper]] = {}
-            for p in self.papers.values():
-                for e in dict.fromkeys(e for c in p.authors for e in c.entities):
-                    index.setdefault(e, []).append(p)
-            self._entity_papers = {e: tuple(ps) for e, ps in index.items()}
         return self._entity_papers.get(entity, ())
+
+    @cached_property
+    def _entity_papers(self) -> dict[str, tuple[Paper, ...]]:
+        index: dict[str, list[Paper]] = {}
+        for p in self.papers.values():
+            for e in dict.fromkeys(e for c in p.authors for e in c.entities):
+                index.setdefault(e, []).append(p)
+        return {e: tuple(ps) for e, ps in index.items()}
 
     def entity_output_weight(self, entity: str) -> Fraction:
         """The fractional credit of ``entity`` summed over its output, once

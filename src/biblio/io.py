@@ -11,14 +11,17 @@ of a row whose id is ``_schemas``.
 Every row goes through one parse function per kind. A row that is not an
 object, has more cells than its CSV header, lacks a required field or holds a
 field of the wrong type is ``malformed_<kind>``; a well-formed row the corpus
-cannot take raises ``_Drop`` with its reason. Strict mode aborts on the first
-such row with its file and line. Lenient mode drops the row and counts it in
-the load report under its reason. Duplicate (citing, cited) pairs are
-collapsed with a warning in both modes; they are a fact about messy exports,
-not a reason to abort.
+cannot take is handed to ``reject`` with its reason. Either way ``reject`` is
+where a row is dropped: strict mode aborts on the first such row with its
+file and line, and lenient mode drops the row and counts it in the load
+report under its reason. A CSV record is named by the physical line it ends
+on, so a quoted cell that holds a line break does not shift the lines named
+after it. Duplicate (citing, cited) pairs are collapsed with a warning in
+both modes; they are a fact about messy exports, not a reason to abort.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
 import json
@@ -115,8 +118,8 @@ def _read_records(path: Path):
             if is_csv:
                 rows = csv.DictReader(_csv_lines(fh, path))
                 try:
-                    for i, row in enumerate(rows, start=2):
-                        yield i, {k: v for k, v in row.items() if v not in (None, "")}
+                    for row in rows:  # named by the line the record ends on
+                        yield rows.line_num, {k: v for k, v in row.items() if v not in (None, "")}
                 except csv.Error as exc:  # a cell over csv's field size limit
                     raise LoadError(f"{path.name}:{rows.reader.line_num}: {exc}") from exc
             else:
@@ -137,14 +140,6 @@ def _read_records(path: Path):
         except UnicodeDecodeError:
             # text reads decode whole chunks: find the line again
             raise _not_utf8(path, path.read_bytes()) from None
-
-
-class _Drop(Exception):
-    """A well-formed row the corpus cannot take, with its load-report reason."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 def _string(record: dict, key: str) -> str:
@@ -255,7 +250,9 @@ def load_corpus(
     """Load a corpus from disk; see the module docstring for the contract."""
     report = LoadReport()
 
-    def reject(reason: str, message: str) -> None:
+    def reject(where: str, reason: str, message: str) -> None:
+        """Drop the row at ``where`` for ``reason``; in strict mode, abort."""
+        message = f"{where}: {message}"
         if strict:
             raise LoadError(message)
         report.record(reason, message)
@@ -271,10 +268,8 @@ def load_corpus(
                 if None in record:  # csv.DictReader's key for cells beyond the header
                     raise ValueError(f"row has more cells than its header: {record[None]!r}")
                 parse(record, where)
-            except _Drop as drop:
-                reject(drop.reason, f"{where}: {drop}")
             except (KeyError, TypeError, ValueError) as exc:
-                reject(f"malformed_{kind}", f"{where}: {exc}")
+                reject(where, f"malformed_{kind}", str(exc))
 
     schemas: dict[str, SchemaInfo] = {}
     journals: dict[str, Journal] = {}
@@ -304,14 +299,14 @@ def load_corpus(
         if any(len(set(members)) < len(members) for members in raw_cats.values()):
             raise ValueError(f"journal {jid!r} lists a category twice: {raw_cats!r}")
         if jid in journals:
-            raise _Drop("duplicate_journal_id", f"duplicate journal id {jid!r}")
+            return reject(where, "duplicate_journal_id", f"duplicate journal id {jid!r}")
         metric = _metric_map(raw_metric, jid)
         cats: dict[str, tuple[str, ...]] = {}
         for schema, members in raw_cats.items():
             if schema in schemas:
                 cats[schema] = tuple(members)
             else:
-                reject("unknown_schema", f"{where}: journal {jid!r} uses unknown schema {schema!r}")
+                reject(where, "unknown_schema", f"journal {jid!r} uses unknown schema {schema!r}")
         journals[jid] = Journal(id=jid, categories=cats, metric_by_year=metric)
 
     papers: dict[str, Paper] = {}
@@ -328,9 +323,10 @@ def load_corpus(
             raise KeyError("year")
         doc_type = _string(record, "doc_type")
         if pid in papers:
-            raise _Drop("duplicate_paper_id", f"duplicate paper id {pid!r}")
+            return reject(where, "duplicate_paper_id", f"duplicate paper id {pid!r}")
         if jid not in journals:
-            raise _Drop("unresolved_journal", f"paper {pid!r} cites unknown journal {jid!r}")
+            return reject(where, "unresolved_journal",
+                          f"paper {pid!r} cites unknown journal {jid!r}")
         online = _parse_date(record["online_date"]) if "online_date" in record else None
         if "pub_date" in record:
             pub, precision = _parse_date(record["pub_date"]), DAY
@@ -342,7 +338,7 @@ def load_corpus(
         pages = _integer(record, "pages")
         cited = _integer(record, "citations")
         if cited is not None and cited < 0:
-            raise _Drop("negative_citations", f"paper {pid!r} has {cited} citations")
+            return reject(where, "negative_citations", f"paper {pid!r} has {cited} citations")
         if cited is not None:
             counts[pid] = cited
         papers[pid] = Paper(id=pid, journal_id=journals[jid].id,
@@ -356,11 +352,11 @@ def load_corpus(
     def parse_edge(record: dict, where: str) -> None:
         citing, cited = _string(record, "citing"), _string(record, "cited")
         if citing not in papers or cited not in papers:
-            raise _Drop("unresolved_edge_endpoint",
-                        f"edge {citing!r}->{cited!r} references an unknown paper")
+            return reject(where, "unresolved_edge_endpoint",
+                          f"edge {citing!r}->{cited!r} references an unknown paper")
         citing, cited = papers[citing].id, papers[cited].id  # one id object per paper
         if citing == cited:
-            raise _Drop("self_citation_loop", f"paper {citing!r} cites itself")
+            return reject(where, "self_citation_loop", f"paper {citing!r} cites itself")
         when = _parse_date(record["date"]) if "date" in record else None
         if (citing, cited) in edges:
             report.collapsed_duplicate_edges += 1
@@ -379,7 +375,7 @@ def load_corpus(
             load(edges_path, "edge", parse_edge)
         return Corpus(schemas.values(), journals.values(), papers.values(),
                       list(edges.values()) if edges_path is not None else None,
-                      citation_counts=counts or None, load_report=report)
+                      citation_counts=counts, load_report=report)
     finally:
         if enabled:
             gc.enable()
@@ -394,9 +390,9 @@ def json_line(obj) -> str:
 
 
 def _metric_out(f: Fraction):
-    as_float = float(f)
-    if Fraction(str(as_float)) == f:
-        return as_float
+    with contextlib.suppress(OverflowError):  # beyond a float's range
+        if Fraction(str(as_float := float(f))) == f:
+            return as_float
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -443,7 +439,9 @@ def _edge_record(e: CitationEdge) -> dict:
 def _write_records(path: Path, header: tuple[str, ...], records) -> None:
     """Write ``records`` as JSON lines, or as CSV rows under ``header`` when the
     path's suffix is ``.csv``, nested values JSON-encoded in their cells. Each
-    record is written as it comes, so the file is never held in memory."""
+    record is written as it comes, so the file is never held in memory. A CSV
+    row holding a NUL, which loading refuses, or an empty cell, which loading
+    reads as a missing field, is a ``LoadError`` raised before it is written."""
     is_csv = path.suffix.lower() == ".csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         if is_csv:
@@ -451,9 +449,16 @@ def _write_records(path: Path, header: tuple[str, ...], records) -> None:
         for record in records:
             if is_csv:
                 values = (record.get(key, "") for key in header)
-                fh.write(csv_text(
+                line = csv_text(
                     tuple([json_line(v) if isinstance(v, (dict, list)) else v for v in values]),
-                    ()))
+                    ())
+                if "\0" in line or "" in record.values():
+                    name = (repr(record["id"]) if "id" in record
+                            else f"{record['citing']!r}->{record['cited']!r}")
+                    fault = "a NUL character" if "\0" in line else "an empty string"
+                    raise LoadError(f"{path.name}: record {name} holds {fault}, "
+                                    "which a CSV file cannot carry")
+                fh.write(line)
             else:
                 fh.write(json_line(record) + "\n")
 
@@ -463,7 +468,9 @@ def dump_corpus(corpus: Corpus, journals_path, papers_path, edges_path=None) -> 
 
     Round-trips exactly: loading the emitted files yields an equal Corpus,
     whatever its strings hold, save that a CSV file cannot carry a NUL
-    character, which loading refuses.
+    character or an empty id, journal or doc type: dumping such a record is a
+    ``LoadError`` naming the file and the record, and that file then holds
+    only the rows before it.
     """
     journals_path = Path(journals_path)
     registry = {name: {"single_attribution": info.single_attribution}

@@ -19,7 +19,7 @@ import os
 import random
 from bisect import bisect
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
@@ -271,9 +271,9 @@ class GenConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "GenConfig":
         _known_keys(raw, tuple(f.name for f in fields(cls)))
-        for key in ("seed", "num_categories", "journals_per_category", "papers_per_journal"):
-            if key not in raw:
-                raise ComputationError(f"missing required key {key!r}")
+        for f in fields(cls):
+            if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+                raise ComputationError(f"missing required key {f.name!r}")
 
         def get(key, kind, default):  # a mapping or list the field is built from
             return _typed(raw.get(key, default), kind, key)
@@ -291,18 +291,12 @@ class GenConfig:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
-            "num_categories": self.num_categories,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "journals_per_category": self.journals_per_category.to_config(),
             "papers_per_journal": self.papers_per_journal.to_config(),
-            "multi_attribution_prob": self.multi_attribution_prob,
-            "max_categories_per_journal": self.max_categories_per_journal,
             "citation_model": self.citation_model.to_config(),
             "years": list(self.years),
-            "doc_type_mix": {k: v for k, v in self.doc_type_mix},
-            "correlate_volume_with_metric": self.correlate_volume_with_metric,
-            "multi_field_citation_boost": self.multi_field_citation_boost,
-            "schema_name": self.schema_name,
+            "doc_type_mix": dict(self.doc_type_mix),
         }
 
 

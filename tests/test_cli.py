@@ -208,6 +208,21 @@ def test_strict_journal_row_errors_name_the_row_once(run, tmp_path):
     )
 
 
+def test_a_csv_row_error_names_the_line_its_record_ends_on(run, tmp_path):
+    """A quoted cell holding a line break does not shift the line named after it."""
+    journals = tmp_path / "j.jsonl"
+    journals.write_text('{"_schemas": {"s": {}}}\n{"id": "J1", "categories": {"s": ["A"]}}\n',
+                        encoding="utf-8")
+    papers = tmp_path / "p.csv"
+    papers.write_text('id,journal,year,doc_type\n"P\n1",J1,2020,article\nP2,J1,20x0,article\n',
+                      encoding="utf-8", newline="")
+    note = "p.csv:4: field 'year' is not an integer: '20x0'"
+    code, out, _ = run("validate", "--journals", journals, "--papers", papers)
+    assert (code, payload(out)["load"]["notes"]) == (2, [note])
+    code, out, err = run("validate", "--journals", journals, "--papers", papers, "--strict")
+    assert (code, out, err) == (2, "", f"biblio: load error: {note}\n")
+
+
 def test_strict_load_failure_exits_two(run, corpus_files, hundred, caplog):
     journals, papers, _ = corpus_files(hundred)
     ghost = '{"id":"zzz","journal":"ghost","year":2019,"doc_type":"article","citations":0}\n'

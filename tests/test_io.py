@@ -1,12 +1,17 @@
 import contextlib
 import gc
 import json
+import tempfile
 from dataclasses import replace
 from datetime import date
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import cli_cases
 import corpora
 from biblio import (
     AuthorCredit,
@@ -515,6 +520,32 @@ def test_a_csv_file_that_csv_cannot_read_is_located(tmp_path, text, message):
         assert str(err.value) == message
 
 
+DIRTY_LOAD = json.loads(
+    (cli_cases.GOLDEN_DIR / "validate-dirty.out").read_text(encoding="utf-8"))["load"]
+DIRTY_NOTES = [note for note in DIRTY_LOAD["notes"] if not note.endswith(" collapsed")]
+# What a lenient load keeps of a dirty row: the journal that paper P3 names,
+# without its unknown schema, and nothing of the rows it drops.
+DIRTY_KEPT = {"j.jsonl:5": '{"id": "J3", "categories": {}}'}
+
+
+@pytest.mark.parametrize("note", DIRTY_NOTES, ids=lambda note: note.split(": ")[0])
+def test_strict_mode_names_each_dropped_row_as_lenient_mode_notes_it(tmp_path, note):
+    """Each dropped row of the dirty CLI fixture, the one bad row among the rows a
+    lenient load keeps and on its own line, aborts a strict load with its note."""
+    assert len(DIRTY_NOTES) == sum(DIRTY_LOAD["dropped"].values())  # one note per drop
+    paths = []
+    for name, rows in cli_cases.DIRTY.items():
+        lines = list(rows)
+        for other in DIRTY_NOTES:
+            file, line = other.split(": ")[0].split(":")
+            if file == name and other != note:
+                lines[int(line) - 1] = DIRTY_KEPT.get(f"{file}:{line}", "")
+        paths.append(write(tmp_path / name, *lines))
+    with pytest.raises(LoadError) as err:
+        load_corpus(*paths, strict=True)
+    assert str(err.value) == note
+
+
 def test_invalid_json_line_always_raises(tmp_path):
     journals = write(tmp_path / "j.jsonl", REGISTRY, "{not json")
     papers = write(tmp_path / "p.jsonl")
@@ -676,3 +707,89 @@ def test_dump_emits_exact_rationals(tmp_path):
     dump_corpus(corpus, tmp_path / "j.jsonl", tmp_path / "p.jsonl")
     assert '"metric":{"2020":"1/3"}' in (tmp_path / "j.jsonl").read_text(encoding="utf-8")
     assert load_corpus(tmp_path / "j.jsonl", tmp_path / "p.jsonl") == corpus
+    # So is one beyond a float's range, which once raised OverflowError.
+    corpus.journals["JA"].metric_by_year[2020] = Fraction(10**400)
+    dump_corpus(corpus, tmp_path / "j.jsonl", tmp_path / "p.jsonl")
+    assert load_corpus(tmp_path / "j.jsonl", tmp_path / "p.jsonl") == corpus
+
+
+def test_dump_refuses_a_csv_cell_that_would_not_load_back(tmp_path):
+    """A NUL, which loading refuses, or an empty string, which loading reads as a
+    missing field, stops a CSV dump at its record; JSON lines carry both."""
+    corpus = Corpus([SchemaInfo("s")], [Journal("J\0", {}, {}), Journal("J", {"s": ("A",)}, {})],
+                    [Paper("P1", "J", 2020, "article"), Paper("P2", "J", 2020, ""),
+                     Paper("", "J", 2020, "article")],
+                    [CitationEdge("P1", "P2"), CitationEdge("P2", "")])
+    cases = {
+        "j.csv": "j.csv: record 'J\\x00' holds a NUL character, which a CSV file cannot carry",
+        "p.csv": "p.csv: record 'P2' holds an empty string, which a CSV file cannot carry",
+        "e.csv": "e.csv: record 'P2'->'' holds an empty string, which a CSV file cannot carry",
+    }
+    for bad, message in cases.items():
+        paths = [tmp_path / (bad if bad[0] == kind else f"{kind}.jsonl") for kind in "jpe"]
+        with pytest.raises(LoadError) as err:
+            dump_corpus(corpus, *paths)
+        assert str(err.value) == message
+        assert len((tmp_path / bad).read_text(encoding="utf-8").splitlines()) == 2  # header, row
+    paths = [tmp_path / f"{kind}.jsonl" for kind in "jpe"]
+    dump_corpus(corpus, *paths)
+    assert load_corpus(*paths, strict=True) == corpus
+
+
+# Any text but NUL and lone surrogates, which no UTF-8 file can hold.
+NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"), max_size=5)
+
+
+@st.composite
+def whole_corpora(draw):
+    """Corpora whose papers name their journals, journals their schemas and
+    edges their papers, with no repeated category or entity in one list."""
+    schemas = draw(st.lists(st.builds(SchemaInfo, NAMES, st.booleans()),
+                            max_size=3, unique_by=lambda s: s.name))
+    members = st.lists(NAMES, max_size=3, unique=True).map(tuple)
+    journals = [
+        Journal(jid, draw(st.dictionaries(st.sampled_from([s.name for s in schemas]), members)
+                          if schemas else st.just({})),
+                draw(st.dictionaries(st.integers(), st.fractions(), max_size=2)))
+        for jid in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    ]
+    issue = st.one_of(st.tuples(st.none(), st.just(DAY)), st.tuples(st.dates(), st.just(DAY)),
+                      st.tuples(st.dates().map(lambda d: d.replace(day=1)), st.just(MONTH)))
+    authors = st.lists(st.builds(AuthorCredit, NAMES, members), max_size=3).map(tuple)
+    papers, counts = [], {}
+    for pid in draw(st.lists(NAMES, max_size=5, unique=True)):
+        pub, precision = draw(issue)
+        papers.append(Paper(pid, draw(st.sampled_from([j.id for j in journals])),
+                            draw(st.integers()), draw(NAMES), draw(st.none() | st.dates()),
+                            pub, precision, draw(authors), draw(st.none() | st.integers())))
+        count = draw(st.none() | st.integers(min_value=0))
+        if count is not None:
+            counts[pid] = count
+    pairs = [(p.id, q.id) for p in papers for q in papers if p is not q]
+    edges = None
+    if draw(st.booleans()):
+        edges = [CitationEdge(citing, cited, draw(st.none() | st.dates())) for citing, cited
+                 in (draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)) if pairs
+                     else ())]
+    return Corpus(schemas, journals, papers, edges, citation_counts=counts)
+
+
+@given(corpus=whole_corpora())
+def test_any_corpus_round_trips_through_jsonl_and_csv(corpus):
+    """Dumped and loaded, a corpus comes back equal with a clean report. A CSV dump
+    refuses an empty id or doc type, which would load back as a missing field."""
+    empty = "" in corpus.journals or "" in corpus.papers or any(
+        p.doc_type == "" for p in corpus.papers.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix in ("jsonl", "csv"):
+            paths = [Path(tmp) / f"{kind}.{suffix}" for kind in "jpe"]
+            if corpus.edges is None:
+                paths[2] = None
+            if suffix == "csv" and empty:
+                with pytest.raises(LoadError, match="holds an empty string"):
+                    dump_corpus(corpus, *paths)
+                continue
+            dump_corpus(corpus, *paths)
+            again = load_corpus(*paths)
+            assert again.load_report.clean, again.load_report.notes
+            assert again == corpus
