@@ -1,16 +1,17 @@
 """Command-line interface: one indicator per invocation, batch only.
 
-Each subcommand's handler computes and returns its result, a payload dict or
-a result that renders itself; ``main`` alone renders that result and writes it
-to standard output (or ``--out``). Each handler imports the modules it runs,
-so a process loads only those its subcommand needs. Diagnostics go to
-standard error, among them one line naming what a lenient load dropped.
-Exit codes: 0 success, 2 usage or validation problems (including strict-mode
-load failures), 3 computation errors such as a cited paper over a zero
-baseline. Output is byte-stable: JSON is emitted with sorted keys and compact
-separators, and every number that started life as a rational is rendered as
-both ``num/den`` and a rounded decimal. Flag combinations are validated before
-any corpus is read, and ``--schema`` against the corpus's registry right after.
+``main`` is the one run path. It runs the subcommand's check of its flags, then
+loads the corpus and checks ``--schema`` against its registry (``simulate``
+reads no corpus), then calls the handler with ``(args, corpus)``. A handler
+returns a payload dict or a result that renders itself; ``main`` alone renders
+it to standard output (or ``--out``). Exit codes: 0 success; 2 usage or
+validation problems, load failures, and a ``ComputationError`` raised before the
+handler runs; 3 one the handler raises, such as a cited paper over a zero
+baseline. Each handler imports the modules it runs, so a process loads only
+those its subcommand needs. Diagnostics go to standard error, among them one
+line naming what a lenient load dropped. Output is byte-stable: JSON has sorted
+keys and compact separators, and every rational is both ``num/den`` and a
+rounded decimal.
 """
 from __future__ import annotations
 
@@ -60,11 +61,13 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _corpus_subcommand(sub, name: str, handler, help: str, *groups, formats=("json",)):
+def _corpus_subcommand(sub, name: str, handler, help: str, *groups, formats=("json",),
+                       check=lambda args: None):
     """A corpus-file subcommand with the shared options, plus ``--schema`` and
-    ``--format`` unless ``formats=()`` (validate), plus each of ``groups``."""
+    ``--format`` unless ``formats=()`` (validate), plus each of ``groups``, whose
+    flag combination ``check(args)`` vets before any file is read."""
     p = sub.add_parser(name, help=help)
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, check=check)
     p.add_argument("--journals", type=_path, required=True, help="journals file (JSONL or CSV)")
     p.add_argument("--papers", type=_path, required=True, help="papers file (JSONL or CSV)")
     p.add_argument("--edges", type=_path, help="citation edges file (JSONL or CSV)")
@@ -175,16 +178,8 @@ def _load(args) -> Corpus:
         logger.warning("load report: dropped %s; collapsed_duplicate_edges=%d",
                        dropped or "none", report.collapsed_duplicate_edges)
     if getattr(args, "schema", None) is not None:
-        _usage_checked(corpus.require_schema, args.schema)
+        corpus.require_schema(args.schema)
     return corpus
-
-
-def _usage_checked(make, *flags):
-    """``make(*flags)``; flags that it rejects are a usage error."""
-    try:
-        return make(*flags)
-    except ComputationError as exc:
-        raise _UsageError(str(exc)) from None
 
 
 def _papers_in_file(corpus: Corpus, path: str, flag: str) -> list:
@@ -213,8 +208,7 @@ def _slice_papers(corpus: Corpus, args) -> list:
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_validate(args) -> dict:
-    corpus = _load(args)
+def _cmd_validate(args, corpus: Corpus) -> dict:
     report = validate(corpus)
     return {
         "ok": report.ok and corpus.load_report.clean,
@@ -223,14 +217,13 @@ def _cmd_validate(args) -> dict:
     }
 
 
-def _cmd_rank(args) -> ranking.RankedCategory:
+def _cmd_rank(args, corpus: Corpus) -> ranking.RankedCategory:
     from . import ranking
-    return ranking.rank_category(_load(args), args.schema, args.category, args.year)
+    return ranking.rank_category(corpus, args.schema, args.category, args.year)
 
 
-def _cmd_percentile(args) -> dict:
+def _cmd_percentile(args, corpus: Corpus) -> dict:
     from . import ranking
-    corpus = _load(args)
     cats = corpus.categories_of(args.journal, args.schema)
     if not cats:
         raise ComputationError(
@@ -254,10 +247,10 @@ def _cmd_percentile(args) -> dict:
     }
 
 
-def _cmd_quartiles(args) -> ranking.DistributionReport:
+def _cmd_quartiles(args, corpus: Corpus) -> ranking.DistributionReport:
     from . import ranking
     return ranking.quartile_distribution(
-        _load(args),
+        corpus,
         args.schema,
         args.year,
         level=args.level,
@@ -266,10 +259,13 @@ def _cmd_quartiles(args) -> ranking.DistributionReport:
     )
 
 
-def _cmd_baselines(args) -> normalization.BaselineTable:
+def _check_baselines(args) -> None:
     from . import normalization
-    _usage_checked(normalization.baseline_config, args.counting, args.split_citations)
-    corpus = _load(args)
+    normalization.baseline_config(args.counting, args.split_citations)
+
+
+def _cmd_baselines(args, corpus: Corpus) -> normalization.BaselineTable:
+    from . import normalization
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
     )
@@ -278,12 +274,14 @@ def _cmd_baselines(args) -> normalization.BaselineTable:
     })
 
 
-def _cmd_cnci(args) -> dict:
+def _cnci_config(args) -> normalization.CnciConfig:
     from . import normalization
-    config = _usage_checked(
-        normalization.CnciConfig, args.counting, args.aggregation, args.split_citations
-    )
-    corpus = _load(args)
+    return normalization.CnciConfig(args.counting, args.aggregation, args.split_citations)
+
+
+def _cmd_cnci(args, corpus: Corpus) -> dict:
+    from . import normalization
+    config = _cnci_config(args)
     papers = _slice_papers(corpus, args)
     value = normalization.global_cnci(corpus, args.schema, config, args.years, args.doc_types)
     payload = {
@@ -304,8 +302,7 @@ def _cmd_cnci(args) -> dict:
     return payload
 
 
-def _cmd_relative_cnci(args) -> dict:
-    from . import normalization
+def _check_relative_cnci(args) -> None:
     if args.subunit_entity is None and args.subunit_ids is None:
         raise _UsageError("relative-cnci needs --subunit-entity or --subunit-ids")
     if args.subunit_entity is not None and args.subunit_ids is not None:
@@ -316,7 +313,10 @@ def _cmd_relative_cnci(args) -> dict:
             args.years is not None or args.doc_types is not None):
         raise _UsageError(
             "--years and --doc-types apply only without --reference-entity or --reference-ids")
-    corpus = _load(args)
+
+
+def _cmd_relative_cnci(args, corpus: Corpus) -> dict:
+    from . import normalization
     if args.subunit_entity is not None:
         subunit = list(corpus.papers_of_entity(args.subunit_entity))
     else:
@@ -331,9 +331,7 @@ def _cmd_relative_cnci(args) -> dict:
     corpus_baselines = normalization.compute_baselines(corpus, args.schema, args.counting)
     subunit_cnci = normalization.cnci_set(corpus, subunit, corpus_baselines)
     reference_cnci = normalization.cnci_set(corpus, reference, corpus_baselines)
-    relative = normalization.relative_cnci(
-        corpus, subunit, reference, args.schema, args.counting
-    )
+    relative = normalization.relative_cnci(corpus, subunit, reference, args.schema, args.counting)
     return {
         "schema": args.schema,
         "counting": args.counting,
@@ -344,16 +342,17 @@ def _cmd_relative_cnci(args) -> dict:
     }
 
 
-def _hcp_selection(args):
-    """The loaded corpus, its sliced cell thresholds and its HCP decisions
-    under the hcp options, whose combination is checked before loading."""
-    from . import excellence
+def _check_hcp(args) -> None:
     if args.method == "quota" and not args.tiebreak:
         raise _UsageError("--method quota requires a --tiebreak chain")
     if args.method != "quota" and args.tiebreak:
         raise _UsageError("--tiebreak applies to --method quota only")
-    corpus = _load(args)
-    return corpus, *excellence.hcp_selection(
+
+
+def _hcp_selection(args, corpus: Corpus):
+    """The corpus's sliced cell thresholds and its HCP decisions under the hcp options."""
+    from . import excellence
+    return excellence.hcp_selection(
         corpus,
         args.schema,
         top_percent=args.top_percent,
@@ -365,8 +364,8 @@ def _hcp_selection(args):
     )
 
 
-def _cmd_hcp(args) -> dict:
-    _, thresholds, decisions = _hcp_selection(args)
+def _cmd_hcp(args, corpus: Corpus) -> dict:
+    thresholds, decisions = _hcp_selection(args, corpus)
     total = sum((d.weight for d in decisions), Fraction(0))
     return {
         "schema": args.schema,
@@ -380,9 +379,9 @@ def _cmd_hcp(args) -> dict:
     }
 
 
-def _cmd_hcp_report(args) -> excellence.ExcellenceReport:
+def _cmd_hcp_report(args, corpus: Corpus) -> excellence.ExcellenceReport:
     from . import excellence
-    corpus, _, decisions = _hcp_selection(args)
+    _, decisions = _hcp_selection(args, corpus)
     return excellence.hcp_report(
         corpus,
         args.schema,
@@ -393,9 +392,9 @@ def _cmd_hcp_report(args) -> excellence.ExcellenceReport:
     )
 
 
-def _cmd_entity_share(args) -> dict:
+def _cmd_entity_share(args, corpus: Corpus) -> dict:
     from . import excellence
-    corpus, _, decisions = _hcp_selection(args)
+    _, decisions = _hcp_selection(args, corpus)
     share = excellence.entity_hcp_share(corpus, args.entity, decisions, args.counting)
     payload = share.to_json_dict()
     payload["top_percent"] = rational_str(args.top_percent)
@@ -424,7 +423,7 @@ def _gen_config(path: str) -> synthesis.GenConfig:
         raise _UsageError(f"--config {path!r}: {exc}")
 
 
-def _cmd_simulate(args) -> dict:
+def _cmd_simulate(args, _) -> dict:
     from . import synthesis
     config = _gen_config(args.config)
     if args.experiment == "corpus" and args.out_dir is None:
@@ -501,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _corpus_subcommand(sub, "baselines", _cmd_baselines,
                            "expected citation rates per (field, year, type) cell",
-                           _counting_option, _slice_options, formats=json_csv)
+                           _counting_option, _slice_options, formats=json_csv,
+                           check=_check_baselines)
     p.add_argument(
         "--split-citations", action="store_true",
         help="split citations across fields while counting papers whole",
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _corpus_subcommand(sub, "cnci", _cmd_cnci,
                            "global normalized citation impact of a corpus slice",
-                           _counting_option, _slice_options)
+                           _counting_option, _slice_options, check=_cnci_config)
     p.add_argument("--aggregation", choices=["aor", "roa"], default="aor")
     p.add_argument(
         "--split-citations", action="store_true",
@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _corpus_subcommand(sub, "relative-cnci", _cmd_relative_cnci,
                            "impact of a subunit normalized by a reference set's baselines",
-                           _counting_option, _slice_options)
+                           _counting_option, _slice_options, check=_check_relative_cnci)
     p.add_argument("--subunit-entity", help="subunit = papers attributed to this entity")
     p.add_argument("--subunit-ids", type=_path, help="file with one subunit paper id per line")
     p.add_argument("--reference-entity", help="reference = papers attributed to this entity")
@@ -527,17 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     _corpus_subcommand(sub, "hcp", _cmd_hcp,
                        "highly cited paper thresholds and decisions per cell",
-                       _hcp_options, _slice_options)
+                       _hcp_options, _slice_options, check=_check_hcp)
     _corpus_subcommand(sub, "hcp-report", _cmd_hcp_report,
                        "per-field expected vs actual excellence table",
-                       _hcp_options, _slice_options, formats=json_csv)
+                       _hcp_options, _slice_options, formats=json_csv, check=_check_hcp)
     p = _corpus_subcommand(sub, "entity-share", _cmd_entity_share,
                            "share of an entity's output that is highly cited",
-                           _counting_option, _hcp_options, _slice_options)
+                           _counting_option, _hcp_options, _slice_options,
+                           check=_check_hcp)
     p.add_argument("--entity", required=True)
 
     p = sub.add_parser("simulate", help="synthetic corpora and Monte Carlo experiments")
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler=_cmd_simulate, check=lambda args: None)  # it checks --config first
     p.add_argument("--config", type=_path, required=True,
                    help="generator config file (YAML or JSON)")
     p.add_argument(
@@ -560,7 +561,12 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     frozen = gc.get_freeze_count()
     try:
-        result = args.handler(args)
+        try:  # a flag or --schema that a check or the load rejects: a usage error
+            args.check(args)
+            corpus = _load(args) if "journals" in args else None
+        except ComputationError as exc:
+            raise _UsageError(str(exc)) from None
+        result = args.handler(args, corpus)
         _write(_render(result, getattr(args, "format", "json")), getattr(args, "out", None))
     except _UsageError as exc:
         print(f"biblio: error: {exc}", file=sys.stderr)

@@ -467,12 +467,14 @@ def dump_corpus(corpus: Corpus, journals_path, papers_path, edges_path=None) -> 
     """Serialize a corpus back to disk; format follows each path's suffix.
 
     Round-trips exactly: loading the emitted files yields an equal Corpus,
-    whatever its strings hold, save that a CSV file cannot carry a NUL
-    character or an empty id, journal or doc type: dumping such a record is a
-    ``LoadError`` naming the file and the record, and that file then holds
-    only the rows before it.
+    whatever its strings hold, save a journal whose id is ``_schemas`` (the
+    registry row's), refused before any file is written, and in a CSV file a
+    NUL character or an empty id, journal or doc type. Each is a ``LoadError``
+    naming the file and the record; a refused CSV file holds the rows before it.
     """
     journals_path = Path(journals_path)
+    if "_schemas" in corpus.journals:
+        raise LoadError(f"{journals_path.name}: record '_schemas' is the id of the registry row")
     registry = {name: {"single_attribution": info.single_attribution}
                 for name, info in sorted(corpus.schemas.items())}
     if journals_path.suffix.lower() == ".csv":  # the registry rides in a row of its own

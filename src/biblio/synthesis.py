@@ -21,13 +21,13 @@ from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import accumulate
 from typing import NamedTuple
 
 from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo, fold_cells
 from .errors import ComputationError
-from .normalization import CnciConfig, global_cnci_of_sums
+from .normalization import CnciConfig, _ratio_sum, global_cnci_of_sums
 from .ranking import quartile_partition
 from .rounding import _int_text, csv_text, rational_json, round_half_up
 
@@ -463,11 +463,6 @@ def surplus_analytic(
     )
 
 
-def _chunk_rows(row_of, config: GenConfig, trials: range) -> list:
-    """``row_of(config, t)`` for each trial ``t`` of one worker's chunk."""
-    return [row_of(config, t) for t in trials]
-
-
 def _run_trials(row_of, config: GenConfig, trials: int, workers: int | None) -> list:
     """``row_of(config, t)`` for every trial, in trial order; split into one
     contiguous chunk per worker process when there are enough trials. Workers
@@ -484,14 +479,12 @@ def _run_trials(row_of, config: GenConfig, trials: int, workers: int | None) -> 
             workers = 1
     workers = max(1, min(workers, os.cpu_count() or 1))
     if workers < 2 or trials < 2 * workers:
-        return _chunk_rows(row_of, config, range(trials))
+        return [row_of(config, t) for t in range(trials)]
     # Imported here: only runs with two or more workers need it, and it slows start-up.
     from concurrent.futures import ProcessPoolExecutor
-    size = -(-trials // workers)
-    chunks = [range(a, min(a + size, trials)) for a in range(0, trials, size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_chunk_rows, [row_of] * len(chunks), [config] * len(chunks), chunks)
-        return [row for part in parts for row in part]
+        return list(pool.map(partial(row_of, config), range(trials),
+                             chunksize=-(-trials // workers)))
 
 
 def _surplus_row(config: GenConfig, t: int) -> tuple[int, int, int, int]:
@@ -665,11 +658,10 @@ def monte_carlo_global_cnci(
     for name in REGIMES:
         values = [row[name] for row in rows]
         pinned = name in PINNED_REGIMES
-        den = math.lcm(*(v.denominator for v in values))  # the mean is one Fraction
+        num, den = _ratio_sum((v.numerator, v.denominator) for v in values)
         regimes[name] = RegimeStats(
             minimum=min(values),
-            mean=Fraction(sum(v.numerator * (den // v.denominator) for v in values),
-                          den * len(values)),
+            mean=Fraction(num, den * len(values)),
             maximum=max(values),
             pinned=pinned,
             violations=sum(1 for v in values if v != 1) if pinned else 0,

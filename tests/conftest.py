@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import corpora
-from biblio import dump_corpus, load_corpus
+from biblio import cli, dump_corpus, load_corpus
 
 settings.register_profile(
     "suite",
@@ -23,6 +23,14 @@ def collector_left_as_found():
     yield
     assert gc.isenabled(), "the test left the cyclic collector disabled"
     assert gc.get_freeze_count() == frozen, "the test changed the collector's frozen set"
+
+
+@pytest.fixture
+def loads(monkeypatch) -> list:
+    """The arguments of each corpus load that ``biblio.cli`` makes from here on."""
+    calls, load = [], cli.load_corpus
+    monkeypatch.setattr(cli, "load_corpus", lambda *a, **k: calls.append(a) or load(*a, **k))
+    return calls
 
 
 @pytest.fixture

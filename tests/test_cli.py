@@ -19,6 +19,15 @@ from biblio.cli import build_parser, main
 from biblio.io import json_line
 
 
+@pytest.fixture(autouse=True)
+def no_load_before_load(request):
+    """A test named ``*_before_load`` runs no argv that makes ``main`` load a corpus."""
+    before_load = request.node.originalname.endswith("_before_load")
+    loads = request.getfixturevalue("loads") if before_load else []
+    yield
+    assert loads == []
+
+
 @pytest.fixture
 def run(capsys):
     def go(*argv):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import cli_cases
+from biblio import cli
 
 TESTS = Path(__file__).parent
 # Runs every case in the child interpreter and prints each difference.
@@ -28,6 +29,39 @@ with tempfile.TemporaryDirectory() as tmp:
 
 def test_stdout_matches_golden_bytes(tmp_path):
     assert cli_cases.differences(tmp_path) == []
+
+
+def corpus_cases(tmp_path) -> list[tuple[str, tuple[str, ...]]]:
+    """The cases that read a corpus (every subcommand but simulate)."""
+    return [(name, argv) for name, argv in cli_cases.invocations(tmp_path)
+            if argv[0] != "simulate"]
+
+
+def test_main_loads_each_corpus_case_once(tmp_path, loads):
+    for name, argv in corpus_cases(tmp_path):
+        loads.clear()
+        cli_cases.run_case(argv)
+        # the parser refuses this case's --top-percent, before any load
+        assert len(loads) == (name != "hcp-top-percent-spelling"), name
+
+
+def test_handlers_on_one_shared_corpus_render_golden_bytes(tmp_path):
+    """The exit-0 cases that read the same files share one loaded corpus. Each
+    handler, run in case order and then in reverse, renders its golden bytes,
+    so nothing one handler leaves cached on the corpus shows in another's output."""
+    groups = {}
+    for name, argv in corpus_cases(tmp_path):
+        if not cli_cases.exit_code(name):
+            args = cli.build_parser().parse_args(argv)
+            files = (args.journals, args.papers, args.edges, args.strict)
+            groups.setdefault(files, []).append((name, args))
+    assert len(groups) == 6 and all(len(cases) > 1 for cases in groups.values())
+    for (journals, papers, edges, strict), cases in groups.items():
+        corpus = cli.load_corpus(journals, papers, edges, strict=strict)
+        for name, args in cases + cases[::-1]:
+            args.check(args)
+            text = cli._render(args.handler(args, corpus), getattr(args, "format", "json"))
+            assert text.encode("utf-8") == cli_cases.golden_path(name).read_bytes(), name
 
 
 def sibling_interpreters() -> list[Path]:

@@ -736,6 +736,19 @@ def test_dump_refuses_a_csv_cell_that_would_not_load_back(tmp_path):
     assert load_corpus(*paths, strict=True) == corpus
 
 
+@pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+def test_dump_refuses_a_journal_named_like_the_registry_row(tmp_path, suffix):
+    """Loading reads a journals row with id ``_schemas`` as the schema registry,
+    so such a journal cannot round-trip: the dump refuses it before any write."""
+    corpus = Corpus([SchemaInfo("s")], [Journal("_schemas", {"s": ("A",)}, {2020: 1})],
+                    [Paper("P1", "_schemas", 2020, "article")], [])
+    paths = [tmp_path / f"{kind}.{suffix}" for kind in "jpe"]
+    with pytest.raises(LoadError) as err:
+        dump_corpus(corpus, *paths)
+    assert str(err.value) == f"j.{suffix}: record '_schemas' is the id of the registry row"
+    assert list(tmp_path.iterdir()) == []
+
+
 # Any text but NUL and lone surrogates, which no UTF-8 file can hold.
 NAMES = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"), max_size=5)
 

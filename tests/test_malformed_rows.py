@@ -4,10 +4,13 @@ A fixture corpus is written with one row altered. Lenient mode drops that row
 and counts it once as ``malformed_<kind>``; strict mode exits 2 with
 ``biblio: load error: <file>:<line>: ...``. The regression cases are row
 shapes that once escaped as tracebacks; the Hypothesis test retypes, drops or
-nests one field of one row and runs ``main()`` on several subcommands.
+nests one field of one row and runs ``main()`` on several subcommands. Its CSV
+twin retypes, empties or splits one cell of one row of the same fixture
+written as CSV, where a record spans as many physical lines as its cells hold.
 """
 import contextlib
 import copy
+import csv
 import io
 import json
 
@@ -178,3 +181,101 @@ def alterations(draw):
 @given(alterations())
 def test_one_altered_row_is_rejected_once_and_located(tmp_path_factory, alteration):
     assert_row_rejected(tmp_path_factory.mktemp("fuzz"), *alteration)
+
+
+# -- fuzz, CSV ---------------------------------------------------------------------------
+
+CSV_HEADERS = {file: tuple(dict.fromkeys(key for row in rows for key in row if key != "_schemas"))
+               for file, rows in ROWS.items()}
+FLAGS = {"j.jsonl": "--journals", "p.jsonl": "--papers", "e.jsonl": "--edges"}
+# Any cell text is a name, so these fields can be emptied or split but not retyped.
+NAME_FIELDS = {"id", "journal", "doc_type", "citing", "cited"}
+
+
+def csv_record(file, line) -> list[str]:
+    """Record ``line`` of ``file`` as CSV cell texts under its header: the
+    registry in the ``categories`` cell of row ``_schemas``, and each nested
+    value as JSON text over several lines."""
+    row = ROWS[file][line - 1]
+    if "_schemas" in row:
+        row = {"id": "_schemas", "categories": row["_schemas"]}
+    return [json.dumps(row[key], indent=1) if isinstance(row.get(key), (dict, list))
+            else str(row.get(key, "")) for key in CSV_HEADERS[file]]
+
+
+def write_csv(directory, file, line, cells):
+    """The fixture as CSV files under ``directory``, with the cell list ``cells``
+    as record ``line`` of ``file``: the argv, and the physical line that record
+    ends on."""
+    argv, end = [], None
+    for name in ROWS:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_HEADERS[name])
+        for i in range(1, len(ROWS[name]) + 1):
+            if (name, i) == (file, line):
+                writer.writerow(cells)
+                end = out.getvalue().count("\n")
+            else:
+                writer.writerow(csv_record(name, i))
+        path = directory / name.replace(".jsonl", ".csv")
+        path.write_text(out.getvalue(), encoding="utf-8")
+        argv += [FLAGS[name], str(path)]
+    return argv, end
+
+
+def test_the_unaltered_csv_fixture_loads_clean_over_multi_line_records(tmp_path):
+    argv, end = write_csv(tmp_path, "p.jsonl", 4, csv_record("p.jsonl", 4))
+    assert end == 12  # after the header, P1's author list spans 8 lines, P2 to P4 one each
+    for name, extra in SUBCOMMANDS.items():
+        code, out, err = run_main(name, *argv, *extra, "--strict")
+        assert (code, err) == (0, ""), name
+
+
+@st.composite
+def csv_alterations(draw):
+    """(file, line, cells): one record of the CSV fixture with one cell split in
+    two, emptied (a required field) or, if it holds a field that is not a name,
+    given the JSON text of a type that field forbids."""
+    file = draw(st.sampled_from(list(ROWS)))
+    line = draw(st.integers(1, len(ROWS[file])))
+    header = CSV_HEADERS[file]
+    values = csv_record(file, line)
+    cells = dict(zip(header, values))
+    retypable = [key for key in header if key not in NAME_FIELDS and cells[key]]
+    move = draw(st.sampled_from(["drop", "split"] + (["retype"] if retypable else [])))
+    if move == "split":
+        i = draw(st.integers(0, len(values) - 1))
+        cut = draw(st.integers(0, len(values[i])))
+        values[i:i + 1] = [values[i][:cut], values[i][cut:]]
+    elif move == "drop":
+        key = draw(st.sampled_from([key for key in header if key in REQUIRED and cells[key]]))
+        values[header.index(key)] = ""
+    elif cells.get("id") == "_schemas":  # the registry cell, or the flag inside it
+        key = draw(st.sampled_from(["_schemas", "single_attribution"]))
+        value = draw(st.sampled_from(FORBIDDEN[key]).flatmap(VALUES.get))
+        if key == "single_attribution":
+            value = {"s": {"single_attribution": value}}
+        values[header.index("categories")] = json.dumps(value)
+    else:
+        key = draw(st.sampled_from(retypable))
+        values[header.index(key)] = json.dumps(
+            draw(st.sampled_from(FORBIDDEN[key]).flatmap(VALUES.get)))
+    return file, line, values
+
+
+@settings(max_examples=100)
+@given(csv_alterations())
+def test_one_altered_csv_cell_rejects_its_row_at_its_physical_line(tmp_path_factory, alteration):
+    file, line, cells = alteration
+    argv, end = write_csv(tmp_path_factory.mktemp("csv"), file, line, cells)
+    where = f"{file.replace('.jsonl', '.csv')}:{end}: "
+    code, out, err = run_main("validate", *argv)
+    assert code in (0, 2), err
+    load = json.loads(out)["load"]
+    malformed = {r: n for r, n in load["dropped"].items() if r.startswith("malformed_")}
+    assert malformed == {f"malformed_{KIND[file]}": 1}, load
+    assert sum(n.startswith(where) for n in load["notes"]) == 1, load
+    code, out, err = run_main("validate", *argv, "--strict")
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"biblio: load error: {where}"), err

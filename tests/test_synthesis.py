@@ -448,7 +448,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
 
 

@@ -4,10 +4,9 @@
 ``choices`` per doc type and a ``Paper`` per draw, the surplus rows with one
 quartile partition per drawn category size, the mean and standard error with
 one ``Fraction`` per value, and the CNCI rows with one full ``global_cnci`` per
-regime on a generated corpus. The package's per-trial kernels, run through the
-chunk helper that each worker process runs, must give equal bytes, rows and
-moments, or raise the same exception type with the same message, for every
-chunk of trials that the worker fan-out can hand one process.
+regime on a generated corpus. The package's per-trial kernels, run over each
+chunk of trials that the worker fan-out can hand one process, must give equal
+bytes, rows and moments, or raise the same exception type with the same message.
 """
 import random
 from collections import Counter
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from biblio import CitationModel, GenConfig, SizeDist, dump_corpus, generate_corpus
-from biblio.synthesis import _chunk_rows, _cnci_row, _mean_se, _surplus_row
+from biblio.synthesis import _cnci_row, _mean_se, _surplus_row
 
 
 @pytest.mark.parametrize("span", [1, 2, 3, 8, 9, 255, 256, 10**12])
@@ -54,7 +53,7 @@ def chunks(trials: int, workers: int) -> list[range]:
 
 def assert_chunks_match(row_of, oracle, config, trials, workers):
     for chunk in chunks(trials, workers):
-        assert oracles.outcome(lambda: _chunk_rows(row_of, config, chunk)) == oracles.outcome(
+        assert oracles.outcome(lambda: [row_of(config, t) for t in chunk]) == oracles.outcome(
             lambda: oracle(config, chunk.start, chunk.stop))
 
 
