@@ -244,6 +244,16 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("rank-quoted-csv",
          ("rank", "--journals", quoted_j, "--papers", quoted_p, "--schema", "f",
           "--category", ENGINEERING, "--year", "2020", "--format", "csv")),
+        # Two fields, tie-heavy counts and uncited papers: many papers share a value.
+        ("cnci-per-paper",
+         ("cnci", "--journals", slices_j, "--papers", slices_p, "--schema", "f",
+          "--per-paper")),
+        ("cnci-per-paper-fractional",
+         ("cnci", "--journals", slices_j, "--papers", slices_p, "--schema", "f",
+          "--per-paper", "--counting", "fractional")),
+        # Every cell is uncited: an uncited paper's CNCI is 0.
+        ("cnci-per-paper-uncited",
+         ("cnci", "--journals", avg_j, "--papers", avg_p, "--schema", "s", "--per-paper")),
     ]
     return [(name, tuple(str(a) for a in argv)) for name, argv in named]
 
