@@ -11,9 +11,10 @@ Papers are sliced into (field, year, doc_type) cells per schema; a paper whose
 journal holds k categories under a schema appears in k cells.
 
 The derived indexes (citation counts, cells, ranked cells, per-cell integer
-citation and paper masses, citing edges, entity output and its fractional
-weight) are built on first use and cached, so a corpus must not be mutated once
-it has been queried.
+citation and paper masses, whole-corpus baseline tables with each table's
+per-paper CNCI values, citing edges, entity output and its fractional weight)
+are built on first use and cached, so a corpus must not be mutated once it has
+been queried.
 """
 from __future__ import annotations
 
@@ -184,6 +185,9 @@ class Corpus:
         self._cell_cache: dict[str, dict[CellKey, tuple[Paper, ...]]] = {}
         self._ranked_cache: dict[str, dict[CellKey, RankedCell]] = {}
         self._sums_cache: dict[str, tuple[int, dict[CellKey, list[int]]]] = {}
+        # (schema, counting, split_citations) -> (whole-corpus baseline table,
+        # {(journal, year, doc type, citations): paper CNCI}); kept by normalization
+        self._baseline_tables: dict[tuple, tuple] = {}
         self._entity_weights: dict[str, Fraction] = {}
 
     def __eq__(self, other):

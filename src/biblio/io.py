@@ -6,7 +6,8 @@ accepted, with nested values (category maps, metric maps, author lists) JSON
 encoded inside the cell. The journals file starts with a registry record
 ``{"_schemas": {...}}`` naming each schema and whether it is
 single-attribution; in CSV the registry travels in the ``categories`` column
-of a row whose id is ``_schemas``.
+of a row whose id is ``_schemas`` and whose metric is empty or ``{}``. A
+registry row with any other field is malformed.
 
 Every row goes through one parse function per kind. A row that is not an
 object, has more cells than its CSV header, lacks a required field or holds a
@@ -45,6 +46,8 @@ from .rounding import _int_text, _rational, csv_text
 
 _NOTE_CAP = 20
 _DECODE = json.JSONDecoder().raw_decode
+# one encoder for every record: json.dumps with options builds one per call
+_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
 
 
 @dataclass
@@ -276,7 +279,16 @@ def load_corpus(
 
     def parse_journal(record: dict, where: str) -> None:
         if "_schemas" in record or record.get("id") == "_schemas":
-            registry = _nested(record, "_schemas" if "_schemas" in record else "categories", {})
+            # the registry's own fields: "_schemas", or in the CSV spelling the
+            # id, the categories cell and an empty metric, as dump_corpus writes
+            spelled = "_schemas" not in record
+            other = {key: value for key, value in record.items()
+                     if key not in (("id", "categories", "metric") if spelled else ("_schemas",))}
+            if spelled and record.get("metric", {}) not in ({}, "{}"):
+                other["metric"] = record["metric"]
+            if other:
+                raise ValueError(f"schema registry row has other fields: {other!r}")
+            registry = _nested(record, "categories" if spelled else "_schemas", {})
             if not isinstance(registry, dict) or not all(
                 isinstance(info, dict) for info in registry.values()
             ):
@@ -328,12 +340,13 @@ def load_corpus(
             return reject(where, "unresolved_journal",
                           f"paper {pid!r} cites unknown journal {jid!r}")
         online = _parse_date(record["online_date"]) if "online_date" in record else None
+        pub, precision = None, DAY
         if "pub_date" in record:
-            pub, precision = _parse_date(record["pub_date"]), DAY
-        elif "pub_month" in record:
-            pub, precision = _parse_month(record["pub_month"], year), MONTH
-        else:
-            pub, precision = None, DAY
+            pub = _parse_date(record["pub_date"])
+        if "pub_month" in record:  # checked even where pub_date wins
+            month = _parse_month(record["pub_month"], year)
+            if pub is None:
+                pub, precision = month, MONTH
         authors = _authors(_nested(record, "authors", []))
         pages = _integer(record, "pages")
         cited = _integer(record, "citations")
@@ -386,7 +399,7 @@ def load_corpus(
 
 def json_line(obj) -> str:
     """Canonical JSON text: sorted keys, compact separators, unescaped UTF-8."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODE(obj)
 
 
 def _metric_out(f: Fraction):

@@ -23,7 +23,10 @@ per-paper definitions, which the test oracle keeps. The whole corpus's masses
 are folded once per schema and kept by the corpus (:meth:`Corpus.cell_sums`);
 a reference pool's masses are folded on every call. Global CNCI costs one
 Fraction per regime, and no baseline table is built for it. One paper's CNCI
-is one Fraction as well.
+is one Fraction as well. The whole corpus's baseline table is built once per
+regime and kept by the corpus too, and over that table one paper's CNCI is
+computed once per (journal, year, doc type, citation count): those fix the
+paper's cells and its c, so every paper that shares them shares the value.
 """
 from __future__ import annotations
 
@@ -127,14 +130,24 @@ def compute_baselines(
     ``papers`` restricts the pool the baselines are computed from; relative
     indicators use it to normalize against a reference set instead of the
     whole corpus. Cells with no paper in the pool are absent, not zero.
+
+    The whole corpus's table is built once per (schema, counting, splitting)
+    and kept by the corpus, so every call returns that one table and it must
+    not be mutated; a pool's table is built on every call.
     """
     baseline_config(counting, split_citations)  # validates
+    regime = (schema, counting, split_citations)
+    if papers is None and regime in corpus._baseline_tables:
+        return corpus._baseline_tables[regime][0]
     unit, masses = corpus.cell_sums(schema, papers)
     cite, weight = _RATE[counting, split_citations]
-    return BaselineTable(schema, counting, split_citations, {
+    table = BaselineTable(schema, counting, split_citations, {
         key: BaselineCell(Fraction(m[cite], m[weight]), Fraction(m[weight], unit), m[2] // unit)
         for key, m in sorted(masses.items())
     })
+    if papers is None:
+        corpus._baseline_tables[regime] = (table, {})  # the table and its paper CNCI memo
+    return table
 
 
 # (counting, split_citations) -> where a cell's citation mass and paper weight
@@ -158,7 +171,25 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
 
     An uncited paper in an uncited cell contributes 0 for that cell (it sits at
     the degenerate cell average); a cited paper over a zero baseline is an error.
+
+    Over the corpus's own table (the very object ``compute_baselines`` keeps)
+    the value is computed once per (journal, year, doc type, citation count)
+    and kept with the table; an error is raised afresh every time. Any other
+    table is read afresh on every call.
     """
+    kept = corpus._baseline_tables.get(baselines[:3])  # (schema, counting, split_citations)
+    c = corpus.citation_counts.get(paper.id)
+    if kept is None or kept[0] is not baselines or c is None:
+        return _cnci_per_field(corpus, paper, baselines)
+    memo, key = kept[1], (paper.journal_id, paper.year, paper.doc_type, c)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _cnci_per_field(corpus, paper, baselines)
+    return value
+
+
+def _cnci_per_field(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fraction:
+    """:func:`cnci_paper` read from the table, one cell per field of the paper."""
     fields = corpus.categories_of(paper.journal_id, baselines.schema)
     if not fields:
         raise ComputationError(

@@ -6,16 +6,20 @@ one paper's CNCI as one Fraction; these tests build random small corpora
 subsets with repeats, reference pools that leave subunit papers out) and
 require the package to give exactly the oracle's value, or the oracle's
 exception type and message. The whole corpus's cell sums are folded once per
-schema and kept; reference pools are folded on every call.
+schema and kept; reference pools are folded on every call. The whole corpus's
+baseline tables are kept too, and over them a paper's CNCI is computed once
+per (journal, year, doc type, citation count).
 """
+from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from biblio import (
     CnciConfig,
+    ComputationError,
     Corpus,
     Journal,
     Paper,
@@ -27,6 +31,7 @@ from biblio import (
     relative_cnci,
 )
 from biblio import corpus as corpus_module
+from biblio import normalization
 
 S = "subjects"
 COUNTINGS = (("whole", False), ("fractional", False), ("whole", True))
@@ -104,6 +109,90 @@ def test_paper_cnci_matches_the_per_field_definition(world):
         for paper in corpus.papers.values():
             assert_same(lambda: cnci_paper(corpus, paper, table),
                         lambda: oracles.cnci_paper(corpus, paper, table))
+
+
+def uncited_group_world():
+    """Two uncited papers of one group, so their cells have a zero baseline, and
+    a cited group beside them."""
+    journals = [Journal("JA", {S: ("A",)}, {}), Journal("JAB", {S: ("A", "B")}, {}),
+                Journal("J0", {}, {})]
+    papers = [Paper("u1", "JA", 2020, "review"), Paper("u2", "JA", 2020, "review"),
+              Paper("c1", "JAB", 2020, "article"), Paper("c2", "JAB", 2020, "article"),
+              Paper("c3", "JA", 2020, "article"), Paper("n1", "J0", 2020, "article")]
+    counts = {"u1": 0, "u2": 0, "c1": 2, "c2": 2, "c3": 7, "n1": 1}
+    return Corpus([SchemaInfo(S)], journals, papers, citation_counts=counts), [], []
+
+
+@settings(max_examples=300)
+@example(uncited_group_world())
+@given(worlds())
+def test_paper_cnci_over_the_corpus_tables_matches_the_per_field_definition(world):
+    # the corpus's own tables: every paper forward, then reversed, then cited
+    # papers moved into the group of an uncited paper whose value is kept
+    corpus = world[0]
+    tables = [compute_baselines(corpus, S, counting, split_citations=split)
+              for counting, split in COUNTINGS]
+    papers = list(corpus.papers.values())
+    counts = corpus.citation_counts
+    moved = [replace(cited, journal_id=uncited.journal_id, year=uncited.year,
+                     doc_type=uncited.doc_type)
+             for uncited in papers if not counts[uncited.id]
+             for cited in papers if counts[cited.id]]
+    for paper in papers + papers[::-1] + moved:
+        for table in tables:
+            assert_same(lambda: cnci_paper(corpus, paper, table),
+                        lambda: oracles.cnci_paper(corpus, paper, table))
+
+
+def test_the_per_field_body_runs_once_per_key_on_the_corpus_table_only(monkeypatch):
+    corpus = uncited_group_world()[0]
+    papers = list(corpus.papers.values())[:5]  # n1 has no category
+    calls = []
+    body = normalization._cnci_per_field
+    monkeypatch.setattr(normalization, "_cnci_per_field",
+                        lambda *args: calls.append(args[1].id) or body(*args))
+
+    def calls_per_pass(table):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            for paper in papers:
+                assert cnci_paper(corpus, paper, table) == oracles.cnci_paper(corpus, paper, table)
+            counts.append(len(calls))
+        return counts
+
+    for counting, split in COUNTINGS:
+        table = compute_baselines(corpus, S, counting, split_citations=split)
+        # u1 and u2 share a key, as do c1 and c2; the second pass reads only kept values
+        assert calls_per_pass(table) == [3, 0]
+        pool = compute_baselines(corpus, S, counting, split_citations=split, papers=papers)
+        assert pool.cells == table.cells
+        assert calls_per_pass(pool) == [5, 5]
+        assert calls_per_pass(table._replace(cells=dict(table.cells))) == [5, 5]
+        assert calls_per_pass(oracles.compute_baselines(
+            corpus, S, counting, split_citations=split)) == [5, 5]
+
+
+def test_the_corpus_keeps_one_table_per_regime_and_none_per_pool():
+    corpus = uncited_group_world()[0]
+    pool = list(corpus.papers.values())
+    tables = set()
+    for counting, split in COUNTINGS:
+        table = compute_baselines(corpus, S, counting, split_citations=split)
+        assert compute_baselines(corpus, S, counting, split_citations=split) is table
+        first = compute_baselines(corpus, S, counting, split_citations=split, papers=pool)
+        again = compute_baselines(corpus, S, counting, split_citations=split, papers=pool)
+        assert first == again == table and first is not again and first is not table
+        tables.add(id(table))
+    assert len(tables) == len(COUNTINGS)
+    # the checks still run first on every call
+    for _ in range(2):
+        assert oracles.outcome(lambda: compute_baselines(corpus, S, "fractional",
+                                                         split_citations=True)) == (
+            ComputationError,
+            "split_citations presumes whole paper counting; fractional counting already splits")
+        assert oracles.outcome(lambda: compute_baselines(corpus, "other")) == (
+            ComputationError, f"schema 'other' is not declared in the corpus (declared: {S!r})")
 
 
 @settings(max_examples=300)

@@ -254,10 +254,11 @@ def test_malformed_rows_are_located(tmp_path):
         paper_line("P12", "J1", authors={"key": "au-12"}),
         paper_line("P13", "J1", pub_date="2021-02-30"),
         paper_line("P14", "J1", authors=[{"key": "au-14", "entities": ["org", 7]}]),
+        paper_line("P15", "J1", pub_date="2020-03-01", pub_month="null"),
     )
     corpus = load_corpus(journals, papers)
     assert corpus.load_report.dropped == {
-        "malformed_journal": 1, "malformed_paper": 13, "unresolved_journal": 1}
+        "malformed_journal": 1, "malformed_paper": 14, "unresolved_journal": 1}
     assert set(corpus.journals) == {"J1"}
     assert set(corpus.papers) == set()
     with pytest.raises(LoadError):
@@ -273,6 +274,61 @@ def test_malformed_rows_are_located(tmp_path):
                     write(tmp_path / "dates.jsonl", paper_line("P13", "J1", pub_date="2021-02-30")),
                     strict=True)
     assert str(err.value) == "dates.jsonl:1: malformed date '2021-02-30'"
+    with pytest.raises(LoadError) as err:
+        load_corpus(write(tmp_path / "j1.jsonl", REGISTRY, journal_line("J1", {})),
+                    write(tmp_path / "months.jsonl",
+                          paper_line("P15", "J1", pub_date="2020-03-01", pub_month="null")),
+                    strict=True)
+    assert str(err.value) == "months.jsonl:1: malformed month 'null'"
+
+
+def test_a_pub_month_beside_a_pub_date_is_checked_in_csv(tmp_path):
+    journals = write(tmp_path / "j.csv", "id,categories,metric",
+                     '_schemas,"{""f"": {}}",', 'J1,"{""f"": [""A""]}",')
+    papers = write(tmp_path / "p.csv", "id,journal,year,doc_type,pub_date,pub_month",
+                   "P1,J1,2020,article,2020-03-01,2020-04",
+                   "P2,J1,2020,article,2020-03-01,null")
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_paper": 1}
+    p1 = corpus.papers["P1"]  # the issue date wins over a well-formed month
+    assert (p1.pub_date, p1.pub_date_precision) == (date(2020, 3, 1), DAY)
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == "p.csv:3: malformed month 'null'"
+
+
+@pytest.mark.parametrize("row, other", [
+    ({"_schemas": {"f": {}}, "metric": "junk"}, {"metric": "junk"}),
+    ({"_schemas": {"f": {}}, "id": "_schemas"}, {"id": "_schemas"}),
+    ({"id": "_schemas", "categories": {"f": {}}, "metric": {"2020": 1}},
+     {"metric": {"2020": 1}}),
+    ({"id": "_schemas", "categories": {"f": {}}, "name": "x"}, {"name": "x"}),
+])
+def test_a_registry_row_with_other_fields_is_rejected(tmp_path, row, other):
+    journals = write(tmp_path / "j.jsonl", json.dumps(row), journal_line("J1", {"f": ["A"]}))
+    papers = write(tmp_path / "p.jsonl", paper_line("P1", "J1"))
+    assert load_corpus(journals, papers).load_report.dropped == {
+        "malformed_journal": 1, "unknown_schema": 1}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == f"j.jsonl:1: schema registry row has other fields: {other!r}"
+
+
+@pytest.mark.parametrize("metric, other", [
+    ("", None), ("{}", None), ("junk", "junk"), ('"{""2020"": 1}"', '{"2020": 1}')])
+def test_a_csv_registry_row_takes_only_an_empty_metric(tmp_path, metric, other):
+    journals = write(tmp_path / "j.csv", "id,categories,metric",
+                     f'_schemas,"{{""f"": {{}}}}",{metric}', 'J1,"{""f"": [""A""]}",')
+    papers = write(tmp_path / "p.csv", "id,journal,year,doc_type", "P1,J1,2020,article")
+    if other is None:
+        assert load_corpus(journals, papers, strict=True).schemas == {"f": SchemaInfo("f")}
+        return
+    assert load_corpus(journals, papers).load_report.dropped == {
+        "malformed_journal": 1, "unknown_schema": 1}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == (
+        f"j.csv:2: schema registry row has other fields: {{'metric': {other!r}}}")
 
 
 def test_a_category_listed_twice_is_rejected(tmp_path):
