@@ -110,6 +110,7 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
     simpson_j, simpson_p, _ = files("simpson", corpora.make_simpson())
     slices_j, slices_p, _ = files("slices", corpora.make_slices())
     avg_j, avg_p, _ = files("avgpct", corpora.make_avgpct())
+    mix_j, mix_p, _ = files("quartile_mix", corpora.make_quartile_mix())
 
     def rows(name, contents):
         base = tmp_path / name
@@ -237,6 +238,19 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("quartiles-ties",
          ("quartiles", "--journals", avg_j, "--papers", avg_p,
           "--schema", "s", "--year", "2021")),
+        # A two-category journal, an excluded journal, a skipped category, and a
+        # one-journal category counted without a size gate and skipped under one.
+        ("quartiles-best",
+         ("quartiles", "--journals", mix_j, "--papers", mix_p,
+          "--schema", SCHEMA, "--year", "2021", "--mode", "database-best")),
+        ("quartiles-papers-best",
+         ("quartiles", "--journals", mix_j, "--papers", mix_p,
+          "--schema", SCHEMA, "--year", "2021", "--level", "papers",
+          "--mode", "database-best", "--min-category-size", "2")),
+        ("quartiles-papers-csv",
+         ("quartiles", "--journals", mix_j, "--papers", mix_p,
+          "--schema", SCHEMA, "--year", "2021", "--level", "papers",
+          "--min-category-size", "2", "--format", "csv")),
         # A field name with a comma and a journal id with a quote are quoted.
         ("hcp-report-quoted-csv",
          ("hcp-report", "--journals", quoted_j, "--papers", quoted_p, "--schema", "f",

@@ -222,6 +222,38 @@ def make_avgpct() -> Corpus:
     return Corpus([SchemaInfo("s")], journals, papers, citation_counts={"p0": 0})
 
 
+def make_quartile_mix() -> Corpus:
+    """Four categories of 2021 journals, for the quartile distribution's options.
+
+    Journal jm sits in A (tied at rank 2 of 5, Q2) and B (rank 1 of 5, Q1), so
+    database-best counts it once, at Q1; a tie block in each of A and B spans
+    a quartile cut. a5 has no 2021 metric and is excluded. No journal of C has
+    one, so C is skipped; D ranks one journal, under a size gate of 2.
+    Papers per journal vary, and 2020 papers never count.
+    """
+    journals = [
+        Journal("jm", {SCHEMA: ("A", "B")}, {2021: Fraction(6)}),
+        Journal("a1", {SCHEMA: ("A",)}, {2021: Fraction(9)}),
+        Journal("a2", {SCHEMA: ("A",)}, {2021: Fraction(6)}),
+        Journal("a3", {SCHEMA: ("A",)}, {2021: Fraction(6)}),
+        Journal("a4", {SCHEMA: ("A",)}, {2021: Fraction(2)}),
+        Journal("a5", {SCHEMA: ("A",)}, {2020: Fraction(7)}),
+        Journal("b1", {SCHEMA: ("B",)}, {2021: Fraction(4)}),
+        Journal("b2", {SCHEMA: ("B",)}, {2021: Fraction(4)}),
+        Journal("b3", {SCHEMA: ("B",)}, {2021: Fraction(1)}),
+        Journal("b4", {SCHEMA: ("B",)}, {2021: Fraction(1, 2)}),
+        Journal("c1", {SCHEMA: ("C",)}, {}),
+        Journal("d1", {SCHEMA: ("D",)}, {2021: Fraction(3)}),
+    ]
+    volumes = {"jm": 3, "a1": 5, "a2": 1, "a3": 2, "a4": 4, "a5": 2,
+               "b1": 1, "b2": 3, "b4": 2, "c1": 1, "d1": 6}
+    papers = [Paper(f"{jid}-{i}", jid, 2021, "article")
+              for jid, k in volumes.items() for i in range(k)]
+    papers += [Paper(f"{jid}-old", jid, 2020, "article") for jid in ("jm", "b3")]
+    return Corpus([SchemaInfo(SCHEMA)], journals, papers,
+                  citation_counts=dict.fromkeys((p.id for p in papers), 0))
+
+
 def make_quota_mini() -> Corpus:
     """Ten-paper cell for exercising quota selection through the CLI.
 

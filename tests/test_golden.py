@@ -55,7 +55,7 @@ def test_handlers_on_one_shared_corpus_render_golden_bytes(tmp_path):
             args = cli.build_parser().parse_args(argv)
             files = (args.journals, args.papers, args.edges, args.strict)
             groups.setdefault(files, []).append((name, args))
-    assert len(groups) == 6 and all(len(cases) > 1 for cases in groups.values())
+    assert len(groups) == 7 and all(len(cases) > 1 for cases in groups.values())
     for (journals, papers, edges, strict), cases in groups.items():
         corpus = cli.load_corpus(journals, papers, edges, strict=strict)
         for name, args in cases + cases[::-1]:
