@@ -13,12 +13,12 @@ and tiny categories can only be excluded via the explicit minimum-size gate.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from enum import IntEnum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .corpus import Corpus
+from .corpus import Corpus, Journal
 from .errors import ComputationError, EmptyInputError
 from .rounding import csv_text, decimal_str, rational_json, rational_str
 
@@ -123,6 +123,11 @@ def rank_category(corpus: Corpus, schema: str, category: str, year: int) -> Rank
     members = [j for j in corpus.journals.values() if category in j.categories.get(schema, ())]
     if not members:
         raise EmptyInputError(f"category {category!r} has no journals under {schema!r}")
+    return _rank(schema, category, year, members)
+
+
+def _rank(schema: str, category: str, year: int, members: list[Journal]) -> RankedCategory:
+    """:func:`rank_category` over the category's member journals, each listed once."""
     ranked = [(j.metric_by_year[year], j.id) for j in members if year in j.metric_by_year]
     excluded = tuple(sorted(j.id for j in members if year not in j.metric_by_year))
     if not ranked:
@@ -247,6 +252,8 @@ def quartile_distribution(
 ) -> DistributionReport:
     """Distribution of journals or their papers over quartiles for one year.
 
+    The schema's journals are grouped by category in one pass, and each
+    category is ranked once, as :func:`rank_category` ranks it.
     Papers are the ones published in ``year`` in journals ranked that year.
     ``min_category_size`` (default 0 = off) skips categories with fewer ranked
     journals; skipped categories are listed, never silently folded in.
@@ -256,13 +263,21 @@ def quartile_distribution(
     if mode not in ("per_category", "database_best"):
         raise ComputationError(f"unknown mode {mode!r}")
 
-    rankings: dict[str, RankedCategory] = {}
+    members: dict[str, list[Journal]] = defaultdict(list)
+    for j in corpus.journals.values():
+        for cat in set(j.categories.get(schema, ())):
+            members[cat].append(j)
+    papers = (Counter(p.journal_id for p in corpus.papers.values() if p.year == year)
+              if level == "papers" else None)
+
+    counts = dict.fromkeys(Quartile, 0)
+    best: dict[str, Quartile] = {}
     skipped: list[str] = []
     excluded: set[str] = set()
-    held = {cat for j in corpus.journals.values() for cat in j.categories.get(schema, ())}
-    for cat in sorted(held):
+    ties: list[BoundaryTie] = []
+    for cat in sorted(members):
         try:
-            ranking = rank_category(corpus, schema, cat, year)
+            ranking = _rank(schema, cat, year, members[cat])
         except ComputationError:
             skipped.append(cat)
             continue
@@ -270,32 +285,16 @@ def quartile_distribution(
         if ranking.n < min_category_size:
             skipped.append(cat)
             continue
-        rankings[cat] = ranking
-
-    if not rankings:
-        raise ComputationError(f"no rankable category under {schema!r} for {year}")
-
-    papers_by_journal: dict[str, int] = {}
-    if level == "papers":
-        for p in corpus.papers.values():
-            if p.year == year:
-                papers_by_journal[p.journal_id] = papers_by_journal.get(p.journal_id, 0) + 1
-
-    def weight(journal_id: str) -> int:
-        return papers_by_journal.get(journal_id, 0) if level == "papers" else 1
-
-    counts = {q: 0 for q in Quartile}
-    ties: list[BoundaryTie] = []
-    best: dict[str, Quartile] = {}
-    for cat, ranking in sorted(rankings.items()):
         for e in ranking.entries:
             if mode == "per_category":
-                counts[e.quartile] += weight(e.journal_id)
+                counts[e.quartile] += 1 if papers is None else papers[e.journal_id]
             elif e.journal_id not in best or e.quartile < best[e.journal_id]:
                 best[e.journal_id] = e.quartile
         ties.extend(boundary_ties(ranking))
+    if len(skipped) == len(members):
+        raise ComputationError(f"no rankable category under {schema!r} for {year}")
     for jid, label in best.items():
-        counts[label] += weight(jid)
+        counts[label] += 1 if papers is None else papers[jid]
 
     return DistributionReport(
         schema=schema,
@@ -304,6 +303,6 @@ def quartile_distribution(
         mode=mode,
         counts=counts,
         excluded_journals=tuple(sorted(excluded)),
-        skipped_categories=tuple(sorted(skipped)),
+        skipped_categories=tuple(skipped),
         ties_at_cuts=tuple(ties),
     )

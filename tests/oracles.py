@@ -15,10 +15,11 @@ corpus generator in its first form (a ``randint`` per drawn size, a
 on the generated ``Corpus``. Highly-cited selection is done paper
 by paper: each cell is sorted for its threshold and again for its decisions,
 every paper's count is looked up by id, and quota mode filters the whole
-cell for its above and borderline blocks. Two former package definitions
+cell for its above and borderline blocks. Three former package definitions
 stay here as well: the provisional HCP set as the ids of an inclusive
-``hcp_run``, and the quota as ``round_half_up`` of the ``Fraction``
-``share * n / 100``.
+``hcp_run``, the quota as ``round_half_up`` of the ``Fraction``
+``share * n / 100``, and the quartile distribution as one ``rank_category``
+per category, each scanning every journal, tallied afterwards.
 Tests freeze their outputs or compare them against the package directly.
 """
 from __future__ import annotations
@@ -44,7 +45,9 @@ from biblio.excellence import (
     tiebreak_trajectory,
 )
 from biblio.normalization import FRACTIONAL, WHOLE, BaselineCell, BaselineTable
-from biblio.ranking import quartile_partition
+from biblio.ranking import (
+    DistributionReport, Quartile, boundary_ties, quartile_partition, rank_category,
+)
 from biblio.rounding import round_half_up
 from biblio.synthesis import REGIMES
 
@@ -92,6 +95,53 @@ def midpoint_percentile(metrics, index) -> Fraction:
     me = metrics[index]
     worse = sum(1 for other in metrics if other < me)
     return Fraction(100) * (Fraction(worse) + Fraction(1, 2)) / len(metrics)
+
+
+def quartile_distribution(corpus, schema, year, level="journals", mode="per_category",
+                          min_category_size=0) -> DistributionReport:
+    """The quartile report composed from ``rank_category``: every category any
+    journal holds is ranked on its own, and the rankings kept are then tallied."""
+    if level not in ("journals", "papers"):
+        raise ComputationError(f"unknown level {level!r}")
+    if mode not in ("per_category", "database_best"):
+        raise ComputationError(f"unknown mode {mode!r}")
+    rankings, skipped, excluded = {}, [], set()
+    held = {cat for j in corpus.journals.values() for cat in j.categories.get(schema, ())}
+    for cat in sorted(held):
+        try:
+            ranking = rank_category(corpus, schema, cat, year)
+        except ComputationError:
+            skipped.append(cat)
+            continue
+        excluded.update(ranking.excluded)
+        if ranking.n < min_category_size:
+            skipped.append(cat)
+            continue
+        rankings[cat] = ranking
+    if not rankings:
+        raise ComputationError(f"no rankable category under {schema!r} for {year}")
+
+    papers_by_journal = {}
+    for p in corpus.papers.values():
+        if p.year == year:
+            papers_by_journal[p.journal_id] = papers_by_journal.get(p.journal_id, 0) + 1
+
+    def weight(journal_id):
+        return papers_by_journal.get(journal_id, 0) if level == "papers" else 1
+
+    counts = {q: 0 for q in Quartile}
+    ties, best = [], {}
+    for cat, ranking in sorted(rankings.items()):
+        for e in ranking.entries:
+            if mode == "per_category":
+                counts[e.quartile] += weight(e.journal_id)
+            elif e.journal_id not in best or e.quartile < best[e.journal_id]:
+                best[e.journal_id] = e.quartile
+        ties.extend(boundary_ties(ranking))
+    for jid, label in best.items():
+        counts[label] += weight(jid)
+    return DistributionReport(schema, year, level, mode, counts, tuple(sorted(excluded)),
+                              tuple(sorted(skipped)), tuple(ties))
 
 
 def decimal_half_up(value: Fraction) -> int:

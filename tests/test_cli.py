@@ -380,21 +380,26 @@ def test_percentile_average(run, corpus_files, avgpct):
 def test_percentile_ranks_each_category_once(run, corpus_files, avgpct, monkeypatch):
     from biblio import ranking
 
-    ranked = []
-    rank_category = ranking.rank_category
+    ranked, bodies = [], []
+    rank_category, rank = ranking.rank_category, ranking._rank
 
     def counting(corpus, schema, category, year):
         ranked.append(category)
         return rank_category(corpus, schema, category, year)
 
+    def counting_body(schema, category, year, members):
+        bodies.append(category)
+        return rank(schema, category, year, members)
+
     monkeypatch.setattr(ranking, "rank_category", counting)
+    monkeypatch.setattr(ranking, "_rank", counting_body)
     journals, papers, _ = corpus_files(avgpct)
     code, _, _ = run(
         "percentile", "--journals", journals, "--papers", papers,
         "--schema", "s", "--journal", "jstar", "--year", "2021",
     )
     assert code == 0
-    assert ranked == ["A", "B", "C"]
+    assert ranked == bodies == ["A", "B", "C"]
 
 
 def test_percentile_of_an_uncategorized_journal_exits_three(run, corpus_files,

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import corpora
 import oracles
 from biblio import (
     ComputationError,
@@ -20,6 +21,7 @@ from biblio import (
     quartile_of_rank,
     quartile_partition,
     rank_category,
+    ranking,
 )
 
 S = "subjects"
@@ -318,3 +320,49 @@ def test_distribution_report_renderings():
     assert d["total"] == 34
     assert d["quartiles"]["Q4"]["count"] == 10
     assert d["quartiles"]["Q4"]["share"]["rational"] == "5/17"
+
+
+# Per journal: its categories (repeats allowed), a tie-heavy metric or none for
+# the year, and its papers, alternately of the year and of the year before.
+journal_sets = st.lists(
+    st.tuples(st.lists(st.sampled_from("ABCD"), max_size=3),
+              st.none() | st.integers(min_value=0, max_value=4),
+              st.integers(min_value=0, max_value=3)),
+    min_size=1, max_size=12,
+)
+
+
+@given(journal_sets, st.sampled_from(["journals", "papers"]),
+       st.sampled_from(["per_category", "database_best"]),
+       st.integers(min_value=0, max_value=13))
+@example([(["A", "A", "B"], 1, 2), (["A"], 1, 1), (["B"], 2, 1)], "papers", "per_category", 0)
+@example([(["A"], None, 1), (["B"], 3, 1)], "journals", "database_best", 2)
+def test_distribution_matches_per_category_oracle(specs, level, mode, min_size):
+    journals, papers = [], []
+    for i, (cats, metric, volume) in enumerate(specs):
+        jid = f"j{i:02d}"
+        metrics = {} if metric is None else {2021: Fraction(metric)}
+        journals.append(Journal(jid, {S: tuple(cats)}, metrics))
+        papers += [Paper(f"{jid}-{k}", jid, 2021 - k % 2, "article") for k in range(volume)]
+    corpus = Corpus([SchemaInfo(S)], journals, papers, citation_counts={})
+    args = (corpus, S, 2021, level, mode, min_size)
+    assert oracles.outcome(lambda: quartile_distribution(*args)) == oracles.outcome(
+        lambda: oracles.quartile_distribution(*args))
+
+
+def test_distribution_ranks_each_category_once(monkeypatch):
+    ranked, rank = [], ranking._rank
+
+    def counting(schema, category, year, members):
+        ranked.append(category)
+        return rank(schema, category, year, members)
+
+    def refused(*args):
+        raise AssertionError("quartile_distribution called rank_category")
+
+    monkeypatch.setattr(ranking, "_rank", counting)
+    monkeypatch.setattr(ranking, "rank_category", refused)
+    corpus = corpora.make_quartile_mix()
+    corpus.journals["jm"] = corpus.journals["jm"]._replace(categories={S: ("A", "B", "A")})
+    quartile_distribution(corpus, S, 2021, level="papers", mode="database_best")
+    assert ranked == ["A", "B", "C", "D"]
