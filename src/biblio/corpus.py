@@ -282,17 +282,21 @@ class Corpus:
         masses :func:`fold_cells` gives; do not mutate them.
 
         The whole corpus is folded once per schema and cached; a paper pool is
-        folded on every call. An undeclared ``schema`` is a :class:`ComputationError`.
+        folded on every call. An undeclared ``schema``, or a pool paper the corpus
+        does not hold, is a :class:`ComputationError`.
         """
         if papers is None and schema in self._sums_cache:
             return self._sums_cache[schema]
         self.require_schema(schema)
         counts = self.citation_counts
         groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
-        for p in self.papers.values() if papers is None else papers:
-            group = groups[p.journal_id, p.year, p.doc_type]
-            group[0] += 1
-            group[1] += counts[p.id]
+        try:
+            for p in self.papers.values() if papers is None else papers:
+                group = groups[p.journal_id, p.year, p.doc_type]
+                group[0] += 1
+                group[1] += counts[p.id]
+        except KeyError as missing:  # only a pool can hold a paper the corpus does not
+            raise ComputationError(f"paper {missing.args[0]!r} is not in the corpus") from None
         sums = fold_cells(groups, lambda journal: self.categories_of(journal, schema))
         if papers is None:
             self._sums_cache[schema] = sums

@@ -190,12 +190,14 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
 
 def _cnci_per_field(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fraction:
     """:func:`cnci_paper` read from the table, one cell per field of the paper."""
+    c = corpus.citation_counts.get(paper.id)
+    if c is None:
+        raise ComputationError(f"paper {paper.id!r} is not in the corpus")
     fields = corpus.categories_of(paper.journal_id, baselines.schema)
     if not fields:
         raise ComputationError(
             f"paper {paper.id!r} has no categories under {baselines.schema!r}"
         )
-    c = corpus.citation_counts[paper.id]
     inverse_rates = []  # 1/e of each non-zero cell, as (numerator, denominator)
     for f in fields:
         e = baselines.expected(CellKey(f, paper.year, paper.doc_type))

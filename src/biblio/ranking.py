@@ -120,6 +120,7 @@ class RankedCategory(NamedTuple):
 
 def rank_category(corpus: Corpus, schema: str, category: str, year: int) -> RankedCategory:
     """Competition-rank a category's journals by their metric for ``year``."""
+    corpus.require_schema(schema)
     members = [j for j in corpus.journals.values() if category in j.categories.get(schema, ())]
     if not members:
         raise EmptyInputError(f"category {category!r} has no journals under {schema!r}")
@@ -262,6 +263,7 @@ def quartile_distribution(
         raise ComputationError(f"unknown level {level!r}")
     if mode not in ("per_category", "database_best"):
         raise ComputationError(f"unknown mode {mode!r}")
+    corpus.require_schema(schema)
 
     members: dict[str, list[Journal]] = defaultdict(list)
     for j in corpus.journals.values():

@@ -21,6 +21,8 @@ from biblio import (
     global_cnci,
     hcp_run,
     provisional_hcp_ids,
+    quartile_distribution,
+    rank_category,
     validate,
 )
 from biblio import corpus as corpus_module
@@ -85,7 +87,10 @@ def test_cells_skip_uncategorized_journals(two_papers_edges):
     lambda c: compute_baselines(c, "zz"),
     lambda c: provisional_hcp_ids(c, "zz"),
     lambda c: global_cnci(c, "zz", CnciConfig()),
-], ids=["hcp_run", "compute_baselines", "provisional_hcp_ids", "global_cnci"])
+    lambda c: rank_category(c, "zz", "A", 2020),
+    lambda c: quartile_distribution(c, "zz", 2020),
+], ids=["hcp_run", "compute_baselines", "provisional_hcp_ids", "global_cnci", "rank_category",
+        "quartile_distribution"])
 def test_an_undeclared_schema_is_refused(two_papers, indicator):
     with pytest.raises(ComputationError) as err:
         indicator(two_papers)

@@ -335,3 +335,21 @@ def test_relative_cnci_rejects_empty_sets(simpson):
         relative_cnci(simpson, [], list(simpson.papers.values()), S)
     with pytest.raises(EmptyInputError):
         relative_cnci(simpson, list(simpson.papers.values()), [], S)
+
+
+OUTSIDE = Paper("zz", "jf", 2019, "article")
+
+
+@pytest.mark.parametrize("indicator", [
+    lambda c, own: cnci_paper(c, OUTSIDE, compute_baselines(c, "f")),
+    lambda c, own: cnci_paper(c, OUTSIDE, compute_baselines(c, "f", papers=own)),
+    lambda c, own: cnci_set(c, [*own, OUTSIDE], compute_baselines(c, "f")),
+    lambda c, own: relative_cnci(c, [OUTSIDE], own, "f"),
+    lambda c, own: relative_cnci(c, own, [*own, OUTSIDE], "f"),
+    lambda c, own: compute_baselines(c, "f", papers=[OUTSIDE, *own]),
+], ids=["cnci_paper", "cnci_paper_pool_table", "cnci_set", "relative_cnci_subunit",
+        "relative_cnci_reference", "compute_baselines_pool"])
+def test_a_paper_outside_the_corpus_is_named(hundred, indicator):
+    with pytest.raises(ComputationError) as err:
+        indicator(hundred, list(hundred.papers.values())[:5])
+    assert str(err.value) == "paper 'zz' is not in the corpus"
