@@ -351,7 +351,12 @@ def test_distribution_matches_per_category_oracle(specs, level, mode, min_size):
 
 
 def test_distribution_ranks_each_category_once(monkeypatch):
-    ranked, rank = [], ranking._rank
+    ranked, scans, rank = [], [], ranking._rank
+
+    class Journals(dict):
+        def values(self):
+            scans.append(1)
+            return super().values()
 
     def counting(schema, category, year, members):
         ranked.append(category)
@@ -363,6 +368,8 @@ def test_distribution_ranks_each_category_once(monkeypatch):
     monkeypatch.setattr(ranking, "_rank", counting)
     monkeypatch.setattr(ranking, "rank_category", refused)
     corpus = corpora.make_quartile_mix()
+    corpus.journals = Journals(corpus.journals)
     corpus.journals["jm"] = corpus.journals["jm"]._replace(categories={S: ("A", "B", "A")})
     quartile_distribution(corpus, S, 2021, level="papers", mode="database_best")
     assert ranked == ["A", "B", "C", "D"]
+    assert len(scans) == 1
