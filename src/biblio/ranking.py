@@ -257,7 +257,9 @@ def quartile_distribution(
     category is ranked once, as :func:`rank_category` ranks it.
     Papers are the ones published in ``year`` in journals ranked that year.
     ``min_category_size`` (default 0 = off) skips categories with fewer ranked
-    journals; skipped categories are listed, never silently folded in.
+    journals; skipped categories are listed, never silently folded in. Every
+    journal of the schema without a metric for ``year`` is listed as excluded,
+    also when each of its categories is skipped.
     """
     if level not in ("journals", "papers"):
         raise ComputationError(f"unknown level {level!r}")
@@ -266,16 +268,19 @@ def quartile_distribution(
     corpus.require_schema(schema)
 
     members: dict[str, list[Journal]] = defaultdict(list)
+    excluded: list[str] = []
     for j in corpus.journals.values():
-        for cat in set(j.categories.get(schema, ())):
+        cats = set(j.categories.get(schema, ()))
+        for cat in cats:
             members[cat].append(j)
+        if cats and year not in j.metric_by_year:
+            excluded.append(j.id)
     papers = (Counter(p.journal_id for p in corpus.papers.values() if p.year == year)
               if level == "papers" else None)
 
     counts = dict.fromkeys(Quartile, 0)
     best: dict[str, Quartile] = {}
     skipped: list[str] = []
-    excluded: set[str] = set()
     ties: list[BoundaryTie] = []
     for cat in sorted(members):
         try:
@@ -283,7 +288,6 @@ def quartile_distribution(
         except ComputationError:
             skipped.append(cat)
             continue
-        excluded.update(ranking.excluded)
         if ranking.n < min_category_size:
             skipped.append(cat)
             continue

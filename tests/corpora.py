@@ -228,7 +228,8 @@ def make_quartile_mix() -> Corpus:
     Journal jm sits in A (tied at rank 2 of 5, Q2) and B (rank 1 of 5, Q1), so
     database-best counts it once, at Q1; a tie block in each of A and B spans
     a quartile cut. a5 has no 2021 metric and is excluded. No journal of C has
-    one, so C is skipped; D ranks one journal, under a size gate of 2.
+    one, so C is skipped and c1 is excluded too; D ranks one journal, under a
+    size gate of 2.
     Papers per journal vary, and 2020 papers never count.
     """
     journals = [

@@ -111,6 +111,9 @@ def quartile_distribution(corpus, schema, year, level="journals", mode="per_cate
         try:
             ranking = rank_category(corpus, schema, cat, year)
         except ComputationError:
+            # Unrankable: every member lacks a metric for the year, and is excluded.
+            excluded.update(j.id for j in corpus.journals.values()
+                            if cat in j.categories.get(schema, ()))
             skipped.append(cat)
             continue
         excluded.update(ranking.excluded)

@@ -373,3 +373,12 @@ def test_distribution_ranks_each_category_once(monkeypatch):
     quartile_distribution(corpus, S, 2021, level="papers", mode="database_best")
     assert ranked == ["A", "B", "C", "D"]
     assert len(scans) == 1
+
+
+def test_distribution_excludes_a_journal_whose_categories_are_all_skipped():
+    # c1, sole member of C, has no 2021 metric: C is unrankable, and c1 is still listed.
+    for gate in (0, 2):
+        report = quartile_distribution(corpora.make_quartile_mix(), S, 2021,
+                                       min_category_size=gate)
+        assert report.excluded_journals == ("a5", "c1")
+        assert report.skipped_categories == (("C",) if gate == 0 else ("C", "D"))
