@@ -114,6 +114,9 @@ class CellKey(NamedTuple):
             doc_types is None or self.doc_type in doc_types
         )
 
+    def to_json_dict(self) -> dict:
+        return {"field": self.field, "year": self.year, "doc_type": self.doc_type}
+
 
 class RankedCell(NamedTuple):
     """A cell's papers by descending citation count, ties in id order, and

@@ -58,7 +58,7 @@ class ThresholdResult(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "cell": self.cell._asdict(),
+            "cell": self.cell.to_json_dict(),
             "top_percent": rational_str(self.top_percent),
             "quota": self.quota,
             "threshold": self.threshold,
@@ -80,7 +80,7 @@ class HcpDecision(NamedTuple):
         whole = weight is _ONE  # the kernels' full weight; any other 1 renders alike
         return {
             "paper": self.paper_id,
-            "cell": self.cell._asdict(),
+            "cell": self.cell.to_json_dict(),
             "status": self.status,
             "weight": "1" if whole else rational_str(weight),
             "weight_decimal": "1.00" if whole else decimal_str(weight, 2),

@@ -106,7 +106,7 @@ class BaselineTable(NamedTuple):
             "counting": self.counting_label,
             "cells": [
                 {
-                    "cell": key._asdict(),
+                    "cell": key.to_json_dict(),
                     "expected": rational_json(cell.expected, 4),
                     "weight": rational_str(cell.weight),
                     "papers": cell.papers,

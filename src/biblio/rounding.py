@@ -7,16 +7,25 @@ Rounding is half-up (halves away from zero), matching the hand-rounding
 convention used throughout the reports, and is done in integer arithmetic so
 no float ever enters the path. Every CSV table and file biblio writes is
 rendered here too (``csv_text``), by one quoting rule on every Python.
+
+Reports render the same values over and over (one baseline per paper of a
+cell, one share per quartile of every report), so the exact and rounded texts
+of a value come from one memo keyed by its reduced numerator, denominator and
+places (``_texts``). The memo is an LRU of ``_MEMO_SIZE`` entries; the
+renderers check their arguments before reading it, so an error is never kept,
+and ``rational_json`` builds a new dict on every call.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 RationalLike = Fraction | int | str
 
 _RATIONAL_TEXT = re.compile(r"-?(?:[0-9./]|[eE][-+]?)*")  # Fraction checks the order
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
+_MEMO_SIZE = 4096
 
 
 def _int_text(text: str) -> int:
@@ -49,6 +58,20 @@ def round_half_up(value: RationalLike) -> int:
     return whole if f.numerator >= 0 else -whole
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _texts(numerator: int, denominator: int, places: int) -> tuple[str, str]:
+    """The exact and the half-up text at ``places`` of a reduced fraction, by
+    integers alone: the key never hashes a Fraction, which costs a modular inverse."""
+    exact = str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    scale = 10**places
+    scaled = _half_up(abs(numerator) * scale, denominator)
+    sign = "-" if numerator < 0 and scaled else ""
+    whole, part = divmod(scaled, scale)
+    if places == 0:
+        return exact, f"{sign}{whole}"
+    return exact, f"{sign}{whole}.{part:0{places}d}"
+
+
 def decimal_str(value: RationalLike, places: int) -> str:
     """Render a rational as a fixed-point decimal string, half-up.
 
@@ -57,13 +80,7 @@ def decimal_str(value: RationalLike, places: int) -> str:
     if places < 0:
         raise ValueError("places must be >= 0")
     f = value if isinstance(value, Fraction) else _rational(value)
-    scale = 10**places
-    scaled = _half_up(abs(f.numerator) * scale, f.denominator)
-    sign = "-" if f.numerator < 0 and scaled else ""
-    whole, part = divmod(scaled, scale)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{part:0{places}d}"
+    return _texts(f.numerator, f.denominator, places)[1]
 
 
 def rational_str(value: RationalLike) -> str:
@@ -77,7 +94,10 @@ def rational_str(value: RationalLike) -> str:
 def rational_json(value: RationalLike, places: int) -> dict[str, str]:
     """The serialization pair used in JSON outputs: exact plus rounded."""
     f = value if isinstance(value, Fraction) else _rational(value)
-    return {"rational": rational_str(f), "decimal": decimal_str(f, places)}
+    if places < 0:
+        raise ValueError("places must be >= 0")
+    exact, rounded = _texts(f.numerator, f.denominator, places)
+    return {"rational": exact, "decimal": rounded}
 
 
 def _csv_field(value) -> str:

@@ -24,7 +24,7 @@ from biblio import (
     rational_str,
     round_half_up,
 )
-from biblio.rounding import _int_text, _rational, csv_text
+from biblio.rounding import _int_text, _rational, _texts, csv_text
 from oracles import decimal_half_up, decimal_quantized
 
 rationals = st.fractions(max_denominator=10_000, min_value=-10_000, max_value=10_000)
@@ -104,6 +104,67 @@ def test_rational_json_shape():
         "rational": "11/12",
         "decimal": "0.9167",
     }
+
+
+def unmemoised(value: Fraction, places: int) -> tuple[str, str]:
+    """The exact and the half-up text of ``value``, by the integer formula."""
+    n, d = value.numerator, value.denominator
+    scale = 10**places
+    scaled = (2 * abs(n) * scale + d) // (2 * d)
+    whole, part = divmod(scaled, scale)
+    sign = "-" if n < 0 and scaled else ""
+    rounded = f"{sign}{whole}.{part:0{places}d}" if places else f"{sign}{whole}"
+    return (str(n) if d == 1 else f"{n}/{d}"), rounded
+
+
+memo_values = (
+    rationals
+    | st.integers(min_value=-10**30, max_value=10**30).map(Fraction)
+    | st.builds(Fraction, st.integers(min_value=-10**40, max_value=10**40),
+                st.integers(min_value=1, max_value=10**20))
+    | st.just(Fraction(0))
+)
+
+
+@given(st.lists(st.tuples(memo_values, st.integers(min_value=0, max_value=8)),
+                min_size=1, max_size=20))
+def test_memoised_renderings_match_the_integer_formula(pairs):
+    # Each value again at other places, then the first pass again: memo hits
+    # and misses interleave, and a value meets the memo at several places.
+    again = [(value, (places + 3) % 9) for value, places in pairs]
+    for value, places in pairs + again + pairs:
+        exact, rounded = unmemoised(value, places)
+        assert rational_json(value, places) == {"rational": exact, "decimal": rounded}
+        assert decimal_str(value, places) == rounded
+        assert rational_str(value) == exact
+
+
+def test_rational_json_returns_a_new_dict_on_every_call():
+    first = rational_json(Fraction(2, 3), 2)
+    first["decimal"], first["extra"] = "mutated", 1
+    second = rational_json(Fraction(2, 3), 2)
+    assert second == {"rational": "2/3", "decimal": "0.67"}
+    assert second is not first and rational_json(Fraction(2, 3), 2) is not second
+
+
+def test_rendering_errors_are_raised_on_every_call():
+    for _ in range(3):
+        for render in (decimal_str, rational_json):
+            with pytest.raises(ValueError, match="places must be >= 0"):
+                render(Fraction(1, 3), -1)
+            with pytest.raises(ValueError, match="not a rational"):
+                render("1_0", 2)
+        with pytest.raises(ValueError, match="not a rational"):
+            rational_str("+1")
+    assert rational_json("1/3", 2) == {"rational": "1/3", "decimal": "0.33"}
+
+
+def test_the_rendering_memo_is_bounded():
+    maxsize = _texts.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    for k in range(maxsize + 10):
+        decimal_str(Fraction(k, 7), 1)
+    assert _texts.cache_info().currsize == maxsize
 
 
 # Number text from outside (corpus rows, flags, ``str`` arguments) has one
