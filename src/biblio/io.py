@@ -386,9 +386,16 @@ def load_corpus(
         load(papers_path, "paper", parse_paper)
         if edges_path is not None:
             load(edges_path, "edge", parse_edge)
-        return Corpus(schemas.values(), journals.values(), papers.values(),
-                      list(edges.values()) if edges_path is not None else None,
-                      citation_counts=counts, load_report=report)
+        corpus = Corpus(schemas.values(), journals.values(), papers.values(),
+                        list(edges.values()) if edges_path is not None else None,
+                        citation_counts=counts, load_report=report)
+        if not gc.get_freeze_count():
+            # Age the records into the oldest generation, so that the first young
+            # collections after the load do not scan the whole corpus. With
+            # objects frozen already, the unfreeze would thaw the caller's too.
+            gc.freeze()
+            gc.unfreeze()
+        return corpus
     finally:
         if enabled:
             gc.enable()

@@ -647,6 +647,33 @@ def test_a_load_leaves_the_collector_as_it_found_it(tmp_path, minimal_paths, ena
         calls[2]()
 
 
+def test_a_load_ages_its_records_and_leaves_the_freeze_count_as_found(
+    tmp_path, minimal_paths, monkeypatch
+):
+    journals, papers, edges = minimal_paths
+    bad_papers = write(tmp_path / "bad.jsonl", paper_line("P1", "J1"), paper_line("P2", "GHOST"))
+    events, freeze, unfreeze = [], gc.freeze, gc.unfreeze
+    monkeypatch.setattr(gc, "freeze", lambda: (freeze(), events.append("freeze")))
+    monkeypatch.setattr(gc, "unfreeze", lambda: (unfreeze(), events.append("unfreeze")))
+    corpus = load_corpus(journals, papers, edges)
+    assert events == ["freeze", "unfreeze"]
+    assert (gc.get_freeze_count(), gc.isenabled()) == (0, True)
+    assert any(o is corpus for o in gc.get_objects(generation=2))
+    events.clear()
+    with pytest.raises(LoadError):
+        load_corpus(journals, bad_papers, strict=True)
+    assert events == [] and (gc.get_freeze_count(), gc.isenabled()) == (0, True)
+    freeze()  # a caller's frozen objects stay frozen, whatever the load does
+    try:
+        frozen = gc.get_freeze_count()
+        load_corpus(journals, papers, edges)
+        with pytest.raises(LoadError):
+            load_corpus(journals, bad_papers, strict=True)
+        assert events == [] and (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
+    finally:
+        unfreeze()
+
+
 def test_edge_endpoints_are_the_papers_own_ids(minimal_paths):
     corpus = load_corpus(*minimal_paths)
     for edge in corpus.edges:
