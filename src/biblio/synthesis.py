@@ -204,24 +204,41 @@ class CitationModel:
 
     def sample(self, rng: random.Random) -> int:
         """One draw; a draw too large for a float is a :class:`ComputationError`."""
-        try:
-            if self.kind == "lognormal":
-                return int(math.exp(rng.gauss(self.mu, self.sigma))) + self.shift
+        return self.sampler(rng)()
+
+    def sampler(self, rng: random.Random):
+        """:meth:`sample` on ``rng`` as a function of no arguments, for many
+        draws: the kind is decided and the parameters and stream methods are
+        bound once; each draw makes the same calls, in the same order."""
+        shift, exp, log = self.shift, math.exp, math.log
+        if self.kind == "lognormal":
+            mu, sigma, gauss = self.mu, self.sigma, rng.gauss
+
+            def draw() -> int:
+                try:
+                    return int(exp(gauss(mu, sigma))) + shift
+                except (OverflowError, ZeroDivisionError):
+                    raise ComputationError(f"lognormal draw with mu {mu} and sigma {sigma} "
+                                           "is too large to represent") from None
+            return draw
+
+        rho, expovariate, random_ = self.rho, rng.expovariate, rng.random
+
+        def draw() -> int:
             # Yule via its exponential-geometric mixture representation.
-            w = rng.expovariate(self.rho)
-            p = math.exp(-w)
-            u = rng.random()
-            if p >= 1.0:
-                return 1 + self.shift
-            # log(1 - p) is 0.0 once p < 2**-53; falling back to log1p only there
-            # leaves every other draw as it was.
-            log_q = math.log(1.0 - p) or math.log1p(-p)
-            return 1 + int(math.log(1.0 - u) / log_q) + self.shift
-        except (OverflowError, ZeroDivisionError):
-            params = (f"rho {self.rho}" if self.kind == "yule"
-                      else f"mu {self.mu} and sigma {self.sigma}")
-            raise ComputationError(
-                f"{self.kind} draw with {params} is too large to represent") from None
+            try:
+                p = exp(-expovariate(rho))
+                u = random_()
+                if p >= 1.0:
+                    return 1 + shift
+                # log(1 - p) is 0.0 once p < 2**-53; falling back to log1p only
+                # there leaves every other draw as it was.
+                log_q = log(1.0 - p) or math.log1p(-p)
+                return 1 + int(log(1.0 - u) / log_q) + shift
+            except (OverflowError, ZeroDivisionError):
+                raise ComputationError(
+                    f"yule draw with rho {rho} is too large to represent") from None
+        return draw
 
 
 @dataclass(frozen=True)
@@ -334,7 +351,7 @@ def _draw(config: GenConfig, trial: int | None):
 
     cum_weights = list(accumulate(w for _, w in config.doc_type_mix))
     total, last = cum_weights[-1] + 0.0, len(cum_weights) - 1
-    random_, sample = rng.random, config.citation_model.sample
+    random_, sample = rng.random, config.citation_model.sampler(rng)
     boost = config.multi_field_citation_boost
     papers: list[tuple[int, int, int, int]] = []
     for year in config.years:
@@ -349,7 +366,7 @@ def _draw(config: GenConfig, trial: int | None):
                 boosted = len(categories[index]) >= 2 and boost != 1.0
                 for _ in range(paired[index]):
                     doc_type = bisect(cum_weights, random_() * total, 0, last)
-                    c = sample(rng)
+                    c = sample()
                     if boosted:
                         try:
                             c = int(round(c * boost))

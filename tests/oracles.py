@@ -10,7 +10,8 @@ its one-``Fraction`` paper CNCI are checked.
 The Monte Carlo trial kernels keep their one-call-per-draw forms: the
 corpus generator in its first form (a ``randint`` per drawn size, a
 ``choices`` per doc type, a ``Fraction`` metric per journal and year, and a
-``Paper`` per draw), a quartile partition per drawn category size, a
+``Paper`` per draw, with each citation draw testing its model's kind), a
+quartile partition per drawn category size, a
 ``Fraction`` per sampled value, and one full ``global_cnci`` per counting regime
 on the generated ``Corpus``. Highly-cited selection is done paper
 by paper: each cell is sorted for its threshold and again for its decisions,
@@ -352,6 +353,26 @@ def size(spec, rng) -> int:
     return spec.value if spec.kind == "fixed" else rng.randint(spec.low, spec.high)
 
 
+def citation_draw(model, rng) -> int:
+    """One draw of a ``CitationModel``, with the kind tested and every parameter
+    read on each call: the package's draw before its sampler bound them once."""
+    try:
+        if model.kind == "lognormal":
+            return int(math.exp(rng.gauss(model.mu, model.sigma))) + model.shift
+        w = rng.expovariate(model.rho)
+        p = math.exp(-w)
+        u = rng.random()
+        if p >= 1.0:
+            return 1 + model.shift
+        log_q = math.log(1.0 - p) or math.log1p(-p)
+        return 1 + int(math.log(1.0 - u) / log_q) + model.shift
+    except (OverflowError, ZeroDivisionError):
+        params = (f"rho {model.rho}" if model.kind == "yule"
+                  else f"mu {model.mu} and sigma {model.sigma}")
+        raise ComputationError(
+            f"{model.kind} draw with {params} is too large to represent") from None
+
+
 def generate_corpus(config, trial=None) -> Corpus:
     """The synthetic corpus of (config, trial), drawn one call at a time: a
     ``randint`` per size, a ``choices`` per doc type and a ``Fraction`` per metric."""
@@ -410,7 +431,7 @@ def generate_corpus(config, trial=None) -> Corpus:
                 for _ in range(paired[index]):
                     pid = f"p{len(papers):06d}"
                     doc_type = rng.choices(doc_types, weights=weights)[0]
-                    c = config.citation_model.sample(rng)
+                    c = citation_draw(config.citation_model, rng)
                     if k >= 2 and boost != 1.0:
                         try:
                             c = int(round(c * boost))

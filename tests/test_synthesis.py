@@ -112,6 +112,26 @@ def test_citation_model_support():
     assert CitationModel(kind="yule", rho=1.5, shift=2).sample(ZeroExponential(0)) == 3
 
 
+@pytest.mark.parametrize("model", [
+    CitationModel(kind="lognormal", mu=0.5, sigma=1.0),
+    CitationModel(kind="lognormal", mu=-1.0, sigma=2.5, shift=3),
+    CitationModel(kind="lognormal", mu=700.0, sigma=5.0),  # some draws overflow
+    CitationModel(kind="yule", rho=2.0),
+    CitationModel(kind="yule", rho=0.1, shift=1),  # some draws take the log1p fallback
+    CitationModel(kind="yule", rho=1.0e-300),  # every draw overflows
+], ids=["lognormal", "lognormal-shifted", "lognormal-overflow", "yule", "yule-log1p",
+        "yule-overflow"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampler_draws_as_the_one_call_oracle(model, seed):
+    ours, single, theirs = random.Random(seed), random.Random(seed), random.Random(seed)
+    draw = model.sampler(ours)
+    for _ in range(400):
+        expected = oracles.outcome(lambda: oracles.citation_draw(model, theirs))
+        assert oracles.outcome(draw) == expected
+        assert oracles.outcome(lambda: model.sample(single)) == expected
+    assert ours.getstate() == single.getstate() == theirs.getstate()
+
+
 def test_citation_model_config_round_trip():
     for model in (
         CitationModel(kind="lognormal", mu=0.3, sigma=0.8, shift=1),
