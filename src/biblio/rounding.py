@@ -8,12 +8,13 @@ convention used throughout the reports, and is done in integer arithmetic so
 no float ever enters the path. Every CSV table and file biblio writes is
 rendered here too (``csv_text``), by one quoting rule on every Python.
 
-Reports render the same values over and over (one baseline per paper of a
-cell, one share per quartile of every report), so the exact and rounded texts
-of a value come from one memo keyed by its reduced numerator, denominator and
-places (``_texts``). The memo is an LRU of ``_MEMO_SIZE`` entries; the
-renderers check their arguments before reading it, so an error is never kept,
-and ``rational_json`` builds a new dict on every call.
+Reports render the same values over and over (the per-paper CNCI of every
+paper with the same count in the same cells, the same share in many
+reports), so ``rational_json`` and ``decimal_str`` take the exact and rounded
+texts of a value from one memo keyed by its reduced numerator, denominator
+and places (``_texts``). The memo keeps the last ``_MEMO_SIZE`` keys; the
+renderers check their arguments before reading it, so an error is never
+kept, and ``rational_json`` builds a new dict on every call.
 """
 from __future__ import annotations
 

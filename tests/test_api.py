@@ -115,9 +115,9 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 def test_the_renderers_are_plain_functions():
-    """perfbench's tracer wraps what ``inspect.isfunction`` accepts to count
-    rendered values; a renderer that were the memo's wrapper object would
-    silently drop out of that count. The memo sits behind the renderers."""
+    """perfbench's tracer counts rendered values by wrapping what
+    ``inspect.isfunction`` accepts; a renderer that was itself a memo's
+    wrapper object would silently drop out of that count."""
     from biblio import rounding
 
     for name in ("rational_json", "decimal_str", "rational_str"):
