@@ -11,7 +11,9 @@ baseline. Each handler imports the modules it runs, so a process loads only
 those its subcommand needs. Diagnostics go to standard error, among them one
 line naming what a lenient load dropped. Output is byte-stable: JSON has sorted
 keys and compact separators, and every rational is both ``num/den`` and a
-rounded decimal.
+rounded decimal. ``main`` leaves the cyclic collector as it found it; the process
+path, ``entrypoint``, then freezes what is still alive, so the collections of
+shutdown skip what the OS frees anyway (``atexit`` and the final flush still run).
 """
 from __future__ import annotations
 
@@ -137,7 +139,9 @@ def _int_list(text: str) -> list[int]:
 
 
 def _str_list(text: str) -> list[str]:
-    return [x.strip() for x in text.split(",") if x.strip()]
+    if items := [x.strip() for x in text.split(",") if x.strip()]:
+        return items
+    raise argparse.ArgumentTypeError(f"must name at least one item, got {text!r}")
 
 
 def _trials(text: str) -> int:
@@ -587,7 +591,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the exit collections would only walk what the OS frees anyway
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,9 @@ class CellKey(NamedTuple):
     def to_json_dict(self) -> dict:
         return {"field": self.field, "year": self.year, "doc_type": self.doc_type}
 
+    def __str__(self) -> str:  # how a message names the cell
+        return f"field={self.field} year={self.year} doc_type={self.doc_type}"
+
 
 class RankedCell(NamedTuple):
     """A cell's papers by descending citation count, ties in id order, and

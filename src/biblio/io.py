@@ -23,7 +23,6 @@ both modes; they are a fact about messy exports, not a reason to abort.
 from __future__ import annotations
 
 import contextlib
-import csv
 import gc
 import json
 from dataclasses import dataclass, field as dc_field
@@ -119,6 +118,7 @@ def _read_records(path: Path):
     with fh:
         try:
             if is_csv:
+                import csv  # only a CSV file needs it: a JSONL process never loads it
                 rows = csv.DictReader(_csv_lines(fh, path))
                 try:
                     for row in rows:  # named by the line the record ends on

@@ -29,7 +29,8 @@ SCHEMA = corpora.SCHEMA
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Cases that exit non-zero by design; every other case exits 0.
-EXIT_CODES = {"validate-dirty": 2, "validate-spellings": 2, "hcp-top-percent-spelling": 2}
+EXIT_CODES = {"validate-dirty": 2, "validate-spellings": 2, "hcp-top-percent-spelling": 2,
+              "percentile-unknown-journal": 3}
 
 # One row per load-report reason, and one duplicate edge that collapses.
 DIRTY = {
@@ -181,6 +182,10 @@ def invocations(tmp_path: Path) -> list[tuple[str, tuple[str, ...]]]:
         ("hcp-top-percent-spelling",
          ("hcp", "--journals", mini_j, "--papers", mini_p, "--schema", "f",
           "--top-percent", "1_0")),
+        # The handler raises a ComputationError: exit 3, nothing on stdout.
+        ("percentile-unknown-journal",
+         ("percentile", "--journals", two_j, "--papers", two_p,
+          "--schema", SCHEMA, "--journal", "NOPE", "--year", "2020")),
         ("rank-csv",
          ("rank", "--journals", two_j, "--papers", two_p,
           "--schema", SCHEMA, "--category", "A", "--year", "2020", "--format", "csv")),

@@ -800,6 +800,24 @@ def test_integer_flags_take_the_loader_spelling_before_load(run, argv, message):
     assert err.endswith(f"biblio {argv[0]}: error: {message}\n")
 
 
+def list_flags() -> list[tuple[str, str]]:
+    """Each (subcommand, flag) whose value is a comma-separated list."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, flag) for name, p in sub.choices.items() for action in p._actions
+            for flag in action.option_strings if flag in ("--years", "--doc-types", "--tiebreak")]
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "])
+@pytest.mark.parametrize("subcommand, flag", list_flags())
+def test_a_list_flag_that_names_nothing_is_a_usage_error_before_load(run, subcommand, flag, value):
+    required = ["--entity", "o"] if subcommand == "entity-share" else []
+    code, out, err = run(subcommand, "--journals", "missing.jsonl", "--papers", "missing.jsonl",
+                         "--schema", "f", *required, flag, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"biblio {subcommand}: error: argument {flag}: "
+                        f"must name at least one item, got {value!r}\n")
+
+
 def test_integer_flags_read_what_they_accept():
     parse = build_parser().parse_args
     base = ["--journals", "j", "--papers", "p", "--schema", "f"]

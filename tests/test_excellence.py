@@ -444,7 +444,10 @@ def test_exhausted_chain_falls_back_to_id_order(math2011, caplog):
     assert b8.trace[-1] == {
         "method": "id_order", "evidence": "b8", "tied": False, "chain_exhausted": True,
     }
-    assert any("chain exhausted" in r.message for r in caplog.records)
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        "tie-break chain exhausted in cell field=math year=2011 doc_type=article; "
+        "falling back to paper-id order for b7, b8, b9"
+    ]
 
 
 def test_quota_needs_a_chain_and_citing_needs_provisional(math2011, hundred):

@@ -2,8 +2,9 @@
 
 Importing the package loads no submodule. The CLI loads what every corpus
 subcommand needs (the corpus model, its errors, the loader and the renderer),
-and each subcommand adds the modules its handler calls. Each check runs in a
-fresh interpreter, because this one has long since imported every module.
+and each subcommand adds the modules its handler calls. The loader imports the
+standard library's ``csv`` only to read a CSV file. Each check runs in a fresh
+interpreter, because this one has long since imported every module.
 """
 import json
 import os
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import cli_cases
+import corpora
+from biblio import dump_corpus
 
 SRC = Path(__file__).parent.parent / "src"
 # Prints the biblio submodules loaded by the code before it, as a JSON list.
@@ -92,3 +95,12 @@ def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, subcommand):
     *_, code, modules = child(MAIN, *argv)
     assert int(code) == cli_cases.exit_code(subcommand)
     assert set(json.loads(modules)) == CLI | SUBCOMMAND_ADDS[subcommand]
+
+
+@pytest.mark.parametrize("suffix, loads_csv", [(".jsonl", False), (".csv", True)])
+def test_csv_is_loaded_only_to_read_a_csv_file(tmp_path, suffix, loads_csv):
+    journals, papers = tmp_path / f"j{suffix}", tmp_path / f"p{suffix}"
+    dump_corpus(corpora.make_two_papers(), journals, papers)
+    *_, code, csv_loaded, _ = child(MAIN + 'print("csv" in sys.modules)\n',
+                                    "validate", "--journals", str(journals), "--papers", str(papers))
+    assert (int(code), csv_loaded) == (0, str(loads_csv))

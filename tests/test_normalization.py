@@ -85,8 +85,9 @@ def test_baselines_from_subset(simpson):
 
 def test_missing_cell_raises(two_papers):
     table = compute_baselines(two_papers, S)
-    with pytest.raises(ComputationError):
+    with pytest.raises(ComputationError) as raised:
         table.expected(CellKey("A", 1999, "article"))
+    assert str(raised.value) == "no baseline for cell field=A year=1999 doc_type=article"
 
 
 def test_baselines_reject_bad_scheme(two_papers):
