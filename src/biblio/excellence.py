@@ -11,7 +11,9 @@ ordered chain of tie-break methods.
 Quota mode walks the chain once: each method orders the current group into
 tiers, the tiers that fit under the quota are taken, and only the one tier that
 straddles the cut passes to the next method. An exhausted chain takes that tier
-in paper-id order, loudly flagged in the trace.
+in paper-id order, loudly flagged in the trace. A method only scores each paper:
+one builder, ``_ordering``, turns the scores into tiers, and one table,
+``_TIEBREAKS``, maps each method name to its ordering.
 
 The ESI-style low-threshold rule (threshold <= 2 means the cell selects
 nothing) is a flag, on by default in the run orchestrator.
@@ -93,11 +95,9 @@ def parse_tiebreak_chain(names: Iterable[str]) -> tuple[str, ...]:
     """A tie-break chain: its method names, ``-`` read as ``_``."""
     names = tuple(names)
     for name in names:
-        if name.replace("-", "_") not in (CHRONOLOGY, TRAJECTORY, CITING_EXCELLENCE):
-            raise ComputationError(
-                f"unknown tie-break method {name!r} "
-                "(choose from chronology, trajectory, citing-excellence)"
-            )
+        if name.replace("-", "_") not in _TIEBREAKS:
+            choices = ", ".join(m.replace("_", "-") for m in _TIEBREAKS)
+            raise ComputationError(f"unknown tie-break method {name!r} (choose from {choices})")
     return tuple(name.replace("-", "_") for name in names)
 
 
@@ -149,37 +149,30 @@ class TiebreakOrdering(NamedTuple):
     flags: tuple[str, ...]
 
 
-def _group_by_key(papers, key, method, evidence, flag_note) -> TiebreakOrdering:
+def _ordering(method: str, note: str, scored: dict[str, tuple]) -> TiebreakOrdering:
+    """The one ordering builder over ``scored``, each paper id's (key, evidence):
+    groups by key, lowest key first, ids sorted; each group of several is flagged."""
     buckets: dict = {}
-    for p in papers:
-        buckets.setdefault(key(p), []).append(p.id)
-    groups = []
-    flags = []
-    for k in sorted(buckets):
-        ids = tuple(sorted(buckets[k]))
-        groups.append(ids)
-        if len(ids) > 1:
-            flags.append(f"{method}: {flag_note} for {', '.join(ids)}")
-    return TiebreakOrdering(
-        method=method, groups=tuple(groups), evidence=evidence, flags=tuple(flags)
-    )
+    evidence: dict[str, str] = {}
+    for pid, (key, shown) in scored.items():
+        buckets.setdefault(key, []).append(pid)
+        evidence[pid] = shown
+    groups = tuple(tuple(sorted(buckets[k])) for k in sorted(buckets))
+    flags = tuple(f"{method}: {note} for {', '.join(ids)}" for ids in groups if len(ids) > 1)
+    return TiebreakOrdering(method=method, groups=groups, evidence=evidence, flags=flags)
 
 
 def tiebreak_chronology(papers: Sequence[Paper]) -> TiebreakOrdering:
     """Later effective date first; equal dates are an unresolved, flagged tie."""
-    keys: dict[str, int] = {}
-    evidence: dict[str, str] = {}
+    scored: dict[str, tuple[int, str]] = {}
     for p in papers:
         stamp = p.effective_date()
         if stamp is None:
             raise MissingDateError(f"paper {p.id!r} has no date for the chronology tie-break")
         when, precision, source = stamp
         shown = f"{when.year:04d}-{when.month:02d}" if precision == MONTH else when.isoformat()
-        evidence[p.id] = f"{source}:{shown}"
-        keys[p.id] = -when.toordinal()
-    return _group_by_key(
-        papers, lambda p: keys[p.id], CHRONOLOGY, evidence, "equal effective dates"
-    )
+        scored[p.id] = (-when.toordinal(), f"{source}:{shown}")
+    return _ordering(CHRONOLOGY, "equal effective dates", scored)
 
 
 def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrdering:
@@ -193,8 +186,7 @@ def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrde
     does not depend on the order of the edge file.
     """
     in_edges = corpus.in_edges
-    keys: dict[str, tuple] = {}
-    evidence: dict[str, str] = {}
+    scored: dict[str, tuple[tuple, str]] = {}
     for p in papers:
         early = late = 0
         for e in in_edges[p.id]:
@@ -209,17 +201,14 @@ def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrde
                 early += 1
             elif 5 <= offset <= 9:
                 late += 1
-        evidence[p.id] = f"late/early={late}/{early}"
         if early > 0:
-            keys[p.id] = (1, -Fraction(late, early))
+            key = (1, -Fraction(late, early))
         elif late > 0:
-            keys[p.id] = (0, 0)  # infinite ratio, ahead of all finite ones
+            key = (0, 0)  # infinite ratio, ahead of all finite ones
         else:
-            keys[p.id] = (2, 0)  # 0/0, behind everything
-
-    return _group_by_key(
-        papers, lambda p: keys[p.id], TRAJECTORY, evidence, "equal citation trajectories"
-    )
+            key = (2, 0)  # 0/0, behind everything
+        scored[p.id] = (key, f"late/early={late}/{early}")
+    return _ordering(TRAJECTORY, "equal citation trajectories", scored)
 
 
 def tiebreak_citing_excellence(
@@ -229,18 +218,20 @@ def tiebreak_citing_excellence(
 ) -> TiebreakOrdering:
     """More citations from (provisionally) highly cited papers first."""
     in_edges = corpus.in_edges
-    counts = {
-        p.id: sum(1 for e in in_edges[p.id] if e.citing in provisional_hcp)
-        for p in papers
-    }
-    evidence = {pid: f"citing_hcp={n}" for pid, n in counts.items()}
-    return _group_by_key(
-        papers,
-        lambda p: -counts[p.id],
-        CITING_EXCELLENCE,
-        evidence,
-        "equal citing-excellence counts",
-    )
+    scored: dict[str, tuple[int, str]] = {}
+    for p in papers:
+        n = sum(1 for e in in_edges[p.id] if e.citing in provisional_hcp)
+        scored[p.id] = (-n, f"citing_hcp={n}")
+    return _ordering(CITING_EXCELLENCE, "equal citing-excellence counts", scored)
+
+
+# Each method name to its ordering of a group. The lambdas look each function up
+# in the module at call time, so a wrapper set on the module attribute sees every call.
+_TIEBREAKS = {
+    CHRONOLOGY: lambda corpus, group, hcp: tiebreak_chronology(group),
+    TRAJECTORY: lambda corpus, group, hcp: tiebreak_trajectory(corpus, group),
+    CITING_EXCELLENCE: lambda corpus, group, hcp: tiebreak_citing_excellence(corpus, group, hcp),
+}
 
 
 def provisional_hcp_ids(
@@ -280,14 +271,12 @@ def _decide(
     decisions = [HcpDecision(p.id, cell, FULL, _ONE, method) for p in ranked.papers[:above]]
     borderline = ranked.papers[above:above + ties]
     need = result.quota - above  # at least 1 and at most ties in a selecting cell
-    if method == "inclusive":
-        return decisions + [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
     if method == "exclusive":
         return decisions
     if method == "fractional_ws":
         weight = Fraction(need, ties)
         return decisions + [HcpDecision(p.id, cell, PARTIAL, weight, method) for p in borderline]
-    if ties == need:  # the whole block fits: no method runs, and nothing is traced
+    if method == "inclusive" or ties == need:  # the whole block: no tie-break runs or traces
         return decisions + [HcpDecision(p.id, cell, FULL, _ONE, method) for p in borderline]
     # One pass down the chain: each method orders the group into tiers, best
     # first; the tiers that fit are taken, and only the tier straddling the
@@ -296,12 +285,7 @@ def _decide(
     group, tied = borderline, []
     picks: list[tuple[str, int, dict]] = []  # (paper id, tied steps above it, last step)
     for link in chain:
-        if link == CHRONOLOGY:
-            ordering = tiebreak_chronology(group)
-        elif link == TRAJECTORY:
-            ordering = tiebreak_trajectory(corpus, group)
-        else:
-            ordering = tiebreak_citing_excellence(corpus, group, provisional_hcp)
+        ordering = _TIEBREAKS[link](corpus, group, provisional_hcp)
         for flag in ordering.flags:
             logger.info("tie-break %s", flag)
         for ids in ordering.groups:
@@ -353,6 +337,8 @@ def hcp_selection(
     chain = parse_tiebreak_chain(tiebreak_chain)
     if method not in ("inclusive", "exclusive", "fractional_ws", "quota"):
         raise ComputationError(f"unknown classification method {method!r}")
+    if method != "quota" and chain:
+        raise ComputationError(f"only quota selection takes a tie-break chain, not {method!r}")
     if method == "quota" and not chain:
         raise ComputationError("quota selection needs a tie-break chain")
     provisional: frozenset[str] | None = None

@@ -265,6 +265,8 @@ def quartile_distribution(
         raise ComputationError(f"unknown level {level!r}")
     if mode not in ("per_category", "database_best"):
         raise ComputationError(f"unknown mode {mode!r}")
+    if min_category_size < 0:
+        raise ComputationError(f"min_category_size must be >= 0, got {min_category_size}")
     corpus.require_schema(schema)
 
     members: dict[str, list[Journal]] = defaultdict(list)

@@ -854,6 +854,14 @@ def test_unknown_tiebreak_is_a_usage_error_before_load(run, command):
     )
 
 
+def test_tiebreak_help_names_the_methods_of_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.help for p in sub.choices.values() for action in p._actions
+             if "--tiebreak" in action.option_strings}
+    methods = ", ".join(m.replace("_", "-") for m in excellence._TIEBREAKS)
+    assert helps == {f"comma-separated chain: {methods}"}
+
+
 def test_hcp_report_csv_both_esi_modes(run, corpus_files, hundred):
     journals, papers, _ = corpus_files(hundred)
     base = ["hcp-report", "--journals", journals, "--papers", papers,

@@ -1,4 +1,5 @@
 import logging
+import random
 import re
 from datetime import date
 from fractions import Fraction
@@ -335,13 +336,58 @@ def test_hcp_run_takes_a_chain_in_either_spelling(math2011):
         math2011, "esi", tiebreak_chain=parse_tiebreak_chain(names), **options)
 
 
-def test_unknown_tiebreak_method_fails_before_any_cell(hundred, monkeypatch):
+@pytest.fixture
+def no_cells(monkeypatch):
+    """Any ranked cell fails the test: a check must come before the first cell."""
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell was ranked")
 
     monkeypatch.setattr(Corpus, "ranked_cells", no_cells)
+
+
+def test_unknown_tiebreak_method_fails_before_any_cell(hundred, no_cells):
     with pytest.raises(ComputationError, match=UNKNOWN_SORTITION):
         hcp_run(hundred, "f", method="quota", tiebreak_chain=["chronology", "sortition"])
+
+
+@pytest.mark.parametrize("method", ["inclusive", "exclusive", "fractional_ws"])
+def test_a_chain_outside_quota_fails_before_any_cell(hundred, no_cells, method):
+    with pytest.raises(ComputationError, match=re.escape(
+            f"only quota selection takes a tie-break chain, not {method!r}")):
+        hcp_run(hundred, "f", method=method, tiebreak_chain=["chronology"])
+
+
+ORDERINGS = [
+    ("chronology", lambda corpus, papers, hcp: tiebreak_chronology(papers)),
+    ("trajectory", lambda corpus, papers, hcp: tiebreak_trajectory(corpus, papers)),
+    ("citing_excellence", tiebreak_citing_excellence),
+]
+
+
+@pytest.mark.parametrize("method, order", ORDERINGS, ids=[m for m, _ in ORDERINGS])
+def test_every_tiebreak_keeps_the_ordering_contract(math2011, method, order):
+    # t0-t2 and t3-t4 tie under every method: equal dates, trajectories and citing counts.
+    tied = dated_cell(*[(f"t{i}", 2, date(2011, 5, 1), None) for i in range(3)],
+                      *[(f"t{i}", 0, date(2011, 4, 1), None) for i in (3, 4)])
+    cases = [
+        (math2011, [p for p in math2011.cells("esi")[MATH11] if p.id.startswith("b")],
+         provisional_hcp_ids(math2011, "esi")),
+        (tied, [tied.papers[f"t{i}"] for i in range(5)], frozenset(tied.papers)),
+    ]
+    for corpus, papers, hcp in cases:
+        ordering = order(corpus, papers, hcp)
+        ids = sorted(p.id for p in papers)
+        assert ordering.method == method
+        assert sorted(i for group in ordering.groups for i in group) == ids
+        assert all(list(group) == sorted(group) for group in ordering.groups)
+        assert sorted(ordering.evidence) == ids
+        several = [group for group in ordering.groups if len(group) > 1]
+        assert len(ordering.flags) == len(several)
+        for flag, group in zip(ordering.flags, several):
+            assert flag.startswith(f"{method}: ") and flag.endswith(f" for {', '.join(group)}")
+        for seed in range(3):
+            assert order(corpus, random.Random(seed).sample(papers, len(papers)), hcp) == ordering
+    assert several == [("t0", "t1", "t2"), ("t3", "t4")]
 
 
 def test_citing_excellence_counts_provisional_citers_only():
@@ -578,7 +624,8 @@ def test_hcp_run_matches_the_per_paper_oracle(world, tops, chain, cut):
         for method in METHODS:
             for esi in (True, False):
                 options = dict(top_percent=top, method=method, esi_low_threshold=esi,
-                               tiebreak_chain=chain, years=years, doc_types=doc_types)
+                               tiebreak_chain=chain if method == "quota" else (),
+                               years=years, doc_types=doc_types)
                 got = oracles.outcome(lambda: hcp_run(corpus, "f", **options))
                 want = oracles.outcome(lambda: oracles.hcp_run(world(), "f", **options))
                 assert got == want, options
@@ -597,7 +644,7 @@ def test_public_kernels_match_the_oracle_on_shuffled_papers(world, top, chain, e
                   for cell, cell_papers in fresh.cells("f").items()]
     for method in METHODS:
         options = dict(top_percent=top, method=method, esi_low_threshold=esi,
-                       tiebreak_chain=chain)
+                       tiebreak_chain=chain if method == "quota" else ())
         got = oracles.outcome(lambda: hcp_selection(shuffled, "f", **options))
         want = oracles.outcome(lambda: (thresholds, oracles.hcp_run(fresh, "f", **options)))
         assert got == want, options

@@ -305,6 +305,11 @@ def test_distribution_rejects_unknown_axes(two_papers):
         quartile_distribution(two_papers, S, 2020, mode="best")
 
 
+def test_distribution_rejects_a_negative_size_gate():
+    with pytest.raises(ComputationError, match="^min_category_size must be >= 0, got -5$"):
+        quartile_distribution(corpora.make_quartile_mix(), S, 2021, min_category_size=-5)
+
+
 def test_distribution_requires_a_rankable_category():
     corpus = ranking_corpus([("j1", ("A",), None)])
     with pytest.raises(ComputationError):
