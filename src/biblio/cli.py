@@ -11,9 +11,10 @@ baseline. Each handler imports the modules it runs, so a process loads only
 those its subcommand needs. Diagnostics go to standard error, among them one
 line naming what a lenient load dropped. Output is byte-stable: JSON has sorted
 keys and compact separators, and every rational is both ``num/den`` and a
-rounded decimal. ``main`` leaves the cyclic collector as it found it; the process
-path, ``entrypoint``, then freezes what is still alive, so the collections of
-shutdown skip what the OS frees anyway (``atexit`` and the final flush still run).
+rounded decimal. ``main`` does not touch the cyclic collector; the process path,
+``entrypoint``, turns it off for the run (which leaves no cyclic garbage but its
+parser's) and freezes what is left before exit, so the collections of shutdown
+skip what the OS frees anyway (``atexit`` and the final flush still run).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import Corpus, validate
+from .corpus import Corpus, _within, validate
 from .errors import ComputationError, LoadError
 from .io import _read_text, dump_corpus, json_line, load_corpus
 from .rounding import _int_text, rational_json, rational_str
@@ -173,9 +174,6 @@ def _tiebreak_names(text: str) -> list[str]:
 
 def _load(args) -> Corpus:
     corpus = load_corpus(args.journals, args.papers, args.edges, strict=args.strict)
-    if not gc.get_freeze_count():
-        # the process's one corpus: later collections skip it (``main`` thaws it)
-        gc.freeze()
     report = corpus.load_report
     if not report.clean:
         dropped = ", ".join(f"{reason}={n}" for reason, n in sorted(report.dropped.items()))
@@ -273,9 +271,7 @@ def _cmd_baselines(args, corpus: Corpus) -> normalization.BaselineTable:
     table = normalization.compute_baselines(
         corpus, args.schema, args.counting, split_citations=args.split_citations
     )
-    return table._replace(cells={
-        k: v for k, v in table.cells.items() if k.within(args.years, args.doc_types)
-    })
+    return table._replace(cells=_within(table.cells, args.years, args.doc_types))
 
 
 def _cnci_config(args) -> normalization.CnciConfig:
@@ -563,7 +559,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
-    frozen = gc.get_freeze_count()
     try:
         try:  # a flag or --schema that a check or the load rejects: a usage error
             args.check(args)
@@ -581,9 +576,6 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"biblio: computation error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        if not frozen:  # an in-process caller gets its collector back as it was
-            gc.unfreeze()
     if args.subcommand == "validate" and not result["ok"]:
         print("biblio: corpus has validation findings", file=sys.stderr)
         return 2
@@ -591,6 +583,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    gc.disable()  # a run makes no cyclic garbage but its one parser's
     code = main()
     gc.freeze()  # the exit collections would only walk what the OS frees anyway
     sys.exit(code)

@@ -11,10 +11,10 @@ Papers are sliced into (field, year, doc_type) cells per schema; a paper whose
 journal holds k categories under a schema appears in k cells.
 
 The derived indexes (citation counts, cells, ranked cells, per-cell integer
-citation and paper masses, whole-corpus baseline tables with each table's
-per-paper CNCI values, citing edges, entity output and its fractional weight)
-are built on first use and cached, so a corpus must not be mutated once it has
-been queried.
+citation and paper masses, citing edges, entity output and its fractional
+weight) are built on first use and kept, so a corpus must not be mutated once
+it has been queried. ``Corpus._kept`` keeps the keyed ones, and the baseline
+tables and paper CNCI memo that ``normalization`` owns.
 """
 from __future__ import annotations
 
@@ -188,13 +188,7 @@ class Corpus:
             dict(citation_counts) if citation_counts else None
         )
         self.load_report = load_report
-        self._cell_cache: dict[str, dict[CellKey, tuple[Paper, ...]]] = {}
-        self._ranked_cache: dict[str, dict[CellKey, RankedCell]] = {}
-        self._sums_cache: dict[str, tuple[int, dict[CellKey, list[int]]]] = {}
-        # (schema, counting, split_citations) -> (whole-corpus baseline table,
-        # {(journal, year, doc type, citations): paper CNCI}); kept by normalization
-        self._baseline_tables: dict[tuple, tuple] = {}
-        self._entity_weights: dict[str, Fraction] = {}
+        self._tables: dict[tuple, object] = {}  # key -> derived table; see _kept
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -215,6 +209,13 @@ class Corpus:
                 f"schema {schema!r} is not declared in the corpus (declared: {declared})"
             )
         return info
+
+    def _kept(self, key: tuple, build):
+        """The table kept under ``key``, which ``build()`` makes on first use. A
+        build that raises keeps nothing, so the error comes again on every call."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
 
     @cached_property
     def citation_counts(self) -> dict[str, int]:
@@ -260,53 +261,47 @@ class Corpus:
         papers whose journal has no category there are absent entirely. An
         undeclared ``schema`` is a :class:`ComputationError`.
         """
-        if schema not in self._cell_cache:
+        def build():
             self.require_schema(schema)
             grouped: dict[CellKey, list[Paper]] = {}
             for p in self.papers.values():
                 for f in self.categories_of(p.journal_id, schema):
                     grouped.setdefault(CellKey(f, p.year, p.doc_type), []).append(p)
-            self._cell_cache[schema] = {
-                k: tuple(v) for k, v in sorted(grouped.items())
-            }
-        return _within(self._cell_cache[schema], years, doc_types)
+            return {k: tuple(v) for k, v in sorted(grouped.items())}
+        return _within(self._kept(("cells", schema), build), years, doc_types)
 
     def ranked_cells(
         self, schema: str, years=None, doc_types=None
     ) -> dict[CellKey, RankedCell]:
         """The cells of :meth:`cells`, each ranked once per schema."""
-        if schema not in self._ranked_cache:
-            counts = self.citation_counts
-            self._ranked_cache[schema] = {
-                k: rank_cell(v, counts) for k, v in self.cells(schema).items()
-            }
-        return _within(self._ranked_cache[schema], years, doc_types)
+        counts = self.citation_counts
+        ranked = self._kept(("ranked", schema), lambda: {
+            k: rank_cell(v, counts) for k, v in self.cells(schema).items()})
+        return _within(ranked, years, doc_types)
 
     def cell_sums(self, schema: str, papers=None) -> tuple[int, dict[CellKey, list[int]]]:
         """(unit, {cell: [split citations, citations, papers, split papers]}) of
         ``papers`` (default: the whole corpus) under ``schema``, the integer
         masses :func:`fold_cells` gives; do not mutate them.
 
-        The whole corpus is folded once per schema and cached; a paper pool is
+        The whole corpus is folded once per schema and kept; a paper pool is
         folded on every call. An undeclared ``schema``, or a pool paper the corpus
         does not hold, is a :class:`ComputationError`.
         """
-        if papers is None and schema in self._sums_cache:
-            return self._sums_cache[schema]
+        if papers is None:
+            return self._kept(("sums", schema),
+                              lambda: self.cell_sums(schema, self.papers.values()))
         self.require_schema(schema)
         counts = self.citation_counts
         groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
         try:
-            for p in self.papers.values() if papers is None else papers:
+            for p in papers:
                 group = groups[p.journal_id, p.year, p.doc_type]
                 group[0] += 1
                 group[1] += counts[p.id]
         except KeyError as missing:  # only a pool can hold a paper the corpus does not
             raise ComputationError(f"paper {missing.args[0]!r} is not in the corpus") from None
-        sums = fold_cells(groups, lambda journal: self.categories_of(journal, schema))
-        if papers is None:
-            self._sums_cache[schema] = sums
-        return sums
+        return fold_cells(groups, lambda journal: self.categories_of(journal, schema))
 
     # -- entity attribution ----------------------------------------------------
 
@@ -345,14 +340,9 @@ class Corpus:
     def entity_output_weight(self, entity: str) -> Fraction:
         """The fractional credit of ``entity`` summed over its output, once
         per entity."""
-        weight = self._entity_weights.get(entity)
-        if weight is None:
-            weight = sum(
-                (self.entity_attribution(p, entity) for p in self.papers_of_entity(entity)),
-                Fraction(0),
-            )
-            self._entity_weights[entity] = weight
-        return weight
+        return self._kept(("weight", entity), lambda: sum(
+            (self.entity_attribution(p, entity) for p in self.papers_of_entity(entity)),
+            Fraction(0)))
 
 
 def _within(cells: dict, years, doc_types) -> dict:

@@ -23,9 +23,10 @@ per-paper definitions, which the test oracle keeps. The whole corpus's masses
 are folded once per schema and kept by the corpus (:meth:`Corpus.cell_sums`);
 a reference pool's masses are folded on every call. Global CNCI costs one
 Fraction per regime, and no baseline table is built for it. One paper's CNCI
-is one Fraction as well. The whole corpus's baseline table is built once per
-regime and kept by the corpus too, and over that table one paper's CNCI is
-computed once per (journal, year, doc type, citation count): those fix the
+is one Fraction as well. This module owns the whole corpus's baseline tables:
+each is built once per regime and kept by ``Corpus._kept`` under the key
+(schema, counting, split_citations), with a memo over which one paper's CNCI
+is computed once per (journal, year, doc type, citation count): those fix the
 paper's cells and its c, so every paper that shares them shares the value.
 """
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .corpus import CellKey, Corpus, Paper
+from .corpus import CellKey, Corpus, Paper, _within
 from .errors import ComputationError, EmptyInputError, ZeroBaselineError
 from .rounding import csv_text, rational_json, rational_str
 
@@ -132,22 +133,23 @@ def compute_baselines(
     whole corpus. Cells with no paper in the pool are absent, not zero.
 
     The whole corpus's table is built once per (schema, counting, splitting)
-    and kept by the corpus, so every call returns that one table and it must
-    not be mutated; a pool's table is built on every call.
+    from the corpus's kept cell masses and kept, so every call returns that one
+    table and it must not be mutated; a pool's table is built on every call.
     """
     baseline_config(counting, split_citations)  # validates
-    regime = (schema, counting, split_citations)
-    if papers is None and regime in corpus._baseline_tables:
-        return corpus._baseline_tables[regime][0]
-    unit, masses = corpus.cell_sums(schema, papers)
     cite, weight = _RATE[counting, split_citations]
-    table = BaselineTable(schema, counting, split_citations, {
-        key: BaselineCell(Fraction(m[cite], m[weight]), Fraction(m[weight], unit), m[2] // unit)
-        for key, m in sorted(masses.items())
-    })
-    if papers is None:
-        corpus._baseline_tables[regime] = (table, {})  # the table and its paper CNCI memo
-    return table
+
+    def table(unit: int, masses: dict) -> BaselineTable:
+        return BaselineTable(schema, counting, split_citations, {
+            key: BaselineCell(Fraction(m[cite], m[weight]), Fraction(m[weight], unit),
+                              m[2] // unit)
+            for key, m in sorted(masses.items())})
+
+    if papers is not None:
+        return table(*corpus.cell_sums(schema, papers))
+    # the table and its memo {(journal, year, doc type, citations): paper CNCI}
+    return corpus._kept((schema, counting, split_citations),
+                        lambda: (table(*corpus.cell_sums(schema)), {}))[0]
 
 
 # (counting, split_citations) -> where a cell's citation mass and paper weight
@@ -177,7 +179,7 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
     and kept with the table; an error is raised afresh every time. Any other
     table is read afresh on every call.
     """
-    kept = corpus._baseline_tables.get(baselines[:3])  # (schema, counting, split_citations)
+    kept = corpus._tables.get(baselines[:3])  # (schema, counting, split_citations)
     c = corpus.citation_counts.get(paper.id)
     if kept is None or kept[0] is not baselines or c is None:
         return _cnci_per_field(corpus, paper, baselines)
@@ -269,7 +271,7 @@ def global_cnci_of_sums(
     its rate, citation mass over that weight, so it is the cell's observed
     citation mass again and the ratio is exactly 1 whenever a kept cell is
     cited."""
-    cells = [masses for key, masses in sums[1].items() if key.within(years, doc_types)]
+    cells = _within(sums[1], years, doc_types).values()
     papers = sum(masses[3] for masses in cells)  # the slice's paper count, times the unit
     values = []
     for config in configs:

@@ -265,6 +265,8 @@ class GenConfig:
             "multi_field_citation_boost": float, "schema_name": str})
         for year in self.years:
             _typed(year, int, "years")
+        if len(set(self.years)) < len(self.years):
+            raise ComputationError(f"years {list(self.years)} names a year more than once")
         object.__setattr__(self, "doc_type_mix", tuple(
             (_typed(k, str, "doc_type"), _typed(v, float, f"doc_type_mix {k}"))
             for k, v in self.doc_type_mix))

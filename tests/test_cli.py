@@ -13,7 +13,6 @@ import yaml
 import corpora
 from biblio import (Corpus, GenConfig, Journal, Paper, SchemaInfo, excellence,
                     monte_carlo_global_cnci, monte_carlo_surplus)
-from biblio import cli
 from biblio import corpus as corpus_module
 from biblio.corpus import rank_cell
 from biblio.cli import build_parser, main
@@ -291,21 +290,11 @@ def test_an_undeclared_schema_is_a_usage_error(run, corpus_files, two_papers, co
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_main_freezes_its_corpus_and_leaves_the_collector_as_found(
-    run, corpus_files, two_papers, monkeypatch, enabled
-):
+def test_main_leaves_the_collector_as_found(run, corpus_files, two_papers, monkeypatch, enabled):
     journals, papers, _ = corpus_files(two_papers)
-    events, freeze, unfreeze, load = [], gc.freeze, gc.unfreeze, cli._load
+    events, freeze, unfreeze = [], gc.freeze, gc.unfreeze
     monkeypatch.setattr(gc, "freeze", lambda: (freeze(), events.append("freeze")))
     monkeypatch.setattr(gc, "unfreeze", lambda: (unfreeze(), events.append("unfreeze")))
-
-    def loaded(args):
-        try:
-            return load(args)
-        finally:
-            events.append(f"loaded, frozen={gc.get_freeze_count() > 0}")
-
-    monkeypatch.setattr(cli, "_load", loaded)
     (gc.enable if enabled else gc.disable)()
     try:
         for schema, code in ((corpora.SCHEMA, 0), ("zz", 2)):
@@ -313,9 +302,8 @@ def test_main_freezes_its_corpus_and_leaves_the_collector_as_found(
             assert run("cnci", "--journals", journals, "--papers", papers,
                        "--schema", schema)[0] == code
             assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
-            # load_corpus ages its records (a freeze it undoes at once); then the
-            # CLI's one freeze keeps the corpus frozen until main thaws it.
-            assert events == ["freeze", "unfreeze", "freeze", "loaded, frozen=True", "unfreeze"]
+            # only load_corpus's ageing: a freeze it undoes at once
+            assert events == ["freeze", "unfreeze"]
     finally:
         gc.enable()
 
@@ -1146,6 +1134,7 @@ def test_simulate_config_errors(run, tmp_path):
     ("doc_type_mix: {article: 0, review: 0}", "doc_type_mix needs non-negative weights"),
     ("citation_model: {kind: yule, rho: 0}", "yule rho must be positive"),
     ('years: "2020"', "years must be a list, got '2020'"),
+    ("years: [2020, 2020]", "years [2020, 2020] names a year more than once"),
     ('correlate_volume_with_metric: "false"',
      "correlate_volume_with_metric must be true or false, got 'false'"),
     ("num_categories: 2.7", "num_categories must be an integer, got 2.7"),

@@ -165,6 +165,35 @@ def test_papers_of_entity(simpson):
     assert {p.id for p in simpson.papers_of_entity("team-s")} == {"RC1"}
 
 
+@pytest.mark.parametrize("table, good, bad", [
+    (Corpus.cells, S, "zz"),
+    (Corpus.ranked_cells, S, "zz"),
+    (Corpus.cell_sums, S, "zz"),
+    (compute_baselines, S, "zz"),
+    (Corpus.entity_output_weight, "E", "ghost"),
+], ids=["cells", "ranked_cells", "cell_sums", "compute_baselines", "entity_output_weight"])
+def test_a_kept_table_is_built_once_and_a_failed_build_is_never_kept(
+        monkeypatch, table, good, bad):
+    authors = (AuthorCredit("a1", ("E",)), AuthorCredit("a2", ("F",)))
+    journals = [Journal("JA", {S: ("A",)}, {}), Journal("JAB", {S: ("A", "B")}, {})]
+    c = Corpus([SchemaInfo(S)], journals,
+               [Paper("pa", "JA", 2020, "article", authors=authors),
+                Paper("pab", "JAB", 2020, "article", authors=authors[:1])],
+               citation_counts={"pa": 1, "pab": 2})
+    # an entity whose output holds an authorless paper has no weight
+    papers_of_entity = c.papers_of_entity
+    monkeypatch.setattr(c, "papers_of_entity", lambda entity: (
+        (Paper("p0", "JA", 2020, "article"),) if entity == "ghost" else papers_of_entity(entity)))
+    for _ in range(2):
+        with pytest.raises(ComputationError):
+            table(c, bad)
+    kept = table(c, good)
+    assert table(c, good) is kept
+    with pytest.raises(ComputationError):
+        table(c, bad)
+    assert table(c, good) is kept
+
+
 # -- validation ---------------------------------------------------------------
 
 

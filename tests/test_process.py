@@ -3,8 +3,9 @@
 The golden test calls ``main`` in this process. Here one golden case per output
 route runs as a process of its own, through ``entrypoint`` and the shutdown
 after it, and its exit code, its stdout and every file it writes are compared
-with ``tests/golden/``: ``entrypoint`` freezes the heap before the interpreter
-exits, and nothing it prints or writes may be lost or changed by that.
+with ``tests/golden/``: ``entrypoint`` runs ``main`` with the cyclic collector
+off and freezes the heap before the interpreter exits, and nothing it prints or
+writes may be lost or changed by that.
 """
 import os
 import subprocess
@@ -19,11 +20,13 @@ SRC = Path(__file__).parent.parent / "src"
 ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 # Runs ``biblio.cli.entrypoint``, or ``sys.exit(main())``, as the argv after ``-c``
-# names, on the rest of the argv; at exit it says on stderr whether anything is frozen.
+# names, on the rest of the argv; at exit it says on stderr whether anything is frozen
+# and whether the collector is on.
 AT_EXIT = """
 import atexit, gc, sys
 from biblio import cli
-atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0,
+                              "enabled:", gc.isenabled(), file=sys.stderr))
 if sys.argv.pop(1) == "entrypoint":
     cli.entrypoint()
 else:
@@ -68,4 +71,5 @@ def test_only_the_process_path_exits_with_the_heap_frozen(tmp_path, entry, froze
     argv = dict(cli_cases.invocations(tmp_path))["rank"]
     child = run("-c", AT_EXIT, entry, *argv)
     assert (child.returncode, child.stdout) == (0, cli_cases.golden_path("rank").read_bytes())
-    assert child.stderr.decode("utf-8") == f"frozen at exit: {frozen}\n"
+    # entrypoint runs with the collector off; main leaves it as it found it
+    assert child.stderr.decode("utf-8") == f"frozen at exit: {frozen} enabled: {not frozen}\n"

@@ -280,6 +280,12 @@ def test_config_validation_errors():
         small_config(doc_type_mix=(("article", 1.0e308), ("review", 1.0e308)))
 
 
+def test_a_config_refuses_a_repeated_year():
+    with pytest.raises(ComputationError) as err:
+        small_config(years=(2020, 2021, 2020))
+    assert str(err.value) == "years [2020, 2021, 2020] names a year more than once"
+
+
 def test_config_dict_round_trip():
     config = small_config(
         years=(2019, 2020), doc_type_mix=(("article", 0.8), ("review", 0.2))

@@ -132,7 +132,7 @@ def dumped(corpus, directory, name) -> bytes:
     prob=st.sampled_from((0.0, 0.3, 1.0)),
     most=st.integers(1, 3),
     model=citation_models,
-    years=st.sampled_from(((2020,), (2021, 2020), (2020, 2020))),
+    years=st.sampled_from(((2020,), (2021, 2020))),
     mix=st.sampled_from(((("article", 1.0),), (("article", 0.8), ("review", 0.2)),
                          (("a", 0.0), ("b", 3.0), ("c", 1.0)))),
     correlate=st.booleans(),
