@@ -407,8 +407,19 @@ def _gen_config(path: str) -> synthesis.GenConfig:
     import yaml  # only simulate reads YAML; a top-level import slows every start-up
 
     from . import synthesis
+
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):  # refuses a key given twice
+            mapping = super().construct_mapping(node, deep)
+            if len(mapping) < len(node.value):
+                keys = [self.construct_object(key, deep) for key, _ in node.value]
+                i = next(i for i, key in enumerate(keys) if key in keys[:i])
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found key {keys[i]!r} twice", node.value[i][0].start_mark)
+            return mapping
+
     try:
-        raw = yaml.safe_load(_read_text(path))
+        raw = yaml.load(_read_text(path), Loader)
     except OSError as exc:
         raise _UsageError(f"cannot read --config {path!r}: {exc}")
     except LoadError as exc:

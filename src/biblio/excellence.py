@@ -92,13 +92,16 @@ class HcpDecision(NamedTuple):
 
 
 def parse_tiebreak_chain(names: Iterable[str]) -> tuple[str, ...]:
-    """A tie-break chain: its method names, ``-`` read as ``_``."""
+    """A tie-break chain: its method names, ``-`` read as ``_``, each at most once."""
     names = tuple(names)
-    for name in names:
-        if name.replace("-", "_") not in _TIEBREAKS:
+    chain = tuple(name.replace("-", "_") for name in names)
+    for i, name in enumerate(names):
+        if chain[i] not in _TIEBREAKS:
             choices = ", ".join(m.replace("_", "-") for m in _TIEBREAKS)
             raise ComputationError(f"unknown tie-break method {name!r} (choose from {choices})")
-    return tuple(name.replace("-", "_") for name in names)
+        if chain[i] in chain[:i]:
+            raise ComputationError(f"the tie-break chain names the method {name!r} twice")
+    return chain
 
 
 def _share(top_percent: Fraction | int | str) -> Fraction:
@@ -129,12 +132,6 @@ def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdR
         cell=cell, top_percent=share, quota=quota,
         threshold=threshold, above_count=above, tie_count=ties,
     )
-
-
-def _selects(result: ThresholdResult, esi_low_threshold: bool) -> bool:
-    """Whether a cell selects anything: a quota of at least one and, under the
-    ESI-style rule, a threshold above two citations."""
-    return result.quota > 0 and not (esi_low_threshold and result.threshold <= 2)
 
 
 # -- tie-break orderings --------------------------------------------------------
@@ -247,13 +244,8 @@ def provisional_hcp_ids(
     it is computed once, before any tie-breaking, so selection order cannot
     feed back into the evidence.
     """
-    share = _share(top_percent)
-    ids: set[str] = set()
-    for cell, ranked in corpus.ranked_cells(schema).items():
-        result = _threshold(cell, ranked, share)
-        if _selects(result, esi_low_threshold):
-            ids.update(p.id for p in ranked.papers[:result.above_count + result.tie_count])
-    return frozenset(ids)
+    return frozenset(d.paper_id for d in hcp_run(
+        corpus, schema, top_percent=top_percent, esi_low_threshold=esi_low_threshold))
 
 
 def _decide(
@@ -349,7 +341,8 @@ def hcp_selection(
     for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
         result = _threshold(cell, ranked, share)
         thresholds.append(result)
-        if _selects(result, esi_low_threshold):
+        # a cell selects with a quota and, under the ESI-style rule, a threshold above 2
+        if result.quota > 0 and not (esi_low_threshold and result.threshold <= 2):
             decisions += _decide(corpus, result, ranked, method, chain, provisional)
     return thresholds, decisions
 

@@ -7,7 +7,8 @@ encoded inside the cell. The journals file starts with a registry record
 ``{"_schemas": {...}}`` naming each schema and whether it is
 single-attribution; in CSV the registry travels in the ``categories`` column
 of a row whose id is ``_schemas`` and whose metric is empty or ``{}``. A
-registry row with any other field is malformed.
+registry row with any other field is malformed; a registry row after one that
+loaded is refused as a duplicate.
 
 Every row goes through one parse function per kind. A row that is not an
 object, has more cells than its CSV header, lacks a required field or holds a
@@ -121,6 +122,10 @@ def _read_records(path: Path):
                 import csv  # only a CSV file needs it: a JSONL process never loads it
                 rows = csv.DictReader(_csv_lines(fh, path))
                 try:
+                    names = [name for name in rows.fieldnames or () if name]  # "" may repeat
+                    if twice := [name for i, name in enumerate(names) if name in names[:i]]:
+                        raise LoadError(f"{path.name}:{rows.line_num}: the CSV header names "
+                                        f"column {twice[0]!r} twice")
                     for row in rows:  # named by the line the record ends on
                         yield rows.line_num, {k: v for k, v in row.items() if v not in (None, "")}
                 except csv.Error as exc:  # a cell over csv's field size limit
@@ -275,12 +280,16 @@ def load_corpus(
                 reject(where, f"malformed_{kind}", str(exc))
 
     schemas: dict[str, SchemaInfo] = {}
+    registry_at: list[str] = []  # where the registry row that loaded is
     journals: dict[str, Journal] = {}
 
     def parse_journal(record: dict, where: str) -> None:
         if "_schemas" in record or record.get("id") == "_schemas":
             # the registry's own fields: "_schemas", or in the CSV spelling the
             # id, the categories cell and an empty metric, as dump_corpus writes
+            if registry_at:
+                return reject(where, "duplicate_schema_registry",
+                              f"duplicate schema registry (the first is at {registry_at[0]})")
             spelled = "_schemas" not in record
             other = {key: value for key, value in record.items()
                      if key not in (("id", "categories", "metric") if spelled else ("_schemas",))}
@@ -298,7 +307,7 @@ def load_corpus(
             if not all(isinstance(flag, bool) for flag in flags.values()):
                 raise TypeError(f"single_attribution is not a boolean: {flags!r}")
             schemas.update((name, SchemaInfo(name, flag)) for name, flag in flags.items())
-            return
+            return registry_at.append(where)
         jid = _string(record, "id")
         raw_cats = _nested(record, "categories", {})
         raw_metric = _nested(record, "metric", {})

@@ -179,27 +179,18 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
     and kept with the table; an error is raised afresh every time. Any other
     table is read afresh on every call.
     """
-    kept = corpus._tables.get(baselines[:3])  # (schema, counting, split_citations)
-    c = corpus.citation_counts.get(paper.id)
-    if kept is None or kept[0] is not baselines or c is None:
-        return _cnci_per_field(corpus, paper, baselines)
-    memo, key = kept[1], (paper.journal_id, paper.year, paper.doc_type, c)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _cnci_per_field(corpus, paper, baselines)
-    return value
-
-
-def _cnci_per_field(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fraction:
-    """:func:`cnci_paper` read from the table, one cell per field of the paper."""
     c = corpus.citation_counts.get(paper.id)
     if c is None:
         raise ComputationError(f"paper {paper.id!r} is not in the corpus")
+    kept = corpus._tables.get(baselines[:3])  # (schema, counting, split_citations)
+    memo = kept[1] if kept is not None and kept[0] is baselines else {}
+    key = (paper.journal_id, paper.year, paper.doc_type, c)
+    value = memo.get(key)
+    if value is not None:
+        return value
     fields = corpus.categories_of(paper.journal_id, baselines.schema)
     if not fields:
-        raise ComputationError(
-            f"paper {paper.id!r} has no categories under {baselines.schema!r}"
-        )
+        raise ComputationError(f"paper {paper.id!r} has no categories under {baselines.schema!r}")
     inverse_rates = []  # 1/e of each non-zero cell, as (numerator, denominator)
     for f in fields:
         e = baselines.expected(CellKey(f, paper.year, paper.doc_type))
@@ -207,10 +198,10 @@ def _cnci_per_field(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> F
             inverse_rates.append((e.denominator, e.numerator))
         elif c:
             raise ZeroBaselineError(
-                f"paper {paper.id!r} has {c} citations in a zero-baseline cell"
-            )
+                f"paper {paper.id!r} has {c} citations in a zero-baseline cell")
     num, den = _ratio_sum(inverse_rates)
-    return Fraction(c * num, den * len(fields))
+    value = memo[key] = Fraction(c * num, den * len(fields))
+    return value
 
 
 def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) -> Fraction:

@@ -202,14 +202,10 @@ class CitationModel:
             return {"kind": "lognormal", "mu": self.mu, "sigma": self.sigma, "shift": self.shift}
         return {"kind": "yule", "rho": self.rho, "shift": self.shift}
 
-    def sample(self, rng: random.Random) -> int:
-        """One draw; a draw too large for a float is a :class:`ComputationError`."""
-        return self.sampler(rng)()
-
     def sampler(self, rng: random.Random):
-        """:meth:`sample` on ``rng`` as a function of no arguments, for many
-        draws: the kind is decided and the parameters and stream methods are
-        bound once; each draw makes the same calls, in the same order."""
+        """One draw on ``rng`` as a function of no arguments: the kind is decided and
+        the parameters and stream methods are bound once; each draw makes the same
+        calls, in the same order. A draw too large for a float is a :class:`ComputationError`."""
         shift, exp, log = self.shift, math.exp, math.log
         if self.kind == "lognormal":
             mu, sigma, gauss = self.mu, self.sigma, rng.gauss

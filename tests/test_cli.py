@@ -2,6 +2,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -842,6 +843,17 @@ def test_unknown_tiebreak_is_a_usage_error_before_load(run, command):
     )
 
 
+@pytest.mark.parametrize("chain, name", [("chronology,chronology", "chronology"),
+                                         ("citing-excellence,citing_excellence",
+                                          "citing_excellence")])
+def test_a_tiebreak_that_repeats_a_method_is_a_usage_error_before_load(run, chain, name):
+    code, out, err = run("hcp", "--journals", "missing.jsonl", "--papers", "missing.jsonl",
+                         "--schema", "f", "--method", "quota", "--tiebreak", chain)
+    assert (code, out) == (2, "")
+    assert err.endswith("biblio hcp: error: argument --tiebreak: the tie-break chain names "
+                        f"the method {name!r} twice\n")
+
+
 def test_tiebreak_help_names_the_methods_of_the_table():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     helps = {action.help for p in sub.choices.values() for action in p._actions
@@ -1001,6 +1013,15 @@ multi_attribution_prob: 0.0
 """
 
 
+def cnci_config_with(*lines: str) -> str:
+    """CNCI_CONFIG with each line setting its top-level key: the line replaces the
+    base's entry for that key, since a config that names a key twice is refused."""
+    keys = {line.split(":")[0] for line in lines}
+    entries = re.split(r"(?m)^(?=\S)", CNCI_CONFIG)
+    return "".join(e for e in entries if e.split(":")[0] not in keys) + "".join(
+        line + "\n" for line in lines)
+
+
 def test_simulate_surplus_writes_artifacts(run, tmp_path):
     config = write_config(tmp_path, SURPLUS_CONFIG)
     out_dir = tmp_path / "runs"
@@ -1154,10 +1175,25 @@ def test_simulate_config_errors(run, tmp_path):
     ("papers_per_journal: {uniform: 3}", "uniform needs [LOW, HIGH], got 3"),
 ])
 def test_simulate_config_values_are_usage_errors(run, tmp_path, line, message):
-    config = write_config(tmp_path, CNCI_CONFIG + line + "\n")  # a repeated key wins
+    config = write_config(tmp_path, cnci_config_with(line))
     code, out, err = run("simulate", "--config", config, "--experiment", "cnci")
     assert (code, out) == (2, "")
     assert err.startswith(f"biblio: error: --config {str(config)!r}: {message}")
+
+
+@pytest.mark.parametrize("text, key, line, column", [
+    (CNCI_CONFIG + "seed: 7\n", "seed", 7, 1),
+    (CNCI_CONFIG + "doc_type_mix: {article: 0.9, review: 0.1, article: 0.1}\n", "article", 7, 43),
+    ('{"seed": 1, "seed": 7, "num_categories": 2, "journals_per_category": 2, '
+     '"papers_per_journal": 2}', "seed", 1, 13),
+], ids=["top-level", "nested", "json"])
+def test_simulate_config_keys_given_twice_are_usage_errors(run, tmp_path, text, key, line, column):
+    config = write_config(tmp_path, text)
+    code, out, err = run("simulate", "--config", config, "--experiment", "cnci")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"biblio: error: --config {str(config)!r} is not valid YAML/JSON: "
+                          f'found key {key!r} twice\n  in "<unicode string>", '
+                          f"line {line}, column {column}:\n")
 
 
 @pytest.mark.parametrize("experiment", ["cnci", "corpus", "surplus"])
@@ -1168,7 +1204,7 @@ def test_simulate_config_values_are_usage_errors(run, tmp_path, line, message):
     ("papers_per_journal: {fixed: -2}", "{'fixed': -2}"),
 ])
 def test_simulate_negative_size_specs_are_usage_errors(run, tmp_path, experiment, line, spec):
-    config = write_config(tmp_path, CNCI_CONFIG + line + "\n")
+    config = write_config(tmp_path, cnci_config_with(line))
     out_dir = tmp_path / "runs"
     code, out, err = run("simulate", "--config", config, "--experiment", experiment,
                          "--out-dir", out_dir)
@@ -1208,7 +1244,7 @@ def test_simulate_names_a_missing_required_key(run, tmp_path, key):
 def test_simulate_extreme_citation_models(run, tmp_path, lines, expected):
     """A well-typed config yields non-negative counts, a usage error (exit 2) or,
     for a draw too large to represent, a computation error (exit 3)."""
-    config = write_config(tmp_path, CNCI_CONFIG + "".join(line + "\n" for line in lines))
+    config = write_config(tmp_path, cnci_config_with(*lines))
     out_dir = tmp_path / "corpus"
     code, _, err = run("simulate", "--config", config, "--experiment", "corpus",
                        "--out-dir", out_dir)

@@ -323,8 +323,10 @@ def test_trajectory_names_the_same_undated_edge_in_any_edge_order():
 
 
 def test_tiebreak_chain_names_are_checked():
-    assert parse_tiebreak_chain(iter(["citing-excellence", "trajectory", "citing_excellence"])) \
-        == ("citing_excellence", "trajectory", "citing_excellence")
+    assert parse_tiebreak_chain(iter(["citing-excellence", "trajectory"])) \
+        == ("citing_excellence", "trajectory")
+    assert parse_tiebreak_chain(["chronology", "citing_excellence"]) \
+        == ("chronology", "citing_excellence")
     with pytest.raises(ComputationError, match=UNKNOWN_SORTITION):
         parse_tiebreak_chain(["chronology", "sortition"])
 
@@ -348,6 +350,17 @@ def no_cells(monkeypatch):
 def test_unknown_tiebreak_method_fails_before_any_cell(hundred, no_cells):
     with pytest.raises(ComputationError, match=UNKNOWN_SORTITION):
         hcp_run(hundred, "f", method="quota", tiebreak_chain=["chronology", "sortition"])
+
+
+@pytest.mark.parametrize("names", [["chronology", "chronology"],
+                                   ["citing-excellence", "trajectory", "citing_excellence"]])
+def test_a_chain_that_names_a_method_twice_fails_before_any_cell(hundred, no_cells, names):
+    # a repeated method orders the same tier by the same keys again: it breaks no tie
+    message = f"the tie-break chain names the method {names[-1]!r} twice"
+    with pytest.raises(ComputationError, match=f"^{re.escape(message)}$"):
+        parse_tiebreak_chain(names)
+    with pytest.raises(ComputationError, match=f"^{re.escape(message)}$"):
+        hcp_run(hundred, "f", method="quota", tiebreak_chain=names)
 
 
 @pytest.mark.parametrize("method", ["inclusive", "exclusive", "fractional_ws"])
@@ -571,8 +584,8 @@ GRID_DATES = (date(2010, 3, 1), date(2010, 3, 15), date(2011, 3, 1))
 GRID_MONTHS = (date(2010, 3, 1), date(2011, 3, 1))  # issue months are stored as day 01
 shares = st.fractions(min_value=0, max_value=100, max_denominator=8).filter(lambda f: f > 0)
 # Repeats allowed, as on the CLI: a method may run again on its own straddling tier.
-chains = st.lists(
-    st.sampled_from(["chronology", "trajectory", "citing-excellence"]), max_size=4
+chains = st.lists(  # a chain names each method at most once
+    st.sampled_from(["chronology", "trajectory", "citing-excellence"]), max_size=3, unique=True
 ).map(parse_tiebreak_chain)
 slices = st.tuples(
     st.none() | st.lists(st.sampled_from([2010, 2011]), min_size=1, unique=True),

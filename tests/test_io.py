@@ -331,6 +331,47 @@ def test_a_csv_registry_row_takes_only_an_empty_metric(tmp_path, metric, other):
         f"j.csv:2: schema registry row has other fields: {{'metric': {other!r}}}")
 
 
+@pytest.mark.parametrize("again", [
+    {"_schemas": {"f": {"single_attribution": False}}},
+    {"id": "_schemas", "categories": {"f": {"single_attribution": False}}, "metric": {}},
+    {"_schemas": ["f"]},
+], ids=["jsonl-spelling", "csv-spelling", "malformed"])
+def test_a_second_registry_row_is_refused(tmp_path, again):
+    journals = write(tmp_path / "j.jsonl",
+                     json.dumps({"_schemas": {"f": {"single_attribution": True}}}),
+                     journal_line("J1", {"f": ["A", "B"]}), json.dumps(again))
+    papers = write(tmp_path / "p.jsonl", paper_line("P1", "J1"))
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"duplicate_schema_registry": 1}
+    assert corpus.schemas == {"f": SchemaInfo("f", True)}  # the first row stands
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == "j.jsonl:3: duplicate schema registry (the first is at j.jsonl:1)"
+
+
+def test_a_registry_row_after_a_malformed_one_loads(tmp_path):
+    journals = write(tmp_path / "j.jsonl", json.dumps({"_schemas": ["f"]}),
+                     json.dumps({"_schemas": {"f": {}}}), journal_line("J1", {"f": ["A"]}))
+    papers = write(tmp_path / "p.jsonl", paper_line("P1", "J1"))
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_journal": 1}
+    assert corpus.schemas == {"f": SchemaInfo("f")}
+
+
+def test_a_second_csv_registry_row_is_refused(tmp_path):
+    journals = write(tmp_path / "j.csv", "id,categories,metric",
+                     '_schemas,"{""f"": {""single_attribution"": true}}",',
+                     'J1,"{""f"": [""A"", ""B""]}",',
+                     '_schemas,"{""f"": {""single_attribution"": false}}",')
+    papers = write(tmp_path / "p.csv", "id,journal,year,doc_type", "P1,J1,2020,article")
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"duplicate_schema_registry": 1}
+    assert corpus.schemas == {"f": SchemaInfo("f", True)}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    assert str(err.value) == "j.csv:4: duplicate schema registry (the first is at j.csv:2)"
+
+
 def test_a_category_listed_twice_is_rejected(tmp_path):
     # Listing A twice would put J1's papers into cell A twice.
     journals = write(
@@ -565,7 +606,9 @@ def test_blank_lines_are_skipped_and_still_counted(tmp_path):
      "p.csv:3: NUL character in a CSV file"),
     ('id,journal,year,doc_type\nP1,J1,2020,article\n"P2\n' + "x" * 131_072 + '",J1,2020,a\n',
      "p.csv:4: field larger than field limit (131072)"),
-], ids=["nul", "oversized-cell"])
+    ("id" + "x" * 131_072 + ",journal,year,doc_type\nP1,J1,2020,article\n",
+     "p.csv:1: field larger than field limit (131072)"),
+], ids=["nul", "oversized-cell", "oversized-header"])
 def test_a_csv_file_that_csv_cannot_read_is_located(tmp_path, text, message):
     journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
     papers = tmp_path / "p.csv"
@@ -574,6 +617,36 @@ def test_a_csv_file_that_csv_cannot_read_is_located(tmp_path, text, message):
         with pytest.raises(LoadError) as err:
             load_corpus(journals, papers, strict=strict)
         assert str(err.value) == message
+
+
+CSV_FILES = {
+    "j.csv": ["id,categories,metric", '_schemas,"{""f"": {}}",', 'J1,"{""f"": [""A""]}",'],
+    "p.csv": ["id,journal,year,doc_type", "P1,J1,2020,article", "P2,J1,2020,article"],
+    "e.csv": ["citing,cited", "P1,P2"],
+}
+
+
+@pytest.mark.parametrize("name, lines, column", [
+    ("j.csv", ["id,categories,metric,id", '_schemas,"{""f"": {}}",,',
+               'J1,"{""f"": [""A""]}",,J2'], "id"),
+    ("p.csv", ["id,journal,year,doc_type,year", "P1,J1,2020,article,2021"], "year"),
+    ("e.csv", ["citing,cited,cited", "P1,P2,P3"], "cited"),
+])
+def test_a_csv_header_that_names_a_column_twice_is_located(tmp_path, name, lines, column):
+    paths = [write(tmp_path / file, *(lines if file == name else rows))
+             for file, rows in CSV_FILES.items()]
+    for strict in (False, True):
+        with pytest.raises(LoadError) as err:
+            load_corpus(*paths, strict=strict)
+        assert str(err.value) == f"{name}:1: the CSV header names column {column!r} twice"
+
+
+def test_a_csv_header_may_repeat_an_empty_column_name(tmp_path):
+    # as in a spreadsheet export's trailing ",,"
+    paths = [write(tmp_path / file, *(row + ",," for row in rows))
+             for file, rows in CSV_FILES.items()]
+    corpus = load_corpus(*paths, strict=True)
+    assert (set(corpus.journals), set(corpus.papers), len(corpus.edges)) == ({"J1"}, {"P1", "P2"}, 1)
 
 
 DIRTY_LOAD = json.loads(

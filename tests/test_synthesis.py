@@ -95,12 +95,12 @@ def test_remainder_weights_match_enumeration(low, span):
 def test_citation_model_support():
     rng = random.Random(7)
     yule = CitationModel(kind="yule", rho=1.5, shift=0)
-    draws = [yule.sample(rng) for _ in range(500)]
+    draws = [yule.sampler(rng)() for _ in range(500)]
     assert min(draws) >= 1
     assert max(draws) > 5  # heavy tail actually reaches out
 
     shifted = CitationModel(kind="lognormal", mu=0.0, sigma=1.0, shift=2)
-    assert min(shifted.sample(rng) for _ in range(500)) >= 2
+    assert min(shifted.sampler(rng)() for _ in range(500)) >= 2
 
     class ZeroExponential(random.Random):
         """A stream whose exponential is 0.0, as ``expovariate`` draws when
@@ -109,7 +109,7 @@ def test_citation_model_support():
         def expovariate(self, lambd):
             return 0.0
 
-    assert CitationModel(kind="yule", rho=1.5, shift=2).sample(ZeroExponential(0)) == 3
+    assert CitationModel(kind="yule", rho=1.5, shift=2).sampler(ZeroExponential(0))() == 3
 
 
 @pytest.mark.parametrize("model", [
@@ -128,7 +128,7 @@ def test_sampler_draws_as_the_one_call_oracle(model, seed):
     for _ in range(400):
         expected = oracles.outcome(lambda: oracles.citation_draw(model, theirs))
         assert oracles.outcome(draw) == expected
-        assert oracles.outcome(lambda: model.sample(single)) == expected
+        assert oracles.outcome(lambda: model.sampler(single)()) == expected
     assert ours.getstate() == single.getstate() == theirs.getstate()
 
 
