@@ -25,6 +25,15 @@ first ``above_count`` of the ranking and the borderline block the next
 ``tie_count``, already in id order. One decision kernel per selecting cell
 reads only that prefix, which is also its output order, so a run does work in
 proportion to the papers it selects.
+
+What a quota run derives from the corpus alone is kept on it (``Corpus._kept``)
+and read by every later run: each paper's trajectory (key, evidence) under
+``("trajectory",)``, once per corpus; each paper's citing-excellence (key,
+evidence) under ``("citing_excellence", provisional set)``, once per frozenset
+(a plain set is counted afresh); and the provisional set itself under
+``("provisional", schema, share, low-threshold rule)``, the share reduced. A
+call that raises keeps nothing. Chronology is not kept: it reads only the
+paper, and its ``MissingDateError`` comes on every call like every other.
 """
 from __future__ import annotations
 
@@ -172,6 +181,38 @@ def tiebreak_chronology(papers: Sequence[Paper]) -> TiebreakOrdering:
     return _ordering(CHRONOLOGY, "equal effective dates", scored)
 
 
+def _kept_scores(kept: dict, papers: Sequence[Paper], score) -> dict[str, tuple]:
+    """Each paper id's (key, evidence): the one in ``kept``, else ``score(paper)``.
+    The new scores join ``kept`` only once every paper is scored, so a call
+    that raises keeps nothing and raises again on the next."""
+    scored = {p.id: kept.get(p.id) or score(p) for p in papers}
+    kept.update(scored)
+    return scored
+
+
+def _trajectory(in_edges: dict, p: Paper) -> tuple[tuple, str]:
+    early = late = 0
+    for e in in_edges[p.id]:
+        if e.date is None:
+            citing = min(u.citing for u in in_edges[p.id] if u.date is None)
+            raise MissingDateError(
+                f"edge {citing!r}->{p.id!r} is undated; the trajectory "
+                "tie-break needs dated edges for every candidate"
+            )
+        offset = e.date.year - p.year
+        if 0 <= offset <= 4:
+            early += 1
+        elif 5 <= offset <= 9:
+            late += 1
+    if early > 0:
+        key = (1, -Fraction(late, early))
+    elif late > 0:
+        key = (0, 0)  # infinite ratio, ahead of all finite ones
+    else:
+        key = (2, 0)  # 0/0, behind everything
+    return key, f"late/early={late}/{early}"
+
+
 def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrdering:
     """Higher late-to-early citation ratio first: citations in years 5-9 after
     publication over those in years 0-4.
@@ -180,31 +221,12 @@ def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrde
     above every finite ratio, and a paper with no citations in either window
     (0/0) ranks below everything. Every in-edge of a candidate must be dated;
     the error names a candidate's undated edge with the least citing id, so it
-    does not depend on the order of the edge file.
+    does not depend on the order of the edge file. Each of the corpus's papers
+    is scored once per corpus and its score kept by id.
     """
     in_edges = corpus.in_edges
-    scored: dict[str, tuple[tuple, str]] = {}
-    for p in papers:
-        early = late = 0
-        for e in in_edges[p.id]:
-            if e.date is None:
-                citing = min(u.citing for u in in_edges[p.id] if u.date is None)
-                raise MissingDateError(
-                    f"edge {citing!r}->{p.id!r} is undated; the trajectory "
-                    "tie-break needs dated edges for every candidate"
-                )
-            offset = e.date.year - p.year
-            if 0 <= offset <= 4:
-                early += 1
-            elif 5 <= offset <= 9:
-                late += 1
-        if early > 0:
-            key = (1, -Fraction(late, early))
-        elif late > 0:
-            key = (0, 0)  # infinite ratio, ahead of all finite ones
-        else:
-            key = (2, 0)  # 0/0, behind everything
-        scored[p.id] = (key, f"late/early={late}/{early}")
+    scored = _kept_scores(corpus._kept((TRAJECTORY,), dict), papers,
+                          lambda p: _trajectory(in_edges, p))
     return _ordering(TRAJECTORY, "equal citation trajectories", scored)
 
 
@@ -213,13 +235,19 @@ def tiebreak_citing_excellence(
     papers: Sequence[Paper],
     provisional_hcp: frozenset[str] | set[str],
 ) -> TiebreakOrdering:
-    """More citations from (provisionally) highly cited papers first."""
+    """More citations from (provisionally) highly cited papers first. Each of
+    the corpus's papers is counted once per frozenset ``provisional_hcp`` and its
+    count kept by id; against a plain set it is counted afresh on every call."""
     in_edges = corpus.in_edges
-    scored: dict[str, tuple[int, str]] = {}
-    for p in papers:
+
+    def score(p: Paper) -> tuple[int, str]:
         n = sum(1 for e in in_edges[p.id] if e.citing in provisional_hcp)
-        scored[p.id] = (-n, f"citing_hcp={n}")
-    return _ordering(CITING_EXCELLENCE, "equal citing-excellence counts", scored)
+        return -n, f"citing_hcp={n}"
+
+    kept = corpus._kept((CITING_EXCELLENCE, provisional_hcp), dict) \
+        if isinstance(provisional_hcp, frozenset) else {}
+    return _ordering(CITING_EXCELLENCE, "equal citing-excellence counts",
+                     _kept_scores(kept, papers, score))
 
 
 # Each method name to its ordering of a group. The lambdas look each function up
@@ -241,11 +269,13 @@ def provisional_hcp_ids(
     selecting cell's ranked prefix, borderline candidates included.
 
     This is the bootstrap set the citing-excellence tie-break counts against;
-    it is computed once, before any tie-breaking, so selection order cannot
-    feed back into the evidence.
+    it is computed before any tie-breaking, so selection order cannot feed back
+    into the evidence. It is kept once per (schema, share, low-threshold rule):
+    every call with an equal share returns the one kept set.
     """
-    return frozenset(d.paper_id for d in hcp_run(
-        corpus, schema, top_percent=top_percent, esi_low_threshold=esi_low_threshold))
+    share, esi = _share(top_percent), bool(esi_low_threshold)
+    return corpus._kept(("provisional", schema, share, esi), lambda: frozenset(
+        d.paper_id for d in hcp_run(corpus, schema, top_percent=share, esi_low_threshold=esi)))
 
 
 def _decide(

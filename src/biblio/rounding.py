@@ -5,8 +5,9 @@ single place where text becomes a number, by one ASCII grammar on every Python
 (``_int_text``, ``_rational``), and where values get rounded for display.
 Rounding is half-up (halves away from zero), matching the hand-rounding
 convention used throughout the reports, and is done in integer arithmetic so
-no float ever enters the path. Every CSV table and file biblio writes is
-rendered here too (``csv_text``), by one quoting rule on every Python.
+no float ever enters the path: ``_rational`` refuses a float or a bool. Every
+CSV table and file biblio writes is rendered here too (``csv_text``), by one
+quoting rule on every Python.
 
 Reports render the same values over and over (the per-paper CNCI of every
 paper with the same count in the same cells, the same share in many
@@ -41,7 +42,11 @@ def _int_text(text: str) -> int:
 def _rational(value: RationalLike) -> Fraction:
     """``value`` as a Fraction. Text is ``num/den`` or a decimal with an optional
     exponent, in ASCII with an optional ``-``: ``Fraction`` alone would also take
-    ``+``, spaces, ``_`` separators and non-ASCII digits, as the version allows."""
+    ``+``, spaces, ``_`` separators and non-ASCII digits, as the version allows.
+    A float or a bool is a :class:`TypeError`: ``Fraction(0.3)`` is the binary
+    value 5404319552844595/18014398509481984, and ``True`` would read as 1."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"not an exact rational: {value!r} (pass a Fraction, int or text)")
     if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
         raise ValueError(f"not a rational: {value!r}")
     return Fraction(value)

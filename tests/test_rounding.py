@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from biblio import (
     hcp_report,
     hcp_selection,
     monte_carlo_surplus,
+    provisional_hcp_ids,
     quartile_distribution,
     rank_category,
     rational_json,
@@ -280,3 +282,49 @@ def test_every_csv_rendering_reads_back_as_its_rendered_values():
     quoted = [cell for result, _, _ in rendered for row in csv_rows(result.to_csv_text())
               for cell in row if any(c in cell for c in ',"\r\n')]
     assert {'J"1', "J" + ODD, ENGINEERING, "c" + ODD, "re,view"} <= set(quoted)
+
+
+def test_rational_refuses_a_float_or_a_bool_by_name():
+    for value in (0.3, 2.0, True, False):
+        with pytest.raises(TypeError, match=re.escape(f"not an exact rational: {value!r}")):
+            _rational(value)
+
+
+@pytest.mark.parametrize("render", [
+    round_half_up, rational_str, lambda v: decimal_str(v, 2), lambda v: rational_json(v, 2),
+], ids=["round_half_up", "rational_str", "decimal_str", "rational_json"])
+def test_rendering_refuses_a_float_or_a_bool(render):
+    for value in (2.675, 0.5, True):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            render(value)
+
+
+def five_hundred_papers():
+    journals = [Journal("jf", {"f": ("fict",)}, {})]
+    papers = [Paper(f"p{i:03d}", "jf", 2019, "article") for i in range(500)]
+    counts = {p.id: 500 - i for i, p in enumerate(papers)}
+    return Corpus([SchemaInfo("f", True)], journals, papers, citation_counts=counts)
+
+
+@pytest.mark.parametrize("read_share", [
+    lambda corpus, top: hcp_selection(corpus, "f", top_percent=top),
+    lambda corpus, top: hcp_report(corpus, "f", [], top_percent=top),
+    lambda corpus, top: provisional_hcp_ids(corpus, "f", top),
+], ids=["hcp_selection", "hcp_report", "provisional_hcp_ids"])
+def test_a_share_refuses_a_float_or_a_bool(read_share):
+    corpus = five_hundred_papers()
+    for top in (0.3, 10.0, True):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            read_share(corpus, top)
+
+
+def test_exact_shares_and_values_read_as_before():
+    corpus = five_hundred_papers()
+    for top, quota in (("0.3", 2), (Fraction(3, 10), 2), (3, 15)):
+        (result,), decisions = hcp_selection(corpus, "f", top_percent=top)
+        assert (result.top_percent, result.quota, len(decisions)) == (Fraction(top), quota, quota)
+        assert hcp_report(corpus, "f", decisions, top_percent=top).rows[0].expected == quota
+    assert rational_str(Fraction(3, 10)) == rational_str("0.3") == "3/10"
+    assert decimal_str("2.675", 2) == decimal_str(Fraction(2675, 1000), 2) == "2.68"
+    assert rational_json(3, 1) == {"rational": "3", "decimal": "3.0"}
+    assert round_half_up("0.5") == round_half_up(Fraction(1, 2)) == 1
