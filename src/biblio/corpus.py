@@ -13,12 +13,8 @@ journal holds k categories under a schema appears in k cells.
 The derived indexes (citation counts, cells, ranked cells, per-cell integer
 citation and paper masses, citing edges, entity output and its fractional
 weight) are built on first use and kept, so a corpus must not be mutated once
-it has been queried. ``Corpus._kept`` keeps the keyed ones, the baseline
-tables and paper CNCI memo that ``normalization`` owns, and three values that
-``excellence`` owns: each paper's trajectory score once per corpus, each
-paper's citing-excellence score once per provisional set, and the provisional
-set once per (schema, share, low-threshold rule). The chronology tie-break
-reads only the paper and keeps nothing.
+it has been queried. ``Corpus._kept`` keeps the keyed ones, and the baseline
+tables and paper CNCI memo that ``normalization`` owns.
 """
 from __future__ import annotations
 
@@ -216,15 +212,7 @@ class Corpus:
 
     def _kept(self, key: tuple, build):
         """The table kept under ``key``, which ``build()`` makes on first use. A
-        build that raises keeps nothing, so the error comes again on every call.
-
-        Each owner's keys differ from every other's in length or first item:
-        ``("cells" | "ranked" | "sums", schema)`` and ``("weight", entity)`` here;
-        ``(schema, counting, split_citations)`` in ``normalization``; and in
-        ``excellence``, ``("trajectory",)`` and ``("citing_excellence", provisional
-        frozenset)`` for {paper id: (key, evidence)}, and ``("provisional", schema,
-        share, low-threshold rule)`` for the provisional set.
-        """
+        build that raises keeps nothing, so the error comes again on every call."""
         if key not in self._tables:
             self._tables[key] = build()
         return self._tables[key]

@@ -25,15 +25,6 @@ first ``above_count`` of the ranking and the borderline block the next
 ``tie_count``, already in id order. One decision kernel per selecting cell
 reads only that prefix, which is also its output order, so a run does work in
 proportion to the papers it selects.
-
-What a quota run derives from the corpus alone is kept on it (``Corpus._kept``)
-and read by every later run: each paper's trajectory (key, evidence) under
-``("trajectory",)``, once per corpus; each paper's citing-excellence (key,
-evidence) under ``("citing_excellence", provisional set)``, once per frozenset
-(a plain set is counted afresh); and the provisional set itself under
-``("provisional", schema, share, low-threshold rule)``, the share reduced. A
-call that raises keeps nothing. Chronology is not kept: it reads only the
-paper, and its ``MissingDateError`` comes on every call like every other.
 """
 from __future__ import annotations
 
@@ -181,38 +172,6 @@ def tiebreak_chronology(papers: Sequence[Paper]) -> TiebreakOrdering:
     return _ordering(CHRONOLOGY, "equal effective dates", scored)
 
 
-def _kept_scores(kept: dict, papers: Sequence[Paper], score) -> dict[str, tuple]:
-    """Each paper id's (key, evidence): the one in ``kept``, else ``score(paper)``.
-    The new scores join ``kept`` only once every paper is scored, so a call
-    that raises keeps nothing and raises again on the next."""
-    scored = {p.id: kept.get(p.id) or score(p) for p in papers}
-    kept.update(scored)
-    return scored
-
-
-def _trajectory(in_edges: dict, p: Paper) -> tuple[tuple, str]:
-    early = late = 0
-    for e in in_edges[p.id]:
-        if e.date is None:
-            citing = min(u.citing for u in in_edges[p.id] if u.date is None)
-            raise MissingDateError(
-                f"edge {citing!r}->{p.id!r} is undated; the trajectory "
-                "tie-break needs dated edges for every candidate"
-            )
-        offset = e.date.year - p.year
-        if 0 <= offset <= 4:
-            early += 1
-        elif 5 <= offset <= 9:
-            late += 1
-    if early > 0:
-        key = (1, -Fraction(late, early))
-    elif late > 0:
-        key = (0, 0)  # infinite ratio, ahead of all finite ones
-    else:
-        key = (2, 0)  # 0/0, behind everything
-    return key, f"late/early={late}/{early}"
-
-
 def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrdering:
     """Higher late-to-early citation ratio first: citations in years 5-9 after
     publication over those in years 0-4.
@@ -221,12 +180,31 @@ def tiebreak_trajectory(corpus: Corpus, papers: Sequence[Paper]) -> TiebreakOrde
     above every finite ratio, and a paper with no citations in either window
     (0/0) ranks below everything. Every in-edge of a candidate must be dated;
     the error names a candidate's undated edge with the least citing id, so it
-    does not depend on the order of the edge file. Each of the corpus's papers
-    is scored once per corpus and its score kept by id.
+    does not depend on the order of the edge file.
     """
     in_edges = corpus.in_edges
-    scored = _kept_scores(corpus._kept((TRAJECTORY,), dict), papers,
-                          lambda p: _trajectory(in_edges, p))
+    scored: dict[str, tuple[tuple, str]] = {}
+    for p in papers:
+        early = late = 0
+        for e in in_edges[p.id]:
+            if e.date is None:
+                citing = min(u.citing for u in in_edges[p.id] if u.date is None)
+                raise MissingDateError(
+                    f"edge {citing!r}->{p.id!r} is undated; the trajectory "
+                    "tie-break needs dated edges for every candidate"
+                )
+            offset = e.date.year - p.year
+            if 0 <= offset <= 4:
+                early += 1
+            elif 5 <= offset <= 9:
+                late += 1
+        if early > 0:
+            key = (1, Fraction(-late, early))
+        elif late > 0:
+            key = (0, 0)  # infinite ratio, ahead of all finite ones
+        else:
+            key = (2, 0)  # 0/0, behind everything
+        scored[p.id] = (key, f"late/early={late}/{early}")
     return _ordering(TRAJECTORY, "equal citation trajectories", scored)
 
 
@@ -235,19 +213,13 @@ def tiebreak_citing_excellence(
     papers: Sequence[Paper],
     provisional_hcp: frozenset[str] | set[str],
 ) -> TiebreakOrdering:
-    """More citations from (provisionally) highly cited papers first. Each of
-    the corpus's papers is counted once per frozenset ``provisional_hcp`` and its
-    count kept by id; against a plain set it is counted afresh on every call."""
+    """More citations from (provisionally) highly cited papers first."""
     in_edges = corpus.in_edges
-
-    def score(p: Paper) -> tuple[int, str]:
+    scored: dict[str, tuple[int, str]] = {}
+    for p in papers:
         n = sum(1 for e in in_edges[p.id] if e.citing in provisional_hcp)
-        return -n, f"citing_hcp={n}"
-
-    kept = corpus._kept((CITING_EXCELLENCE, provisional_hcp), dict) \
-        if isinstance(provisional_hcp, frozenset) else {}
-    return _ordering(CITING_EXCELLENCE, "equal citing-excellence counts",
-                     _kept_scores(kept, papers, score))
+        scored[p.id] = (-n, f"citing_hcp={n}")
+    return _ordering(CITING_EXCELLENCE, "equal citing-excellence counts", scored)
 
 
 # Each method name to its ordering of a group. The lambdas look each function up
@@ -269,13 +241,32 @@ def provisional_hcp_ids(
     selecting cell's ranked prefix, borderline candidates included.
 
     This is the bootstrap set the citing-excellence tie-break counts against;
-    it is computed before any tie-breaking, so selection order cannot feed back
-    into the evidence. It is kept once per (schema, share, low-threshold rule):
-    every call with an equal share returns the one kept set.
+    it is computed once, before any tie-breaking, so selection order cannot
+    feed back into the evidence. It takes the ids off the prefixes, without
+    building the inclusive run's decisions.
     """
-    share, esi = _share(top_percent), bool(esi_low_threshold)
-    return corpus._kept(("provisional", schema, share, esi), lambda: frozenset(
-        d.paper_id for d in hcp_run(corpus, schema, top_percent=share, esi_low_threshold=esi)))
+    cells = _cell_thresholds(corpus, schema, _share(top_percent), esi_low_threshold)
+    return frozenset(p.id for result, ranked, selects in cells if selects
+                     for p in ranked.papers[:result.above_count + result.tie_count])
+
+
+def _cell_thresholds(
+    corpus: Corpus,
+    schema: str,
+    share: Fraction,
+    esi_low_threshold: bool,
+    years=None,
+    doc_types=None,
+) -> list[tuple[ThresholdResult, RankedCell, bool]]:
+    """Each sliced cell's threshold and ranked cell, in cell order, and whether
+    the cell selects: it has a quota and, under the ESI-style rule, a threshold
+    above 2."""
+    cells = []
+    for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
+        result = _threshold(cell, ranked, share)
+        cells.append((result, ranked,
+                      result.quota > 0 and not (esi_low_threshold and result.threshold <= 2)))
+    return cells
 
 
 def _decide(
@@ -368,11 +359,10 @@ def hcp_selection(
         provisional = provisional_hcp_ids(corpus, schema, share, esi_low_threshold)
     thresholds: list[ThresholdResult] = []
     decisions: list[HcpDecision] = []
-    for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
-        result = _threshold(cell, ranked, share)
+    for result, ranked, selects in _cell_thresholds(
+            corpus, schema, share, esi_low_threshold, years, doc_types):
         thresholds.append(result)
-        # a cell selects with a quota and, under the ESI-style rule, a threshold above 2
-        if result.quota > 0 and not (esi_low_threshold and result.threshold <= 2):
+        if selects:
             decisions += _decide(corpus, result, ranked, method, chain, provisional)
     return thresholds, decisions
 

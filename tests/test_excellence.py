@@ -714,14 +714,14 @@ def test_quota_decisions_list_the_chosen_borderline_in_id_order():
     assert [d.paper_id for d in decisions] == ["q1", "t2", "t3"]
 
 
-# -- evidence kept on the corpus -------------------------------------------------------
+# -- selections on one corpus ------------------------------------------------------------
 
 # Every quota chain: each ordered selection of one to three distinct methods.
 ALL_CHAINS = [chain for n in (1, 2, 3) for chain in
               itertools.permutations(("chronology", "trajectory", "citing_excellence"), n)]
 
 
-def assert_kept_evidence_changes_nothing(build, schema, tops):
+def assert_runs_do_not_depend_on_earlier_runs(build, schema, tops):
     """Every quota chain x share x low-threshold rule, run on one corpus forward
     and on another backward, gives what the same run gives on a fresh corpus."""
     grid = [dict(method="quota", tiebreak_chain=chain, top_percent=top, esi_low_threshold=esi)
@@ -735,89 +735,35 @@ def assert_kept_evidence_changes_nothing(build, schema, tops):
 
 @settings(max_examples=40)
 @given(hcp_worlds(), st.lists(shares, min_size=1, max_size=3, unique=True))
-def test_kept_evidence_never_changes_a_selection(world, tops):
-    assert_kept_evidence_changes_nothing(world, "f", tops)
+def test_a_quota_run_does_not_depend_on_earlier_runs(world, tops):
+    assert_runs_do_not_depend_on_earlier_runs(world, "f", tops)
 
 
-def test_kept_evidence_never_changes_a_selection_on_the_fixtures(math2011):
-    def rebuilt(corpus):  # a fresh corpus of the same records, with nothing kept
+def test_a_quota_run_does_not_depend_on_earlier_runs_on_the_fixtures(math2011):
+    def rebuilt(corpus):  # a fresh corpus of the same records, with nothing built yet
         return lambda: Corpus(corpus.schemas.values(), corpus.journals.values(),
                               corpus.papers.values(), corpus.edges)
 
-    assert_kept_evidence_changes_nothing(rebuilt(math2011), "esi", [1])
-    assert_kept_evidence_changes_nothing(corpora.make_quota_mini, "f", [30, 10, "12.5", 100])
+    assert_runs_do_not_depend_on_earlier_runs(rebuilt(math2011), "esi", [1])
+    assert_runs_do_not_depend_on_earlier_runs(corpora.make_quota_mini, "f", [30, 10, "12.5", 100])
 
 
-def test_a_failed_trajectory_is_not_kept():
-    journals = [Journal("jf", {"f": ("fict",)}, {}), Journal("jx", {}, {})]
-    papers = [Paper(p, "jf", 2011, "article") for p in ("P1", "P2", "P3")]
-    papers += [Paper(x, "jx", 2012, "article") for x in ("x1", "x2", "x3")]
-    edges = [CitationEdge("x1", "P1", date(2012, 6, 1)), CitationEdge("x2", "P1"),
-             CitationEdge("x1", "P2", date(2017, 6, 1)), CitationEdge("x3", "P3", date(2012, 6, 1))]
-
-    def build():
-        return Corpus([SchemaInfo("f", True)], journals, papers, edges)
-
-    corpus = build()
-    group = [corpus.papers[p] for p in ("P2", "P1", "P3")]
-    for _ in range(2):  # P2 is scored before P1 raises, and nothing is kept
-        with pytest.raises(MissingDateError, match="^edge 'x2'->'P1' is undated"):
-            tiebreak_trajectory(corpus, group)
-    dated = [corpus.papers["P3"], corpus.papers["P2"]]
-    ordering = tiebreak_trajectory(corpus, dated)
-    assert ordering.groups == (("P2",), ("P3",))
-    assert ordering == tiebreak_trajectory(build(), dated)
-    assert tiebreak_trajectory(corpus, dated) == ordering
-
-
-def test_citing_excellence_counts_a_plain_set_afresh():
+def test_citing_excellence_reads_a_plain_set_as_its_frozenset():
     corpus = trajectory_corpus()
     papers = [corpus.papers[p] for p in ("P1", "P2")]
-    citers = {"x-P1-0", "x-P2-0", "x-P2-1"}
-    frozen = tiebreak_citing_excellence(corpus, papers, frozenset(citers))
-    assert frozen.groups == (("P2",), ("P1",))
-    assert tiebreak_citing_excellence(corpus, papers, citers) == frozen
-    citers |= {"x-P1-1", "x-P1-2"}  # the same set object, now with more citers of P1
-    assert tiebreak_citing_excellence(corpus, papers, citers).groups == (("P1",), ("P2",))
-    assert tiebreak_citing_excellence(corpus, papers, frozenset(citers)).groups \
-        == (("P1",), ("P2",))
-    assert tiebreak_citing_excellence(corpus, papers, frozenset(citers) - {"x-P1-1", "x-P1-2"}) \
-        == frozen  # an equal frozenset reads the counts kept for the first
+    for citers, best in (({"x-P1-0", "x-P2-0", "x-P2-1"}, "P2"),
+                         ({"x-P1-0", "x-P1-1", "x-P2-0"}, "P1")):
+        ordering = tiebreak_citing_excellence(corpus, papers, citers)
+        assert ordering.groups[0] == (best,)
+        assert ordering == tiebreak_citing_excellence(corpus, papers, frozenset(citers))
 
 
-def test_provisional_ids_are_kept_once_per_reduced_share(hundred):
-    kept = provisional_hcp_ids(hundred, "f", 1)
-    assert provisional_hcp_ids(hundred, "f", "1") is kept
-    assert provisional_hcp_ids(hundred, "f", Fraction(1)) is kept
-    assert provisional_hcp_ids(hundred, "f", "2/2", esi_low_threshold=1) is kept
-    assert provisional_hcp_ids(hundred, "f", 1, esi_low_threshold=False) is not kept
-    assert provisional_hcp_ids(hundred, "f", 2) is not kept
-
-
-class CountingIndex(dict):
-    """A dict that counts its item reads."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return super().__getitem__(key)
-
-
-def test_a_repeated_quota_run_reads_the_kept_evidence(math2011, monkeypatch):
-    corpus = Corpus(math2011.schemas.values(), math2011.journals.values(),
-                    math2011.papers.values(), math2011.edges)
-    index = corpus.__dict__["in_edges"] = CountingIndex(corpus.in_edges)
-    runs, run = [], excellence.hcp_run
-    monkeypatch.setattr(excellence, "hcp_run", lambda *a, **k: runs.append(a) or run(*a, **k))
-    chain = parse_tiebreak_chain(["citing-excellence", "trajectory", "chronology"])
-
-    first = hcp_run(corpus, "esi", method="quota", tiebreak_chain=chain)
-    assert len(runs) == 1  # the provisional set's inclusive run
-    assert index.reads >= 9  # the nine borderline candidates of the 2011 cell, at least
-    index.reads = 0
-    assert hcp_run(corpus, "esi", method="quota", tiebreak_chain=chain, top_percent="1") == first
-    assert (len(runs), index.reads) == (1, 0)
+def test_provisional_ids_build_no_decisions(math2011, monkeypatch):
+    want = frozenset(d.paper_id for d in hcp_run(math2011, "esi"))
+    built = []
+    monkeypatch.setattr(excellence, "HcpDecision", lambda *a, **k: built.append(a))
+    assert provisional_hcp_ids(math2011, "esi") == want
+    assert built == []
 
 
 # -- entity shares ------------------------------------------------------------------
