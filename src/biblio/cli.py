@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import Corpus, _within, validate
+from .corpus import Corpus, _in_slice, _within, validate
 from .errors import ComputationError, LoadError
 from .io import _read_text, dump_corpus, json_line, load_corpus
 from .rounding import _int_text, rational_json, rational_str
@@ -203,8 +203,8 @@ def _papers_in_file(corpus: Corpus, path: str, flag: str) -> list:
 
 def _slice_papers(corpus: Corpus, args) -> list:
     """Papers with a category under --schema in the --years/--doc-types slice."""
-    cells = corpus.cells(args.schema, args.years, args.doc_types).values()
-    return list({p.id: p for papers in cells for p in papers}.values())
+    return [p for p in corpus.papers.values() if corpus.categories_of(p.journal_id, args.schema)
+            and _in_slice(p.year, p.doc_type, args.years, args.doc_types)]
 
 
 # -- subcommand handlers ---------------------------------------------------------

@@ -108,12 +108,6 @@ class CellKey(NamedTuple):
     year: int
     doc_type: str
 
-    def within(self, years=None, doc_types=None) -> bool:
-        """Whether the cell lies in a year/doc-type slice; None admits every value."""
-        return (years is None or self.year in years) and (
-            doc_types is None or self.doc_type in doc_types
-        )
-
     def to_json_dict(self) -> dict:
         return {"field": self.field, "year": self.year, "doc_type": self.doc_type}
 
@@ -345,10 +339,15 @@ class Corpus:
             Fraction(0)))
 
 
+def _in_slice(year: int, doc_type: str, years, doc_types) -> bool:
+    """Whether a year and doc type lie in a year/doc-type slice; None admits every value."""
+    return (years is None or year in years) and (doc_types is None or doc_type in doc_types)
+
+
 def _within(cells: dict, years, doc_types) -> dict:
     if years is None and doc_types is None:
         return cells
-    return {k: v for k, v in cells.items() if k.within(years, doc_types)}
+    return {k: v for k, v in cells.items() if _in_slice(k.year, k.doc_type, years, doc_types)}
 
 
 # -- validation ---------------------------------------------------------------

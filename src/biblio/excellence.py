@@ -34,7 +34,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell
+from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell, _within
 from .errors import ComputationError, EmptyInputError, MissingDateError
 from .rounding import _half_up, _rational, csv_text, decimal_str, rational_json, rational_str
 
@@ -242,11 +242,14 @@ def provisional_hcp_ids(
 
     This is the bootstrap set the citing-excellence tie-break counts against;
     it is computed once, before any tie-breaking, so selection order cannot
-    feed back into the evidence. It takes the ids off the prefixes, without
-    building the inclusive run's decisions.
+    feed back into the evidence.
     """
-    cells = _cell_thresholds(corpus, schema, _share(top_percent), esi_low_threshold)
-    return frozenset(p.id for result, ranked, selects in cells if selects
+    return _provisional(_cell_thresholds(corpus, schema, _share(top_percent), esi_low_threshold))
+
+
+def _provisional(cells: dict) -> frozenset[str]:
+    """The selecting cells' prefix ids in a :func:`_cell_thresholds` table, no decisions built."""
+    return frozenset(p.id for result, ranked, selects in cells.values() if selects
                      for p in ranked.papers[:result.above_count + result.tie_count])
 
 
@@ -255,17 +258,14 @@ def _cell_thresholds(
     schema: str,
     share: Fraction,
     esi_low_threshold: bool,
-    years=None,
-    doc_types=None,
-) -> list[tuple[ThresholdResult, RankedCell, bool]]:
-    """Each sliced cell's threshold and ranked cell, in cell order, and whether
-    the cell selects: it has a quota and, under the ESI-style rule, a threshold
-    above 2."""
-    cells = []
-    for cell, ranked in corpus.ranked_cells(schema, years, doc_types).items():
+) -> dict[CellKey, tuple[ThresholdResult, RankedCell, bool]]:
+    """{cell: (threshold, ranked cell, selects)} in cell order, from one walk over the
+    whole kept ranking; a cell selects with a quota and, under the ESI rule, a threshold > 2."""
+    cells = {}
+    for cell, ranked in corpus.ranked_cells(schema).items():
         result = _threshold(cell, ranked, share)
-        cells.append((result, ranked,
-                      result.quota > 0 and not (esi_low_threshold and result.threshold <= 2)))
+        cells[cell] = (result, ranked,
+                       result.quota > 0 and not (esi_low_threshold and result.threshold <= 2))
     return cells
 
 
@@ -354,13 +354,11 @@ def hcp_selection(
         raise ComputationError(f"only quota selection takes a tie-break chain, not {method!r}")
     if method == "quota" and not chain:
         raise ComputationError("quota selection needs a tie-break chain")
-    provisional: frozenset[str] | None = None
-    if method == "quota" and CITING_EXCELLENCE in chain:
-        provisional = provisional_hcp_ids(corpus, schema, share, esi_low_threshold)
+    cells = _cell_thresholds(corpus, schema, share, esi_low_threshold)
+    provisional = _provisional(cells) if CITING_EXCELLENCE in chain else None
     thresholds: list[ThresholdResult] = []
     decisions: list[HcpDecision] = []
-    for result, ranked, selects in _cell_thresholds(
-            corpus, schema, share, esi_low_threshold, years, doc_types):
+    for result, ranked, selects in _within(cells, years, doc_types).values():
         thresholds.append(result)
         if selects:
             decisions += _decide(corpus, result, ranked, method, chain, provisional)
@@ -405,6 +403,7 @@ def entity_hcp_share(
     author slot on it; fractional counting uses the author-share attribution
     formula on both sides of the ratio. Fractional-status decisions contribute
     their decision weight, so whole-set weights keep summing to the quota.
+    Weights sum per cell, so a paper selected in two fields counts twice.
     """
     if counting not in ("whole", "fractional"):
         raise ComputationError(f"unknown counting scheme {counting!r}")
@@ -485,22 +484,23 @@ def hcp_report(
 ) -> ExcellenceReport:
     """Per-field expected-versus-actual excellence table.
 
-    Expected is the rounded share of the field's paper total (summed over the
-    same year/doc-type slice the decisions were computed on); actual sums the
-    decision weights landing in the field, whole weights as integers.
+    Expected is the rounded share of the field's paper total in the slice of
+    ``corpus.ranked_cells`` the selection walked; actual sums the decision weights
+    landing in the field, whole weights as integers, and refuses one outside the slice.
     """
     share = _share(top_percent)
+    ranked = corpus.ranked_cells(schema, years, doc_types)
     totals: dict[str, int] = {}
-    for cell, papers in corpus.cells(schema, years, doc_types).items():
-        totals[cell.field] = totals.get(cell.field, 0) + len(papers)
+    for cell, ranked_cell in ranked.items():
+        totals[cell.field] = totals.get(cell.field, 0) + len(ranked_cell.papers)
     if not totals:
         raise EmptyInputError(f"no papers under schema {schema!r} in the given slice")
     whole = dict.fromkeys(totals, 0)
     partial: dict[str, Fraction] = {}
     for d in decisions:
+        if d.cell not in ranked:
+            raise ComputationError(f"paper {d.paper_id!r} was decided outside the slice: {d.cell}")
         field, weight = d.cell.field, d.weight
-        if field not in whole:
-            continue
         if weight.denominator == 1:
             whole[field] += weight.numerator
         else:

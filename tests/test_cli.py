@@ -495,6 +495,20 @@ def test_cnci_per_paper_sums_the_corpus_once(run, corpus_files, hundred, monkeyp
     assert len(passes) == 1
 
 
+@pytest.mark.parametrize("corpus, argv", [
+    (corpora.make_slices, ["cnci", "--schema", "f"]),
+    (corpora.make_slices, ["cnci", "--schema", "f", "--per-paper"]),
+    (corpora.make_simpson, ["relative-cnci", "--schema", corpora.SCHEMA,
+                            "--subunit-entity", "team-s"]),
+], ids=["cnci", "cnci-per-paper", "relative-cnci"])
+def test_cnci_subcommands_list_their_slice_without_the_cell_index(corpus, argv):
+    corpus = corpus()
+    args = build_parser().parse_args([*argv, "--journals", "j", "--papers", "p"])
+    args.check(args)
+    args.handler(args, corpus)
+    assert ("cells", args.schema) not in corpus._tables
+
+
 def test_cnci_fractional_pins_to_one(run, corpus_files, two_papers):
     journals, papers, _ = corpus_files(two_papers)
     code, out, _ = run(

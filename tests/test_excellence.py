@@ -766,6 +766,15 @@ def test_provisional_ids_build_no_decisions(math2011, monkeypatch):
     assert built == []
 
 
+def test_a_citing_excellence_quota_run_walks_the_cells_once(quota_mini):
+    ranked_cells, calls = quota_mini.ranked_cells, []
+    quota_mini.ranked_cells = lambda *args: calls.append(args) or ranked_cells(*args)
+    decisions = hcp_run(quota_mini, "f", method="quota", top_percent=40,
+                        tiebreak_chain=["citing_excellence", "trajectory", "chronology"])
+    assert any(d.trace for d in decisions)
+    assert len(calls) == 1  # the provisional set and the selection share one walk
+
+
 # -- entity shares ------------------------------------------------------------------
 
 
@@ -819,6 +828,20 @@ def test_fractional_entity_share_repeats_exactly():
     assert fresh.entity_output_weight("E") == sum(
         fresh.entity_attribution(p, "E") for p in fresh.papers_of_entity("E")
     ) == first.output_weight
+
+
+def test_entity_share_sums_a_paper_once_per_cell_it_is_selected_in():
+    journals = [Journal("j", {"f": ("A", "B")}, {}), Journal("ja", {"f": ("A",)}, {})]
+    papers = [Paper("p0", "j", 2019, "article", authors=(AuthorCredit("a0", ("org",)),)),
+              *(Paper(f"p{i}", "ja", 2019, "article") for i in (1, 2, 3))]
+    counts = {"p0": 50, "p1": 1, "p2": 1, "p3": 1}
+    corpus = Corpus([SchemaInfo("f")], journals, papers, citation_counts=counts)
+    decisions = hcp_run(corpus, "f", top_percent=50, esi_low_threshold=False)
+    assert [(d.paper_id, d.cell.field) for d in decisions if d.paper_id == "p0"] == [
+        ("p0", "A"), ("p0", "B")]
+    for counting in ("whole", "fractional"):
+        share = entity_hcp_share(corpus, "org", decisions, counting)
+        assert (share.hcp_weight, share.output_weight, share.share) == (2, 1, 2), counting
 
 
 def test_entity_share_errors():
@@ -900,12 +923,14 @@ def test_report_sums_mixed_weights_exactly(world, data):
         lambda cell, weight: HcpDecision("p", cell, "full", weight, "inclusive"),
         st.sampled_from(cells), weights,
     ), max_size=30))
-    report = hcp_report(corpus, "f", decisions, top_percent=10)
+    inside = [d for d in decisions if d.cell.field != "elsewhere"]
+    if inside != decisions:
+        with pytest.raises(ComputationError, match="decided outside the slice"):
+            hcp_report(corpus, "f", decisions, top_percent=10)
+    report = hcp_report(corpus, "f", inside, top_percent=10)
     for row in report.rows:
-        want = sum((d.weight for d in decisions if d.cell.field == row.field), Fraction(0))
+        want = sum((d.weight for d in inside if d.cell.field == row.field), Fraction(0))
         assert row.actual == want and type(row.actual) is Fraction
-
-
 
 
 def test_hundred_cell_report_without_low_threshold_rule(hundred):
@@ -952,6 +977,20 @@ def test_math_report_with_quota_selection(math2011):
 def test_report_expected_is_the_rational_quota(total, share):
     report = hcp_report(one_cell([0] * total), "f", [], top_percent=share)
     assert [row.expected for row in report.rows] == [oracles.rational_quota(share, total)]
+
+
+def test_report_refuses_a_decision_outside_its_slice():
+    slices = corpora.make_slices()
+    options = dict(method="inclusive", esi_low_threshold=False, top_percent=50)
+    decisions = hcp_run(slices, "f", **options)
+    with pytest.raises(ComputationError, match=re.escape(
+            "paper 's22' was decided outside the slice: field=alpha year=2019 doc_type=article")):
+        hcp_report(slices, "f", decisions, top_percent=50, years=[2020])
+    sliced = hcp_run(slices, "f", years=[2020], **options)
+    report = hcp_report(slices, "f", sliced, top_percent=50, years=[2020])
+    assert [(r.field, r.total, r.expected) for r in report.rows] == [
+        ("alpha", 12, 6), ("beta", 12, 6)]
+    assert all(r.actual <= r.total for r in report.rows)
 
 
 def test_report_requires_a_populated_slice(hundred):
