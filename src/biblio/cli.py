@@ -323,15 +323,20 @@ def _cmd_relative_cnci(args, corpus: Corpus) -> dict:
         subunit = _papers_in_file(corpus, args.subunit_ids, "--subunit-ids")
     if args.reference_entity is not None:
         reference = list(corpus.papers_of_entity(args.reference_entity))
+        named = f"entity {args.reference_entity!r}"
     elif args.reference_ids is not None:
         reference = _papers_in_file(corpus, args.reference_ids, "--reference-ids")
+        named = f"the ids in {Path(args.reference_ids).name}"
     else:
-        reference = _slice_papers(corpus, args)
+        reference, named = _slice_papers(corpus, args), "the corpus slice"
 
     corpus_baselines = normalization.compute_baselines(corpus, args.schema, args.counting)
     subunit_cnci = normalization.cnci_set(corpus, subunit, corpus_baselines)
     reference_cnci = normalization.cnci_set(corpus, reference, corpus_baselines)
     relative = normalization.relative_cnci(corpus, subunit, reference, args.schema, args.counting)
+    if not reference_cnci:  # every reference paper is uncited
+        raise ComputationError(
+            f"the reference set ({named}) has CNCI 0, so the CNCI ratio is undefined")
     return {
         "schema": args.schema,
         "counting": args.counting,

@@ -10,21 +10,19 @@ fail loudly rather than degrade).
 Papers are sliced into (field, year, doc_type) cells per schema; a paper whose
 journal holds k categories under a schema appears in k cells.
 
-The derived indexes (citation counts, cells, ranked cells, per-cell integer
-citation and paper masses, citing edges, entity output and its fractional
-weight) are built on first use and kept, so a corpus must not be mutated once
-it has been queried. ``Corpus._kept`` keeps the keyed ones, and the baseline
-tables and paper CNCI memo that ``normalization`` owns.
+The derived indexes (citation counts, cells, citing edges, entity output and
+its fractional weight) are built on first use and kept, so a corpus must not be
+mutated once it has been queried. ``Corpus._kept`` keeps the keyed ones, under
+``("cells", schema)`` and ``("weight", entity)``, and the tables that
+``excellence`` and ``normalization`` build over them, which each lists.
 """
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import ComputationError
 
@@ -115,46 +113,6 @@ class CellKey(NamedTuple):
         return f"field={self.field} year={self.year} doc_type={self.doc_type}"
 
 
-class RankedCell(NamedTuple):
-    """A cell's papers by descending citation count, ties in id order, and
-    their counts position for position."""
-
-    papers: tuple[Paper, ...]
-    counts: tuple[int, ...]
-
-
-def rank_cell(papers, counts: Mapping[str, int]) -> RankedCell:
-    """Sort ``papers`` once by (-citations, id)."""
-    ranked = tuple(sorted(papers, key=lambda p: (-counts[p.id], p.id)))
-    return RankedCell(ranked, tuple(counts[p.id] for p in ranked))
-
-
-def fold_cells(groups, fields_of) -> tuple[int, dict[CellKey, list[int]]]:
-    """(unit, {cell: [split citations, citations, papers, split papers]}) from
-    {(journal, year, doc_type): [papers, citations]}: each cell's integer masses
-    in units of 1/``unit``, the lcm of every k, k being the number of fields
-    ``fields_of(journal)`` gives. A k-field paper with c citations adds c/k, c, 1
-    and 1/k to each of its k cells.
-
-    Callers sum their papers per (journal, year, doc_type) first, which fixes the
-    papers' cells and k, so each paper costs one integer update. They do so in
-    their own loop: a generator of rows costs about a third more per paper. A
-    journal without fields adds to no cell."""
-    fields = {journal: fields_of(journal) for journal in {journal for journal, _, _ in groups}}
-    unit = math.lcm(*{len(f) for f in fields.values() if f})
-    sums: dict[tuple, list[int]] = {}  # plain keys: one CellKey per cell, last
-    for (journal, year, doc_type), (n, c) in groups.items():
-        fs = fields[journal]
-        share = unit // len(fs) if fs else 0
-        for f in fs:
-            masses = sums.setdefault((f, year, doc_type), [0, 0, 0, 0])
-            masses[0] += c * share
-            masses[1] += c * unit
-            masses[2] += n * unit
-            masses[3] += n * share
-    return unit, {CellKey._make(key): masses for key, masses in sums.items()}
-
-
 class Corpus:
     """Immutable corpus with derived citation and cell indexes.
 
@@ -206,7 +164,9 @@ class Corpus:
 
     def _kept(self, key: tuple, build):
         """The table kept under ``key``, which ``build()`` makes on first use. A
-        build that raises keeps nothing, so the error comes again on every call."""
+        key begins with its table's name, and the module that builds the table
+        lists it. A build that raises keeps nothing, so the error comes again on
+        every call."""
         if key not in self._tables:
             self._tables[key] = build()
         return self._tables[key]
@@ -263,39 +223,6 @@ class Corpus:
                     grouped.setdefault(CellKey(f, p.year, p.doc_type), []).append(p)
             return {k: tuple(v) for k, v in sorted(grouped.items())}
         return _within(self._kept(("cells", schema), build), years, doc_types)
-
-    def ranked_cells(
-        self, schema: str, years=None, doc_types=None
-    ) -> dict[CellKey, RankedCell]:
-        """The cells of :meth:`cells`, each ranked once per schema."""
-        counts = self.citation_counts
-        ranked = self._kept(("ranked", schema), lambda: {
-            k: rank_cell(v, counts) for k, v in self.cells(schema).items()})
-        return _within(ranked, years, doc_types)
-
-    def cell_sums(self, schema: str, papers=None) -> tuple[int, dict[CellKey, list[int]]]:
-        """(unit, {cell: [split citations, citations, papers, split papers]}) of
-        ``papers`` (default: the whole corpus) under ``schema``, the integer
-        masses :func:`fold_cells` gives; do not mutate them.
-
-        The whole corpus is folded once per schema and kept; a paper pool is
-        folded on every call. An undeclared ``schema``, or a pool paper the corpus
-        does not hold, is a :class:`ComputationError`.
-        """
-        if papers is None:
-            return self._kept(("sums", schema),
-                              lambda: self.cell_sums(schema, self.papers.values()))
-        self.require_schema(schema)
-        counts = self.citation_counts
-        groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
-        try:
-            for p in papers:
-                group = groups[p.journal_id, p.year, p.doc_type]
-                group[0] += 1
-                group[1] += counts[p.id]
-        except KeyError as missing:  # only a pool can hold a paper the corpus does not
-            raise ComputationError(f"paper {missing.args[0]!r} is not in the corpus") from None
-        return fold_cells(groups, lambda journal: self.categories_of(journal, schema))
 
     # -- entity attribution ----------------------------------------------------
 

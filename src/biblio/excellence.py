@@ -18,13 +18,14 @@ one builder, ``_ordering``, turns the scores into tiers, and one table,
 The ESI-style low-threshold rule (threshold <= 2 means the cell selects
 nothing) is a flag, on by default in the run orchestrator.
 
-Every step works on a ranked cell (``Corpus.ranked_cells``): the cell's papers
-sorted once per corpus by (-citations, id), with their counts. The threshold
-is one index into the counts plus two bisections; papers above it are the
-first ``above_count`` of the ranking and the borderline block the next
-``tie_count``, already in id order. One decision kernel per selecting cell
-reads only that prefix, which is also its output order, so a run does work in
-proportion to the papers it selects.
+Every step works on a ranked cell (``RankedCell``): the cell's papers sorted
+by (-citations, id), with their counts. This module owns the ranking: each
+schema's cells are ranked once per corpus and kept by ``Corpus._kept`` under
+``("ranked", schema)``. The threshold is one index into the counts plus two
+bisections; papers above it are the first ``above_count`` of the ranking and
+the borderline block the next ``tie_count``, already in id order. One decision
+kernel per selecting cell reads only that prefix, which is also its output
+order, so a run does work in proportion to the papers it selects.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import MONTH, CellKey, Corpus, Paper, RankedCell, _within
+from .corpus import MONTH, CellKey, Corpus, Paper, _within
 from .errors import ComputationError, EmptyInputError, MissingDateError
 from .rounding import _half_up, _rational, csv_text, decimal_str, rational_json, rational_str
 
@@ -114,6 +115,27 @@ def _share(top_percent: Fraction | int | str) -> Fraction:
 def _quota(share: Fraction, n: int) -> int:
     """The quota round_half_up(share * n / 100) of n papers, taken in integers."""
     return _half_up(share.numerator * n, share.denominator * 100)
+
+
+class RankedCell(NamedTuple):
+    """A cell's papers by descending citation count, ties in id order, and
+    their counts position for position."""
+
+    papers: tuple[Paper, ...]
+    counts: tuple[int, ...]
+
+
+def _rank_cell(papers, counts: dict[str, int]) -> RankedCell:
+    """Sort ``papers`` once by (-citations, id)."""
+    ranked = tuple(sorted(papers, key=lambda p: (-counts[p.id], p.id)))
+    return RankedCell(ranked, tuple(counts[p.id] for p in ranked))
+
+
+def _ranked(corpus: Corpus, schema: str) -> dict[CellKey, RankedCell]:
+    """The cells of :meth:`Corpus.cells` under ``schema``, each ranked once and kept."""
+    counts = corpus.citation_counts
+    return corpus._kept(("ranked", schema), lambda: {
+        k: _rank_cell(v, counts) for k, v in corpus.cells(schema).items()})
 
 
 def _threshold(cell: CellKey, ranked: RankedCell, share: Fraction) -> ThresholdResult:
@@ -262,7 +284,7 @@ def _cell_thresholds(
     """{cell: (threshold, ranked cell, selects)} in cell order, from one walk over the
     whole kept ranking; a cell selects with a quota and, under the ESI rule, a threshold > 2."""
     cells = {}
-    for cell, ranked in corpus.ranked_cells(schema).items():
+    for cell, ranked in _ranked(corpus, schema).items():
         result = _threshold(cell, ranked, share)
         cells[cell] = (result, ranked,
                        result.quota > 0 and not (esi_low_threshold and result.threshold <= 2))
@@ -403,7 +425,9 @@ def entity_hcp_share(
     author slot on it; fractional counting uses the author-share attribution
     formula on both sides of the ratio. Fractional-status decisions contribute
     their decision weight, so whole-set weights keep summing to the quota.
-    Weights sum per cell, so a paper selected in two fields counts twice.
+    Weights sum per cell, so a paper selected in two fields counts twice. The
+    output is always the entity's whole output: decisions from a year or doc
+    type slice are divided by it, not by the slice's own output.
     """
     if counting not in ("whole", "fractional"):
         raise ComputationError(f"unknown counting scheme {counting!r}")
@@ -485,11 +509,11 @@ def hcp_report(
     """Per-field expected-versus-actual excellence table.
 
     Expected is the rounded share of the field's paper total in the slice of
-    ``corpus.ranked_cells`` the selection walked; actual sums the decision weights
-    landing in the field, whole weights as integers, and refuses one outside the slice.
+    the ranking the selection walked; actual sums the decision weights landing in
+    the field, whole weights as integers, and refuses one outside the slice.
     """
     share = _share(top_percent)
-    ranked = corpus.ranked_cells(schema, years, doc_types)
+    ranked = _within(_ranked(corpus, schema), years, doc_types)
     totals: dict[str, int] = {}
     for cell, ranked_cell in ranked.items():
         totals[cell.field] = totals.get(cell.field, 0) + len(ranked_cell.papers)

@@ -27,7 +27,7 @@ import contextlib
 import gc
 import json
 from dataclasses import dataclass, field as dc_field
-from datetime import date
+from datetime import MAXYEAR, MINYEAR, date
 from fractions import Fraction
 from pathlib import Path
 
@@ -245,6 +245,8 @@ def _parse_month(value, year: int) -> date:
             raise ValueError(f"malformed month {value!r}") from exc
     if not 1 <= month <= 12:
         raise ValueError(f"malformed month {value!r}")
+    if not MINYEAR <= year <= MAXYEAR:  # ``date`` raises OverflowError from 2**31 on
+        raise ValueError(f"year {year} is out of range")
     return date(year, month, 1)
 
 

@@ -18,21 +18,22 @@ dual routes exist to expose. All arithmetic is exact rational.
 
 Baselines and set aggregates read four integer masses per cell (split
 citations, citations, papers, split papers) in units of 1/lcm(k), with no
-Fraction per paper. Exact sums do not depend on order, so they equal the
-per-paper definitions, which the test oracle keeps. The whole corpus's masses
-are folded once per schema and kept by the corpus (:meth:`Corpus.cell_sums`);
-a reference pool's masses are folded on every call. Global CNCI costs one
-Fraction per regime, and no baseline table is built for it. One paper's CNCI
-is one Fraction as well. This module owns the whole corpus's baseline tables:
-each is built once per regime and kept by ``Corpus._kept`` under the key
-(schema, counting, split_citations), with a memo over which one paper's CNCI
-is computed once per (journal, year, doc type, citation count): those fix the
+Fraction per paper (``_fold``). Exact sums do not depend on order, so they
+equal the per-paper definitions, which the test oracle keeps. Global CNCI
+costs one Fraction per regime, and no baseline table is built for it. One
+paper's CNCI is one Fraction as well. This module owns two kinds of table that
+``Corpus._kept`` keeps: the whole corpus's masses, folded once per schema
+under ``("sums", schema)`` (a reference pool's are folded on every call), and
+its baseline tables, built once per regime under ``("baselines", schema,
+counting, split_citations)``, each with a memo over which one paper's CNCI is
+computed once per (journal, year, doc type, citation count): those fix the
 paper's cells and its c, so every paper that shares them shares the value.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -117,6 +118,52 @@ class BaselineTable(NamedTuple):
         }
 
 
+def _fold(groups, fields_of) -> tuple[int, dict[CellKey, list[int]]]:
+    """(unit, {cell: [split citations, citations, papers, split papers]}) from
+    {(journal, year, doc_type): [papers, citations]}: each cell's integer masses
+    in units of 1/``unit``, the lcm of every k, k being the number of fields
+    ``fields_of(journal)`` gives. A k-field paper with c citations adds c/k, c, 1
+    and 1/k to each of its k cells.
+
+    Callers sum their papers per (journal, year, doc_type) first, which fixes the
+    papers' cells and k, so each paper costs one integer update. They do so in
+    their own loop: a generator of rows costs about a third more per paper. A
+    journal without fields adds to no cell."""
+    fields = {journal: fields_of(journal) for journal in {journal for journal, _, _ in groups}}
+    unit = math.lcm(*{len(f) for f in fields.values() if f})
+    sums: dict[tuple, list[int]] = {}  # plain keys: one CellKey per cell, last
+    for (journal, year, doc_type), (n, c) in groups.items():
+        fs = fields[journal]
+        share = unit // len(fs) if fs else 0
+        for f in fs:
+            masses = sums.setdefault((f, year, doc_type), [0, 0, 0, 0])
+            masses[0] += c * share
+            masses[1] += c * unit
+            masses[2] += n * unit
+            masses[3] += n * share
+    return unit, {CellKey._make(key): masses for key, masses in sums.items()}
+
+
+def _sums(corpus: Corpus, schema: str, papers=None) -> tuple[int, dict[CellKey, list[int]]]:
+    """The :func:`_fold` of ``papers`` (default: the whole corpus, kept) under
+    ``schema``; do not mutate the masses. An undeclared ``schema``, or a pool
+    paper the corpus does not hold, is a :class:`ComputationError`."""
+    if papers is None:
+        return corpus._kept(("sums", schema),
+                            lambda: _sums(corpus, schema, corpus.papers.values()))
+    corpus.require_schema(schema)
+    counts = corpus.citation_counts
+    groups: dict[tuple, list[int]] = defaultdict(lambda: [0, 0])
+    try:
+        for p in papers:
+            group = groups[p.journal_id, p.year, p.doc_type]
+            group[0] += 1
+            group[1] += counts[p.id]
+    except KeyError as missing:  # only a pool can hold a paper the corpus does not
+        raise ComputationError(f"paper {missing.args[0]!r} is not in the corpus") from None
+    return _fold(groups, lambda journal: corpus.categories_of(journal, schema))
+
+
 def baseline_config(counting: str, split_citations: bool) -> CnciConfig:
     """The regime a baseline table obeys: splitting presumes ratio-of-averages."""
     return CnciConfig(counting, ROA if split_citations else AOR, split_citations)
@@ -146,15 +193,15 @@ def compute_baselines(
             for key, m in sorted(masses.items())})
 
     if papers is not None:
-        return table(*corpus.cell_sums(schema, papers))
+        return table(*_sums(corpus, schema, papers))
     # the table and its memo {(journal, year, doc type, citations): paper CNCI}
-    return corpus._kept((schema, counting, split_citations),
-                        lambda: (table(*corpus.cell_sums(schema)), {}))[0]
+    return corpus._kept(("baselines", schema, counting, split_citations),
+                        lambda: (table(*_sums(corpus, schema)), {}))[0]
 
 
 # (counting, split_citations) -> where a cell's citation mass and paper weight
 # are among its masses (split citations, citations, papers, split papers; see
-# corpus.fold_cells); their ratio is the cell's expected citation rate
+# _fold); their ratio is the cell's expected citation rate
 _RATE = {(WHOLE, False): (1, 2), (WHOLE, True): (0, 2), (FRACTIONAL, False): (0, 3)}
 
 
@@ -182,7 +229,8 @@ def cnci_paper(corpus: Corpus, paper: Paper, baselines: BaselineTable) -> Fracti
     c = corpus.citation_counts.get(paper.id)
     if c is None:
         raise ComputationError(f"paper {paper.id!r} is not in the corpus")
-    kept = corpus._tables.get(baselines[:3])  # (schema, counting, split_citations)
+    kept = corpus._tables.get(
+        ("baselines", baselines.schema, baselines.counting, baselines.split_citations))
     memo = kept[1] if kept is not None and kept[0] is baselines else {}
     key = (paper.journal_id, paper.year, paper.doc_type, c)
     value = memo.get(key)
@@ -212,7 +260,7 @@ def cnci_set(corpus: Corpus, papers: Iterable[Paper], baselines: BaselineTable) 
     citations, the papers are walked one by one so the error names the first
     failing paper, as per paper."""
     papers = list(papers)
-    unit, masses = corpus.cell_sums(baselines.schema, papers)
+    unit, masses = _sums(corpus, baselines.schema, papers)
     cells = baselines.cells
     # each categorized paper adds 1 (``unit``) of split paper mass over its cells
     if sum(m[3] for m in masses.values()) != unit * len(papers) or any(
@@ -245,14 +293,14 @@ def global_cnci(
     slice is closed with respect to its own baselines. It keeps or drops all k
     cells of a paper together, so its paper count is the sum of n_k / k.
     """
-    return global_cnci_of_sums(corpus.cell_sums(schema), [config], years, doc_types)[0]
+    return global_cnci_of_sums(_sums(corpus, schema), [config], years, doc_types)[0]
 
 
 def global_cnci_of_sums(
     sums, configs: Iterable[CnciConfig], years=None, doc_types=None
 ) -> list[Fraction]:
     """``global_cnci`` under each regime of a closed corpus given by its cell
-    masses (:meth:`Corpus.cell_sums`). A slice keeps whole cells, so each kept
+    masses (:func:`_sums`). A slice keeps whole cells, so each kept
     cell's expected rate comes from its own masses.
 
     Average-of-ratios sums its terms in integers and builds one Fraction;

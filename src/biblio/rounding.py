@@ -26,6 +26,7 @@ from functools import lru_cache
 RationalLike = Fraction | int | str
 
 _RATIONAL_TEXT = re.compile(r"-?(?:[0-9./]|[eE][-+]?)*")  # Fraction checks the order
+_MAX_EXPONENT = 4300  # as many digits as Python reads in integer text; 10**e is built whole
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 _MEMO_SIZE = 4096
 
@@ -43,12 +44,17 @@ def _rational(value: RationalLike) -> Fraction:
     """``value`` as a Fraction. Text is ``num/den`` or a decimal with an optional
     exponent, in ASCII with an optional ``-``: ``Fraction`` alone would also take
     ``+``, spaces, ``_`` separators and non-ASCII digits, as the version allows.
-    A float or a bool is a :class:`TypeError`: ``Fraction(0.3)`` is the binary
-    value 5404319552844595/18014398509481984, and ``True`` would read as 1."""
+    An exponent beyond ±``_MAX_EXPONENT`` is refused too, since ``Fraction``
+    builds 10**|exponent|. A float or a bool is a :class:`TypeError`:
+    ``Fraction(0.3)`` is the binary value 5404319552844595/18014398509481984,
+    and ``True`` would read as 1."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"not an exact rational: {value!r} (pass a Fraction, int or text)")
-    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
-        raise ValueError(f"not a rational: {value!r}")
+    if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].lstrip("-+").lstrip("0")
+        if not _RATIONAL_TEXT.fullmatch(value) or exponent.isdecimal() and (
+                len(exponent) > 4 or int(exponent) > _MAX_EXPONENT):
+            raise ValueError(f"not a rational: {value!r}")
     return Fraction(value)
 
 

@@ -25,9 +25,9 @@ from functools import cache, lru_cache, partial
 from itertools import accumulate
 from typing import NamedTuple
 
-from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo, fold_cells
+from .corpus import AuthorCredit, Corpus, Journal, Paper, SchemaInfo
 from .errors import ComputationError
-from .normalization import CnciConfig, _ratio_sum, global_cnci_of_sums
+from .normalization import CnciConfig, _fold, _ratio_sum, global_cnci_of_sums
 from .ranking import quartile_partition
 from .rounding import _int_text, csv_text, rational_json, round_half_up
 
@@ -659,7 +659,7 @@ def _cnci_row(config: GenConfig, t: int) -> dict[str, Fraction]:
         group = groups[index, year, doc_types[doc_type]]
         group[0] += 1
         group[1] += c
-    sums = fold_cells(groups, categories.__getitem__)
+    sums = _fold(groups, categories.__getitem__)
     return dict(zip(REGIMES, global_cnci_of_sums(sums, REGIMES.values())))
 
 

@@ -12,10 +12,9 @@ import pytest
 import yaml
 
 import corpora
-from biblio import (Corpus, GenConfig, Journal, Paper, SchemaInfo, excellence,
+from biblio import (AuthorCredit, Corpus, GenConfig, Journal, Paper, SchemaInfo, excellence,
                     monte_carlo_global_cnci, monte_carlo_surplus)
-from biblio import corpus as corpus_module
-from biblio.corpus import rank_cell
+from biblio import normalization
 from biblio.cli import build_parser, main
 from biblio.io import json_line
 
@@ -484,8 +483,8 @@ def test_cnci_whole_aor(run, corpus_files, two_papers):
 def test_cnci_per_paper_sums_the_corpus_once(run, corpus_files, hundred, monkeypatch):
     journals, papers, _ = corpus_files(hundred)
     passes = []
-    fold = corpus_module.fold_cells
-    monkeypatch.setattr(corpus_module, "fold_cells",
+    fold = normalization._fold
+    monkeypatch.setattr(normalization, "_fold",
                         lambda *args: passes.append(1) or fold(*args))
     code, out, _ = run(
         "cnci", "--journals", journals, "--papers", papers, "--schema", "f", "--per-paper",
@@ -669,6 +668,29 @@ def test_an_input_file_that_is_not_utf8_is_located(run, corpus_files, simpson, t
     assert err == f"biblio: {prefix} input.txt:2: not valid UTF-8: invalid continuation byte\n"
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--reference-entity", "R"], "entity 'R'"),
+    (["--reference-ids", "ids.txt"], "the ids in ids.txt"),
+    (["--years", "2020"], "the corpus slice"),
+], ids=["entity", "ids", "slice"])
+def test_a_reference_set_with_cnci_0_is_a_computation_error(
+        run, corpus_files, tmp_path, flags, named):
+    def paper(pid, year, entity):
+        return Paper(pid, "J1", year, "article", authors=(AuthorCredit(f"a-{pid}", (entity,)),))
+
+    corpus = Corpus([SchemaInfo("s")], [Journal("J1", {"s": ("A",)}, {})],
+                    [paper("P1", 2021, "X"), paper("P2", 2020, "R"), paper("P3", 2020, "R")],
+                    citation_counts={"P1": 5, "P2": 0, "P3": 0})
+    journals, papers, _ = corpus_files(corpus)
+    (tmp_path / "ids.txt").write_text("P2\nP3\n", encoding="utf-8")
+    flags = [tmp_path / flag if flag == "ids.txt" else flag for flag in flags]
+    code, out, err = run("relative-cnci", "--journals", journals, "--papers", papers,
+                         "--schema", "s", "--subunit-entity", "R", *flags)
+    assert (code, out) == (3, "")
+    assert err == (f"biblio: computation error: the reference set ({named}) has CNCI 0, "
+                   "so the CNCI ratio is undefined\n")
+
+
 # -- hcp family ----------------------------------------------------------------------
 
 
@@ -733,8 +755,8 @@ def test_hcp_ranks_and_thresholds_each_cell_once(run, corpus_files, monkeypatch)
     slices = corpora.make_slices()
     journals, papers, _ = corpus_files(slices)
     sorted_cells, thresholds = [], []
-    threshold = excellence._threshold
-    monkeypatch.setattr("biblio.corpus.rank_cell", lambda cell, counts: (
+    rank_cell, threshold = excellence._rank_cell, excellence._threshold
+    monkeypatch.setattr(excellence, "_rank_cell", lambda cell, counts: (
         sorted_cells.append(sorted(p.id for p in cell)) or rank_cell(cell, counts)))
     monkeypatch.setattr(excellence, "_threshold", lambda cell, ranked, share: (
         thresholds.append(cell) or threshold(cell, ranked, share)))
@@ -771,7 +793,7 @@ def test_tiebreak_rejected_outside_quota(run, corpus_files, hundred):
     assert err == "biblio: error: --tiebreak applies to --method quota only\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "1/0", " 5 ", "1_0", "+5"])
+@pytest.mark.parametrize("value", ["abc", "0", "1/0", " 5 ", "1_0", "+5", "1e-4301"])
 def test_top_percent_checked_before_load(run, value):
     code, _, err = run(
         "hcp", "--journals", "missing.jsonl", "--papers", "missing.jsonl",
@@ -914,6 +936,28 @@ def test_entity_share(run, corpus_files, quota_mini):
     assert body["hcp_weight"]["rational"] == "3"
     assert body["output_weight"]["rational"] == "8"
     assert body["share"] == {"decimal": "0.3750", "rational": "3/8"}
+
+
+
+def test_entity_share_slices_the_decisions_but_not_the_output(run, corpus_files):
+    """``--years`` restricts the HCP decisions to the slice, while the output
+    weight stays the entity's whole output: E selects one paper in each of two
+    years, so the whole share is 2/8 and the 2020 share 1/8, not 1/4."""
+    papers = [Paper(f"p{year}-{i}", "J1", year, "article", authors=(AuthorCredit("a", ("E",)),))
+              for year in (2020, 2021) for i in range(4)]
+    corpus = Corpus([SchemaInfo("s")], [Journal("J1", {"s": ("A",)}, {})], papers,
+                    citation_counts={p.id: 10 if p.id.endswith("-0") else 1 for p in papers})
+    journals, papers, _ = corpus_files(corpus)
+    argv = ["entity-share", "--journals", journals, "--papers", papers, "--schema", "s",
+            "--entity", "E", "--top-percent", "25", "--no-esi-low-threshold"]
+    shares = {}
+    for years in ([], ["--years", "2020"]):
+        code, out, _ = run(*argv, *years)
+        assert code == 0
+        body = payload(out)
+        shares[tuple(years)] = (body["hcp_weight"]["rational"],
+                                body["output_weight"]["rational"], body["share"]["rational"])
+    assert shares == {(): ("2", "8", "1/4"), ("--years", "2020"): ("1", "8", "1/8")}
 
 
 # -- output plumbing -----------------------------------------------------------------

@@ -30,7 +30,7 @@ from biblio import (
     global_cnci,
     relative_cnci,
 )
-from biblio import corpus as corpus_module
+from biblio import normalization
 
 S = "subjects"
 COUNTINGS = (("whole", False), ("fractional", False), ("whole", True))
@@ -235,8 +235,8 @@ def test_the_corpus_is_folded_once_per_schema(monkeypatch):
                     citation_counts={"p1": 3, "p2": 1, "p3": 4, "p4": 2})
     subunit, reference = papers[1:3], papers[:3]
     folds = []
-    fold = corpus_module.fold_cells
-    monkeypatch.setattr(corpus_module, "fold_cells",
+    fold = normalization._fold
+    monkeypatch.setattr(normalization, "_fold",
                         lambda *args: folds.append(1) or fold(*args))
 
     def pool_calls_match_the_oracle():

@@ -26,6 +26,7 @@ from biblio import (
     validate,
 )
 from biblio import corpus as corpus_module
+from biblio import excellence, normalization
 from biblio.corpus import DAY, MONTH, CellKey
 
 S = corpora.SCHEMA
@@ -167,11 +168,11 @@ def test_papers_of_entity(simpson):
 
 @pytest.mark.parametrize("table, good, bad", [
     (Corpus.cells, S, "zz"),
-    (Corpus.ranked_cells, S, "zz"),
-    (Corpus.cell_sums, S, "zz"),
+    (excellence._ranked, S, "zz"),
+    (normalization._sums, S, "zz"),
     (compute_baselines, S, "zz"),
     (Corpus.entity_output_weight, "E", "ghost"),
-], ids=["cells", "ranked_cells", "cell_sums", "compute_baselines", "entity_output_weight"])
+], ids=["cells", "ranked", "sums", "compute_baselines", "entity_output_weight"])
 def test_a_kept_table_is_built_once_and_a_failed_build_is_never_kept(
         monkeypatch, table, good, bad):
     authors = (AuthorCredit("a1", ("E",)), AuthorCredit("a2", ("F",)))

@@ -346,7 +346,7 @@ def no_cells(monkeypatch):
     def no_cells(*args, **kwargs):
         raise AssertionError("a cell was ranked")
 
-    monkeypatch.setattr(Corpus, "ranked_cells", no_cells)
+    monkeypatch.setattr(excellence, "_ranked", no_cells)
 
 
 def test_unknown_tiebreak_method_fails_before_any_cell(hundred, no_cells):
@@ -766,9 +766,9 @@ def test_provisional_ids_build_no_decisions(math2011, monkeypatch):
     assert built == []
 
 
-def test_a_citing_excellence_quota_run_walks_the_cells_once(quota_mini):
-    ranked_cells, calls = quota_mini.ranked_cells, []
-    quota_mini.ranked_cells = lambda *args: calls.append(args) or ranked_cells(*args)
+def test_a_citing_excellence_quota_run_walks_the_cells_once(quota_mini, monkeypatch):
+    ranked, calls = excellence._ranked, []
+    monkeypatch.setattr(excellence, "_ranked", lambda *args: calls.append(args) or ranked(*args))
     decisions = hcp_run(quota_mini, "f", method="quota", top_percent=40,
                         tiebreak_chain=["citing_excellence", "trajectory", "chronology"])
     assert any(d.trace for d in decisions)

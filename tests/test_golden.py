@@ -45,10 +45,9 @@ def test_main_loads_each_corpus_case_once(tmp_path, loads):
         assert len(loads) == (name != "hcp-top-percent-spelling"), name
 
 
-def test_handlers_on_one_shared_corpus_render_golden_bytes(tmp_path):
-    """The exit-0 cases that read the same files share one loaded corpus. Each
-    handler, run in case order and then in reverse, renders its golden bytes,
-    so nothing one handler leaves cached on the corpus shows in another's output."""
+def shared_corpora(tmp_path):
+    """(loaded corpus, [(case name, parsed args)]) for each set of files that
+    exit-0 cases read, the cases in case order."""
     groups = {}
     for name, argv in corpus_cases(tmp_path):
         if not cli_cases.exit_code(name):
@@ -56,12 +55,33 @@ def test_handlers_on_one_shared_corpus_render_golden_bytes(tmp_path):
             files = (args.journals, args.papers, args.edges, args.strict)
             groups.setdefault(files, []).append((name, args))
     assert len(groups) == 7 and all(len(cases) > 1 for cases in groups.values())
-    for (journals, papers, edges, strict), cases in groups.items():
-        corpus = cli.load_corpus(journals, papers, edges, strict=strict)
+    return [(cli.load_corpus(journals, papers, edges, strict=strict), cases)
+            for (journals, papers, edges, strict), cases in groups.items()]
+
+
+def test_handlers_on_one_shared_corpus_render_golden_bytes(tmp_path):
+    """The exit-0 cases that read the same files share one loaded corpus. Each
+    handler, run in case order and then in reverse, renders its golden bytes,
+    so nothing one handler leaves cached on the corpus shows in another's output."""
+    for corpus, cases in shared_corpora(tmp_path):
         for name, args in cases + cases[::-1]:
             args.check(args)
             text = cli._render(args.handler(args, corpus), getattr(args, "format", "json"))
             assert text.encode("utf-8") == cli_cases.golden_path(name).read_bytes(), name
+
+
+def test_every_kept_table_is_keyed_by_its_name_first(tmp_path):
+    """After every exit-0 case's handler has run on a shared corpus, each key
+    the corpus keeps a table under begins with the name of one of its tables."""
+    names = set()
+    for corpus, cases in shared_corpora(tmp_path):
+        for _, args in cases:
+            args.check(args)
+            args.handler(args, corpus)
+        names |= {key[0] for key in corpus._tables}
+    # no golden case reads an entity's fractional weight
+    assert {"cells", "ranked", "sums", "baselines"} <= names <= {
+        "cells", "ranked", "sums", "weight", "baselines"}
 
 
 def sibling_interpreters() -> list[Path]:
@@ -91,8 +111,9 @@ def test_golden_bytes_on_every_declared_python(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     failed = {}
     for python in pythons:
-        run = subprocess.run([python, "-B", "-c", CHILD], env=env, capture_output=True,
-                             text=True, timeout=300)
+        # warnings are errors: a warning from src on any declared Python fails here
+        run = subprocess.run([python, "-B", "-W", "error", "-c", CHILD], env=env,
+                             capture_output=True, text=True, timeout=300)
         if run.returncode or run.stdout:
             failed[str(python)] = run.stdout or run.stderr[-2000:]
     assert failed == {}

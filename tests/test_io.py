@@ -102,12 +102,15 @@ def test_metric_accepts_rational_strings(tmp_path):
     assert corpus.journals["J1"].metric_by_year[2020] == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("value", ["1_000", "1 /2", "+2", " 1.5 ", "\u0663", "1/0", True])
+@pytest.mark.parametrize("value", ["1_000", "1 /2", "+2", " 1.5 ", "\u0663", "1/0", True,
+                                   "1e4301", "1e-4301"])
 def test_metric_values_take_the_rational_spelling(tmp_path, value):
+    # a JSON number's repr keeps its exponent within e-324..e+308, far below the bound
     journals = write(
         tmp_path / "j.jsonl", REGISTRY,
         journal_line("J1", {corpora.SCHEMA: ["A"]},
-                     {"2020": 1e16, "2021": 1e-07, "2022": "1e+16", "2023": "-.5", "2024": 2.5}),
+                     {"2020": 1e16, "2021": 1e-07, "2022": "1e+16", "2023": "-.5", "2024": 2.5,
+                      "2025": "1e-4300", "2026": 5e-324, "2027": 1.7976931348623157e308}),
         journal_line("J2", {corpora.SCHEMA: ["A"]}, {"2020": value}),
     )
     papers = write(tmp_path / "p.jsonl")
@@ -115,7 +118,8 @@ def test_metric_values_take_the_rational_spelling(tmp_path, value):
     assert corpus.load_report.dropped == {"malformed_journal": 1}
     assert corpus.journals["J1"].metric_by_year == {
         2020: Fraction(10**16), 2021: Fraction(1, 10**7), 2022: Fraction(10**16),
-        2023: Fraction(-1, 2), 2024: Fraction(5, 2)}
+        2023: Fraction(-1, 2), 2024: Fraction(5, 2), 2025: Fraction(1, 10**4300),
+        2026: Fraction(5, 10**324), 2027: Fraction(17976931348623157 * 10**292)}
     with pytest.raises(LoadError, match="^j.jsonl:3: journal 'J2' has a malformed metric map"):
         load_corpus(journals, papers, strict=True)
 
@@ -295,6 +299,32 @@ def test_a_pub_month_beside_a_pub_date_is_checked_in_csv(tmp_path):
     with pytest.raises(LoadError) as err:
         load_corpus(journals, papers, strict=True)
     assert str(err.value) == "p.csv:3: malformed month 'null'"
+
+
+@pytest.mark.parametrize("spelling", ["jsonl", "csv"])
+@pytest.mark.parametrize("year, month, named", [
+    (2**31, 3, 2**31), (10**30, 12, 10**30), (2020, f"{2**31}-03", 2**31),
+    (2020, f"{10**20}-01", 10**20), (0, 3, 0), (2020, "10000-03", 10000), (-5, 1, -5),
+])
+def test_a_pub_month_out_of_the_date_range_is_a_malformed_paper(
+        tmp_path, spelling, year, month, named):
+    """A month's year, from the row or from its "YYYY-MM" text, outside 1..9999
+    drops the row when lenient and names its file and line when strict."""
+    journals = write(tmp_path / "j.jsonl", REGISTRY, journal_line("J1", {corpora.SCHEMA: ["A"]}))
+    if spelling == "jsonl":
+        rows = [paper_line("P1", "J1", pub_month="2020-03"),
+                paper_line("P2", "J1", year=year, pub_month=month)]
+    else:
+        rows = ["id,journal,year,doc_type,pub_month", "P1,J1,2020,article,2020-03",
+                f"P2,J1,{year},article,{month}"]
+    papers = write(tmp_path / f"p.{spelling}", *rows)
+    corpus = load_corpus(journals, papers)
+    assert corpus.load_report.dropped == {"malformed_paper": 1}
+    assert set(corpus.papers) == {"P1"}
+    with pytest.raises(LoadError) as err:
+        load_corpus(journals, papers, strict=True)
+    line = 2 if spelling == "jsonl" else 3
+    assert str(err.value) == f"p.{spelling}:{line}: year {named} is out of range"
 
 
 @pytest.mark.parametrize("row, other", [

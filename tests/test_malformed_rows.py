@@ -100,6 +100,8 @@ SHAPES = {
     "category member is an array": ("j.jsonl", 3, altered("j.jsonl", 3, categories={"s": [["A"]]})),
     "category member is a number": ("j.jsonl", 3, altered("j.jsonl", 3, categories={"s": [7]})),
     "year 0 with a pub_month": ("p.jsonl", 4, altered("p.jsonl", 4, year=0)),
+    "year 2**31 with a pub_month": ("p.jsonl", 4, altered("p.jsonl", 4, year=2**31)),
+    "pub_month in year 2**31": ("p.jsonl", 3, altered("p.jsonl", 3, pub_month=f"{2**31}-04")),
     "single_attribution is a string": (
         "j.jsonl", 1, {"_schemas": {"s": {"single_attribution": "false"}}}),
 }

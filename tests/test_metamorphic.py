@@ -1,20 +1,27 @@
-"""Outputs do not depend on the order of the input rows.
+"""Outputs do not depend on how the input is written.
 
-Every exit-0 corpus case of ``cli_cases`` runs again with the rows of its
-journals, papers and edges files shuffled, with a fixed seed per file, and
-must print its golden bytes. The schema registry row stays first in the
-journals file, because journals resolve their schemas against it.
+Every exit-0 corpus case of ``cli_cases`` runs again on three rewrites of its
+journals, papers and edges files, and must print its golden bytes:
+
+- the rows of each file shuffled, with a fixed seed per file; the schema
+  registry row stays first, because journals resolve their schemas against it;
+- the loaded corpus as ``dump_corpus`` writes it in the other spelling
+  (JSONL <-> CSV);
+- the loaded corpus as ``dump_corpus`` writes it in the same spelling.
 """
 import random
 from pathlib import Path
 
+import pytest
+
 import cli_cases
+from biblio import dump_corpus, load_corpus
 
 CORPUS_FLAGS = ("--journals", "--papers", "--edges")
 
-# Exit-0 corpus cases whose stdout may follow row order, each with its reason.
-# A case exempted here must still print other bytes when its rows are shuffled.
-EXEMPT: dict[str, str] = {}
+# (rewrite, case) pairs whose stdout may follow the rewrite, each with its
+# reason. An exempted case must still print other bytes under its rewrite.
+EXEMPT: dict[tuple[str, str], str] = {}
 
 
 def shuffle_rows(path: Path, seed: str, out: Path) -> Path:
@@ -31,33 +38,74 @@ def shuffle_rows(path: Path, seed: str, out: Path) -> Path:
     return copy
 
 
-def shuffled_cases(tmp_path: Path) -> list[tuple[str, list[str]]]:
-    """(name, argv) of every exit-0 corpus case, its corpus files shuffled."""
-    original, out = tmp_path / "original", tmp_path / "shuffled"
+def shuffled(files: dict[str, Path], strict: bool, original: Path, out: Path) -> dict:
+    """Each file shuffled on its own, seeded by its path under ``original``."""
+    return {flag: shuffle_rows(path, path.relative_to(original).as_posix(), out)
+            for flag, path in files.items()}
+
+
+def dumped(spell):
+    """The rewrite that loads the files and dumps the corpus, each file with the
+    suffix ``spell`` gives its own."""
+    def rewrite(files: dict[str, Path], strict: bool, original: Path, out: Path) -> dict:
+        corpus = load_corpus(files["--journals"], files["--papers"], files.get("--edges"),
+                             strict=strict)
+        copies = {flag: out / path.with_suffix(spell(path.suffix)).name
+                  for flag, path in files.items()}
+        out.mkdir(parents=True)
+        dump_corpus(corpus, copies["--journals"], copies["--papers"], copies.get("--edges"))
+        return copies
+    return rewrite
+
+
+REWRITES = {
+    "shuffled": shuffled,
+    "other-spelling": dumped(lambda suffix: ".csv" if suffix == ".jsonl" else ".jsonl"),
+    "same-spelling": dumped(lambda suffix: suffix),
+}
+
+
+def rewritten_cases(tmp_path: Path, rewrite: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every exit-0 corpus case, its corpus files rewritten,
+    once per set of files a case reads."""
+    original = tmp_path / "original"
     original.mkdir()
-    copies: dict[str, Path] = {}
+    copies: dict[tuple, dict] = {}
     cases = []
     for name, argv in cli_cases.invocations(original):
         if argv[0] == "simulate" or cli_cases.exit_code(name):
             continue
         argv = list(argv)
-        for i, flag in enumerate(argv[:-1]):
-            if flag in CORPUS_FLAGS:
-                path = Path(argv[i + 1])
-                seed = path.relative_to(original).as_posix()  # one seed per file
-                if seed not in copies:
-                    copies[seed] = shuffle_rows(path, seed, out)
-                argv[i + 1] = str(copies[seed])
+        at = {argv[i]: i + 1 for i in range(len(argv) - 1) if argv[i] in CORPUS_FLAGS}
+        files = {flag: Path(argv[i]) for flag, i in at.items()}
+        key = (*files.items(), "--strict" in argv)
+        if key not in copies:
+            copies[key] = REWRITES[rewrite](files, "--strict" in argv, original,
+                                            tmp_path / rewrite / str(len(copies)))
+        for flag, i in at.items():
+            argv[i] = str(copies[key][flag])
         cases.append((name, argv))
     return cases
 
 
-def test_shuffled_rows_print_the_golden_bytes(tmp_path):
-    cases = shuffled_cases(tmp_path)
-    assert set(EXEMPT) <= {name for name, _ in cases}
+def assert_golden(cases: list[tuple[str, list[str]]], rewrite: str) -> None:
+    exempt = [name for kind, name in EXEMPT if kind == rewrite]
+    assert set(exempt) <= {name for name, _ in cases}
     differ = []
     for name, argv in cases:
         code, files = cli_cases.run_case(argv)
         if (code, files["out"]) != (0, cli_cases.golden_path(name).read_bytes()):
             differ.append(name)
-    assert differ == sorted(EXEMPT, key=[name for name, _ in cases].index)
+    assert differ == sorted(exempt, key=[name for name, _ in cases].index)
+
+
+def test_shuffled_rows_print_the_golden_bytes(tmp_path):
+    assert_golden(rewritten_cases(tmp_path, "shuffled"), "shuffled")
+
+
+@pytest.mark.parametrize("rewrite", ["other-spelling", "same-spelling"])
+def test_dumped_corpora_print_the_golden_bytes(tmp_path, rewrite):
+    cases = rewritten_cases(tmp_path, rewrite)
+    if rewrite == "other-spelling":  # every case's corpus is now read in CSV
+        assert all(argv[argv.index("--papers") + 1].endswith(".csv") for _, argv in cases)
+    assert_golden(cases, rewrite)

@@ -206,6 +206,16 @@ def test_rational_refuses_every_other_spelling(text):
         _rational(text)
 
 
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_rational_reads_an_exponent_up_to_4300_and_refuses_one_beyond(sign):
+    power = Fraction(1, 10**4300) if sign == "-" else Fraction(10**4300)
+    assert _rational(f"1e{sign}4300") == power
+    assert _rational(f"-2.5E{sign}0004300") == Fraction(-5, 2) * power
+    for text in (f"1e{sign}4301", f"2.5E{sign}0004301", f"1e{sign}{'9' * 5000}"):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            _rational(text)
+
+
 def test_rational_passes_numbers_through_and_refuses_a_zero_denominator():
     assert _rational(Fraction(2, 3)) == Fraction(2, 3)
     assert _rational(7) == Fraction(7)
